@@ -24,17 +24,24 @@ Every binding accepts the same three parameters (``history=``,
 stores through :func:`make_history_pair`.
 
 Thread safety: ``append`` is called from the :class:`LocalBus` delivery loop
-on arbitrary publisher threads (the route rows cache the bound ``append``
-exactly as they cached ``list.append``), so :class:`RingHistory` guards its
-deque and offset counter with one small lock; reads take the same lock and
-copy.  No store method ever calls out into user code under its lock.
+on arbitrary publisher threads, once per delivery (the route rows cache the
+bound ``RingHistory.append``), so it takes **no lock** and allocates nothing
+the collector tracks: its one shared-state operation is a GIL-atomic
+``list.append`` of the event reference, and offsets are positional
+(``base + index``) rather than stored.  Everything else -- the amortised
+trim, ``clear()`` and every read -- holds the store's one small lock, which
+is also the only place ``base`` moves; reads copy a slice under it and build
+their result after releasing it.  No store method ever calls out into user
+code under its lock.  The price is a *resident* bound of ``2 * capacity``
+references between trims behind an *observable* bound of ``capacity``
+(``docs/DURABILITY.md``, ``docs/CONCURRENCY.md``).
 """
 
 from __future__ import annotations
 
 import abc
+import sys
 import threading
-from collections import deque
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.bindings import BindingParam
@@ -103,60 +110,122 @@ class HistoryStore(abc.ABC):
         """Release resources; reads stay valid, further appends raise."""
 
 
+class _WithMeta(tuple):
+    """A retained ``(event, meta)`` pair.
+
+    A private subclass rather than a bare tuple so an entry with metadata can
+    never be confused with an event that happens to *be* a tuple: entries
+    without metadata are stored as the event reference itself.
+    """
+
+    __slots__ = ()
+
+
 class RingHistory(HistoryStore):
-    """Bounded in-memory history: a ring of the ``capacity`` newest events.
+    """Bounded in-memory history: the ``capacity`` newest events.
 
     ``capacity <= 0`` means unbounded (the seed's behaviour, kept reachable
     for tests that inspect complete histories).  Eviction advances
-    :attr:`start_offset`; :meth:`clear` empties the ring but keeps the offset
+    :attr:`start_offset`; :meth:`clear` empties the store but keeps the offset
     counter monotone, so offsets never repeat within one engine's life.
+
+    Offsets are *positional*: the entry at ``_entries[i]`` has offset
+    ``_base + i``, so nothing is stored per entry beyond the event reference
+    (or one :class:`_WithMeta` pair when ``meta`` is given).  The list is
+    trimmed back to ``capacity`` only once it has grown past ``2 * capacity``
+    -- an amortised O(1) step per append -- so up to ``2 * capacity``
+    references may be *resident* while every read observes at most the
+    ``capacity`` newest.
     """
 
     kind = "ring"
 
-    __slots__ = ("capacity", "_entries", "_next", "_lock")
+    __slots__ = ("capacity", "_entries", "_base", "_trim_at", "_lock")
 
     def __init__(self, capacity: int = DEFAULT_HISTORY_SIZE) -> None:
         if isinstance(capacity, bool) or not isinstance(capacity, int):
             raise PSException(f"history_size must be an int, got {capacity!r}")
         self.capacity = capacity
-        maxlen = capacity if capacity > 0 else None
-        self._entries: "deque[Tuple[int, Any, Any]]" = deque(maxlen=maxlen)
-        self._next = 0
+        self._entries: List[Any] = []
+        #: Offset of ``_entries[0]``; only ever changed under ``_lock``.
+        self._base = 0
+        self._trim_at = 2 * capacity if capacity > 0 else sys.maxsize
         self._lock = threading.Lock()
 
     def append(self, event: Any, meta: Any = None) -> int:
+        """Retain ``event``; lock-free (one GIL-atomic ``list.append``).
+
+        The returned offset is exact unless another thread appends to (or
+        trims) this store at the same moment; the delivery loops discard it,
+        and the one caller that keeps it (the JXTA engine's ``_sent``) runs
+        on the single simulator thread.
+        """
+        entries = self._entries
+        entries.append(event if meta is None else _WithMeta((event, meta)))
+        size = len(entries)
+        offset = self._base + size - 1
+        if size > self._trim_at:
+            self._drop_prefix(keep=self.capacity)
+        return offset
+
+    def _drop_prefix(self, keep: int) -> None:
+        """Forget all but the ``keep`` newest entries.
+
+        Deletes exactly the prefix it measured, so an append landing between
+        the measurement and the delete stays retained and keeps its offset.
+        """
         with self._lock:
-            offset = self._next
-            self._next = offset + 1
-            self._entries.append((offset, event, meta))
-            return offset
+            entries = self._entries
+            excess = len(entries) - keep
+            if excess > 0:
+                del entries[:excess]
+                self._base += excess
+
+    def _hidden(self, size: int) -> int:
+        """How many of ``size`` resident entries are already evicted from
+        view (resident only until the next trim)."""
+        capacity = self.capacity
+        return size - capacity if 0 < capacity < size else 0
+
+    def _window(self, offset: int = 0) -> Tuple[int, List[Any]]:
+        """``(first_offset, entries)`` of the observable window at or after
+        ``offset``: a slice copy, O(returned)."""
+        with self._lock:
+            entries = self._entries
+            size = len(entries)
+            first = max(offset - self._base, self._hidden(size))
+            return self._base + first, entries[first:size]
 
     def snapshot(self) -> List[Any]:
-        with self._lock:
-            return [event for _, event, _ in self._entries]
+        _, window = self._window()
+        return [entry[0] if type(entry) is _WithMeta else entry for entry in window]
 
     def since(self, offset: int) -> List[Tuple[int, Any, Any]]:
-        with self._lock:
-            return [entry for entry in self._entries if entry[0] >= offset]
+        first, window = self._window(offset)
+        return [
+            (position, entry[0], entry[1])
+            if type(entry) is _WithMeta
+            else (position, entry, None)
+            for position, entry in enumerate(window, first)
+        ]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            size = len(self._entries)
+            return size - self._hidden(size)
 
     @property
     def next_offset(self) -> int:
         with self._lock:
-            return self._next
+            return self._base + len(self._entries)
 
     @property
     def start_offset(self) -> int:
         with self._lock:
-            return self._entries[0][0] if self._entries else self._next
+            return self._base + self._hidden(len(self._entries))
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._drop_prefix(keep=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

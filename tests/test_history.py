@@ -6,14 +6,22 @@ contract, the :class:`~repro.storage.log.LogHistory` durable format
 continuity), the ``make_history`` factory validation, and the satellite-1
 regression: no engine's in-memory history may grow beyond its configured
 bound under a sustained publish loop.
+
+PR 13 rebuilt the ring store (lock-free append, positional offsets,
+amortised trim); :class:`TestRingHistoryModel` drives it against a
+reference model across the trim threshold, and the two structural tests at
+the end of :class:`TestEngineHistoryBounds` pin what the rebuild is for: no
+per-delivery object, and a resident bound of ``2 * history_size``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.skirental.types import SkiRental
 from repro.core import TPSConfig, TPSEngine
@@ -90,6 +98,146 @@ class TestRingHistory:
     def test_bool_capacity_rejected(self):
         with pytest.raises(PSException):
             RingHistory(True)
+
+
+class _ModelRing:
+    """The ring contract, spelled out: stored offsets, eager eviction."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity, self.entries, self.next_offset = capacity, [], 0
+
+    def append(self, event, meta=None) -> int:
+        self.entries.append((self.next_offset, event, meta))
+        self.next_offset += 1
+        if self.capacity > 0:
+            del self.entries[: -self.capacity]
+        return self.next_offset - 1
+
+    def clear(self) -> None:
+        self.entries = []
+
+    def since(self, offset: int):
+        return [entry for entry in self.entries if entry[0] >= offset]
+
+
+def _assert_matches_model(ring: RingHistory, model: _ModelRing) -> None:
+    assert ring.since(0) == model.entries
+    assert ring.snapshot() == [event for _, event, _ in model.entries]
+    assert len(ring) == len(model.entries)
+    assert ring.next_offset == model.next_offset
+    assert ring.start_offset == (
+        model.entries[0][0] if model.entries else model.next_offset
+    )
+    if ring.capacity > 0:
+        # The documented resident bound: trimmed back once past 2x.
+        assert len(ring._entries) <= 2 * ring.capacity
+
+
+MODEL_CAPACITIES = (0, 1, 2, 7, 64)
+
+#: One step of the model test.  Appends come in bursts (up to past the
+#: ``2 * capacity`` trim threshold of the largest ring) so a sequence crosses
+#: the threshold several times; ``since`` offsets are relative to
+#: ``next_offset`` so they land in, before and after the retained window.
+_ring_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 150), st.booleans()),
+        st.tuples(st.just("since"), st.integers(-140, 3)),
+        st.tuples(st.just("clear")),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestRingHistoryModel:
+    @pytest.mark.parametrize("capacity", MODEL_CAPACITIES)
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_ring_ops)
+    def test_random_op_sequences_match_the_reference_model(self, capacity, ops):
+        ring, model = RingHistory(capacity), _ModelRing(capacity)
+        serial = 0
+        for op in ops:
+            if op[0] == "append":
+                for _ in range(op[1]):
+                    # Tuple and None events: an entry without meta is stored
+                    # as the bare event, which must never read back as a pair.
+                    event = (serial, "payload") if serial % 3 else None
+                    meta = f"m{serial}" if op[2] else None
+                    assert ring.append(event, meta) == model.append(event, meta)
+                    serial += 1
+            elif op[0] == "since":
+                offset = model.next_offset + op[1]
+                assert ring.since(offset) == model.since(offset)
+            else:
+                ring.clear()
+                model.clear()
+            _assert_matches_model(ring, model)
+
+    @pytest.mark.parametrize("capacity", [c for c in MODEL_CAPACITIES if c > 0])
+    def test_every_step_across_two_trims_matches_the_model(self, capacity):
+        # Explicit walk over the boundaries: capacity (eviction starts),
+        # 2 * capacity - 1 / 2 * capacity (resident bound reached),
+        # 2 * capacity + 1 (the trim), and the same again one cycle later.
+        ring, model = RingHistory(capacity), _ModelRing(capacity)
+        resident = []
+        for index in range(4 * capacity + 2):
+            assert ring.append(index, meta=index % 2 or None) == index
+            model.append(index, meta=index % 2 or None)
+            _assert_matches_model(ring, model)
+            middle = index - capacity // 2
+            assert ring.since(middle) == model.since(middle)
+            resident.append(len(ring._entries))
+        assert resident[capacity - 1] == capacity
+        assert resident[2 * capacity - 1] == 2 * capacity
+        assert resident[2 * capacity] == capacity  # trimmed on passing 2x
+        assert max(resident) == 2 * capacity
+        ring.clear()
+        model.clear()
+        _assert_matches_model(ring, model)
+        assert ring.append("after") == model.append("after") == 4 * capacity + 2
+
+    @pytest.mark.parametrize("capacity", [0, 4])
+    def test_append_landing_between_measure_and_delete_is_kept(self, capacity):
+        # The race the threaded hammer can only hit by luck, made
+        # deterministic: another publisher's lock-free append lands right
+        # after clear() / the trim measured the list.  Deleting exactly the
+        # measured prefix keeps the late entry and its offset.
+        class RacingList(list):
+            late = None  # appended right after the (skip + 1)-th measurement
+            skip = 0
+
+            def __len__(self):
+                size = super().__len__()
+                if self.late is not None:
+                    if self.skip:
+                        self.skip -= 1
+                    else:
+                        list.append(self, self.late)
+                        self.late = None
+                return size
+
+        ring = RingHistory(capacity)
+        ring._entries = entries = RacingList()
+        for index in range(6):
+            ring.append(index)
+        entries.late = "late"
+        ring.clear()
+        assert ring.since(0) == [(6, "late", None)]
+        assert ring.next_offset == 7
+        if capacity:
+            while len(entries) < 2 * capacity:
+                ring.append("filler")
+            head = ring.next_offset
+            # append measures first (skipped), then the trim it triggers.
+            entries.late, entries.skip = "late again", 1
+            assert ring.append("trigger") == head
+            assert ring.since(head) == [
+                (head, "trigger", None),
+                (head + 1, "late again", None),
+            ]
+            assert ring.next_offset == head + 2
+            assert len(ring) == capacity
 
 
 class TestLogHistory:
@@ -260,6 +408,51 @@ class TestEngineHistoryBounds:
         assert subscriber.history_offset == 10_000
         publisher.close()
         subscriber.close()
+
+    def test_unread_store_holds_at_most_twice_its_bound(self):
+        # Nobody reads, so only append's own amortised trim bounds memory:
+        # up to 2 * history_size references resident, never more than
+        # history_size of them observable.
+        size = 64
+        bus = LocalBus()
+        publisher = LocalTPSEngine(SkiRental, bus=bus, history_size=size)
+        subscriber = LocalTPSEngine(SkiRental, bus=bus, history_size=size)
+        subscriber.subscribe(lambda event: None)
+        offer = _offer(0)
+        peak = 0
+        for _ in range(10 * size):
+            publisher.publish(offer)
+            for store in (subscriber._received, publisher._sent):
+                peak = max(peak, len(store._entries))
+                assert len(store._entries) <= 2 * size
+                assert len(store) <= size
+        assert peak > size  # the trim is amortised, not per-append
+        assert len(subscriber._received.snapshot()) == size
+        assert subscriber._received.start_offset == 9 * size
+        publisher.close()
+        subscriber.close()
+
+    def test_fanout_history_costs_no_object_per_delivery(self):
+        # Structural, not timing: each of the N subscribers retains the
+        # *shared* event reference, so K publishes grow the collector's
+        # tracked set by O(K) (the events), not O(K * N) (an entry each).
+        subscribers, events = 50, 400
+        bus = LocalBus()
+        publisher = LocalTPSEngine(SkiRental, bus=bus)
+        engines = [LocalTPSEngine(SkiRental, bus=bus) for _ in range(subscribers)]
+        for engine in engines:
+            engine.subscribe(lambda event: None)
+        publisher.publish(_offer(0))  # route rows, first list growth
+        gc.collect()
+        before = len(gc.get_objects())
+        for index in range(events):
+            publisher.publish(_offer(index))
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert all(len(engine.objects_received()) == events + 1 for engine in engines)
+        assert grown <= 5 * events, f"{grown} new tracked objects for {events} events"
+        for engine in [publisher, *engines]:
+            engine.close()
 
     def test_default_bound_is_the_documented_constant(self):
         engine = LocalTPSEngine(SkiRental, bus=LocalBus())

@@ -6,12 +6,14 @@ the guard with a design where the misuse has no correct spelling at all --
 **the loop is the thread**:
 
 * an :class:`AsyncLocalBus` is owned by the event loop that created it;
-  every route-table mutation and every delivery runs on that loop, so the
-  bus needs *no locks* -- loop confinement gives the same exclusion the
-  sync buses buy with ``threading.Lock``, and the PR 1/PR 4 snapshot
-  template carries over unchanged: route rows and handler tuples are
-  immutable tuples, rebound atomically, read straight off the attribute by
-  the delivery loop;
+  every route-table mutation and every delivery runs on that loop, so loop
+  confinement already gives the exclusion the sync buses buy with
+  ``threading.Lock`` (the route table is
+  :class:`~repro.core.local_engine.LocalBus`'s, mutation lock included --
+  never contended here, see ``docs/CONCURRENCY.md``), and the PR 1/PR 4
+  snapshot template carries over unchanged: route rows and handler tuples
+  are immutable tuples, rebound atomically, read straight off the attribute
+  by the delivery loop;
 * :class:`AsyncTPSEngine` is the asyncio front-end of the shared
   :class:`~repro.core.interface.TPSInterfaceCore`: the subscription
   surface, the fluent builder (``.where()`` push-down), predicate/error
@@ -51,23 +53,22 @@ simulated wire bindings is documented in ``docs/CONCURRENCY.md``.
 from __future__ import annotations
 
 import asyncio
-import inspect
-import threading
-import weakref
-from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, Awaitable, Callable, Iterable, List, Optional, Type
 
-from repro.core.bindings import BindingParam, BindingRequest, register_binding
-from repro.core.exceptions import PSException
-from repro.core.history import (
-    DEFAULT_HISTORY_SIZE,
-    HISTORY_BINDING_PARAMS,
-    make_history_pair,
+from repro.core.bindings import (
+    BindingParam,
+    BindingRequest,
+    SharedBusCache,
+    not_bool,
+    one_of,
+    register_binding,
 )
-from repro.core.interface import PublishReceipt, Subscription, TPSInterfaceCore
-from repro.core.subscriber import TPSSubscriberManager
+from repro.core.exceptions import PSException
+from repro.core.history import HISTORY_BINDING_PARAMS, history_kwargs
+from repro.core.interface import PublishReceipt
+from repro.core.local_engine import LocalBus, LocalEngineCore
+from repro.core.subscriber import dispatch_row_awaiting
 from repro.core.subscriptions import StreamCore
-from repro.core.type_registry import Criteria, TypeRegistry, type_name
-from repro.serialization.object_codec import ObjectCodec
 
 #: How the bus drives one event's subscriber coroutines (see module docs).
 ASYNC_DISPATCH_MODES = ("serial", "concurrent")
@@ -97,23 +98,22 @@ class _Done:
         return iter(())
 
 
-class AsyncLocalBus:
+class AsyncLocalBus(LocalBus):
     """An event-loop-owned bus connecting :class:`AsyncTPSEngine` instances.
 
-    Structurally the asyncio twin of :class:`~repro.core.local_engine.LocalBus`:
+    The route table is :class:`~repro.core.local_engine.LocalBus`'s own:
     engines attach under their hierarchy root, publishing resolves a
     type-indexed route row -- ``(engine, manager, criteria, record)`` tuples
     -- and dispatches against the subscriber manager's immutable
-    ``_handlers`` snapshot.  The difference is the exclusion mechanism:
-    where ``LocalBus`` serialises mutations on a per-bus lock, this bus is
-    *loop-confined* -- construction captures the running loop, every
-    mutating or delivering call checks it is running on that loop
-    (:meth:`check_loop`), and single-threaded loop execution makes the
-    mutations atomic with respect to each other with no lock at all.  The
-    snapshots still matter: a coroutine suspended mid-delivery (awaiting a
-    subscriber) observes the route row and handler tuple it loaded, never a
-    half-rebuilt hybrid, even if another task attaches or subscribes during
-    the await.
+    ``_handlers`` snapshot.  What differs is the exclusion mechanism and the
+    publish: this bus is *loop-confined* -- construction captures the
+    running loop, every mutating or delivering call checks it is running on
+    that loop (:meth:`check_loop`), and single-threaded loop execution makes
+    the mutations atomic with respect to each other (the inherited mutation
+    lock is never contended).  The snapshots still matter: a coroutine
+    suspended mid-delivery (awaiting a subscriber) observes the route row
+    and handler tuple it loaded, never a half-rebuilt hybrid, even if
+    another task attaches or subscribes during the await.
     """
 
     def __init__(
@@ -136,10 +136,9 @@ class AsyncLocalBus:
                     "it ('the loop is the thread'); construct it inside a "
                     "running loop, e.g. from a coroutine"
                 ) from None
+        super().__init__()
         self.dispatch = dispatch
         self._loop = loop
-        self._engines: Dict[str, Tuple["AsyncTPSEngine", ...]] = {}
-        self._routes: Dict[str, Dict[Type[Any], Tuple[Tuple[Any, ...], ...]]] = {}
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
@@ -180,41 +179,16 @@ class AsyncLocalBus:
     def attach(self, engine: "AsyncTPSEngine") -> None:
         """Attach an engine to its hierarchy's topic (loop-confined)."""
         self.check_loop("attach")
-        root = engine.registry.advertised_name
-        self._engines[root] = self._engines.get(root, ()) + (engine,)
-        self._routes.pop(root, None)
+        super().attach(engine)
 
     def detach(self, engine: "AsyncTPSEngine") -> None:
         """Detach an engine (missing engines are ignored; loop-confined)."""
         self.check_loop("detach")
-        root = engine.registry.advertised_name
-        engines = self._engines.get(root, ())
-        if engine in engines:
-            self._engines[root] = tuple(e for e in engines if e is not engine)
-            self._routes.pop(root, None)
+        super().detach(engine)
 
-    def engines_for(self, root: Type[Any]) -> Tuple["AsyncTPSEngine", ...]:
-        """Every engine attached to the hierarchy rooted at ``root``."""
-        return self._engines.get(type_name(root), ())
-
-    def _route(self, root: str, event_class: Type[Any]) -> Tuple[Tuple[Any, ...], ...]:
-        """The delivery rows for one (root, concrete event class) pair.
-
-        Same shape and caching discipline as ``LocalBus._route``, minus the
-        lock: the double-checked rebuild is unnecessary because only the
-        owning loop ever gets here.
-        """
-        routes = self._routes.get(root)
-        if routes is None:
-            routes = self._routes[root] = {}
-        targets = routes.get(event_class)
-        if targets is None:
-            targets = routes[event_class] = tuple(
-                (engine, engine.subscriber_manager, engine.criteria, engine._received.append)
-                for engine in self._engines.get(root, ())
-                if issubclass(event_class, engine.registry.event_type)
-            )
-        return targets
+    #: The inherited row lookup, bound on this class as well so class-level
+    #: instrumentation can tell the two buses' route rebuilds apart.
+    _route = LocalBus._route
 
     # ------------------------------------------------------------- delivery
 
@@ -223,7 +197,8 @@ class AsyncLocalBus:
 
         Returns the number of engines delivered to.  The loop body mirrors
         ``LocalBus.publish`` row for row (skip publisher/closed/empty,
-        criteria, record, per-row predicate + breaker + error routing); the
+        criteria, record), with the per-row predicate + breaker + error
+        routing in :func:`~repro.core.subscriber.dispatch_row_awaiting`; the
         async difference is that a subscriber returning an awaitable -- a
         coroutine callback, or a ``"block"``-policy stream applying
         backpressure -- suspends *this coroutine* rather than blocking a
@@ -248,43 +223,13 @@ class AsyncLocalBus:
             record(event)
             for row in handlers:
                 if concurrent is None:
-                    await self._dispatch_row(row, event)
+                    await dispatch_row_awaiting(row, event)
                 else:
-                    concurrent.append(self._dispatch_row(row, event))
+                    concurrent.append(dispatch_row_awaiting(row, event))
             delivered += 1
         if concurrent:
             await asyncio.gather(*concurrent)
         return delivered
-
-    async def _dispatch_row(self, row: Tuple[Any, ...], event: Any) -> None:
-        """Dispatch one handler row, routing errors to its paired handler.
-
-        Identical semantics to the sync buses' inner loop: a rejected
-        predicate skips the row, a breaker in quarantine skips it, a raising
-        predicate/callback records the failure and routes to the exception
-        handler.  A coroutine callback (or coroutine error handler) is
-        awaited; its exceptions surface here exactly like a sync raise.
-        """
-        handle, handle_error, predicate, breaker = row
-        try:
-            if predicate is not None and not predicate(event):
-                return
-            if breaker is not None and not breaker.allow():
-                return
-            result = handle(event)
-            if inspect.isawaitable(result):
-                await result
-            if breaker is not None:
-                breaker.record_success()
-        except BaseException as error:  # noqa: BLE001 - routed to the handler
-            if breaker is not None:
-                breaker.record_failure()
-            try:
-                routed = handle_error(error)
-                if inspect.isawaitable(routed):
-                    await routed
-            except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken error handler must not stop dispatch
-                pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         attached = sum(len(engines) for engines in self._engines.values())
@@ -416,7 +361,7 @@ class AsyncEventStream(StreamCore):
         discarded, the cursor moves to ``offset`` and the retained history
         from there is pulled before this coroutine returns.
         """
-        self._interface._check_loop("stream resume")
+        self._interface._check_affinity("stream resume")
         if self._source is None:
             raise PSException(
                 "only streams created with from_offset= are resumable; "
@@ -469,7 +414,7 @@ class AsyncEventStream(StreamCore):
         when ``timeout`` (seconds, on the owning loop's clock) elapses
         without an event.
         """
-        self._interface._check_loop("stream get")
+        self._interface._check_affinity("stream get")
         self._consumer_tasks.add(_task_ident())
         deadline = None if timeout is None else self._loop.time() + timeout
         while True:
@@ -497,7 +442,7 @@ class AsyncEventStream(StreamCore):
 
     def drain(self) -> List[Any]:
         """Remove and return everything currently buffered (never suspends)."""
-        self._interface._check_loop("stream drain")
+        self._interface._check_affinity("stream drain")
         self._consumer_tasks.add(_task_ident())
         events = list(self._buffer)
         self._buffer.clear()
@@ -540,7 +485,7 @@ class AsyncEventStream(StreamCore):
 
     def close(self) -> None:
         """Close the stream (loop-confined; see :meth:`StreamCore.close`)."""
-        self._interface._check_loop("stream close")
+        self._interface._check_affinity("stream close")
         super().close()
 
     async def __aenter__(self) -> "AsyncEventStream":
@@ -550,14 +495,18 @@ class AsyncEventStream(StreamCore):
         self.close()
 
 
-class AsyncTPSEngine(TPSInterfaceCore):
+class AsyncTPSEngine(LocalEngineCore):
     """The asyncio front-end of the TPS interface (the ``"ASYNC"`` binding).
 
     Shares the whole subscription surface --
     ``subscribe``/``unsubscribe``/``subscription()`` builder with ``.where``
     push-down/handles/streams/breakers -- with the sync bindings through
-    :class:`~repro.core.interface.TPSInterfaceCore`; only publishing,
-    streaming and lifecycle are async-flavoured:
+    :class:`~repro.core.interface.TPSInterfaceCore`, and construction, the
+    publish front end and teardown with the LOCAL binding through
+    :class:`~repro.core.local_engine.LocalEngineCore` (whose keyword options
+    -- ``criteria``, ``codec``, ``history``, ``history_size``,
+    ``history_path`` -- it accepts); only publishing, streaming and
+    lifecycle are async-flavoured:
 
     * ``await tps.publish(event)`` / ``await tps.publish_many(events)``
       return :class:`PublishReceipt` objects once every subscriber (and any
@@ -577,19 +526,10 @@ class AsyncTPSEngine(TPSInterfaceCore):
         event_type: Type[Any],
         *,
         bus: Optional[AsyncLocalBus] = None,
-        criteria: Optional[Criteria] = None,
-        codec: Optional[ObjectCodec] = None,
-        history: str = "ring",
-        history_size: int = DEFAULT_HISTORY_SIZE,
-        history_path: Optional[str] = None,
         breaker_threshold: int = 0,
         breaker_cooldown: float = 30.0,
+        **options: Any,
     ) -> None:
-        # Instance slot shadowing the class attribute, same rationale as
-        # LocalTPSEngine: the delivery loop reads it once per row.
-        self._tps_closed = False
-        self.registry = TypeRegistry(event_type, codec=codec)
-        self.criteria = criteria
         if bus is None:
             bus = AsyncLocalBus()
         elif not isinstance(bus, AsyncLocalBus):
@@ -597,25 +537,18 @@ class AsyncTPSEngine(TPSInterfaceCore):
                 "the ASYNC binding needs an AsyncLocalBus (or no bus at "
                 f"all); got {type(bus).__name__}"
             )
-        self.bus = bus
         # Constructing from a foreign thread/loop must fail before attach.
-        self.bus.check_loop("ASYNC interface construction")
-        self.subscriber_manager = TPSSubscriberManager()
-        self._received, self._sent = make_history_pair(
-            history, history_size, history_path, codec=self.registry.codec
-        )
+        bus.check_loop("ASYNC interface construction")
+        super().__init__(event_type, bus=bus, **options)
         if breaker_threshold > 0:
             # The breaker clock is the owning loop's own clock ('the loop is
             # the thread'): cooldowns expire on loop time, which tests drive
             # deterministically by substituting loop.time.
             self.subscriber_manager.set_breaker_policy(
-                breaker_threshold,
-                breaker_cooldown,
-                clock=self.bus.loop.time,
+                breaker_threshold, breaker_cooldown, clock=bus.loop.time
             )
-        self.bus.attach(self)
 
-    def _check_loop(self, operation: str) -> None:
+    def _check_affinity(self, operation: str) -> None:
         self.bus.check_loop(operation)
 
     # ------------------------------------------------------------ publishing
@@ -627,18 +560,8 @@ class AsyncTPSEngine(TPSInterfaceCore):
         ``"block"`` stream applies backpressure); returns once delivery
         settled.
         """
-        self._check_open()
-        self._check_loop("publish")
-        self.registry.check_publishable(event)
-        # Codec round-trip for the same reason as the sync bindings: local
-        # and wire deliveries agree on serialisability, subscribers get an
-        # isolated copy.
-        copy = self.registry.decode(self.registry.encode(event))
-        delivered = await self.bus.publish(self, copy)
-        self._sent.append(event)
-        return PublishReceipt(
-            cpu_time=0.0, completion_time=0.0, pipes=1, wire_receipts=[delivered]
-        )
+        copy = self._begin_publish(event)
+        return self._finish_publish(event, await self.bus.publish(self, copy))
 
     async def publish_many(self, events: Iterable[Any]) -> List[PublishReceipt]:
         """Publish a batch in per-source order; one receipt per event.
@@ -648,49 +571,12 @@ class AsyncTPSEngine(TPSInterfaceCore):
         the bus sequentially -- per-subscriber order across the batch equals
         batch order, the same guarantee the sync bindings give.
         """
-        self._check_open()
-        self._check_loop("publish_many")
-        batch = list(events)
-        copies = []
-        for event in batch:
-            self.registry.check_publishable(event)
-            copies.append(self.registry.decode(self.registry.encode(event)))
-        receipts = []
-        for copy in copies:
-            delivered = await self.bus.publish(self, copy)
-            receipts.append(
-                PublishReceipt(
-                    cpu_time=0.0,
-                    completion_time=0.0,
-                    pipes=1,
-                    wire_receipts=[delivered],
-                )
-            )
-        record_sent = self._sent.append
-        for event in batch:
-            record_sent(event)
-        return receipts
-
-    # ----------------------------------------------------------- subscribing
-
-    # The loop checks live in the three mutation hooks -- the narrowest
-    # shared funnel under subscribe()/unsubscribe()/handle.cancel()/stream
-    # teardown -- so a foreign-thread call fails before the subscriber
-    # manager mutates and leaves nothing half-registered.
-
-    def _add_subscription(self, subscription: Subscription) -> None:
-        self._check_loop("subscribe")
-        self.subscriber_manager.add(subscription)
-
-    def _remove_subscriptions(
-        self, callback: Optional[Any] = None, handler: Optional[Any] = None
-    ) -> int:
-        self._check_loop("unsubscribe")
-        return self.subscriber_manager.remove(callback, handler)
-
-    def _discard_subscription(self, subscription: Subscription) -> int:
-        self._check_loop("subscription cancel")
-        return self.subscriber_manager.discard(subscription)
+        batch, copies = self._begin_batch(events)
+        counts = [await self.bus.publish(self, copy) for copy in copies]
+        return [
+            self._finish_publish(event, delivered)
+            for event, delivered in zip(batch, counts)
+        ]
 
     # --------------------------------------------------------------- streams
 
@@ -702,7 +588,7 @@ class AsyncTPSEngine(TPSInterfaceCore):
         exception_handler: Optional[Any] = None,
         from_offset: Optional[int] = None,
     ) -> AsyncEventStream:
-        self._check_loop("stream")
+        self._check_affinity("stream")
         return AsyncEventStream(
             self,
             maxsize=maxsize,
@@ -725,20 +611,13 @@ class AsyncTPSEngine(TPSInterfaceCore):
         Teardown (detach from the bus, drop subscriptions, close streams,
         waking their waiters) completes synchronously on the owning loop;
         the returned awaitable is already done, so ``await tps.close()`` and
-        plain ``tps.close()`` are equivalent.  A second close returns
-        immediately without the loop check, so generic teardown loops (e.g.
-        ``TPSEngine.close``) stay safe to re-run.
+        plain ``tps.close()`` are equivalent.  A close from a foreign
+        thread/loop raises and leaves the interface open; a second close
+        returns immediately without the loop check, so generic teardown
+        loops (e.g. ``TPSEngine.close``) stay safe to re-run.
         """
-        if not self._tps_closed:
-            self._check_loop("close")
-            self._close_impl()
+        self._close_impl()
         return _Done()
-
-    def _do_close(self) -> None:
-        self.bus.detach(self)
-        self.subscriber_manager.remove()
-        self._received.close()
-        self._sent.close()
 
     async def __aenter__(self) -> "AsyncTPSEngine":
         return self
@@ -750,20 +629,6 @@ class AsyncTPSEngine(TPSInterfaceCore):
 # --------------------------------------------------------------------------
 # The registry spec: validated params and the per-loop shared-bus cache.
 
-
-def _dispatch_value(value: Any) -> Optional[str]:
-    if value in ASYNC_DISPATCH_MODES:
-        return None
-    return f"must be one of {ASYNC_DISPATCH_MODES}, got {value!r}"
-
-
-def _not_bool(value: Any) -> Optional[str]:
-    # bool subclasses int; reject it explicitly for the numeric params.
-    if isinstance(value, bool):
-        return f"must be a number, got {value!r}"
-    return None
-
-
 #: The parameter schema of the ``"ASYNC"`` binding.
 ASYNC_BINDING_PARAMS = (
     BindingParam(
@@ -771,7 +636,7 @@ ASYNC_BINDING_PARAMS = (
         (str,),
         "'serial' awaits each subscriber in row order; 'concurrent' gathers "
         "one event's subscriber coroutines so their waits overlap",
-        _dispatch_value,
+        one_of(ASYNC_DISPATCH_MODES),
         default="serial",
     ),
     BindingParam(
@@ -786,7 +651,7 @@ ASYNC_BINDING_PARAMS = (
         "consecutive callback failures before a subscription's circuit "
         "breaker opens (0 disables breakers); cooldowns run on the owning "
         "loop's clock",
-        _not_bool,
+        not_bool,
         default=0,
     ),
     BindingParam(
@@ -794,34 +659,17 @@ ASYNC_BINDING_PARAMS = (
         (int, float),
         "seconds (loop time) an open breaker quarantines its callback "
         "before probation",
-        _not_bool,
+        not_bool,
         default=30.0,
     ),
 ) + HISTORY_BINDING_PARAMS
 
-#: Registry-built buses, keyed per owning loop (held weakly -- caching a bus
-#: never pins a finished loop) and, within a loop, by the canonical
-#: (dispatch, group) parameter key.  The lock covers the rare cache
-#: mutation: distinct threads each running their own loop may resolve
-#: concurrently.
-_LOOP_BUSES: "weakref.WeakKeyDictionary[Any, Dict[Tuple[Any, ...], AsyncLocalBus]]" = (
-    weakref.WeakKeyDictionary()
-)
-_LOOP_BUSES_LOCK = threading.Lock()
+#: Registry-built buses, one per (owning loop, dispatch, group).
+_SHARED_BUSES = SharedBusCache(AsyncLocalBus, {"dispatch": "serial", "group": None})
 
 
-def resolve_async_params(request: BindingRequest) -> Dict[str, Any]:
-    """Normalise an ASYNC request's parameters into canonical kwargs."""
-    kwargs: Dict[str, Any] = {}
-    if "dispatch" in request.params:
-        kwargs["dispatch"] = request.param("dispatch")
-    if "group" in request.params:
-        kwargs["group"] = request.param("group")
-    return kwargs
-
-
-def shared_loop_bus(request: BindingRequest) -> AsyncLocalBus:
-    """The bus an ASYNC request resolves to: one per (loop, dispatch, group).
+def _request_bus(request: BindingRequest) -> AsyncLocalBus:
+    """The bus of an ASYNC request: explicit, or one per (loop, dispatch, group).
 
     Unlike SHARDED there is no process-global default bus -- a bus cannot
     outlive loop ownership -- so even a parameter-less request shares the
@@ -836,63 +684,24 @@ def shared_loop_bus(request: BindingRequest) -> AsyncLocalBus:
             "will own the interface ('the loop is the thread'); call it "
             "from a coroutine running on that loop"
         ) from None
-    kwargs = resolve_async_params(request)
-    key = (kwargs.get("dispatch", "serial"), kwargs.get("group"))
-    with _LOOP_BUSES_LOCK:
-        cache = _LOOP_BUSES.setdefault(loop, {})
-        bus = cache.get(key)
-        if bus is None:
-            bus = cache[key] = AsyncLocalBus(dispatch=key[0], loop=loop)
-        return bus
-
-
-def request_async_bus(request: BindingRequest) -> AsyncLocalBus:
-    """Resolve the bus of an ASYNC request: explicit or registry-built."""
-    bus = request.local_bus
-    if bus is None:
-        return shared_loop_bus(request)
-    if not isinstance(bus, AsyncLocalBus):
-        raise PSException(
-            "the ASYNC binding needs an AsyncLocalBus (or no bus at all); "
-            f"got {type(bus).__name__}: construct the engine with "
-            "TPSEngine(EventType, local_bus=AsyncLocalBus()) from inside "
-            "the owning loop"
-        )
-    if resolve_async_params(request):
-        raise PSException(
-            "ASYNC parameters describe a registry-built shared bus; pass "
-            "either binding params (dispatch/group) or an explicit "
-            "local_bus, not both"
-        )
-    return bus
-
-
-def reset_loop_buses() -> None:
-    """Drop the registry-built per-loop bus cache.
-
-    Registered as the ASYNC ``on_unregister`` hook: an
-    ``unregister_binding("ASYNC")``/re-register cycle must not resolve new
-    interfaces onto buses cached under the previous registration (the same
-    stale-spec leak as the sharded param-bus cache; see
-    :func:`repro.core.sharded_engine.reset_param_buses`).  Live interfaces
-    keep the bus they hold; only the cache is cleared.
-    """
-    with _LOOP_BUSES_LOCK:
-        _LOOP_BUSES.clear()
+    return _SHARED_BUSES.resolve(
+        request,
+        _SHARED_BUSES.described(request),
+        lambda: AsyncLocalBus(dispatch=request.param("dispatch", "serial"), loop=loop),
+        scope=loop,
+    )
 
 
 def _async_binding(request: BindingRequest) -> AsyncTPSEngine:
     """The ``"ASYNC"`` binding factory: an asyncio-native interface."""
     return AsyncTPSEngine(
         request.event_type,
-        bus=request_async_bus(request),
+        bus=_request_bus(request),
         criteria=request.criteria,
         codec=request.codec,
-        history=request.param("history", "ring"),
-        history_size=request.param("history_size", DEFAULT_HISTORY_SIZE),
-        history_path=request.param("history_path", "") or None,
         breaker_threshold=request.param("breaker_threshold", 0),
         breaker_cooldown=request.param("breaker_cooldown", 30.0),
+        **history_kwargs(request),
     )
 
 
@@ -909,7 +718,7 @@ def register_async_binding() -> None:
         capabilities=("in-process", "asynchronous", "event-loop"),
         params=ASYNC_BINDING_PARAMS,
         replace=True,
-        on_unregister=reset_loop_buses,
+        on_unregister=_SHARED_BUSES.reset,
     )
 
 
@@ -923,8 +732,4 @@ __all__ = [
     "AsyncLocalBus",
     "AsyncTPSEngine",
     "register_async_binding",
-    "request_async_bus",
-    "reset_loop_buses",
-    "resolve_async_params",
-    "shared_loop_bus",
 ]

@@ -24,7 +24,10 @@ This module is that plug point:
   and application-registered bindings alike;
 * :func:`register_binding` / :func:`get_binding` /
   :func:`registered_bindings` / :func:`binding_params` -- the process-wide
-  name -> factory registry and its introspection surface.
+  name -> factory registry and its introspection surface;
+* :func:`not_bool` / :func:`positive` / :func:`one_of` -- the value checks
+  the built-in schemas share, and :class:`SharedBusCache` -- the
+  registry-built shared-bus cache behind SHARDED, SHARDED+JXTA and ASYNC.
 
 The built-in bindings self-register when their modules are imported:
 ``"LOCAL"`` (:mod:`repro.core.local_engine`, no parameters), ``"JXTA"``
@@ -40,6 +43,8 @@ included.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -127,6 +132,32 @@ class BindingParam:
             if complaint:
                 return f"parameter {self.name!r}: {complaint}"
         return None
+
+
+def not_bool(value: Any) -> Optional[str]:
+    """Reject ``bool`` for a numeric parameter: ``bool`` subclasses ``int``,
+    so the type check alone would let ``search_timeout=True`` through as 1."""
+    if isinstance(value, bool):
+        return f"must be a number, got {value!r}"
+    return None
+
+
+def positive(value: Any) -> Optional[str]:
+    """Accept numbers above zero only (and no ``bool``, see :func:`not_bool`)."""
+    if isinstance(value, bool) or value <= 0:
+        return f"must be a positive number, got {value!r}"
+    return None
+
+
+def one_of(choices: Tuple[str, ...]) -> Callable[[Any], Optional[str]]:
+    """A check accepting exactly the values in ``choices``."""
+
+    def check(value: Any) -> Optional[str]:
+        if value in choices:
+            return None
+        return f"must be one of {choices}, got {value!r}"
+
+    return check
 
 
 @dataclass(frozen=True)
@@ -228,6 +259,90 @@ class BindingSpec:
         """Validate ``request.params`` and build an interface via the factory."""
         self.validate_params(request.params)
         return self.factory(request)
+
+
+class SharedBusCache:
+    """The registry-built buses of one bus family, one per (scope, params).
+
+    Interfaces created with equal bus-describing parameters inside one
+    *scope* share one bus, so they can talk to each other; different scopes
+    never share.  The scope is whatever owns the bus -- a peer for the
+    composite binding (a peer models a process), the running event loop for
+    ASYNC (a bus cannot outlive loop ownership), nothing for plain SHARDED
+    (process-wide) -- and is held weakly, so caching a bus never pins a peer
+    or a finished loop in memory.  The lock covers the rare cache mutation;
+    distinct threads may resolve concurrently.
+
+    ``defaults`` maps each bus-describing parameter name to its default, in
+    the order that forms the cache key, so ``shards=8`` and no ``shards`` at
+    all name the same bus.
+    """
+
+    def __init__(self, bus_type: type, defaults: Mapping[str, Any]) -> None:
+        self.bus_type = bus_type
+        self.defaults = dict(defaults)
+        self._lock = threading.Lock()
+        self._buses: "weakref.WeakKeyDictionary[Any, Dict[Tuple[Any, ...], Any]]" = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def described(self, request: BindingRequest) -> Dict[str, Any]:
+        """The bus-describing parameters ``request`` actually passed."""
+        return {
+            name: request.params[name]
+            for name in self.defaults
+            if name in request.params
+        }
+
+    def resolve(
+        self,
+        request: BindingRequest,
+        described: Mapping[str, Any],
+        build: Callable[[], Any],
+        *,
+        scope: Any = None,
+    ) -> Any:
+        """The bus of ``request``: its explicit ``local_bus``, or the cached
+        bus that ``described`` (the request's bus-describing parameters)
+        names within ``scope``, built with ``build()`` on first use.
+
+        Parameters describe a registry-built bus, so passing them together
+        with an explicit ``local_bus`` is rejected, as is an explicit bus of
+        the wrong family.
+        """
+        bus = request.local_bus
+        if bus is not None:
+            if not isinstance(bus, self.bus_type):
+                raise PSException(
+                    f"this binding needs a {self.bus_type.__name__} (or no bus "
+                    f"at all); got {type(bus).__name__}: construct the engine "
+                    f"with TPSEngine(EventType, local_bus={self.bus_type.__name__}(...))"
+                )
+            if described:
+                raise PSException(
+                    f"the parameters {'/'.join(self.defaults)} describe a "
+                    "registry-built shared bus; pass either binding params or "
+                    "an explicit local_bus, not both"
+                )
+            return bus
+        key = tuple(described.get(name, default) for name, default in self.defaults.items())
+        with self._lock:
+            buses = self._buses.setdefault(self if scope is None else scope, {})
+            bus = buses.get(key)
+            if bus is None:
+                bus = buses[key] = build()
+            return bus
+
+    def reset(self) -> None:
+        """Drop every cached bus (the bindings' ``on_unregister`` hook).
+
+        Without it an ``unregister_binding``/``register_binding`` cycle would
+        keep resolving requests onto buses built under the previous, possibly
+        different, registration.  Interfaces already created keep the bus
+        they hold; only the cache is cleared.
+        """
+        with self._lock:
+            self._buses.clear()
 
 
 _REGISTRY: Dict[str, BindingSpec] = {}
@@ -362,10 +477,14 @@ __all__ = [
     "BindingParam",
     "BindingRequest",
     "BindingSpec",
+    "SharedBusCache",
     "TPSBinding",
     "binding_capabilities",
     "binding_params",
     "get_binding",
+    "not_bool",
+    "one_of",
+    "positive",
     "register_binding",
     "registered_bindings",
     "unregister_binding",

@@ -63,17 +63,17 @@ import threading
 import weakref
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.core.bindings import BindingParam, BindingRequest, register_binding
+from repro.core.bindings import BindingParam, BindingRequest, positive, register_binding
 from repro.core.exceptions import PSException
-from repro.core.history import DEFAULT_HISTORY_SIZE
+from repro.core.history import history_kwargs
 from repro.core.interface import PublishReceipt, Subscription
 from repro.core.jxta_engine import JxtaTPSEngine, TPSConfig
 from repro.core.local_engine import LocalTPSEngine
 from repro.core.sharded_engine import (
     SHARDED_BINDING_PARAMS,
+    SHARED_BUSES,
     ShardedLocalBus,
     request_bus,
-    reset_param_buses,
 )
 from repro.core.type_registry import Criteria
 from repro.jxta.ids import PeerID
@@ -122,12 +122,6 @@ def _monitor_for(peer: Peer, timing: Dict[str, float]) -> MembershipMonitor:
         return monitor
 
 
-def _positive_seconds(value: Any) -> Optional[str]:
-    if isinstance(value, bool) or value <= 0:
-        return f"must be a positive number of virtual seconds, got {value!r}"
-    return None
-
-
 #: The composite's parameter schema: everything SHARDED takes, plus the
 #: membership failure-detector knobs (which need a peer, hence live here).
 COMPOSITE_BINDING_PARAMS = SHARDED_BINDING_PARAMS + (
@@ -141,21 +135,21 @@ COMPOSITE_BINDING_PARAMS = SHARDED_BINDING_PARAMS + (
         "heartbeat_interval",
         (int, float),
         "virtual seconds between heartbeats (membership=True)",
-        _positive_seconds,
+        positive,
         default=MembershipConfig.heartbeat_interval,
     ),
     BindingParam(
         "suspect_timeout",
         (int, float),
         "silence before a peer turns SUSPECT (membership=True)",
-        _positive_seconds,
+        positive,
         default=MembershipConfig.suspect_timeout,
     ),
     BindingParam(
         "confirm_timeout",
         (int, float),
         "further silence before SUSPECT is confirmed DEAD (membership=True)",
-        _positive_seconds,
+        positive,
         default=MembershipConfig.confirm_timeout,
     ),
 )
@@ -189,7 +183,9 @@ class ShardedJxtaTPSEngine(LocalTPSEngine):
     bridge is lazy: it subscribes to the wire leg when this interface gains
     its first subscription and cancels when the last one goes, so an
     unsubscribed composite -- like every other binding -- receives nothing
-    ("after this call, no event is received anymore").
+    ("after this call, no event is received anymore").  ``**history`` are
+    the local leg's ``history``/``history_size``/``history_path`` options
+    (the wire leg takes its own from ``config``).
     """
 
     def __init__(
@@ -202,19 +198,9 @@ class ShardedJxtaTPSEngine(LocalTPSEngine):
         codec: Optional[ObjectCodec] = None,
         config: Optional[TPSConfig] = None,
         membership: Optional[MembershipMonitor] = None,
-        history: str = "ring",
-        history_size: int = DEFAULT_HISTORY_SIZE,
-        history_path: Optional[str] = None,
+        **history: Any,
     ) -> None:
-        super().__init__(
-            event_type,
-            bus=bus,
-            criteria=criteria,
-            codec=codec,
-            history=history,
-            history_size=history_size,
-            history_path=history_path,
-        )
+        super().__init__(event_type, bus=bus, criteria=criteria, codec=codec, **history)
         #: Serialises bridge open/close against subscription churn.
         self._bridge_lock = threading.Lock()
         self._bridge_handle: Optional[Any] = None
@@ -347,19 +333,16 @@ class ShardedJxtaTPSEngine(LocalTPSEngine):
         receipt with the local delivery prepended: one extra "pipe" (the
         bus) and its delivered-count as the first wire receipt entry.
         """
-        self._check_open()
-        self.registry.check_publishable(event)
-        copy = self.registry.decode(self.registry.encode(event))
+        copy = self._begin_publish(event)
         self.bus.placement_key(self.registry.advertised_name, copy)
         self._sync_membership_watches()
         wire_receipt = self._wire.publish(event)
-        delivered = self.bus.publish(self, copy)
-        self._sent.append(event)
+        local_receipt = self._finish_publish(event, self.bus.publish(self, copy))
         return PublishReceipt(
             cpu_time=wire_receipt.cpu_time,
             completion_time=wire_receipt.completion_time,
-            pipes=wire_receipt.pipes + 1,
-            wire_receipts=[delivered, *wire_receipt.wire_receipts],
+            pipes=wire_receipt.pipes + local_receipt.pipes,
+            wire_receipts=local_receipt.wire_receipts + wire_receipt.wire_receipts,
         )
 
     def publish_many(self, events: Iterable[Any]) -> List[PublishReceipt]:
@@ -424,26 +407,27 @@ class ShardedJxtaTPSEngine(LocalTPSEngine):
         self.subscriber_manager.dispatch(event)
 
     # Subscription mutations may need to open or close the wire bridge, and
-    # the wire leg is single-threaded: checking its thread affinity *before*
-    # touching any state makes a cross-thread call fail atomically (clear
-    # PSException, nothing half-registered, no bridge handle burned) instead
-    # of mutating the local leg and then raising from the wire leg.
+    # the wire leg is single-threaded: its thread affinity is this engine's,
+    # checked *before* touching any state, so a cross-thread call fails
+    # atomically (clear PSException, nothing half-registered, no bridge
+    # handle burned) instead of mutating the local leg and then raising from
+    # the wire leg.
+
+    def _check_affinity(self, operation: str) -> None:
+        self._wire._check_affinity(operation)
 
     def _add_subscription(self, subscription: Subscription) -> None:
-        self._wire._check_thread("subscribe")
         super()._add_subscription(subscription)
         self._sync_bridge()
 
     def _remove_subscriptions(
         self, callback: Optional[Any] = None, handler: Optional[Any] = None
     ) -> int:
-        self._wire._check_thread("unsubscribe")
         removed = super()._remove_subscriptions(callback, handler)
         self._sync_bridge()
         return removed
 
     def _discard_subscription(self, subscription: Subscription) -> int:
-        self._wire._check_thread("subscription cancel")
         removed = super()._discard_subscription(subscription)
         self._sync_bridge()
         return removed
@@ -453,11 +437,11 @@ class ShardedJxtaTPSEngine(LocalTPSEngine):
     def _do_close(self) -> None:
         """Tear down both legs: local detach first, then the wire engine.
 
-        The wire leg's thread affinity is checked up front so a cross-thread
-        close fails before the (irreversible) local detach -- ``close()``'s
-        revert-to-open contract then leaves a genuinely still-open interface.
+        The shared teardown checks the (wire leg's) thread affinity up front,
+        so a cross-thread close fails before the irreversible local detach
+        -- ``close()``'s revert-to-open contract then leaves a genuinely
+        still-open interface.
         """
-        self._wire._check_thread("close")
         super()._do_close()
         with self._bridge_lock:
             self._bridge_handle = None
@@ -504,21 +488,14 @@ def _sharded_jxta_binding(request: BindingRequest) -> ShardedJxtaTPSEngine:
             f"membership timing parameters {sorted(timing)} have no effect "
             "without membership=True; enable the failure detector or drop them"
         )
-    history = request.param("history", "ring")
-    history_size = request.param("history_size", DEFAULT_HISTORY_SIZE)
-    history_path = request.param("history_path", "") or None
+    history = history_kwargs(request)
     config = request.config
-    if any(
-        name in request.params
-        for name in ("history", "history_size", "history_path")
-    ):
+    if any(name in request.params for name in history):
         # History binding params configure *both* legs: the constructor
         # keeps the wire leg's durable files apart (a "wire/" subdirectory).
         config = dataclasses.replace(
             config or TPSConfig(),
-            history=history,
-            history_size=history_size,
-            history_path=history_path or "",
+            **{**history, "history_path": history["history_path"] or ""},
         )
     return ShardedJxtaTPSEngine(
         request.event_type,
@@ -528,9 +505,7 @@ def _sharded_jxta_binding(request: BindingRequest) -> ShardedJxtaTPSEngine:
         codec=request.codec,
         config=config,
         membership=monitor,
-        history=history,
-        history_size=history_size,
-        history_path=history_path,
+        **history,
     )
 
 
@@ -550,8 +525,8 @@ register_binding(
     replace=True,
     # The composite resolves its per-peer (scoped) buses through the same
     # registry-built cache as SHARDED; unregistering it must drop that cache
-    # for the same stale-spec reason (see reset_param_buses).
-    on_unregister=reset_param_buses,
+    # for the same stale-spec reason (see SharedBusCache.reset).
+    on_unregister=SHARED_BUSES.reset,
 )
 
 

@@ -40,11 +40,12 @@ references between trims behind an *observable* bound of ``capacity``
 from __future__ import annotations
 
 import abc
+import os
 import sys
 import threading
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.bindings import BindingParam
+from repro.core.bindings import BindingParam, BindingRequest, not_bool, one_of
 from repro.core.exceptions import PSException
 
 #: Default retention bound (events per direction) of the ring store.  Big
@@ -234,19 +235,6 @@ class RingHistory(HistoryStore):
         )
 
 
-def _check_history_kind(value: Any) -> Optional[str]:
-    if value not in HISTORY_KINDS:
-        return f"must be one of {HISTORY_KINDS}, got {value!r}"
-    return None
-
-
-def _check_history_size(value: Any) -> Optional[str]:
-    # bool subclasses int; reject it the way the numeric binding params do.
-    if isinstance(value, bool):
-        return f"must be an int, got {value!r}"
-    return None
-
-
 #: The shared history parameter schema: every binding (LOCAL, SHARDED,
 #: SHARDED+JXTA, ASYNC; the JXTA binding derives the same three from its
 #: TPSConfig fields) accepts these and routes them to
@@ -257,7 +245,7 @@ HISTORY_BINDING_PARAMS = (
         (str,),
         "history store kind: 'ring' (bounded in-memory, the default) or "
         "'log' (append-only durable file, needs history_path)",
-        _check_history_kind,
+        one_of(HISTORY_KINDS),
         default="ring",
     ),
     BindingParam(
@@ -265,7 +253,7 @@ HISTORY_BINDING_PARAMS = (
         (int,),
         "ring retention bound, events per direction; <= 0 means unbounded "
         f"(default {DEFAULT_HISTORY_SIZE})",
-        _check_history_size,
+        not_bool,
         default=DEFAULT_HISTORY_SIZE,
     ),
     BindingParam(
@@ -322,33 +310,33 @@ def make_history_pair(
     engine's :class:`~repro.serialization.object_codec.ObjectCodec`, used to
     serialise ``(event, meta)`` records.
     """
-    if kind == "ring":
-        return RingHistory(size), RingHistory(size)
-    if kind == "log":
-        if not path:
-            raise PSException(
-                "history='log' needs history_path= (the directory the "
-                "append-only store writes to)"
-            )
-        if codec is None:
-            raise PSException("the 'log' history store needs the engine's codec")
-        import os
+    if kind != "log" or not path:
+        # Also the error path: make_history names the unknown kind or the
+        # missing history_path.
+        return make_history(kind, size=size), make_history(kind, size=size)
+    if codec is None:
+        raise PSException("the 'log' history store needs the engine's codec")
+    os.makedirs(path, exist_ok=True)
+    received, sent = (
+        make_history(
+            "log",
+            path=os.path.join(path, name),
+            encode=codec.encode,
+            decode=codec.decode,
+        )
+        for name in ("received.log", "sent.log")
+    )
+    return received, sent
 
-        os.makedirs(path, exist_ok=True)
-        received = make_history(
-            "log",
-            path=os.path.join(path, "received.log"),
-            encode=codec.encode,
-            decode=codec.decode,
-        )
-        sent = make_history(
-            "log",
-            path=os.path.join(path, "sent.log"),
-            encode=codec.encode,
-            decode=codec.decode,
-        )
-        return received, sent
-    raise PSException(f"unknown history kind {kind!r}; expected one of {HISTORY_KINDS}")
+
+def history_kwargs(request: BindingRequest) -> Dict[str, Any]:
+    """The ``history=``/``history_size=``/``history_path=`` constructor
+    arguments a binding request asks for (see :data:`HISTORY_BINDING_PARAMS`)."""
+    return {
+        "history": request.param("history", "ring"),
+        "history_size": request.param("history_size", DEFAULT_HISTORY_SIZE),
+        "history_path": request.param("history_path", "") or None,
+    }
 
 
 __all__ = [
@@ -357,6 +345,7 @@ __all__ = [
     "HISTORY_KINDS",
     "HistoryStore",
     "RingHistory",
+    "history_kwargs",
     "make_history",
     "make_history_pair",
 ]

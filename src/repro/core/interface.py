@@ -173,10 +173,12 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
     template (:meth:`_close_impl`) and the uniform post-close
     :class:`PSException`.  What a front-end adds is *how waiting and
     publishing are expressed*: the sync front-end blocks and returns
-    receipts, the async one returns awaitables.  Concrete bindings implement
-    the abstract transport hooks (``_add_subscription``,
-    ``_remove_subscriptions``, the history queries, ``_make_stream``) and
-    may override :meth:`_do_close` for binding-specific teardown.
+    receipts, the async one returns awaitables.  Concrete bindings install
+    ``self.subscriber_manager`` (a
+    :class:`~repro.core.subscriber.TPSSubscriberManager`) and the
+    ``self._received``/``self._sent`` history stores at construction,
+    implement :meth:`_check_affinity` when they are confined to a thread or
+    loop, and override :meth:`_do_close` for binding-specific teardown.
     """
 
     #: Lifecycle flag; a class attribute so bindings need no __init__ hook.
@@ -276,16 +278,37 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
             )
 
     # ---------------------------------------------------------- subscribing
+    #
+    # The three mutation hooks are the narrowest shared funnel under
+    # subscribe()/unsubscribe()/handle.cancel()/stream teardown, so the
+    # affinity check lives in them: a call from the wrong thread or loop
+    # fails before the subscriber manager mutates and leaves nothing
+    # half-registered.  Bindings extend a hook to react to the change (open
+    # or close wire readers, the composite's bridge).
 
-    @abc.abstractmethod
+    def _check_affinity(self, operation: str) -> None:
+        """Raise :class:`PSException` when ``operation`` may not run here.
+
+        Callable from anywhere by default; the JXTA engine confines itself
+        to its owning thread, the ASYNC engine to its owning loop.
+        """
+
     def _add_subscription(self, subscription: Subscription) -> None:
-        """Register one subscription (binding-specific)."""
+        """Register one subscription with ``self.subscriber_manager``."""
+        self._check_affinity("subscribe")
+        self.subscriber_manager.add(subscription)
 
-    @abc.abstractmethod
     def _remove_subscriptions(
         self, callback: Optional[Any] = None, handler: Optional[Any] = None
     ) -> int:
         """Remove matching subscriptions (all of them when ``callback`` is None)."""
+        self._check_affinity("unsubscribe")
+        return self.subscriber_manager.remove(callback, handler)
+
+    def _discard_subscription(self, subscription: Subscription) -> int:
+        """Remove one exact subscription object (handle cancellation)."""
+        self._check_affinity("subscription cancel")
+        return self.subscriber_manager.discard(subscription)
 
     def subscribe(
         self,
@@ -341,17 +364,6 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         )
         self._add_subscription(subscription)
         return subscription
-
-    def _discard_subscription(self, subscription: Subscription) -> int:
-        """Remove one exact subscription object (handle cancellation).
-
-        The default falls back to callback/handler matching; bindings backed
-        by a :class:`~repro.core.subscriber.TPSSubscriberManager` override it
-        with identity-based removal.
-        """
-        return self._remove_subscriptions(
-            subscription.callback, subscription.exception_handler
-        )
 
     def subscription(self, callback: Optional[CallbackLike] = None) -> SubscriptionBuilder:
         """Open the fluent subscription builder (v2).

@@ -38,7 +38,7 @@ from repro.core.advertisements import (
     TPSAdvertisementsCreator,
     TPSAdvertisementsFinder,
 )
-from repro.core.bindings import BindingParam, BindingRequest, register_binding
+from repro.core.bindings import BindingParam, BindingRequest, not_bool, register_binding
 from repro.core.exceptions import DeliveryFailedError, NotInitializedError, PSException
 from repro.core.history import DEFAULT_HISTORY_SIZE, make_history_pair
 from repro.core.interface import PublishReceipt, Subscription, TPSInterface
@@ -416,7 +416,7 @@ class JxtaTPSEngine(TPSInterface):
                     self._source_offsets[origin] = source_offset
         return True
 
-    def _check_thread(self, operation: str) -> None:
+    def _check_affinity(self, operation: str) -> None:
         """Raise unless the caller is the engine's owning thread."""
         ident = threading.get_ident()
         if ident != self._owner_ident:
@@ -451,7 +451,7 @@ class JxtaTPSEngine(TPSInterface):
     def publish(self, event: Any) -> PublishReceipt:
         """Publish a typed event to every subscriber of the type (Figure 8, (1))."""
         self._check_open()
-        self._check_thread("publish")
+        self._check_affinity("publish")
         self.registry.check_publishable(event)
         attachments = [a for a in self.manager.attachments if a.output_pipe is not None]
         if not attachments:
@@ -506,28 +506,27 @@ class JxtaTPSEngine(TPSInterface):
     # ----------------------------------------------------------- subscribing
 
     def _add_subscription(self, subscription: Subscription) -> None:
-        self._check_thread("subscribe")
-        self.subscriber_manager.add(subscription)
+        super()._add_subscription(subscription)
         self.manager.ensure_readers()
         self.peer.metrics.counter("tps_subscriptions").increment()
 
     def _remove_subscriptions(
         self, callback: Optional[Any] = None, handler: Optional[Any] = None
     ) -> int:
-        self._check_thread("unsubscribe")
-        removed = self.subscriber_manager.remove(callback, handler)
+        removed = super()._remove_subscriptions(callback, handler)
+        self._close_idle_readers()
+        return removed
+
+    def _discard_subscription(self, subscription: Subscription) -> int:
+        removed = super()._discard_subscription(subscription)
+        self._close_idle_readers()
+        return removed
+
+    def _close_idle_readers(self) -> None:
         if self.subscriber_manager.empty and not self.config.serve_history:
             # "After this call, no event is received anymore."  (With
             # serve_history the readers stay open for catch-up requests.)
             self.manager.close_readers()
-        return removed
-
-    def _discard_subscription(self, subscription: Subscription) -> int:
-        self._check_thread("subscription cancel")
-        removed = self.subscriber_manager.discard(subscription)
-        if self.subscriber_manager.empty and not self.config.serve_history:
-            self.manager.close_readers()
-        return removed
 
     # objects_received / objects_sent come from TPSInterfaceCore, answered
     # by the engine's history stores (bounded ring by default, durable log
@@ -553,7 +552,7 @@ class JxtaTPSEngine(TPSInterface):
         Returns the number of pipes the request went out on.
         """
         self._check_open()
-        self._check_thread("request_history")
+        self._check_affinity("request_history")
         attachments = [a for a in self.manager.attachments if a.output_pipe is not None]
         if not attachments:
             raise NotInitializedError(
@@ -643,11 +642,7 @@ class JxtaTPSEngine(TPSInterface):
         if handler is not None:
             handler(error)
             return
-        for subscription in self.subscriber_manager.subscriptions():
-            try:
-                subscription.exception_handler.handle(error)
-            except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken handler must not stop routing
-                pass
+        self.subscriber_manager.report(error)
 
     def _on_breaker_transition(self, state: str, breaker: Any) -> None:
         """Count breaker state changes (``tps_breaker_open`` etc.)."""
@@ -657,7 +652,7 @@ class JxtaTPSEngine(TPSInterface):
 
     def _on_wire_message(self, message: Message, source: PeerID) -> None:
         """Handle one raw wire message: decode, filter, dispatch."""
-        self._check_thread("wire receive")
+        self._check_affinity("wire receive")
         if self._tps_closed:
             # A message can arrive between close() and the settle that drains
             # in-flight deliveries; count it instead of losing it silently.
@@ -685,8 +680,7 @@ class JxtaTPSEngine(TPSInterface):
             event = self.registry.decode(payload)
         except Exception as error:  # noqa: BLE001 - surfaced to the application handlers
             self.peer.metrics.counter("tps_decode_errors").increment()
-            for subscription in self.subscriber_manager.subscriptions():
-                subscription.exception_handler.handle(error)
+            self.subscriber_manager.report(error)
             return
         if not self.registry.conforms(event):
             # The event belongs to another branch of the hierarchy: this is
@@ -715,7 +709,7 @@ class JxtaTPSEngine(TPSInterface):
 
     def _do_close(self) -> None:
         """Stop the finder, close all pipes and drop subscriptions."""
-        self._check_thread("close")
+        self._check_affinity("close")
         self.manager.stop()
         self.subscriber_manager.remove()
         # Flush/fsync durable stores; history queries stay answerable after
@@ -740,15 +734,6 @@ _CONFIG_FIELD_TYPES = {
 }
 
 
-def _not_bool(value: Any) -> Optional[str]:
-    # bool subclasses int, so plain isinstance checks against the numeric
-    # fields would let ``search_timeout=True`` through as 1.0 -- reject it
-    # explicitly for every non-bool field.
-    if isinstance(value, bool):
-        return f"must be a number, got {value!r}"
-    return None
-
-
 #: The JXTA binding's parameter schema: every :class:`TPSConfig` field is a
 #: per-interface override, so ``new_interface("JXTA", search_timeout=2.0)``
 #: tunes one interface without constructing and threading a whole config.
@@ -757,7 +742,7 @@ JXTA_BINDING_PARAMS = tuple(
         config_field.name,
         _CONFIG_FIELD_TYPES.get(str(config_field.type), ()),
         f"TPSConfig.{config_field.name} override (default {config_field.default!r})",
-        None if str(config_field.type) in ("bool", "str") else _not_bool,
+        None if str(config_field.type) in ("bool", "str") else not_bool,
         default=config_field.default,
     )
     for config_field in dataclasses.fields(TPSConfig)

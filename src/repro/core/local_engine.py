@@ -30,10 +30,14 @@ import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.core.bindings import BindingRequest, register_binding
-from repro.core.exceptions import PSException
-from repro.core.history import DEFAULT_HISTORY_SIZE, HISTORY_BINDING_PARAMS, make_history_pair
-from repro.core.interface import PublishReceipt, Subscription, TPSInterface
-from repro.core.type_registry import Criteria, TypeRegistry, hierarchy_root, type_name
+from repro.core.history import (
+    DEFAULT_HISTORY_SIZE,
+    HISTORY_BINDING_PARAMS,
+    history_kwargs,
+    make_history_pair,
+)
+from repro.core.interface import PublishReceipt, TPSInterface, TPSInterfaceCore
+from repro.core.type_registry import Criteria, TypeRegistry, type_name
 from repro.core.subscriber import TPSSubscriberManager
 from repro.serialization.object_codec import ObjectCodec
 
@@ -191,23 +195,30 @@ class LocalBus:
 DEFAULT_BUS = LocalBus()
 
 
-class LocalTPSEngine(TPSInterface):
-    """The TPS interface implemented over an in-process :class:`LocalBus`."""
+class LocalEngineCore(TPSInterfaceCore):
+    """What every bus-attached engine shares, whatever its front end.
+
+    Construction (registry, subscriber manager, history pair, bus
+    attachment), the front half of a publish (open/affinity checks,
+    validation, codec round-trip), the back half (sent history, receipt) and
+    teardown.  :class:`LocalTPSEngine` calls the bus between the two halves;
+    the asyncio front end awaits it there instead.
+    """
 
     def __init__(
         self,
         event_type: Type[Any],
         *,
-        bus: Optional[LocalBus] = None,
+        bus: Optional[Any] = None,
         criteria: Optional[Criteria] = None,
         codec: Optional[ObjectCodec] = None,
         history: str = "ring",
         history_size: int = DEFAULT_HISTORY_SIZE,
         history_path: Optional[str] = None,
     ) -> None:
-        # Shadow the TPSInterface class attribute with an instance slot: the
-        # delivery loop reads this flag once per route row per publish, and
-        # an instance-dict hit is measurably cheaper than the class-MRO
+        # Shadow the TPSInterfaceCore class attribute with an instance slot:
+        # the delivery loop reads this flag once per route row per publish,
+        # and an instance-dict hit is measurably cheaper than the class-MRO
         # fallback at high fan-out.
         self._tps_closed = False
         self.registry = TypeRegistry(event_type, codec=codec)
@@ -221,65 +232,36 @@ class LocalTPSEngine(TPSInterface):
 
     # ------------------------------------------------------------ publishing
 
-    def publish(self, event: Any) -> PublishReceipt:
-        """Publish an event to every conforming local subscriber."""
-        self._check_open()
+    def _isolated_copy(self, event: Any) -> Any:
+        """Validate ``event`` and round-trip it through the codec, so local
+        and JXTA bindings agree on what is serialisable and subscribers never
+        share an object with the publisher."""
         self.registry.check_publishable(event)
-        # Round-trip through the codec so local and JXTA bindings agree on
-        # what is serialisable (and so subscribers get an isolated copy).
-        copy = self.registry.decode(self.registry.encode(event))
-        delivered = self.bus.publish(self, copy)
+        return self.registry.decode(self.registry.encode(event))
+
+    def _begin_publish(self, event: Any) -> Any:
+        """Check that ``event`` may be published here; returns its copy."""
+        self._check_open()
+        self._check_affinity("publish")
+        return self._isolated_copy(event)
+
+    def _begin_batch(self, events: Iterable[Any]) -> Tuple[List[Any], List[Any]]:
+        """``(batch, copies)`` of a ``publish_many`` call.
+
+        Every event is validated and round-tripped up front, so a batch with
+        a non-publishable event fails before anything is delivered.
+        """
+        self._check_open()
+        self._check_affinity("publish_many")
+        batch = list(events)
+        return batch, [self._isolated_copy(event) for event in batch]
+
+    def _finish_publish(self, event: Any, delivered: int) -> PublishReceipt:
+        """Record ``event`` as sent; the receipt of its local delivery."""
         self._sent.append(event)
         return PublishReceipt(
             cpu_time=0.0, completion_time=0.0, pipes=1, wire_receipts=[delivered]
         )
-
-    def publish_many(self, events: Iterable[Any]) -> List[PublishReceipt]:
-        """Publish a batch of events; returns one receipt per event, in order.
-
-        Every event is validated and codec-round-tripped up front (so a batch
-        with a non-publishable event fails before anything is delivered),
-        then the whole batch is handed to the bus in one call when the bus
-        offers a batch path (:meth:`ShardedLocalBus.publish_all
-        <repro.core.sharded_engine.ShardedLocalBus.publish_all>`, which runs
-        independent hierarchies on its executor).  One interface covers one
-        hierarchy, so *this* engine's batch stays in publish order on its own
-        shard; the batch API pays off when several interfaces' batches meet
-        in the bus, or simply by amortising the per-call bookkeeping.
-        """
-        self._check_open()
-        batch = list(events)
-        copies = []
-        for event in batch:
-            self.registry.check_publishable(event)
-            copies.append(self.registry.decode(self.registry.encode(event)))
-        publish_all = getattr(self.bus, "publish_all", None)
-        if publish_all is not None:
-            counts = publish_all([(self, copy) for copy in copies])
-        else:
-            counts = [self.bus.publish(self, copy) for copy in copies]
-        record_sent = self._sent.append
-        for event in batch:
-            record_sent(event)
-        return [
-            PublishReceipt(
-                cpu_time=0.0, completion_time=0.0, pipes=1, wire_receipts=[delivered]
-            )
-            for delivered in counts
-        ]
-
-    # ----------------------------------------------------------- subscribing
-
-    def _add_subscription(self, subscription: Subscription) -> None:
-        self.subscriber_manager.add(subscription)
-
-    def _remove_subscriptions(
-        self, callback: Optional[Any] = None, handler: Optional[Any] = None
-    ) -> int:
-        return self.subscriber_manager.remove(callback, handler)
-
-    def _discard_subscription(self, subscription: Subscription) -> int:
-        return self.subscriber_manager.discard(subscription)
 
     # --------------------------------------------------------------- history
     # objects_received/objects_sent (and their retention contract) are the
@@ -287,11 +269,44 @@ class LocalTPSEngine(TPSInterface):
 
     def _do_close(self) -> None:
         """Detach from the bus, drop every subscription, settle the stores."""
+        self._check_affinity("close")
         self.bus.detach(self)
         self.subscriber_manager.remove()
         # Flush/fsync a durable store; history queries keep working after.
         self._received.close()
         self._sent.close()
+
+
+class LocalTPSEngine(LocalEngineCore, TPSInterface):
+    """The TPS interface implemented over an in-process :class:`LocalBus`."""
+
+    def publish(self, event: Any) -> PublishReceipt:
+        """Publish an event to every conforming local subscriber."""
+        copy = self._begin_publish(event)
+        return self._finish_publish(event, self.bus.publish(self, copy))
+
+    def publish_many(self, events: Iterable[Any]) -> List[PublishReceipt]:
+        """Publish a batch of events; returns one receipt per event, in order.
+
+        The whole batch is validated first (see :meth:`_begin_batch`), then
+        handed to the bus in one call when the bus offers a batch path
+        (:meth:`ShardedLocalBus.publish_all
+        <repro.core.sharded_engine.ShardedLocalBus.publish_all>`, which runs
+        independent hierarchies on its executor).  One interface covers one
+        hierarchy, so *this* engine's batch stays in publish order on its own
+        shard; the batch API pays off when several interfaces' batches meet
+        in the bus, or simply by amortising the per-call bookkeeping.
+        """
+        batch, copies = self._begin_batch(events)
+        publish_all = getattr(self.bus, "publish_all", None)
+        if publish_all is not None:
+            counts = publish_all([(self, copy) for copy in copies])
+        else:
+            counts = [self.bus.publish(self, copy) for copy in copies]
+        return [
+            self._finish_publish(event, delivered)
+            for event, delivered in zip(batch, counts)
+        ]
 
 
 def _local_binding(request: BindingRequest) -> LocalTPSEngine:
@@ -301,9 +316,7 @@ def _local_binding(request: BindingRequest) -> LocalTPSEngine:
         bus=request.local_bus,
         criteria=request.criteria,
         codec=request.codec,
-        history=request.param("history", "ring"),
-        history_size=request.param("history_size", DEFAULT_HISTORY_SIZE),
-        history_path=request.param("history_path", "") or None,
+        **history_kwargs(request),
     )
 
 
@@ -321,4 +334,4 @@ register_binding(
 )
 
 
-__all__ = ["DEFAULT_BUS", "LocalBus", "LocalTPSEngine"]
+__all__ = ["DEFAULT_BUS", "LocalBus", "LocalEngineCore", "LocalTPSEngine"]

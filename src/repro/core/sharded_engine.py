@@ -33,11 +33,6 @@ parameter):
   application-supplied key function; the returned key is stringified and
   hashed.  A raising key function is wrapped in :class:`PSException` the
   same way.
-* ``"ring"`` / ``"modn"`` -- aliases for ``"root"`` partitioning with the
-  named placement pinned (shorthand for ``partition="root",
-  placement=...``), so binding params can say ``partition="modn"`` to get
-  the exact pre-PR 7 CRC-32 mod-N layout.
-
 *Where* a key lives is delegated to :mod:`repro.core.placement` (the
 ``placement`` / ``virtual_nodes`` arguments): ``"ring"`` -- the default --
 is a consistent-hash ring with virtual nodes over stable shard ids, so
@@ -108,13 +103,19 @@ from __future__ import annotations
 
 import itertools
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.core.bindings import BindingParam, BindingRequest, register_binding
+from repro.core.bindings import (
+    BindingParam,
+    BindingRequest,
+    SharedBusCache,
+    one_of,
+    positive,
+    register_binding,
+)
 from repro.core.exceptions import PSException
-from repro.core.history import DEFAULT_HISTORY_SIZE, HISTORY_BINDING_PARAMS
+from repro.core.history import HISTORY_BINDING_PARAMS, history_kwargs
 from repro.core.local_engine import LocalBus, LocalTPSEngine
 from repro.core.placement import (
     DEFAULT_VIRTUAL_NODES,
@@ -131,7 +132,7 @@ DEFAULT_SHARD_COUNT = 8
 #: The partition modes a bus accepts besides a callable key function.
 PARTITION_MODES = ("root", "content")
 
-#: Placement used when neither ``placement`` nor a partition alias pins one.
+#: Placement used when ``placement`` is not given.
 DEFAULT_PLACEMENT = "ring"
 
 _bus_counter = itertools.count(1)
@@ -208,26 +209,13 @@ class ShardedLocalBus:
     ) -> None:
         if shards < 1:
             raise PSException(f"a sharded bus needs at least 1 shard, got {shards}")
-        alias: Optional[str] = None
-        if callable(partition):
-            self.partition: Union[str, Callable[[Any], Any]] = partition
-        elif partition in PARTITION_MODES:
-            self.partition = partition
-        elif partition in PLACEMENT_MODES:
-            # "ring"/"modn" shorthand: root partitioning, placement pinned.
-            alias, self.partition = partition, "root"
-        else:
+        if not callable(partition) and partition not in PARTITION_MODES:
             raise PSException(
                 f"unknown partition mode {partition!r}; expected one of "
-                f"{PARTITION_MODES}, a placement alias {PLACEMENT_MODES}, "
-                "or a callable key function"
+                f"{PARTITION_MODES} or a callable key function"
             )
-        if alias is not None and placement is not None and placement != alias:
-            raise PSException(
-                f"partition={alias!r} already pins placement={alias!r}; "
-                f"got conflicting placement={placement!r}"
-            )
-        placement_mode = alias or placement or DEFAULT_PLACEMENT
+        self.partition: Union[str, Callable[[Any], Any]] = partition
+        placement_mode = placement or DEFAULT_PLACEMENT
         if placement_mode not in PLACEMENT_MODES:
             raise PSException(
                 f"unknown placement {placement_mode!r}; expected one of "
@@ -720,22 +708,6 @@ class ShardedLocalBus:
 #: and no binding parameters.
 DEFAULT_SHARDED_BUS = ShardedLocalBus()
 
-#: Registry-built buses, keyed by the parameter set that described them, so
-#: interfaces created with identical parameters share one bus and can talk.
-_PARAM_BUSES: Dict[Tuple[Any, ...], ShardedLocalBus] = {}
-#: Scoped registry-built buses (composite bindings scope by peer): the scope
-#: is held weakly so caching a bus never pins a peer -- and through it a
-#: whole simulated network -- in memory.
-_SCOPED_BUSES: "weakref.WeakKeyDictionary[Any, Dict[Tuple[Any, ...], ShardedLocalBus]]" = None  # type: ignore[assignment]
-_PARAM_BUSES_LOCK = threading.Lock()
-
-
-def _positive_int(value: Any) -> Optional[str]:
-    if isinstance(value, bool) or value < 1:
-        return f"must be a positive shard count, got {value!r}"
-    return None
-
-
 def _partition_value(value: Any) -> Optional[str]:
     # Callable partitions are deliberately *not* accepted as binding params:
     # registry-built buses are shared by parameter equality, and two
@@ -743,45 +715,28 @@ def _partition_value(value: Any) -> Optional[str]:
     # land on disjoint buses and never hear each other.  A callable partition
     # needs an explicitly constructed ShardedLocalBus passed as the engine's
     # local_bus, which makes the sharing decision the application's.
-    if value in PARTITION_MODES or value in PLACEMENT_MODES:
-        return None
     if callable(value):
         return (
             "callable partitions cannot describe a shared registry-built bus "
             "(two equal-looking callables compare unequal); construct "
             "ShardedLocalBus(partition=fn) yourself and pass it as local_bus"
         )
-    return (
-        f"must be one of {PARTITION_MODES + PLACEMENT_MODES}, got {value!r}"
-    )
+    return one_of(PARTITION_MODES)(value)
 
 
-def _placement_value(value: Any) -> Optional[str]:
-    if value in PLACEMENT_MODES:
-        return None
-    return f"must be one of {PLACEMENT_MODES}, got {value!r}"
-
-
-def _virtual_nodes_value(value: Any) -> Optional[str]:
-    if isinstance(value, bool) or value < 1:
-        return f"must be a positive ring-point count, got {value!r}"
-    return None
-
-
-#: The parameter schema shared by the SHARDED and SHARDED+JXTA bindings.
-SHARDED_BINDING_PARAMS = (
+#: The parameters that describe a bus (and so key the shared-bus cache).
+_BUS_PARAMS = (
     BindingParam(
         "shards",
         (int,),
         "number of independent LocalBus shards",
-        _positive_int,
+        positive,
         default=DEFAULT_SHARD_COUNT,
     ),
     BindingParam(
         "partition",
-        (),  # untyped: the check below explains the callable rejection
-        "'root' (per-hierarchy), 'content' (per event attribute), or a "
-        "placement alias 'ring'/'modn'",
+        (),  # untyped: the check above explains the callable rejection
+        "'root' (per-hierarchy) or 'content' (per event attribute)",
         _partition_value,
         default="root",
     ),
@@ -794,125 +749,46 @@ SHARDED_BINDING_PARAMS = (
         "placement",
         (str,),
         "'ring' (consistent-hash, elastic) or 'modn' (legacy CRC-32 mod N)",
-        _placement_value,
+        one_of(PLACEMENT_MODES),
         default=DEFAULT_PLACEMENT,
     ),
     BindingParam(
         "virtual_nodes",
         (int,),
         "ring points per shard (placement='ring')",
-        _virtual_nodes_value,
+        positive,
         default=DEFAULT_VIRTUAL_NODES,
     ),
-) + HISTORY_BINDING_PARAMS
+)
 
+#: The parameter schema shared by the SHARDED and SHARDED+JXTA bindings.
+SHARDED_BINDING_PARAMS = _BUS_PARAMS + HISTORY_BINDING_PARAMS
 
-def resolve_sharded_params(request: BindingRequest) -> Dict[str, Any]:
-    """Normalise a request's sharding parameters into constructor kwargs.
-
-    ``content_key`` alone implies ``partition="content"`` (the common case
-    needs one parameter, not two).  Returns kwargs for
-    :class:`ShardedLocalBus`; combination errors raise :class:`PSException`.
-    """
-    kwargs: Dict[str, Any] = {}
-    if "shards" in request.params:
-        kwargs["shards"] = request.param("shards")
-    partition = request.param("partition")
-    content_key = request.param("content_key")
-    if content_key is not None and partition is None:
-        partition = "content"
-    if partition is not None:
-        kwargs["partition"] = partition
-    if content_key is not None:
-        kwargs["content_key"] = content_key
-    if "placement" in request.params:
-        kwargs["placement"] = request.param("placement")
-    if "virtual_nodes" in request.params:
-        kwargs["virtual_nodes"] = request.param("virtual_nodes")
-    return kwargs
-
-
-def _bus_cache_key(kwargs: Dict[str, Any]) -> Tuple[Any, ...]:
-    """Canonical cache key of a parameter set: two spellings of the same
-    bus ("partition='modn'" vs "partition='root', placement='modn'") must
-    share one bus, or call sites would silently stop hearing each other."""
-    partition = kwargs.get("partition", "root")
-    placement = kwargs.get("placement")
-    if isinstance(partition, str) and partition in PLACEMENT_MODES:
-        placement, partition = placement or partition, "root"
-    return (
-        kwargs.get("shards", DEFAULT_SHARD_COUNT),
-        partition,
-        kwargs.get("content_key"),
-        placement or DEFAULT_PLACEMENT,
-        kwargs.get("virtual_nodes", DEFAULT_VIRTUAL_NODES),
-    )
-
-
-def reset_param_buses() -> None:
-    """Drop every registry-built shared bus (plain and scoped).
-
-    Registered as the SHARDED/SHARDED+JXTA ``on_unregister`` hook: without
-    it, an ``unregister_binding``/``register_binding`` cycle would leak the
-    same-parameter bus cache -- a *re-registered* binding (possibly with a
-    different factory or schema) would keep resolving ``shards=N`` requests
-    onto buses built under the previous registration, silently wiring new
-    interfaces to stale specs.  Interfaces already created keep their bus;
-    only the caches are cleared, so the next parameterised request builds a
-    fresh bus.  (:data:`DEFAULT_SHARDED_BUS` is deliberately untouched: it
-    is process-wide compatibility surface, not a registry-built cache.)
-    """
-    global _SCOPED_BUSES
-    with _PARAM_BUSES_LOCK:
-        _PARAM_BUSES.clear()
-        _SCOPED_BUSES = None
-
-
-def shared_param_bus(
-    request: BindingRequest, *, scope: Any = None
-) -> ShardedLocalBus:
-    """The bus a parameterised binding request resolves to.
-
-    Identical parameter sets (within one ``scope``; composite bindings scope
-    by peer) share one cached bus; no parameters and no scope resolve to the
-    process-wide :data:`DEFAULT_SHARDED_BUS` for backwards compatibility.
-    """
-    global _SCOPED_BUSES
-    kwargs = resolve_sharded_params(request)
-    if not kwargs and scope is None:
-        return DEFAULT_SHARDED_BUS
-    key = _bus_cache_key(kwargs)
-    with _PARAM_BUSES_LOCK:
-        if scope is None:
-            cache = _PARAM_BUSES
-        else:
-            if _SCOPED_BUSES is None:
-                _SCOPED_BUSES = weakref.WeakKeyDictionary()
-            cache = _SCOPED_BUSES.setdefault(scope, {})
-        bus = cache.get(key)
-        if bus is None:
-            bus = cache[key] = ShardedLocalBus(**kwargs)
-        return bus
+#: Registry-built buses of the SHARDED and SHARDED+JXTA bindings, keyed by
+#: the parameter set that described them.
+SHARED_BUSES = SharedBusCache(
+    ShardedLocalBus, {param.name: param.default for param in _BUS_PARAMS}
+)
 
 
 def request_bus(request: BindingRequest, *, scope: Any = None) -> ShardedLocalBus:
-    """Resolve the bus of a SHARDED(-composite) request: explicit or built."""
-    bus = request.local_bus
-    if bus is None:
-        return shared_param_bus(request, scope=scope)
-    if not isinstance(bus, ShardedLocalBus):
-        raise PSException(
-            "the SHARDED binding needs a ShardedLocalBus (or no bus at all); "
-            f"got {type(bus).__name__}: construct the engine with "
-            "TPSEngine(EventType, local_bus=ShardedLocalBus(shards=N))"
-        )
-    if resolve_sharded_params(request):
-        raise PSException(
-            "sharding parameters describe a registry-built bus; pass either "
-            "binding params (shards/partition/content_key/placement/"
-            "virtual_nodes) or an explicit local_bus, not both"
-        )
-    return bus
+    """Resolve the bus of a SHARDED(-composite) request: explicit or built.
+
+    Identical parameter sets (within one ``scope``; composite bindings scope
+    by peer) share one cached bus; no bus, no parameters and no scope
+    resolve to the process-wide :data:`DEFAULT_SHARDED_BUS` for backwards
+    compatibility (it is compatibility surface, not part of the cache, so a
+    cache reset leaves it alone).  ``content_key`` alone implies
+    ``partition="content"`` (the common case needs one parameter, not two).
+    """
+    kwargs = SHARED_BUSES.described(request)
+    if "content_key" in kwargs:
+        kwargs.setdefault("partition", "content")
+    if request.local_bus is None and not kwargs and scope is None:
+        return DEFAULT_SHARDED_BUS
+    return SHARED_BUSES.resolve(
+        request, kwargs, lambda: ShardedLocalBus(**kwargs), scope=scope
+    )
 
 
 def _sharded_binding(request: BindingRequest) -> LocalTPSEngine:
@@ -929,9 +805,7 @@ def _sharded_binding(request: BindingRequest) -> LocalTPSEngine:
         bus=request_bus(request),
         criteria=request.criteria,
         codec=request.codec,
-        history=request.param("history", "ring"),
-        history_size=request.param("history_size", DEFAULT_HISTORY_SIZE),
-        history_path=request.param("history_path", "") or None,
+        **history_kwargs(request),
     )
 
 
@@ -948,7 +822,7 @@ def register_sharded_binding() -> None:
         capabilities=("in-process", "sharded", "elastic"),
         params=SHARDED_BINDING_PARAMS,
         replace=True,
-        on_unregister=reset_param_buses,
+        on_unregister=SHARED_BUSES.reset,
     )
 
 
@@ -961,10 +835,8 @@ __all__ = [
     "DEFAULT_SHARD_COUNT",
     "PARTITION_MODES",
     "SHARDED_BINDING_PARAMS",
+    "SHARED_BUSES",
     "ShardedLocalBus",
     "register_sharded_binding",
     "request_bus",
-    "reset_param_buses",
-    "resolve_sharded_params",
-    "shared_param_bus",
 ]

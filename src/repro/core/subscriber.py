@@ -11,8 +11,9 @@ registered callbacks.
 
 Locking model: every mutation (``add``/``discard``/``remove``) serialises on
 the manager's private lock and ends by swapping in a freshly built, immutable
-``_handlers`` tuple.  Dispatch -- whether through :meth:`dispatch` or inlined
-in :meth:`repro.core.local_engine.LocalBus.publish` -- reads that tuple with
+``_handlers`` tuple.  Dispatch -- through :meth:`dispatch`, inlined in
+:meth:`repro.core.local_engine.LocalBus.publish`, or row by row through
+:func:`dispatch_row_awaiting` on the ASYNC bus -- reads that tuple with
 *no* lock: a single attribute load observes either the old or the new
 snapshot, never a half-built one, so concurrent publishers are never slowed
 by subscription churn and a subscription mutated mid-dispatch takes effect
@@ -22,6 +23,7 @@ provided, now also thread-safe).
 
 from __future__ import annotations
 
+import inspect
 import threading
 from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
@@ -203,6 +205,50 @@ class TPSSubscriberManager:
                     pass
         return delivered
 
+    def report(self, error: BaseException) -> None:
+        """Hand ``error`` to every subscription's exception handler.
+
+        The channel for failures that belong to no single callback (an
+        undecodable wire message, a terminal delivery failure); a raising
+        handler does not keep the remaining subscriptions from hearing it.
+        """
+        for _, handle_error, _, _ in self._handlers:
+            try:
+                handle_error(error)
+            except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken handler must not stop routing
+                pass
+
+
+async def dispatch_row_awaiting(row: Tuple[Any, ...], event: Any) -> None:
+    """The awaiting variant of one :meth:`TPSSubscriberManager.dispatch` row.
+
+    Identical semantics to the sync row body: a rejected predicate skips the
+    row, a breaker in quarantine skips it, a raising predicate/callback
+    records the failure and routes to the exception handler.  A coroutine
+    callback (or coroutine error handler) is awaited; its exceptions surface
+    here exactly like a sync raise.
+    """
+    handle, handle_error, predicate, breaker = row
+    try:
+        if predicate is not None and not predicate(event):
+            return
+        if breaker is not None and not breaker.allow():
+            return
+        result = handle(event)
+        if inspect.isawaitable(result):
+            await result
+        if breaker is not None:
+            breaker.record_success()
+    except BaseException as error:  # noqa: BLE001 - routed to the handler
+        if breaker is not None:
+            breaker.record_failure()
+        try:
+            routed = handle_error(error)
+            if inspect.isawaitable(routed):
+                await routed
+        except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken error handler must not stop dispatch
+            pass
+
 
 class TPSPipeReader:
     """The wire input pipe listener: feeds received messages to the engine."""
@@ -217,4 +263,4 @@ class TPSPipeReader:
         self.engine._on_wire_message(message, source)
 
 
-__all__ = ["TPSPipeReader", "TPSSubscriberManager"]
+__all__ = ["TPSPipeReader", "TPSSubscriberManager", "dispatch_row_awaiting"]

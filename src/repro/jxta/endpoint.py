@@ -15,12 +15,11 @@ parameter; incoming envelopes are dispatched to the most specific listener.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.jxta.errors import RoutingError
-from repro.jxta.ids import PeerID
+from repro.jxta.ids import BoundedIdSet, PeerID
 from repro.jxta.message import Message
 from repro.net.network import NetworkError, NoRouteError
 from repro.net.packet import Packet
@@ -114,27 +113,6 @@ class EndpointEnvelope:
 EndpointListener = Callable[[EndpointEnvelope, Message], None]
 
 
-class _SeenSet:
-    """A bounded set of recently seen envelope ids (duplicate suppression)."""
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self._capacity = capacity
-        self._items: "OrderedDict[str, None]" = OrderedDict()
-
-    def seen(self, key: str) -> bool:
-        """Record ``key``; return True if it had been recorded before."""
-        if key in self._items:
-            self._items.move_to_end(key)
-            return True
-        self._items[key] = None
-        if len(self._items) > self._capacity:
-            self._items.popitem(last=False)
-        return False
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class EndpointService:
     """Per-peer message delivery service.
 
@@ -159,7 +137,8 @@ class EndpointService:
         self._clients: Dict[str, str] = {}
         #: peer URN -> network address of known router peers.
         self._routers: Dict[str, str] = {}
-        self._seen = _SeenSet()
+        #: Recently seen envelope ids (duplicate suppression).
+        self._seen = BoundedIdSet(4096)
         self.metrics = peer.metrics
         self.node.add_handler(self._on_packet)
 

@@ -10,12 +10,13 @@ schema) behave as documented.
 
 from __future__ import annotations
 
-from typing import Any, List
+import asyncio
+from typing import Any, Dict, List
 
 import pytest
 
 from repro.apps.skirental.types import SkiRental
-from repro.core import TPSConfig, TPSEngine
+from repro.core import AsyncLocalBus, TPSConfig, TPSEngine
 from repro.core.bindings import (
     BindingParam,
     BindingRequest,
@@ -155,21 +156,135 @@ class TestRegistryIntrospection:
         assert declared == {f.name for f in dataclasses.fields(TPSConfig)}
 
 
+class _BusCacheCase:
+    """How to ask one bus-caching binding for interfaces, scope by scope.
+
+    A *scope* is whatever owns the binding's registry-built buses: the
+    process for SHARDED (one scope only), a peer for SHARDED+JXTA, an event
+    loop for ASYNC.  ``interface(scope, **params)`` builds on scope 0 or 1.
+    """
+
+    def __init__(self, binding: str, builder: Any) -> None:
+        self.binding = binding
+        #: Two parameter sets describing two different buses, and a
+        #: bus-describing parameter spelled out at its default value.
+        self.params: Dict[str, Any] = {"shards": 5}
+        self.other: Dict[str, Any] = {"shards": 6}
+        self.default: Dict[str, Any] = {"placement": "ring"}
+        self._engines: List[Any] = []
+        self._loops: List[asyncio.AbstractEventLoop] = []
+        self._peers: List[Any] = []
+        if binding == "ASYNC":
+            self.params, self.other = {"group": "a"}, {"group": "b"}
+            self.default = {"dispatch": "serial"}
+            self._loops = [asyncio.new_event_loop(), asyncio.new_event_loop()]
+        elif binding == "SHARDED+JXTA":
+            self._peers = [builder.add_peer("cache-a"), builder.add_peer("cache-b")]
+
+    def _on(self, scope: int, fn: Any) -> Any:
+        if not self._loops:
+            return fn()
+
+        async def call() -> Any:
+            return fn()
+
+        return self._loops[scope].run_until_complete(call())
+
+    def interface(self, scope: int = 0, *, local_bus: Any = None, **params: Any) -> Any:
+        peer = self._peers[scope] if self._peers else None
+        engine = TPSEngine(SkiRental, peer=peer, local_bus=local_bus)
+        self._engines.append((scope, engine))
+        return self._on(scope, lambda: engine.new_interface(self.binding, **params))
+
+    def explicit_bus(self) -> Any:
+        if self.binding == "ASYNC":
+            return self._on(0, AsyncLocalBus)
+        return ShardedLocalBus(shards=2)
+
+    def reregister(self) -> None:
+        spec = get_binding(self.binding)
+        try:
+            assert unregister_binding(self.binding)
+        finally:
+            register_binding(
+                spec.name,
+                spec.factory,
+                capabilities=spec.capabilities,
+                params=spec.params,
+                replace=True,
+                on_unregister=spec.on_unregister,
+            )
+
+    def finish(self) -> None:
+        for scope, engine in self._engines:
+            self._on(scope, engine.close)
+        for loop in self._loops:
+            loop.close()
+
+
+@pytest.fixture(
+    params=["SHARDED", "SHARDED+JXTA", pytest.param("ASYNC", marks=pytest.mark.asyncio)]
+)
+def bus_cache(request, builder):
+    case = _BusCacheCase(request.param, builder)
+    yield case
+    case.finish()
+
+
+class TestSharedBusCache:
+    """The one registry-built shared-bus cache, through each binding using it."""
+
+    def test_same_params_share_one_bus(self, bus_cache):
+        a = bus_cache.interface(**bus_cache.params)
+        b = bus_cache.interface(**bus_cache.params)
+        assert a.bus is b.bus
+
+    def test_different_params_build_different_buses(self, bus_cache):
+        a = bus_cache.interface(**bus_cache.params)
+        b = bus_cache.interface(**bus_cache.other)
+        assert a.bus is not b.bus
+
+    def test_spelled_out_default_names_the_same_bus(self, bus_cache):
+        a = bus_cache.interface(**bus_cache.params)
+        b = bus_cache.interface(**bus_cache.params, **bus_cache.default)
+        assert a.bus is b.bus
+
+    # SHARDED has one process-wide scope; the other two scope by peer/loop.
+    @pytest.mark.parametrize(
+        "bus_cache",
+        ["SHARDED+JXTA", pytest.param("ASYNC", marks=pytest.mark.asyncio)],
+        indirect=True,
+    )
+    def test_scopes_never_share_a_bus(self, bus_cache):
+        a = bus_cache.interface(0, **bus_cache.params)
+        b = bus_cache.interface(1, **bus_cache.params)
+        assert a.bus is not b.bus
+
+    def test_unregister_clears_the_cache(self, bus_cache):
+        before = bus_cache.interface(**bus_cache.params)
+        bus_cache.reregister()
+        after = bus_cache.interface(**bus_cache.params)
+        assert after.bus is not before.bus
+        # Live interfaces keep the bus they hold.
+        assert bus_cache.interface(**bus_cache.params).bus is after.bus
+
+    def test_params_with_explicit_bus_rejected(self, bus_cache):
+        bus = bus_cache.explicit_bus()
+        assert bus_cache.interface(local_bus=bus).bus is bus
+        with pytest.raises(PSException, match="not both") as excinfo:
+            bus_cache.interface(local_bus=bus, **bus_cache.params)
+        assert "local_bus" in str(excinfo.value)
+
+
 class TestShardedParams:
-    def test_same_params_share_one_bus(self):
+    def test_same_params_interfaces_hear_each_other(self):
         a = TPSEngine(SkiRental).new_interface("SHARDED", shards=5)
         b = TPSEngine(SkiRental).new_interface("SHARDED", shards=5)
-        assert a.bus is b.bus
         assert len(a.bus.shards) == 5
         inbox: List[Any] = []
         b.subscribe(inbox.append)
         a.publish(SkiRental("shop", 10.0, "brand", 1))
         assert len(inbox) == 1
-
-    def test_different_params_build_different_buses(self):
-        a = TPSEngine(SkiRental).new_interface("SHARDED", shards=5)
-        b = TPSEngine(SkiRental).new_interface("SHARDED", shards=6)
-        assert a.bus is not b.bus
 
     def test_no_params_keeps_the_process_default_bus(self):
         interface = TPSEngine(SkiRental).new_interface("SHARDED")
@@ -182,12 +297,6 @@ class TestShardedParams:
         assert interface.bus.partition == "content"
         assert interface.bus.content_key == "shop"
         assert interface.bus.intra_hierarchy
-
-    def test_params_with_explicit_bus_rejected(self):
-        engine = TPSEngine(SkiRental, local_bus=ShardedLocalBus(shards=2))
-        with pytest.raises(PSException) as excinfo:
-            engine.new_interface("SHARDED", shards=4)
-        assert "local_bus" in str(excinfo.value)
 
     def test_plain_local_bus_still_rejected(self):
         engine = TPSEngine(SkiRental, local_bus=LocalBus())

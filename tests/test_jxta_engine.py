@@ -322,3 +322,33 @@ class TestThreadAffinity:
         )
         assert error is None
         assert results == [([], [])]
+
+
+class TestEngineWideErrorRouting:
+    """Errors that belong to no single callback go to *every* subscription's
+    exception handler, and one broken handler must not silence the rest."""
+
+    def test_undecodable_message_survives_a_raising_first_handler(self, lan):
+        from repro.core.jxta_engine import TPS_EVENT_ELEMENT
+        from repro.jxta.message import Message
+
+        builder = lan
+        interface = _interface(
+            builder.peer_named("peer-0"), config=TPSConfig(search_timeout=2.0)
+        )
+        builder.settle(rounds=6)
+
+        def broken_handler(error):
+            raise RuntimeError("the handler itself is broken")
+
+        errors = CollectingExceptionHandler()
+        interface.subscribe(lambda offer: None, broken_handler)
+        interface.subscribe(lambda offer: None, errors)
+        message = Message()
+        message.add(TPS_EVENT_ELEMENT, b"\x00 not a codec record")
+        # Must neither raise into the (simulated) network's callback nor skip
+        # the second subscription.
+        interface._on_wire_message(message, builder.peer_named("peer-1").peer_id)
+        assert len(errors.errors) == 1
+        assert interface.peer.metrics.counter("tps_decode_errors").value == 1
+        assert interface.objects_received() == []

@@ -220,9 +220,12 @@ class TestConstructorValidation:
         with pytest.raises(PSException):
             ShardedLocalBus(4, partition="root", content_key="symbol")
 
-    def test_unknown_partition_mode_rejected(self):
-        with pytest.raises(PSException):
-            ShardedLocalBus(4, partition="bogus")
+    @pytest.mark.parametrize("mode", ["bogus", "ring", "modn"])
+    def test_unknown_partition_mode_rejected(self, mode):
+        # Placement names are not partition modes: placement= is the one
+        # spelling that selects a placement.
+        with pytest.raises(PSException, match="unknown partition mode"):
+            ShardedLocalBus(4, partition=mode)
 
     def test_root_mode_keeps_hierarchy_on_one_shard(self):
         bus = ShardedLocalBus(4)
@@ -230,10 +233,6 @@ class TestConstructorValidation:
         home = bus.shard_index(_ROOT)
         for index in range(16):
             assert bus.partition_index(_ROOT, Tick(symbol=f"s{index}")) == home
-
-    def test_placement_alias_conflict_rejected(self):
-        with pytest.raises(PSException):
-            ShardedLocalBus(4, partition="ring", placement="modn")
 
     def test_virtual_nodes_require_ring_placement(self):
         with pytest.raises(PSException):
@@ -301,7 +300,7 @@ class TestRingPlacement:
             assert placement.index_for(key) == expected
         # And the factory + bus spellings agree with the direct class.
         via_factory = make_placement("modn", tuple(range(shards)))
-        bus = ShardedLocalBus(shards, partition="modn", content_key=None)
+        bus = ShardedLocalBus(shards, placement="modn")
         for key in ("a", "b", "zeta-9"):
             assert via_factory.index_for(key) == placement.index_for(key)
         assert bus.placement_mode == "modn"

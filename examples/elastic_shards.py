@@ -3,12 +3,12 @@
 
 The placement layer in one sitting:
 
-1. *Consistent-hash placement* -- the sharded bindings now default to
-   ``placement="ring"``: a consistent-hash ring with virtual nodes maps
-   each placement key (hierarchy root, or ``root:content-key``) to a shard.
-   Growing N -> N+1 shards moves only ~1/(N+1) of the keys, and never moves
-   a key between two surviving shards.  ``placement="modn"`` keeps the
-   legacy CRC-32 mod-N behaviour for comparison.
+1. *Consistent-hash placement* -- the sharded bindings place keys on a
+   consistent-hash ring with virtual nodes: each placement key (hierarchy
+   root, or ``root:content-key``) maps to a shard.  Growing N -> N+1 shards
+   moves only ~1/(N+1) of the keys, and never moves a key between two
+   surviving shards (``crc32 % N``, the arithmetic the ring replaced, would
+   move ~N/(N+1) of them).
 2. *Live resharding* -- ``bus.add_shard()`` / ``bus.remove_shard()`` work on
    a *running* bus: a drain-then-switch migration pauses only the keys that
    change owner, drains in-flight deliveries, and swaps an immutable epoch

@@ -7,8 +7,26 @@ module measures that path with real (not simulated) time and writes a JSON
 trajectory file (``python -m repro bench --json BENCH_1.json``) so every
 perf-touching PR has a recorded before/after.
 
-Each *comparison* times the optimised implementation against a faithful
-replica of the pre-optimisation (seed) hot path running in the same process:
+Each *comparison* reports a fast path against a baseline, and the baseline
+is one of two kinds:
+
+* **live** -- the baseline is a product path that still ships (a codec flag,
+  the legacy parser, ``unsubscribe(cb)``, the 1-shard bus, ...).  Both sides
+  are timed in the same process in alternating repeats, so host noise hits
+  them equally and the ratio is a same-host pair.
+* **frozen** -- the baseline is a design the repository no longer contains:
+  the seed's publish loop (``fanout_*``) and a bus holding one lock across
+  the whole delivery (``mt_fanout``, ``async_fanout``).  Up to BENCH_11 the
+  harness carried replicas of both; the replicas ran over the *current*
+  engine objects, so their numbers drifted with every engine change
+  (``fanout_100``: 55 -> 76 -> 114 -> 57 -> 59 us/op over BENCH_1/8/9/10/11)
+  and the speedup column hid half of the PR 10 regression.  Their last
+  recorded values are now the constants in :data:`FROZEN_BASELINES_US`;
+  such rows carry ``"baseline_source": "frozen"``, only their
+  ``fast_per_op_us`` is measured, and ``speedup`` is a pure function of it.
+  Read those rows by **absolute us/op against the previous file**.
+
+The comparisons:
 
 * ``codec_encode`` / ``codec_decode`` -- the compiled per-type codec plans of
   :class:`~repro.serialization.object_codec.ObjectCodec` versus the generic
@@ -20,10 +38,10 @@ replica of the pre-optimisation (seed) hot path running in the same process:
 * ``xml_roundtrip`` -- :class:`~repro.core.xml_types.XmlEventCodec` with
   cached type-description fragments and the cached-document decode fast path
   versus the tree-building encoder + tree-parsing decoder;
-* ``fanout_1`` / ``fanout_10`` / ``fanout_100`` -- a full local-bus publish
-  to N subscribers through the type-indexed routing table versus the seed's
-  per-publish list copy + per-engine ``isinstance`` + per-dispatch
-  subscription-list copy (replicated in :func:`_seed_publish`);
+* ``fanout_1`` / ``fanout_10`` / ``fanout_100`` (frozen) -- a full local-bus
+  publish to N subscribers through the type-indexed routing table; the
+  baseline was the seed's per-publish list copy + per-engine ``isinstance``
+  + per-dispatch subscription-list copy over the generic codec;
 * ``subscribe_churn`` -- one subscribe/cancel cycle against an interface
   with resident subscriptions: the v2 ``SubscriptionHandle.cancel()``
   (identity discard) versus the Figure 8 ``unsubscribe(callback)``
@@ -35,15 +53,14 @@ replica of the pre-optimisation (seed) hot path running in the same process:
   that applies the predicate in its body, adapted through
   ``FunctionCallback`` -- ``FilteringCallback`` is the named class form of
   the same pattern);
-* ``mt_fanout`` -- concurrent fan-out over N independent hierarchies whose
-  subscribers do per-event GIL-releasing work (a short wait standing in
-  for the socket writes and disk appends real subscribers perform): the
-  executor-backed ``publish_all`` cross-shard batch path of
-  :class:`~repro.core.sharded_engine.ShardedLocalBus` (one shard per
+* ``mt_fanout`` (frozen) -- concurrent fan-out over N independent
+  hierarchies whose subscribers do per-event GIL-releasing work (a short
+  wait standing in for the socket writes and disk appends real subscribers
+  perform) through the executor-backed ``publish_all`` cross-shard batch
+  path of :class:`~repro.core.sharded_engine.ShardedLocalBus` (one shard per
   hierarchy, lock-free snapshot publish, N pool workers as the publisher
-  threads) versus the naive thread-safe alternative, N publisher threads
-  over a single ``LocalBus`` whose delivery runs under one big lock
-  (:class:`_LockedLocalBus`), which serialises every hierarchy's
+  threads); the baseline was N publisher threads over a single ``LocalBus``
+  whose delivery ran under one big lock, serialising every hierarchy's
   subscriber waits behind one another;
 * ``intra_shard_fanout`` -- the same threaded-workload style applied to a
   *single* hot hierarchy: a content-keyed
@@ -51,7 +68,10 @@ replica of the pre-optimisation (seed) hot path running in the same process:
   (``partition="content"``) spreading one hierarchy's events across N
   shards by event key versus the 1-shard bus an unsharded hierarchy
   amounts to, both driven through the identical ``publish_all`` batch
-  entry point (per-key order preserved on both sides).
+  entry point (per-key order preserved on both sides);
+* ``async_fanout`` (frozen) -- the ``mt_fanout`` workload as coroutines on
+  one event loop over the ``"ASYNC"`` binding's bus, against the same
+  locked-bus baseline.
 
 Two *scenario* entries record the real wall-clock cost of running the
 simulated Figure 19/20 experiments (SR-TPS variant), so regressions in the
@@ -70,6 +90,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import json
 import threading
 import time
@@ -232,6 +253,17 @@ PROFILES: Dict[str, Dict[str, Any]] = {
 #: Link drop probabilities exercised by the ``lossy_publish`` scenario.
 LOSSY_DROP_RATES = (0.0, 0.01, 0.05)
 
+#: ``baseline_per_op_us`` of the comparisons whose baseline design no longer
+#: exists in the repository (module docstring, "frozen"): the values its
+#: in-process replica last recorded, BENCH_11.json (full profile).
+FROZEN_BASELINES_US = {
+    "fanout_1": 15.2297,
+    "fanout_10": 19.3275,
+    "fanout_100": 59.2788,
+    "mt_fanout": 257.086,
+    "async_fanout": 291.366,
+}
+
 
 @dataclass
 class Comparison:
@@ -242,16 +274,19 @@ class Comparison:
     fast_per_op_us: float
     iterations: int
     repeats: int
+    #: ``"frozen"`` when the baseline is a recorded constant rather than a
+    #: path timed beside the fast one; absent from the JSON otherwise.
+    baseline_source: Optional[str] = None
 
     @property
     def speedup(self) -> float:
-        """How many times faster the fast path is than the seed replica."""
+        """How many times faster the fast path is than the baseline."""
         if self.fast_per_op_us <= 0:
             return 0.0
         return self.baseline_per_op_us / self.fast_per_op_us
 
     def to_json(self) -> Dict[str, Any]:
-        return {
+        document = {
             "name": self.name,
             "baseline_per_op_us": round(self.baseline_per_op_us, 4),
             "fast_per_op_us": round(self.fast_per_op_us, 4),
@@ -259,18 +294,24 @@ class Comparison:
             "iterations": self.iterations,
             "repeats": self.repeats,
         }
+        if self.baseline_source is not None:
+            document["baseline_source"] = self.baseline_source
+        return document
 
 
-def _time_per_op(fn: Callable[[], Any], iterations: int, repeats: int) -> float:
-    """Best-of-``repeats`` mean time per call of ``fn``, in microseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / iterations)
-    return best * 1e6
+def _against_frozen(
+    name: str, fast_seconds: float, iterations: int, repeats: int
+) -> Comparison:
+    """``name``'s frozen baseline against a fast path measured as the best
+    whole-run wall time ``fast_seconds`` over ``iterations`` operations."""
+    return Comparison(
+        name,
+        FROZEN_BASELINES_US[name],
+        fast_seconds / iterations * 1e6,
+        iterations,
+        repeats,
+        baseline_source="frozen",
+    )
 
 
 def _time_pair(
@@ -396,85 +437,24 @@ def _bench_xml(profile: Dict[str, Any]) -> Comparison:
 # ------------------------------------------------------------------ fan-out
 
 
-def _seed_publish(publisher: LocalTPSEngine, event: Any) -> "PublishReceipt":
-    """A faithful replica of the seed's LocalTPSEngine.publish hot path.
-
-    Reproduces, step for step, what the pre-optimisation implementation did
-    per publish: the publishable check, the codec round-trip, a fresh list
-    copy of the hierarchy's engines, a per-engine ``isinstance`` re-check, a
-    fresh subscription-list copy per dispatched event, and the receipt.  Run
-    against engines whose registries use the generic (``compiled=False``)
-    codec, this *is* the seed hot path, which makes it the recorded baseline.
-    """
-    from repro.core.interface import PublishReceipt
-
-    registry = publisher.registry
-    registry.check_publishable(event)
-    copy = registry.decode(registry.encode(event))
-    bus = publisher.bus
-    delivered = 0
-    for engine in list(bus._engines.get(registry.advertised_name, ())):
-        if engine is publisher:
-            continue
-        manager = engine.subscriber_manager
-        if manager.empty:
-            continue
-        if not engine.registry.conforms(copy):
-            continue
-        if engine.criteria is not None and not engine.criteria.matches_event(copy):
-            continue
-        engine._received.append(copy)
-        for subscription in list(manager._subscriptions):
-            try:
-                subscription.callback.handle(copy)
-            except BaseException as error:  # noqa: BLE001 - routed to the handler
-                try:
-                    subscription.exception_handler.handle(error)
-                except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - raw-dispatch baseline mirrors engine swallow
-                    pass
-        delivered += 1
-    publisher._sent.append(event)
-    return PublishReceipt(
-        cpu_time=0.0, completion_time=0.0, pipes=1, wire_receipts=[delivered]
-    )
-
-
-def _build_fanout(subscribers: int, *, compiled: bool) -> LocalTPSEngine:
-    bus = LocalBus()
-    publisher = LocalTPSEngine(
-        SkiRental, bus=bus, codec=ObjectCodec(compiled=compiled)
-    )
-    for _ in range(subscribers):
-        engine = LocalTPSEngine(
-            SkiRental, bus=bus, codec=ObjectCodec(compiled=compiled)
-        )
-        engine.subscribe(lambda event: None)
-    return publisher
-
-
 def _bench_fanout(profile: Dict[str, Any]) -> List[Comparison]:
     repeats = profile["repeats"]
     comparisons: List[Comparison] = []
     for subscribers, iterations in sorted(profile["fanout_iterations"].items()):
         event = _sample_event()
-        fast_publisher = _build_fanout(subscribers, compiled=True)
-        seed_publisher = _build_fanout(subscribers, compiled=False)
-
-        def run_fast() -> None:
-            fast_publisher.publish(event)
-
-        def run_seed() -> None:
-            _seed_publish(seed_publisher, event)
-
-        baseline_us, fast_us = _time_pair(run_seed, run_fast, iterations, repeats)
+        bus = LocalBus()
+        publisher = LocalTPSEngine(SkiRental, bus=bus)
+        for _ in range(subscribers):
+            LocalTPSEngine(SkiRental, bus=bus).subscribe(lambda event: None)
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(iterations):
+                publisher.publish(event)
+            best = min(best, time.perf_counter() - start)
         comparisons.append(
-            Comparison(f"fanout_{subscribers}", baseline_us, fast_us, iterations, repeats)
+            _against_frozen(f"fanout_{subscribers}", best, iterations, repeats)
         )
-        # The engines' received/sent histories grew during timing; free them.
-        for publisher in (fast_publisher, seed_publisher):
-            for engine in publisher.bus.engines_for(publisher.registry.root):
-                engine._received.clear()
-                engine._sent.clear()
     return comparisons
 
 
@@ -547,8 +527,6 @@ def _bench_filtered_fanout(profile: Dict[str, Any]) -> Comparison:
     try/except frame plus the adapter and wrapper calls before the predicate
     even runs.
     """
-    import itertools
-
     iterations = profile["filtered_iterations"]
     repeats = profile["repeats"]
     subscribers = profile["filtered_subscribers"]
@@ -566,38 +544,15 @@ def _bench_filtered_fanout(profile: Dict[str, Any]) -> Comparison:
         seed_publisher.publish(next(seed_events))
 
     baseline_us, fast_us = _time_pair(run_seed, run_fast, iterations, repeats)
-    for publisher in (fast_publisher, seed_publisher):
-        for engine in publisher.bus.engines_for(publisher.registry.root):
-            engine._received.clear()
-            engine._sent.clear()
     return Comparison("filtered_fanout", baseline_us, fast_us, iterations, repeats)
 
 
 # ------------------------------------------------------- concurrent fan-out
 
 
-class _LockedLocalBus(LocalBus):
-    """The naive thread-safe bus: one lock held across the whole delivery.
-
-    This is the alternative the concurrent-bus design rejects -- guard
-    ``publish`` with a single mutex instead of reading immutable snapshots.
-    It is correct, but every hierarchy's delivery (including whatever the
-    subscribers do per event) serialises behind one lock, so it is the
-    recorded ``mt_fanout`` baseline.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._publish_lock = threading.Lock()
-
-    def publish(self, publisher: LocalTPSEngine, event: Any) -> int:
-        with self._publish_lock:
-            return super().publish(publisher, event)
-
-
 #: Candidate event types for the multi-threaded benchmark, one hierarchy
 #: each.  More candidates than publisher threads so the greedy selection in
-#: :func:`_mt_types` can cover every shard of the benchmark bus (CRC-32
+#: :func:`_mt_types` can cover every shard of the benchmark bus (ring
 #: placement is stable but arbitrary).
 _MT_EVENT_TYPES = tuple(
     dataclasses.make_dataclass(f"_MtEvent{index}", [("price", float, 0.0)])
@@ -613,9 +568,7 @@ def _mt_types(publishers: int) -> List[type]:
     filled with unused candidates and the benchmark merely loses some
     parallelism -- it never breaks.
     """
-    # placement="modn" pins the pre-PR 7 CRC-32-mod-N assignment, keeping
-    # this benchmark's workload bit-identical to the recorded BENCH history.
-    probe = ShardedLocalBus(shards=publishers, placement="modn")
+    probe = ShardedLocalBus(shards=publishers)
     chosen: List[type] = []
     used: "set[int]" = set()
     for cls in _MT_EVENT_TYPES:
@@ -634,25 +587,22 @@ def _mt_types(publishers: int) -> List[type]:
 
 
 def _bench_mt_fanout(profile: Dict[str, Any]) -> Comparison:
-    """N-hierarchy concurrent fan-out: sharded ``publish_all`` vs locked bus.
+    """N-hierarchy concurrent fan-out through the sharded ``publish_all``.
 
     Each subscriber callback performs a short GIL-releasing wait
     (``mt_io_s``), standing in for the per-event I/O real subscribers do
     (socket writes, disk appends, handing off to a blocking
-    ``EventStream``).  Both sides deliver the identical pre-built event
-    batches at the bus level (no codec work on either side), so the
-    recorded speedup isolates the bus architecture:
-
-    * baseline -- N publisher threads over one :class:`_LockedLocalBus`,
-      the naive thread-safe design, where every hierarchy's subscriber
-      waits serialise behind the single delivery lock;
-    * fast -- one ``publish_all`` batch over a
-      :class:`~repro.core.sharded_engine.ShardedLocalBus` with one shard
-      per hierarchy: the executor's N workers are the publisher threads,
-      each shard's lock-free delivery runs independently, and the waits
-      overlap.  (The same cross-shard path backs ``tps.publish_many``;
-      there it degenerates to the inline single-shard case because one
-      interface is one hierarchy.)
+    ``EventStream``).  Pre-built event batches are delivered at the bus
+    level (no codec work), so the number isolates the bus architecture: one
+    ``publish_all`` batch over a
+    :class:`~repro.core.sharded_engine.ShardedLocalBus` with one shard per
+    hierarchy -- the executor's N workers are the publisher threads, each
+    shard's lock-free delivery runs independently, and the waits overlap.
+    (The same cross-shard path backs ``tps.publish_many``; there it
+    degenerates to the inline single-shard case because one interface is one
+    hierarchy.)  The frozen baseline is what N publisher threads cost over
+    one bus whose delivery ran under a single lock, where every hierarchy's
+    subscriber waits serialised behind one another.
     """
     publishers = profile["mt_publishers"]
     events = profile["mt_events"]
@@ -660,91 +610,41 @@ def _bench_mt_fanout(profile: Dict[str, Any]) -> Comparison:
     io_wait = profile["mt_io_s"]
     repeats = profile["repeats"]
     types = _mt_types(publishers)
-    batches = {cls: [cls(float(index)) for index in range(events)] for cls in types}
-
-    def build(bus: Any) -> List[LocalTPSEngine]:
-        built = []
-        for cls in types:
-            publisher = LocalTPSEngine(cls, bus=bus)
-            for _ in range(subscribers):
-                engine = LocalTPSEngine(cls, bus=bus)
-                engine.subscribe(lambda event: time.sleep(io_wait))
-            built.append(publisher)
-        return built
-
-    locked_bus = _LockedLocalBus()
-    locked_engines = build(locked_bus)
-    sharded_bus = ShardedLocalBus(shards=publishers, placement="modn")
-    sharded_engines = build(sharded_bus)
-
-    def run_locked() -> float:
-        def work(publisher: LocalTPSEngine, cls: type) -> None:
-            publish = locked_bus.publish
-            for event in batches[cls]:
-                publish(publisher, event)
-
-        threads = [
-            threading.Thread(target=work, args=(publisher, cls), daemon=True)
-            for publisher, cls in zip(locked_engines, types)
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return time.perf_counter() - start
-
-    def run_sharded() -> float:
-        jobs = [
-            (publisher, batches[cls][index])
-            for index in range(events)
-            for publisher, cls in zip(sharded_engines, types)
-        ]
-        start = time.perf_counter()
-        sharded_bus.publish_all(jobs)
-        return time.perf_counter() - start
-
-    total_events = publishers * events
-    best_locked = float("inf")
-    best_sharded = float("inf")
+    bus = ShardedLocalBus(shards=publishers)
+    engines = []
+    for cls in types:
+        engines.append(LocalTPSEngine(cls, bus=bus))
+        for _ in range(subscribers):
+            LocalTPSEngine(cls, bus=bus).subscribe(lambda event: time.sleep(io_wait))
+    jobs = [
+        (publisher, cls(float(index)))
+        for index in range(events)
+        for publisher, cls in zip(engines, types)
+    ]
+    best = float("inf")
     for _ in range(repeats):
-        best_locked = min(best_locked, run_locked())
-        best_sharded = min(best_sharded, run_sharded())
-        for engines in (locked_engines, sharded_engines):
-            for publisher in engines:
-                for engine in publisher.bus.engines_for(publisher.registry.root):
-                    engine._received.clear()
-    sharded_bus.shutdown()
-    return Comparison(
-        "mt_fanout",
-        best_locked / total_events * 1e6,
-        best_sharded / total_events * 1e6,
-        total_events,
-        repeats,
-    )
+        start = time.perf_counter()
+        bus.publish_all(jobs)
+        best = min(best, time.perf_counter() - start)
+    bus.shutdown()
+    return _against_frozen("mt_fanout", best, publishers * events, repeats)
 
 
 def _bench_async_fanout(profile: Dict[str, Any]) -> Comparison:
-    """Coroutine fan-out on one event loop vs threaded locked-bus fan-out.
+    """Coroutine fan-out on one event loop (the ``mt_fanout`` workload).
 
-    The ``mt_fanout`` workload shape (N publisher hierarchies, each with
-    ``async_subscribers`` subscribers performing a short I/O wait per
-    event), contrasting the two concurrency models at identical bus-level
-    delivery (pre-built event batches, no codec work on either side):
+    N publisher *tasks* on one event loop over an
+    :class:`~repro.core.async_engine.AsyncLocalBus` with
+    ``dispatch="concurrent"``, each hierarchy with ``async_subscribers``
+    coroutine subscribers awaiting ``asyncio.sleep``: one event's subscriber
+    waits overlap and the loop interleaves the publishers' awaitable
+    backpressure instead of parking threads.  Bus-level delivery of
+    pre-built batches, no codec work.  The frozen baseline is the threaded
+    locked-bus leg ``mt_fanout`` is read against.
 
-    * baseline -- N publisher *threads* over one :class:`_LockedLocalBus`,
-      every subscriber's ``time.sleep`` wait serialising behind the single
-      delivery lock (the same baseline leg ``mt_fanout`` uses);
-    * fast -- N publisher *tasks* on one event loop over an
-      :class:`~repro.core.async_engine.AsyncLocalBus` with
-      ``dispatch="concurrent"``: subscribers are coroutines awaiting
-      ``asyncio.sleep``, so one event's subscriber waits overlap and the
-      loop interleaves the publishers' awaitable backpressure instead of
-      parking threads.
-
-    Engine construction is loop-confined, so the async side rebuilds its
-    engines inside each repeat's fresh ``asyncio.run`` loop; the clock
-    starts after the build on both sides.
+    Engine construction is loop-confined, so the engines are rebuilt inside
+    each repeat's fresh ``asyncio.run`` loop; the clock starts after the
+    build.
     """
     publishers = profile["async_publishers"]
     events = profile["async_events"]
@@ -754,76 +654,30 @@ def _bench_async_fanout(profile: Dict[str, Any]) -> Comparison:
     types = _mt_types(publishers)
     batches = {cls: [cls(float(index)) for index in range(events)] for cls in types}
 
-    locked_bus = _LockedLocalBus()
-    locked_engines = []
-    for cls in types:
-        publisher = LocalTPSEngine(cls, bus=locked_bus)
-        for _ in range(subscribers):
-            engine = LocalTPSEngine(cls, bus=locked_bus)
-            engine.subscribe(lambda event: time.sleep(io_wait))
-        locked_engines.append(publisher)
+    async def wait(event: Any) -> None:
+        await asyncio.sleep(io_wait)
 
-    def run_locked() -> float:
-        def work(publisher: LocalTPSEngine, cls: type) -> None:
-            publish = locked_bus.publish
+    async def main() -> float:
+        bus = AsyncLocalBus(dispatch="concurrent")
+        engines = []
+        for cls in types:
+            engines.append(AsyncTPSEngine(cls, bus=bus))
+            for _ in range(subscribers):
+                AsyncTPSEngine(cls, bus=bus).subscribe(wait)
+
+        async def work(publisher: AsyncTPSEngine, cls: type) -> None:
+            publish = bus.publish
             for event in batches[cls]:
-                publish(publisher, event)
+                await publish(publisher, event)
 
-        threads = [
-            threading.Thread(target=work, args=(publisher, cls), daemon=True)
-            for publisher, cls in zip(locked_engines, types)
-        ]
         start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        await asyncio.gather(
+            *(work(publisher, cls) for publisher, cls in zip(engines, types))
+        )
         return time.perf_counter() - start
 
-    def run_async() -> float:
-        async def main() -> float:
-            bus = AsyncLocalBus(dispatch="concurrent")
-            engines = []
-            for cls in types:
-                publisher = AsyncTPSEngine(cls, bus=bus)
-                for _ in range(subscribers):
-                    engine = AsyncTPSEngine(cls, bus=bus)
-
-                    async def wait(event: Any) -> None:
-                        await asyncio.sleep(io_wait)
-
-                    engine.subscribe(wait)
-                engines.append(publisher)
-
-            async def work(publisher: AsyncTPSEngine, cls: type) -> None:
-                publish = bus.publish
-                for event in batches[cls]:
-                    await publish(publisher, event)
-
-            start = time.perf_counter()
-            await asyncio.gather(
-                *(work(publisher, cls) for publisher, cls in zip(engines, types))
-            )
-            return time.perf_counter() - start
-
-        return asyncio.run(main())
-
-    total_events = publishers * events
-    best_locked = float("inf")
-    best_async = float("inf")
-    for _ in range(repeats):
-        best_locked = min(best_locked, run_locked())
-        best_async = min(best_async, run_async())
-        for publisher in locked_engines:
-            for engine in locked_bus.engines_for(publisher.registry.root):
-                engine._received.clear()
-    return Comparison(
-        "async_fanout",
-        best_locked / total_events * 1e6,
-        best_async / total_events * 1e6,
-        total_events,
-        repeats,
-    )
+    best = min(asyncio.run(main()) for _ in range(repeats))
+    return _against_frozen("async_fanout", best, publishers * events, repeats)
 
 
 #: The intra-hierarchy benchmark's single hot event type: one hierarchy,
@@ -831,6 +685,28 @@ def _bench_async_fanout(profile: Dict[str, Any]) -> Comparison:
 _HotEvent = dataclasses.make_dataclass(
     "_HotShardEvent", [("key", str, ""), ("price", float, 0.0)]
 )
+
+
+def _intra_keys(bus: ShardedLocalBus, keys: int) -> List[str]:
+    """``keys`` content keys of which every shard of ``bus`` owns an equal share.
+
+    Greedy, deterministic pick from ``key-0, key-1, ...`` against the bus's
+    own placement (as :func:`_mt_types` picks hierarchies), so the recorded
+    speedup measures N evenly loaded shards rather than whatever grouping a
+    fixed corpus happens to hash to.
+    """
+    root = type_name(_HotEvent)
+    quota = -(-keys // len(bus.shards))  # ceil: terminates for any profile
+    owned = [0] * len(bus.shards)
+    chosen: List[str] = []
+    for index in itertools.count():
+        key = f"key-{index}"
+        shard = bus.partition_index(root, _HotEvent(key=key))
+        if owned[shard] < quota:
+            owned[shard] += 1
+            chosen.append(key)
+            if len(chosen) == keys:
+                return chosen
 
 
 def _bench_intra_shard_fanout(profile: Dict[str, Any]) -> Comparison:
@@ -856,7 +732,6 @@ def _bench_intra_shard_fanout(profile: Dict[str, Any]) -> Comparison:
     subscribers = profile["intra_subscribers"]
     io_wait = profile["intra_io_s"]
     repeats = profile["repeats"]
-    batch = [_HotEvent(key=f"key-{index % keys}", price=float(index)) for index in range(events)]
 
     def build(bus: ShardedLocalBus) -> LocalTPSEngine:
         publisher = LocalTPSEngine(_HotEvent, bus=bus)
@@ -865,12 +740,12 @@ def _bench_intra_shard_fanout(profile: Dict[str, Any]) -> Comparison:
             engine.subscribe(lambda event: time.sleep(io_wait))
         return publisher
 
-    # placement="modn" keeps the key->shard grouping identical to the
-    # recorded BENCH history (ring placement would regroup the corpus).
-    sharded_bus = ShardedLocalBus(
-        shards=shards, partition="content", content_key="key", placement="modn"
-    )
-    single_bus = ShardedLocalBus(shards=1, placement="modn")
+    sharded_bus = ShardedLocalBus(shards=shards, partition="content", content_key="key")
+    single_bus = ShardedLocalBus(shards=1)
+    corpus = _intra_keys(sharded_bus, keys)
+    batch = [
+        _HotEvent(key=corpus[index % keys], price=float(index)) for index in range(events)
+    ]
     sharded_publisher = build(sharded_bus)
     single_publisher = build(single_bus)
 
@@ -885,9 +760,6 @@ def _bench_intra_shard_fanout(profile: Dict[str, Any]) -> Comparison:
     for _ in range(repeats):
         best_single = min(best_single, run(single_bus, single_publisher))
         best_sharded = min(best_sharded, run(sharded_bus, sharded_publisher))
-        for publisher in (single_publisher, sharded_publisher):
-            for engine in publisher.bus.engines_for(publisher.registry.root):
-                engine._received.clear()
     sharded_bus.shutdown()
     single_bus.shutdown()
     return Comparison(
@@ -1046,7 +918,7 @@ def _bench_reshard_live(profile: Dict[str, Any]) -> Dict[str, Any]:
 
     steady_wall = stream()
 
-    placement_before = bus._epoch.placement
+    placement_before = bus.placement
     go = threading.Event()
     done = threading.Event()
 
@@ -1064,8 +936,7 @@ def _bench_reshard_live(profile: Dict[str, Any]) -> Dict[str, Any]:
         bus.publish(publisher, event)
     churn.join()
     reshard_wall = time.perf_counter() - start
-    placement_after = bus._epoch.placement
-    moved = moved_keys(placement_before, placement_after, corpus)
+    moved = moved_keys(placement_before, bus.placement, corpus)
     bus.shutdown()
     assert delivered[0] == 2 * events, "resharding lost or duplicated deliveries"
     return {
@@ -1225,13 +1096,16 @@ def format_suite(document: Dict[str, Any]) -> str:
     """A plain-text table of one suite document."""
     lines = [
         f"perf suite ({document['profile']}) -- repro {document['version']}",
-        f"{'comparison':<18} {'seed us/op':>12} {'fast us/op':>12} {'speedup':>9}",
+        f"{'comparison':<18} {'base us/op':>12} {'fast us/op':>12} {'speedup':>9}",
     ]
     for entry in document["comparisons"]:
+        frozen = "*" if entry.get("baseline_source") == "frozen" else ""
         lines.append(
             f"{entry['name']:<18} {entry['baseline_per_op_us']:>12.2f} "
-            f"{entry['fast_per_op_us']:>12.2f} {entry['speedup']:>8.2f}x"
+            f"{entry['fast_per_op_us']:>12.2f} {entry['speedup']:>8.2f}x{frozen}"
         )
+    if any(line.endswith("*") for line in lines):
+        lines.append("* baseline frozen at BENCH_11.json, not timed on this host")
     for entry in document["scenarios"]:
         lines.append(f"{entry['name']:<18} wall-clock {entry['wall_clock_s']:.3f}s")
     return "\n".join(lines)

@@ -671,10 +671,10 @@ _SHARED_BUSES = SharedBusCache(AsyncLocalBus, {"dispatch": "serial", "group": No
 def _request_bus(request: BindingRequest) -> AsyncLocalBus:
     """The bus of an ASYNC request: explicit, or one per (loop, dispatch, group).
 
-    Unlike SHARDED there is no process-global default bus -- a bus cannot
-    outlive loop ownership -- so even a parameter-less request shares the
-    *owning loop's* default bus, and interfaces on different loops never
-    share one (they could not talk safely anyway).
+    The cache scope is the running loop -- a bus cannot outlive loop
+    ownership -- so a parameter-less request shares the *owning loop's*
+    all-default bus, and interfaces on different loops never share one
+    (they could not talk safely anyway).
     """
     try:
         loop = asyncio.get_running_loop()

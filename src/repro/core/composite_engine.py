@@ -32,7 +32,7 @@ surfaces as the wire leg's clear :class:`PSException` rather than corrupted
 network state.
 
 Binding parameters: the full ``"SHARDED"`` schema (``shards``,
-``partition``, ``content_key``, ``placement``, ``virtual_nodes``) plus the
+``partition``, ``content_key``, ``virtual_nodes``) plus the
 composite-only membership knobs (``membership``, ``heartbeat_interval``,
 ``suspect_timeout``, ``confirm_timeout``).  Registry-built buses are scoped
 **per peer** -- each simulated peer models one process, so its composite

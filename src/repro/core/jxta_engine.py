@@ -702,7 +702,6 @@ class JxtaTPSEngine(TPSInterface):
         if origin and source_offset > self._source_offsets.get(origin, -1):
             self._source_offsets[origin] = source_offset
         self.peer.metrics.counter("tps_delivered").increment()
-        self.peer.metrics.series("tps_received").record(self.peer.now)
         self.subscriber_manager.dispatch(event)
 
     # ----------------------------------------------------------------- close

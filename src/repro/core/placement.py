@@ -15,24 +15,16 @@ a pure, immutable value:
   The sharded bus swaps whole placements atomically inside its ring epochs,
   exactly like the PR 1/PR 4 immutable route-row snapshots.
 
-Two implementations:
-
-``ModNPlacement`` (``mode="modn"``)
-    The legacy CRC-32 mod-N mapping, bit-for-bit identical to the pre-PR 7
-    hard-coded behaviour.  Kept as a compatibility mode so the PR 5 property
-    tests and the existing BENCH sections retain their baselines.  Adding a
-    shard under mod-N reshuffles *almost every* key -- which is exactly why
-    it cannot be the default of an elastic bus.
-
-``RingPlacement`` (``mode="ring"``, the default)
-    A consistent-hash ring with virtual nodes.  Every shard id projects
-    ``virtual_nodes`` points onto the 2**32 CRC-32 ring; a key is owned by
-    the first point at or after its own hash (wrapping).  Assignment is a
-    pure function of ``(shard_ids, virtual_nodes, key)`` -- stable across
-    calls, buses and processes -- and adding one shard to N only captures
-    the key ranges that fall to the new shard's points: in expectation
-    ``1/(N+1)`` of the keyspace moves (modulo virtual-node variance), and no
-    key ever moves *between two surviving shards*.
+There is one placement policy, :class:`Placement` (also importable as
+``RingPlacement``): a consistent-hash ring with virtual nodes.  Every shard
+id projects ``virtual_nodes`` points onto the 2**32 CRC-32 ring; a key is
+owned by the first point at or after its own hash (wrapping).  Assignment is
+a pure function of ``(shard_ids, virtual_nodes, key)`` -- stable across
+calls, buses and processes -- and adding one shard to N only captures the
+key ranges that fall to the new shard's points: in expectation ``1/(N+1)``
+of the keyspace moves (modulo virtual-node variance), and no key ever moves
+*between two surviving shards* (plain ``crc32(key) % N`` would reshuffle
+almost every key on a resize, which is why an elastic bus cannot use it).
 
 Hashing is CRC-32 throughout (:func:`stable_hash`), not Python's ``hash()``:
 the interpreter randomises string hashes per process, and placement must
@@ -43,7 +35,7 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.exceptions import PSException
 
@@ -52,11 +44,6 @@ from repro.core.exceptions import PSException
 #: while a full ring rebuild stays microseconds.
 DEFAULT_VIRTUAL_NODES = 64
 
-#: The placement modes :func:`make_placement` accepts.
-PLACEMENT_MODES = ("ring", "modn")
-
-_RING_SPAN = 1 << 32
-
 
 def stable_hash(key: str) -> int:
     """CRC-32 of ``key`` -- the stable, cross-process hash placement uses."""
@@ -64,70 +51,8 @@ def stable_hash(key: str) -> int:
 
 
 class Placement:
-    """Immutable key→shard mapping over a tuple of stable shard ids.
-
-    ``index_for`` answers in *positions* (indexes into the parallel shard
-    tuple an epoch holds); ``shard_id_for`` answers in *stable ids* (what
-    movement comparisons need, because positions shift when the tuple
-    shrinks).  Subclasses implement :meth:`_position_of`.
-    """
-
-    mode: str = "?"
-
-    def __init__(self, shard_ids: Sequence[int]) -> None:
-        ids = tuple(int(shard_id) for shard_id in shard_ids)
-        if not ids:
-            raise PSException("a placement needs at least one shard id")
-        if len(set(ids)) != len(ids):
-            raise PSException(f"duplicate shard ids in placement: {ids!r}")
-        self.shard_ids: Tuple[int, ...] = ids
-
-    # -------------------------------------------------------------- mapping
-
-    def _position_of(self, key_hash: int) -> int:
-        raise NotImplementedError
-
-    def index_for(self, key: str) -> int:
-        """Position (into the epoch's shard tuple) owning ``key``."""
-        return self._position_of(stable_hash(key))
-
-    def shard_id_for(self, key: str) -> int:
-        """Stable shard id owning ``key`` (position-independent)."""
-        return self.shard_ids[self.index_for(key)]
-
-    # ------------------------------------------------------------ derivation
-
-    def with_shards(self, shard_ids: Sequence[int]) -> "Placement":
-        """The same policy over a different shard-id tuple."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self.shard_ids)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}(shard_ids={self.shard_ids!r})"
-
-
-class ModNPlacement(Placement):
-    """Legacy compatibility mapping: ``crc32(key) % N`` over positions.
-
-    Identical to the pre-placement-layer ``ShardedLocalBus`` arithmetic, so
-    buses built with ``placement="modn"`` assign every key exactly where the
-    PR 5 bus did.  Nearly all keys move when N changes -- tolerable only
-    because this mode exists for baseline continuity, not elasticity.
-    """
-
-    mode = "modn"
-
-    def _position_of(self, key_hash: int) -> int:
-        return key_hash % len(self.shard_ids)
-
-    def with_shards(self, shard_ids: Sequence[int]) -> "ModNPlacement":
-        return ModNPlacement(shard_ids)
-
-
-class RingPlacement(Placement):
-    """Consistent-hash ring with virtual nodes over stable shard ids.
+    """Immutable key→shard mapping: a consistent-hash ring with virtual
+    nodes over a tuple of stable shard ids.
 
     Shard id ``s`` projects points ``crc32("shard-{s}#vnode-{v}")`` for
     ``v`` in ``range(virtual_nodes)``; a key belongs to the first point
@@ -135,63 +60,68 @@ class RingPlacement(Placement):
     (never on the shard count or tuple position), growing or shrinking the
     shard set leaves every surviving shard's points exactly where they were
     -- the bounded-movement property.
-    """
 
-    mode = "ring"
+    ``index_for`` answers in *positions* (indexes into the parallel shard
+    tuple an epoch holds); ``shard_id_for`` answers in *stable ids* (what
+    movement comparisons need, because positions shift when the tuple
+    shrinks).
+    """
 
     def __init__(
         self,
         shard_ids: Sequence[int],
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
     ) -> None:
-        super().__init__(shard_ids)
-        if isinstance(virtual_nodes, bool) or not isinstance(virtual_nodes, int):
+        ids = tuple(int(shard_id) for shard_id in shard_ids)
+        if not ids:
+            raise PSException("a placement needs at least one shard id")
+        if len(set(ids)) != len(ids):
+            raise PSException(f"duplicate shard ids in placement: {ids!r}")
+        if (
+            isinstance(virtual_nodes, bool)
+            or not isinstance(virtual_nodes, int)
+            or virtual_nodes < 1
+        ):
             raise PSException(
                 f"virtual_nodes must be an int >= 1, got {virtual_nodes!r}"
             )
-        if virtual_nodes < 1:
-            raise PSException(
-                f"virtual_nodes must be an int >= 1, got {virtual_nodes!r}"
-            )
+        self.shard_ids: Tuple[int, ...] = ids
         self.virtual_nodes = virtual_nodes
-        positions: Dict[int, int] = {
-            shard_id: position for position, shard_id in enumerate(self.shard_ids)
-        }
-        # Sort by (point, shard id): the id tie-break makes point collisions
+        # Sort by (point, position): the tie-break makes point collisions
         # (possible: CRC-32 is 32 bits) deterministic across builds.
         ring: List[Tuple[int, int]] = sorted(
-            (stable_hash(f"shard-{shard_id}#vnode-{vnode}"), positions[shard_id])
-            for shard_id in self.shard_ids
+            (stable_hash(f"shard-{shard_id}#vnode-{vnode}"), position)
+            for position, shard_id in enumerate(ids)
             for vnode in range(virtual_nodes)
         )
         self._points: Tuple[int, ...] = tuple(point for point, _ in ring)
         self._owners: Tuple[int, ...] = tuple(owner for _, owner in ring)
 
-    def _position_of(self, key_hash: int) -> int:
+    def index_for(self, key: str) -> int:
+        """Position (into the epoch's shard tuple) owning ``key``."""
         points = self._points
-        cursor = bisect_left(points, key_hash % _RING_SPAN)
+        cursor = bisect_left(points, stable_hash(key))
         if cursor == len(points):  # wrap past the last point
             cursor = 0
         return self._owners[cursor]
 
-    def with_shards(self, shard_ids: Sequence[int]) -> "RingPlacement":
-        return RingPlacement(shard_ids, self.virtual_nodes)
+    def shard_id_for(self, key: str) -> int:
+        """Stable shard id owning ``key`` (position-independent)."""
+        return self.shard_ids[self.index_for(key)]
+
+    def with_shards(self, shard_ids: Sequence[int]) -> "Placement":
+        """The same ring parameters over a different shard-id tuple."""
+        return Placement(shard_ids, self.virtual_nodes)
+
+    def __len__(self) -> int:
+        return len(self.shard_ids)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Placement(shard_ids={self.shard_ids!r})"
 
 
-def make_placement(
-    mode: str,
-    shard_ids: Sequence[int],
-    *,
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-) -> Placement:
-    """Build a placement by mode name (binding-parameter entry point)."""
-    if mode == "ring":
-        return RingPlacement(shard_ids, virtual_nodes)
-    if mode == "modn":
-        return ModNPlacement(shard_ids)
-    raise PSException(
-        f"unknown placement mode {mode!r}; expected one of {PLACEMENT_MODES}"
-    )
+#: Alias naming the algorithm; the two names are one class.
+RingPlacement = Placement
 
 
 def moved_keys(old: Placement, new: Placement, keys: Iterable[str]) -> List[str]:
@@ -207,11 +137,8 @@ def moved_keys(old: Placement, new: Placement, keys: Iterable[str]) -> List[str]
 
 __all__ = [
     "DEFAULT_VIRTUAL_NODES",
-    "PLACEMENT_MODES",
-    "ModNPlacement",
     "Placement",
     "RingPlacement",
-    "make_placement",
     "moved_keys",
     "stable_hash",
 ]

@@ -33,13 +33,12 @@ parameter):
   application-supplied key function; the returned key is stringified and
   hashed.  A raising key function is wrapped in :class:`PSException` the
   same way.
-*Where* a key lives is delegated to :mod:`repro.core.placement` (the
-``placement`` / ``virtual_nodes`` arguments): ``"ring"`` -- the default --
-is a consistent-hash ring with virtual nodes over stable shard ids, so
-resizing moves only ~``1/(N+1)`` of the keys; ``"modn"`` is the legacy
-CRC-32 mod-N compatibility mode (identical assignment to the PR 5 bus,
-nearly total reshuffle on resize -- usable, but resharding it is a bulk
-move, not an incremental one).
+
+*Where* a key lives is delegated to :mod:`repro.core.placement`: one policy,
+a consistent-hash ring with ``virtual_nodes`` points per stable shard id, so
+resizing moves only ~``1/(N+1)`` of the keys and never moves a key between
+two surviving shards.  :attr:`ShardedLocalBus.placement` is the current
+epoch's ring.
 
 Binding parameters (v2 registry schema): ``new_interface("SHARDED",
 shards=16)`` or ``new_interface("SHARDED", shards=8, partition="content",
@@ -117,23 +116,15 @@ from repro.core.bindings import (
 from repro.core.exceptions import PSException
 from repro.core.history import HISTORY_BINDING_PARAMS, history_kwargs
 from repro.core.local_engine import LocalBus, LocalTPSEngine
-from repro.core.placement import (
-    DEFAULT_VIRTUAL_NODES,
-    PLACEMENT_MODES,
-    Placement,
-    make_placement,
-)
+from repro.core.placement import DEFAULT_VIRTUAL_NODES, Placement
 from repro.core.type_registry import type_name
 from repro.net.entropy import brief_pause
 
-#: Shard count of the process-wide default sharded bus.
+#: Shard count of a sharded bus built without ``shards``.
 DEFAULT_SHARD_COUNT = 8
 
 #: The partition modes a bus accepts besides a callable key function.
 PARTITION_MODES = ("root", "content")
-
-#: Placement used when ``placement`` is not given.
-DEFAULT_PLACEMENT = "ring"
 
 _bus_counter = itertools.count(1)
 
@@ -189,7 +180,7 @@ class _Epoch:
 
 class ShardedLocalBus:
     """N independent :class:`LocalBus` shards with a pluggable partition
-    and placement, resizable while publishing
+    over a consistent-hash placement, resizable while publishing
     (:meth:`add_shard`/:meth:`remove_shard`).
 
     Presents the exact ``LocalBus`` surface
@@ -204,8 +195,7 @@ class ShardedLocalBus:
         *,
         partition: Union[str, Callable[[Any], Any]] = "root",
         content_key: Optional[str] = None,
-        placement: Optional[str] = None,
-        virtual_nodes: Optional[int] = None,
+        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
     ) -> None:
         if shards < 1:
             raise PSException(f"a sharded bus needs at least 1 shard, got {shards}")
@@ -215,17 +205,6 @@ class ShardedLocalBus:
                 f"{PARTITION_MODES} or a callable key function"
             )
         self.partition: Union[str, Callable[[Any], Any]] = partition
-        placement_mode = placement or DEFAULT_PLACEMENT
-        if placement_mode not in PLACEMENT_MODES:
-            raise PSException(
-                f"unknown placement {placement_mode!r}; expected one of "
-                f"{PLACEMENT_MODES}"
-            )
-        if virtual_nodes is not None and placement_mode != "ring":
-            raise PSException(
-                "virtual_nodes only applies to placement='ring', got "
-                f"virtual_nodes={virtual_nodes!r} with placement={placement_mode!r}"
-            )
         if self.partition == "content":
             if not isinstance(content_key, str) or not content_key:
                 raise PSException(
@@ -238,18 +217,12 @@ class ShardedLocalBus:
                 f"got content_key={content_key!r} with partition={partition!r}"
             )
         self.content_key = content_key
-        self.placement_mode = placement_mode
-        self.virtual_nodes = (
-            DEFAULT_VIRTUAL_NODES if virtual_nodes is None else virtual_nodes
-        )
         ordinal = next(_bus_counter)
         #: Process-unique token identifying this bus; composite bindings tag
         #: wire messages with it to filter same-bus echoes.
         self.bus_id = f"shardedbus-{ordinal}"
         self._ordinal = ordinal
-        initial = make_placement(
-            placement_mode, range(shards), virtual_nodes=self.virtual_nodes
-        )
+        initial = Placement(range(shards), virtual_nodes)
         self._epoch = _Epoch(0, tuple(LocalBus() for _ in range(shards)), initial, None, [])
         #: Next stable shard id add_shard() hands out (ids are never reused,
         #: which is what keeps surviving shards' ring points fixed).
@@ -280,6 +253,11 @@ class ShardedLocalBus:
     def shards(self) -> Tuple[LocalBus, ...]:
         """The current epoch's shard tuple (an immutable snapshot)."""
         return self._epoch.shards
+
+    @property
+    def placement(self) -> Placement:
+        """The current epoch's key→shard ring (an immutable snapshot)."""
+        return self._epoch.placement
 
     @property
     def epoch_number(self) -> int:
@@ -699,14 +677,9 @@ class ShardedLocalBus:
         part = self.partition if isinstance(self.partition, str) else "callable"
         return (
             f"ShardedLocalBus(shards={len(epoch.shards)}, partition={part!r}, "
-            f"placement={self.placement_mode!r}, epoch={epoch.number}, "
-            f"engines={attached})"
+            f"epoch={epoch.number}, engines={attached})"
         )
 
-
-#: Default process-wide sharded bus, used when the engine supplies no bus
-#: and no binding parameters.
-DEFAULT_SHARDED_BUS = ShardedLocalBus()
 
 def _partition_value(value: Any) -> Optional[str]:
     # Callable partitions are deliberately *not* accepted as binding params:
@@ -746,16 +719,9 @@ _BUS_PARAMS = (
         "event attribute to shard by (partition='content')",
     ),
     BindingParam(
-        "placement",
-        (str,),
-        "'ring' (consistent-hash, elastic) or 'modn' (legacy CRC-32 mod N)",
-        one_of(PLACEMENT_MODES),
-        default=DEFAULT_PLACEMENT,
-    ),
-    BindingParam(
         "virtual_nodes",
         (int,),
-        "ring points per shard (placement='ring')",
+        "consistent-hash ring points per shard",
         positive,
         default=DEFAULT_VIRTUAL_NODES,
     ),
@@ -775,17 +741,14 @@ def request_bus(request: BindingRequest, *, scope: Any = None) -> ShardedLocalBu
     """Resolve the bus of a SHARDED(-composite) request: explicit or built.
 
     Identical parameter sets (within one ``scope``; composite bindings scope
-    by peer) share one cached bus; no bus, no parameters and no scope
-    resolve to the process-wide :data:`DEFAULT_SHARDED_BUS` for backwards
-    compatibility (it is compatibility surface, not part of the cache, so a
-    cache reset leaves it alone).  ``content_key`` alone implies
-    ``partition="content"`` (the common case needs one parameter, not two).
+    by peer) share one cached bus, built on first use -- no parameters at
+    all and every default spelled out name the same one.  ``content_key``
+    alone implies ``partition="content"`` (the common case needs one
+    parameter, not two).
     """
     kwargs = SHARED_BUSES.described(request)
     if "content_key" in kwargs:
         kwargs.setdefault("partition", "content")
-    if request.local_bus is None and not kwargs and scope is None:
-        return DEFAULT_SHARDED_BUS
     return SHARED_BUSES.resolve(
         request, kwargs, lambda: ShardedLocalBus(**kwargs), scope=scope
     )
@@ -796,8 +759,7 @@ def _sharded_binding(request: BindingRequest) -> LocalTPSEngine:
 
     Uses the engine's ``local_bus`` when it already is a
     :class:`ShardedLocalBus`, builds (and caches) a bus from the binding
-    parameters when given, falls back to the process-wide default otherwise,
-    and rejects a plain ``LocalBus`` (silently unsharding would betray the
+    parameters (all defaults when none are given) otherwise, and rejects a plain ``LocalBus`` (silently unsharding would betray the
     binding's name).
     """
     return LocalTPSEngine(
@@ -830,8 +792,6 @@ register_sharded_binding()
 
 
 __all__ = [
-    "DEFAULT_PLACEMENT",
-    "DEFAULT_SHARDED_BUS",
     "DEFAULT_SHARD_COUNT",
     "PARTITION_MODES",
     "SHARDED_BINDING_PARAMS",

@@ -267,7 +267,6 @@ class WireOutputPipe(OutputPipe):
             f"{wire_service.peer.peer_id.to_urn()}/c{next(_wire_channel_counter)}"
         )
         self._next_seq: Dict[str, int] = {}
-        self.receipts: List[SendReceipt] = []
 
     def add_failure_listener(self, listener: Callable[[DeliveryFailure], None]) -> None:
         """Register a listener for terminal delivery failures on this pipe."""
@@ -285,7 +284,6 @@ class WireOutputPipe(OutputPipe):
             raise PipeError("cannot send on a closed wire output pipe")
         receipt = self._wire.send(self, message, extra_cpu=self.extra_send_cost)
         self.sent_count += 1
-        self.receipts.append(receipt)
         return receipt
 
     def close(self) -> None:
@@ -519,7 +517,6 @@ class WireService:
         simulator.schedule(total_cost, _transmit, label=f"wire-send:{self.peer.name}")
         self.peer.metrics.timer("wire_send_cpu").observe(total_cost)
         self.peer.metrics.counter("wire_messages_sent").increment()
-        self.peer.metrics.series("wire_sent").record(completion)
         return SendReceipt(
             cpu_time=total_cost,
             completion_time=completion,
@@ -583,20 +580,7 @@ class WireService:
             pending.tracker.mark(pending.target_urn, "abandoned")
             return
         if pending.attempts >= pending.reliability.max_attempts:
-            del self._pending[key]
-            pending.tracker.mark(pending.target_urn, "failed")
-            self.peer.metrics.counter("wire_delivery_failed").increment()
-            failure = DeliveryFailure(
-                wire_message_id=pending.wire_id,
-                pipe_urn=pending.pipe_urn,
-                target_urn=pending.target_urn,
-                attempts=pending.attempts,
-            )
-            for listener in list(pending.pipe.failure_listeners):
-                try:
-                    listener(failure)
-                except Exception:  # noqa: BLE001 - listeners must not break the service
-                    self.peer.metrics.counter("wire_failure_listener_errors").increment()
+            self._fail(pending)
             return
         pending.attempts += 1
         pending.tracker.record_retry(pending.target_urn)
@@ -605,6 +589,24 @@ class WireService:
             pending.target, pending.message, self.WireName, pending.pipe_urn
         )
         self._arm_retry(pending)
+
+    def _fail(self, pending: _PendingDelivery) -> None:
+        """Terminal failure of one in-flight delivery: the single reported
+        path (tracker state, ``wire_delivery_failed``, failure listeners)."""
+        del self._pending[(pending.wire_id, pending.target_urn)]
+        pending.tracker.mark(pending.target_urn, "failed")
+        self.peer.metrics.counter("wire_delivery_failed").increment()
+        failure = DeliveryFailure(
+            wire_message_id=pending.wire_id,
+            pipe_urn=pending.pipe_urn,
+            target_urn=pending.target_urn,
+            attempts=pending.attempts,
+        )
+        for listener in list(pending.pipe.failure_listeners):
+            try:
+                listener(failure)
+            except Exception:  # noqa: BLE001 - listeners must not break the service
+                self.peer.metrics.counter("wire_failure_listener_errors").increment()
 
     def abandon_pending(self, pipe: WireOutputPipe) -> None:
         """Cancel the in-flight reliable deliveries of a closing pipe."""
@@ -627,26 +629,13 @@ class WireService:
         Returns the number of deliveries failed.
         """
         failed = 0
-        for key, pending in list(self._pending.items()):
+        for pending in list(self._pending.values()):
             if pending.target_urn != target_urn:
                 continue
             if pending.handle is not None:
                 pending.handle.cancel()
-            del self._pending[key]
-            pending.tracker.mark(pending.target_urn, "failed")
-            self.peer.metrics.counter("wire_delivery_failed").increment()
             self.peer.metrics.counter("wire_peer_departed").increment()
-            failure = DeliveryFailure(
-                wire_message_id=pending.wire_id,
-                pipe_urn=pending.pipe_urn,
-                target_urn=pending.target_urn,
-                attempts=pending.attempts,
-            )
-            for listener in list(pending.pipe.failure_listeners):
-                try:
-                    listener(failure)
-                except Exception:  # noqa: BLE001 - listeners must not break the service
-                    self.peer.metrics.counter("wire_failure_listener_errors").increment()
+            self._fail(pending)
             failed += 1
         return failed
 

@@ -41,7 +41,7 @@ from repro.core.bindings import (
     unregister_binding,
 )
 from repro.core.local_engine import LocalTPSEngine
-from repro.core.sharded_engine import DEFAULT_SHARDED_BUS
+from repro.core.sharded_engine import DEFAULT_SHARD_COUNT
 from repro.core.subscriptions import EventStream, SubscriptionHandle
 
 
@@ -169,13 +169,21 @@ class TestShardedBinding:
             publisher.publish(SnowboardRental("s", 1.0, "b", 1))
 
     def test_default_bus_used_when_none_given(self):
+        # No bus and no params: the registry builds the all-default bus on
+        # first use, and every parameter-less interface shares it.
         interface = TPSEngine(SkiRental).new_interface("SHARDED")
+        twin = TPSEngine(SkiRental).new_interface("SHARDED")
         try:
+            assert isinstance(interface.bus, ShardedLocalBus)
+            assert len(interface.bus.shards) == DEFAULT_SHARD_COUNT
+            assert twin.bus is interface.bus
             root = interface.registry.advertised_name
-            shard = DEFAULT_SHARDED_BUS.shard_for(root)
+            shard = interface.bus.shard_for(root)
             assert interface in shard._engines[root]
+            assert twin in shard._engines[root]
         finally:
             interface.close()
+            twin.close()
 
     def test_plain_local_bus_rejected(self, bus):
         with pytest.raises(PSException) as excinfo:

@@ -28,7 +28,7 @@ from repro.core.bindings import (
 )
 from repro.core.exceptions import PSException
 from repro.core.local_engine import LocalBus, LocalTPSEngine
-from repro.core.sharded_engine import DEFAULT_SHARDED_BUS, ShardedLocalBus
+from repro.core.sharded_engine import ShardedLocalBus, register_sharded_binding
 
 
 class TestUnknownBinding:
@@ -54,6 +54,17 @@ class TestParamValidationErrors:
         assert "'bogus'" in message
         for declared in ("shards", "partition", "content_key"):
             assert declared in message
+
+    @pytest.mark.parametrize("binding", ["SHARDED", "SHARDED+JXTA"])
+    @pytest.mark.parametrize("mode", ["ring", "modn", "spiral"])
+    def test_retired_placement_param_is_unknown(self, binding, mode):
+        # One placement policy (the consistent-hash ring): the knob that
+        # used to select between two is an unknown key on both schemas.
+        assert "placement" not in get_binding(binding).param_names
+        with pytest.raises(PSException) as excinfo:
+            TPSEngine(SkiRental).new_interface(binding, placement=mode)
+        message = str(excinfo.value)
+        assert "'placement'" in message and "virtual_nodes" in message
 
     def test_wrong_type_names_key_and_expectation(self):
         engine = TPSEngine(SkiRental)
@@ -108,7 +119,6 @@ class TestRegistryIntrospection:
             "shards",
             "partition",
             "content_key",
-            "placement",
             "virtual_nodes",
         ) + history_params
         # The composite takes everything SHARDED does, plus membership.
@@ -127,7 +137,7 @@ class TestRegistryIntrospection:
         by_name = {param.name: param for param in params}
         assert by_name["shards"].types == (int,)
         assert by_name["content_key"].types == (str,)
-        assert by_name["placement"].default == "ring"
+        assert "placement" not in by_name
         assert by_name["virtual_nodes"].default == 64
         composite = {param.name: param for param in binding_params("SHARDED+JXTA")}
         assert composite["membership"].types == (bool,)
@@ -139,9 +149,6 @@ class TestRegistryIntrospection:
 
     def test_placement_params_validated(self):
         engine = TPSEngine(SkiRental)
-        with pytest.raises(PSException) as excinfo:
-            engine.new_interface("SHARDED", placement="spiral")
-        assert "'placement'" in str(excinfo.value)
         with pytest.raises(PSException) as excinfo:
             engine.new_interface("SHARDED", virtual_nodes=0)
         assert "'virtual_nodes'" in str(excinfo.value)
@@ -166,17 +173,21 @@ class _BusCacheCase:
 
     def __init__(self, binding: str, builder: Any) -> None:
         self.binding = binding
-        #: Two parameter sets describing two different buses, and a
-        #: bus-describing parameter spelled out at its default value.
+        #: Two parameter sets describing two different buses, a
+        #: bus-describing parameter spelled out at its default value, and
+        #: every bus-describing default spelled out.
         self.params: Dict[str, Any] = {"shards": 5}
         self.other: Dict[str, Any] = {"shards": 6}
-        self.default: Dict[str, Any] = {"placement": "ring"}
+        self.default: Dict[str, Any] = {"virtual_nodes": 64}
+        self.all_defaults: Dict[str, Any] = {
+            "shards": 8, "partition": "root", "virtual_nodes": 64,
+        }
         self._engines: List[Any] = []
         self._loops: List[asyncio.AbstractEventLoop] = []
         self._peers: List[Any] = []
         if binding == "ASYNC":
             self.params, self.other = {"group": "a"}, {"group": "b"}
-            self.default = {"dispatch": "serial"}
+            self.default = self.all_defaults = {"dispatch": "serial"}
             self._loops = [asyncio.new_event_loop(), asyncio.new_event_loop()]
         elif binding == "SHARDED+JXTA":
             self._peers = [builder.add_peer("cache-a"), builder.add_peer("cache-b")]
@@ -249,6 +260,13 @@ class TestSharedBusCache:
         b = bus_cache.interface(**bus_cache.params, **bus_cache.default)
         assert a.bus is b.bus
 
+    def test_no_params_names_the_all_default_bus(self, bus_cache):
+        bare = bus_cache.interface()
+        spelled = bus_cache.interface(**bus_cache.all_defaults)
+        assert bare.bus is spelled.bus
+        assert bus_cache.interface().bus is bare.bus
+        assert bus_cache.interface(**bus_cache.params).bus is not bare.bus
+
     # SHARDED has one process-wide scope; the other two scope by peer/loop.
     @pytest.mark.parametrize(
         "bus_cache",
@@ -287,8 +305,35 @@ class TestShardedParams:
         assert len(inbox) == 1
 
     def test_no_params_keeps_the_process_default_bus(self):
-        interface = TPSEngine(SkiRental).new_interface("SHARDED")
-        assert interface.bus is DEFAULT_SHARDED_BUS
+        # "The process default bus" is the cache entry of the all-default
+        # parameter set: no params, one default and every default spelled
+        # out are three spellings of it, so the interfaces hear each other.
+        spellings = ({}, {"shards": 8}, {"shards": 8, "partition": "root", "virtual_nodes": 64})
+        interfaces = [
+            TPSEngine(SkiRental).new_interface("SHARDED", **params) for params in spellings
+        ]
+        try:
+            assert all(interface.bus is interfaces[0].bus for interface in interfaces)
+            inboxes: List[List[Any]] = [[] for _ in interfaces]
+            for interface, inbox in zip(interfaces, inboxes):
+                interface.subscribe(inbox.append)
+            for interface in interfaces:
+                interface.publish(SkiRental("shop", 10.0, "brand", 1))
+            # Everyone hears the other two (never their own publish).
+            assert [len(inbox) for inbox in inboxes] == [2, 2, 2]
+            # A re-registration resets the cache: the next request, however
+            # spelled, gets a fresh bus.
+            assert unregister_binding("SHARDED")
+            register_sharded_binding()
+            fresh = TPSEngine(SkiRental).new_interface("SHARDED")
+            interfaces.append(fresh)
+            assert fresh.bus is not interfaces[0].bus
+            again = TPSEngine(SkiRental).new_interface("SHARDED", shards=8)
+            interfaces.append(again)
+            assert again.bus is fresh.bus
+        finally:
+            for interface in interfaces:
+                interface.close()
 
     def test_content_key_implies_content_partition(self):
         interface = TPSEngine(SkiRental).new_interface(

@@ -248,6 +248,21 @@ class TestPublishSubscribe:
         assert receipt.cpu_time > 1910 * publisher.peer.cost_model.per_byte
 
 
+class TestPerMessageMetricsFootprint:
+    def test_publish_receive_round_records_one_series(self, lan):
+        """Of the per-message time series only ``wire_received`` (Figure
+        20's input) exists after a publish/receive round, on either side."""
+        publisher, subs, collected = _pub_sub(lan)
+        for index in range(5):
+            publisher.publish(SkiRental("shop", 10.0 + index, "brand", 1))
+            lan.settle(rounds=2)
+        assert len(collected[0]) == 5
+        assert publisher.peer.metrics.all_series() == {}
+        assert list(subs[0].peer.metrics.all_series()) == ["wire_received"]
+        for attachment in publisher.manager.attachments:
+            assert not hasattr(attachment.output_pipe, "receipts")
+
+
 class TestThreadAffinity:
     """The engine is single-threaded by design (it mutates the simulated
     network's lock-free event loop); cross-thread use must raise a clear

@@ -23,8 +23,8 @@ PR 7 adds the placement layer's contract on top:
 * *ring coverage*: every shard owns keys (virtual nodes smooth the ring);
 * *bounded movement*: growing N -> N+1 shards moves roughly 1/(N+1) of the
   keys and **never** moves a key between two surviving shards;
-* *modn compatibility*: ``placement="modn"`` reproduces the pre-placement
-  CRC-32-mod-N assignment bit for bit;
+* *one placement*: there is no ``placement=`` knob (PR 15 retired the
+  CRC-32-mod-N compatibility mode with its last caller);
 * *live resharding* (``migration`` marker): publishing concurrently with
   ``add_shard``/``remove_shard`` churn loses, duplicates and reorders
   nothing -- the drain-then-switch epoch protocol in executable form.
@@ -44,9 +44,8 @@ from repro.core.exceptions import PSException
 from repro.core.local_engine import LocalTPSEngine
 from repro.core.placement import (
     DEFAULT_VIRTUAL_NODES,
-    ModNPlacement,
+    Placement,
     RingPlacement,
-    make_placement,
     moved_keys,
     stable_hash,
 )
@@ -222,8 +221,7 @@ class TestConstructorValidation:
 
     @pytest.mark.parametrize("mode", ["bogus", "ring", "modn"])
     def test_unknown_partition_mode_rejected(self, mode):
-        # Placement names are not partition modes: placement= is the one
-        # spelling that selects a placement.
+        # Placement names never were partition modes.
         with pytest.raises(PSException, match="unknown partition mode"):
             ShardedLocalBus(4, partition=mode)
 
@@ -234,14 +232,26 @@ class TestConstructorValidation:
         for index in range(16):
             assert bus.partition_index(_ROOT, Tick(symbol=f"s{index}")) == home
 
-    def test_virtual_nodes_require_ring_placement(self):
-        with pytest.raises(PSException):
-            ShardedLocalBus(4, placement="modn", virtual_nodes=32)
+    @pytest.mark.parametrize("mode", ["ring", "modn"])
+    def test_placement_argument_is_unknown(self, mode):
+        # One placement policy, so nothing to select: the retired knob is an
+        # unknown keyword, not a silently ignored one.
+        with pytest.raises(TypeError, match="placement"):
+            ShardedLocalBus(4, placement=mode)
 
     def test_ill_typed_virtual_nodes_rejected(self):
-        for bad in (0, -4, True):
+        for bad in (0, -4, True, None, 2.5):
             with pytest.raises(PSException):
-                ShardedLocalBus(4, placement="ring", virtual_nodes=bad)
+                ShardedLocalBus(4, virtual_nodes=bad)
+
+    def test_bus_exposes_its_current_placement(self):
+        bus = ShardedLocalBus(3, virtual_nodes=16)
+        assert isinstance(bus.placement, Placement)
+        assert bus.placement.shard_ids == (0, 1, 2)
+        assert bus.placement.virtual_nodes == 16
+        bus.add_shard()
+        assert bus.placement.shard_ids == (0, 1, 2, 3)
+        assert bus.placement.virtual_nodes == 16
 
 
 _corpus = [f"{prefix}-{index}" for prefix in ("alpha", "beta", "r:k") for index in range(400)]
@@ -292,18 +302,12 @@ class TestRingPlacement:
                 continue
             assert new.shard_id_for(key) == old.shard_id_for(key)
 
-    def test_modn_matches_legacy_crc32_mod_n(self):
-        shards = 8
-        placement = ModNPlacement(tuple(range(shards)))
-        for key in _corpus:
-            expected = zlib.crc32(key.encode("utf-8")) % shards
-            assert placement.index_for(key) == expected
-        # And the factory + bus spellings agree with the direct class.
-        via_factory = make_placement("modn", tuple(range(shards)))
-        bus = ShardedLocalBus(shards, placement="modn")
-        for key in ("a", "b", "zeta-9"):
-            assert via_factory.index_for(key) == placement.index_for(key)
-        assert bus.placement_mode == "modn"
+    def test_ring_is_the_only_placement(self):
+        import repro.core.placement as placement_module
+
+        assert RingPlacement is Placement
+        for retired in ("ModNPlacement", "make_placement", "PLACEMENT_MODES"):
+            assert not hasattr(placement_module, retired)
 
     def test_stable_hash_is_crc32(self):
         assert stable_hash("abc") == zlib.crc32(b"abc")

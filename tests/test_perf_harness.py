@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench.perf import (
     COMPARISON_NAMES,
+    FROZEN_BASELINES_US,
     PROFILES,
     SCENARIO_NAMES,
     SCHEMA,
@@ -50,6 +51,60 @@ class TestPerfSuite:
             assert entry["baseline_per_op_us"] > 0
             assert entry["fast_per_op_us"] > 0
             assert entry["speedup"] > 0
+
+    def test_frozen_rows_report_the_committed_table(self, smoke_document):
+        """The five comparisons whose baseline design is gone from the repo
+        report the frozen constants (so speedup is a pure function of the
+        measured fast path); every live pair carries no such marker."""
+        assert set(FROZEN_BASELINES_US) == {
+            "fanout_1", "fanout_10", "fanout_100", "mt_fanout", "async_fanout",
+        }
+        for entry in smoke_document["comparisons"]:
+            if entry["name"] in FROZEN_BASELINES_US:
+                assert entry["baseline_source"] == "frozen"
+                assert entry["baseline_per_op_us"] == FROZEN_BASELINES_US[entry["name"]]
+                assert entry["speedup"] == pytest.approx(
+                    entry["baseline_per_op_us"] / entry["fast_per_op_us"], abs=1e-3
+                )
+            else:
+                assert "baseline_source" not in entry
+
+    def test_frozen_table_is_the_bench_11_values(self):
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_11.json")
+        with open(path, encoding="utf-8") as handle:
+            recorded = {
+                entry["name"]: entry["baseline_per_op_us"]
+                for entry in json.load(handle)["comparisons"]
+            }
+        assert FROZEN_BASELINES_US == {name: recorded[name] for name in FROZEN_BASELINES_US}
+
+    def test_format_suite_marks_frozen_rows(self, smoke_document):
+        lines = format_suite(smoke_document).splitlines()
+        marked = {line.split()[0] for line in lines if line.endswith("x*")}
+        assert marked == set(FROZEN_BASELINES_US)
+        assert any(line.startswith("* ") and "BENCH_11" in line for line in lines)
+
+    def test_harness_touches_no_private_state(self):
+        """perf.py measures the product through its public surface: no
+        attribute access whose name starts with an underscore, except on
+        ``self`` and on this module's own private helpers."""
+        import ast
+        import inspect
+
+        import repro.bench.perf as perf
+
+        tree = ast.parse(inspect.getsource(perf))
+        offenders = [
+            f"{ast.unparse(node)} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")  # dunders are protocol, not private
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ]
+        assert offenders == []
 
     def test_every_scenario_present(self, smoke_document):
         names = [entry["name"] for entry in smoke_document["scenarios"]]
@@ -158,22 +213,26 @@ class TestPerfSuite:
         """The benchmark's key corpus must actually reach all content
         shards for the committed profiles, or the recorded speedup would
         silently measure partial parallelism."""
-        from repro.bench.perf import PROFILES, _HotEvent
+        from collections import Counter
+
+        from repro.bench.perf import PROFILES, _HotEvent, _intra_keys
         from repro.core.sharded_engine import ShardedLocalBus
         from repro.core.type_registry import type_name
 
         root = type_name(_HotEvent)
         for profile in PROFILES.values():
             shards = profile["intra_shards"]
-            # Mirrors the bench's placement="modn" pin (BENCH continuity).
-            bus = ShardedLocalBus(
-                shards=shards, partition="content", content_key="key", placement="modn"
+            bus = ShardedLocalBus(shards=shards, partition="content", content_key="key")
+            corpus = _intra_keys(bus, profile["intra_keys"])
+            assert len(set(corpus)) == profile["intra_keys"]
+            share = Counter(
+                bus.partition_index(root, _HotEvent(key=key)) for key in corpus
             )
-            hit = {
-                bus.partition_index(root, _HotEvent(key=f"key-{index}"))
-                for index in range(profile["intra_keys"])
+            # Every shard, and an equal share each: the speedup measures N
+            # evenly loaded shards.
+            assert share == {
+                index: profile["intra_keys"] // shards for index in range(shards)
             }
-            assert hit == set(range(shards))
 
     def test_mt_fanout_event_types_cover_distinct_shards(self):
         """The greedy hierarchy selection must place each benchmark
@@ -184,12 +243,12 @@ class TestPerfSuite:
 
         for profile in PROFILES.values():
             publishers = profile["mt_publishers"]
-            # Mirrors the bench's placement="modn" pin (BENCH continuity).
-            probe = ShardedLocalBus(shards=publishers, placement="modn")
+            probe = ShardedLocalBus(shards=publishers)
             types = _mt_types(publishers)
             assert len(types) == publishers
-            shards = {probe.shard_index(type_name(cls)) for cls in types}
-            assert len(shards) == publishers
+            # One hierarchy per shard: an equal share (of one) each.
+            shards = sorted(probe.shard_index(type_name(cls)) for cls in types)
+            assert shards == list(range(publishers))
 
     def test_committed_trajectory_files_validate(self):
         """Every committed BENCH_*.json must validate: historical points

@@ -279,6 +279,29 @@ class TestWireService:
         builder.settle(rounds=4)
         assert [m.get_text("body") for m in inbox] == ["first"]
 
+    def test_publisher_retains_no_per_send_state(self, two_peers):
+        """A long-running publisher's pipe and registry must not grow per
+        message: no receipt list on the pipe, no send-side time series."""
+        alpha, beta, builder = two_peers
+        _adv, output, inboxes = self._wire_pair(builder, alpha, [beta])
+        sends = 25
+        for index in range(sends):
+            output.send(_message(str(index)))
+            builder.settle(rounds=1)
+        builder.settle(rounds=2)
+        assert output.sent_count == sends and len(inboxes[0]) == sends
+        assert not hasattr(output, "receipts")
+        sized = {
+            name: len(value)
+            for name, value in vars(output).items()
+            if hasattr(value, "__len__") and not isinstance(value, str)
+        }
+        assert all(size <= 1 for size in sized.values()), sized
+        assert alpha.metrics.all_series() == {}
+        # The receive side keeps the one series Figure 20 is drawn from.
+        assert list(beta.metrics.all_series()) == ["wire_received"]
+        assert len(beta.metrics.series("wire_received").times) == sends
+
     def test_send_without_bindings_falls_back_to_propagation(self, two_peers):
         alpha, beta, builder = two_peers
         advertisement = _pipe_adv(kind=PipeKind.WIRE)

@@ -12,9 +12,9 @@ The parameterised binding registry in one sitting:
    batches run distinct symbols' shards in parallel while each symbol's
    trades stay in publish order.
 3. *The composite binding* -- ``new_interface("SHARDED+JXTA", shards=4)``
-   pairs the sharded in-process bus (same-peer traffic, synchronous) with a
-   JXTA wire leg (remote peers, simulated network), delivering each event
-   exactly once on both paths.
+   attaches one engine to both the sharded in-process bus (same-peer
+   traffic, synchronous) and the JXTA wire (remote peers, simulated
+   network), delivering each event exactly once whichever way it came.
 
 Run it with::
 

@@ -18,8 +18,8 @@ Five bindings self-register with the binding registry
 (:mod:`repro.core.bindings`): ``"JXTA"`` (over the simulated JXTA substrate,
 :class:`JxtaTPSEngine`), ``"LOCAL"`` (in-process, :class:`LocalTPSEngine`),
 ``"SHARDED"`` (in-process over an N-shard bus, :class:`ShardedLocalBus`;
-root- or content-keyed partitioning), ``"SHARDED+JXTA"`` (the sharded bus
-fanned out over the JXTA wire, :class:`ShardedJxtaTPSEngine`) and ``"ASYNC"``
+root- or content-keyed partitioning), ``"SHARDED+JXTA"`` (one JXTA engine
+also attached to a sharded bus, :class:`ShardedJxtaTPSEngine`) and ``"ASYNC"``
 (asyncio-native, :class:`AsyncTPSEngine`: event-loop-owned bus, coroutine
 subscribers, awaitable publish/backpressure -- see
 :mod:`repro.core.async_engine`).  Applications add their own with

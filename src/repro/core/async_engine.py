@@ -595,7 +595,7 @@ class AsyncTPSEngine(LocalEngineCore):
             policy=policy,
             predicate=predicate,
             exception_handler=exception_handler,
-            source=self._history_store() if from_offset is not None else None,
+            source=self._received if from_offset is not None else None,
             from_offset=from_offset,
         )
 

@@ -45,8 +45,7 @@ seven signatures above -- ``tests/test_api_surface.py`` pins them):
 
 Locking model: lifecycle transitions (the close flag flip, open-stream
 registration) serialise on a module-level lock -- they are rare, so sharing
-one lock across interfaces costs nothing and avoids per-instance lazy-lock
-races in an ABC without an ``__init__``.  The lock is never held while
+one lock across interfaces costs nothing.  The lock is never held while
 calling out into binding teardown, stream close or application code, so no
 lock-ordering cycle can form; hot-path reads (``_tps_closed`` in
 ``_check_open`` and in the local bus delivery loop) are plain attribute
@@ -69,12 +68,16 @@ from repro.core.callbacks import (
     as_exception_handler,
 )
 from repro.core.exceptions import PSException
+from repro.core.history import DEFAULT_HISTORY_SIZE, make_history_pair
+from repro.core.subscriber import TPSSubscriberManager
 from repro.core.subscriptions import (
     EventStream,
     StreamCore,
     SubscriptionBuilder,
     SubscriptionHandle,
 )
+from repro.core.type_registry import Criteria, TypeRegistry
+from repro.serialization.object_codec import ObjectCodec
 
 EventT = TypeVar("EventT")
 
@@ -173,16 +176,40 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
     template (:meth:`_close_impl`) and the uniform post-close
     :class:`PSException`.  What a front-end adds is *how waiting and
     publishing are expressed*: the sync front-end blocks and returns
-    receipts, the async one returns awaitables.  Concrete bindings install
-    ``self.subscriber_manager`` (a
-    :class:`~repro.core.subscriber.TPSSubscriberManager`) and the
-    ``self._received``/``self._sent`` history stores at construction,
-    implement :meth:`_check_affinity` when they are confined to a thread or
-    loop, and override :meth:`_do_close` for binding-specific teardown.
+    receipts, the async one returns awaitables.
+
+    The constructor builds the paper's per-interface blocks (Figure 10) --
+    the type registry, the one Interface Repository
+    (``self.subscriber_manager``, a
+    :class:`~repro.core.subscriber.TPSSubscriberManager`) and the one
+    ``objectsReceived``/``objectsSent`` history pair
+    (``self._received``/``self._sent``) -- for every binding.  Concrete
+    bindings implement :meth:`_check_affinity` when they are confined to a
+    thread or loop, :meth:`_subscriptions_changed` when the substrate cares
+    whether anybody is subscribed, and extend :meth:`_do_close` with their
+    own teardown.
     """
 
-    #: Lifecycle flag; a class attribute so bindings need no __init__ hook.
-    _tps_closed = False
+    def __init__(
+        self,
+        event_type: type,
+        *,
+        criteria: Optional[Criteria] = None,
+        codec: Optional[ObjectCodec] = None,
+        history: str = "ring",
+        history_size: int = DEFAULT_HISTORY_SIZE,
+        history_path: Optional[str] = None,
+    ) -> None:
+        #: Lifecycle flag.  An instance slot: the bus delivery loop reads it
+        #: once per route row per publish.
+        self._tps_closed = False
+        self.registry = TypeRegistry(event_type, codec=codec)
+        self.criteria = criteria
+        self.subscriber_manager = TPSSubscriberManager()
+        self._received, self._sent = make_history_pair(
+            history, history_size, history_path, codec=self.registry.codec
+        )
+        self._open_streams: List[StreamCore] = []
 
     # ------------------------------------------------------------- lifecycle
 
@@ -231,7 +258,13 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         self._close_streams()
 
     def _do_close(self) -> None:
-        """Binding-specific teardown; runs at most once, from :meth:`close`."""
+        """Teardown, run at most once from :meth:`_close_impl`: drop every
+        subscription and settle the stores (flush/fsync a durable one;
+        history queries keep answering afterwards).  Bindings extend this
+        with their own detach, affinity check first."""
+        self.subscriber_manager.remove()
+        self._received.close()
+        self._sent.close()
 
     # -- open-stream tracking: a stream whose subscription disappears under
     # it (interface close, blanket unsubscribe) must be closed too, or its
@@ -240,11 +273,7 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
     def _register_stream(self, stream: StreamCore) -> None:
         with _LIFECYCLE_LOCK:
             if not self._tps_closed:
-                streams = getattr(self, "_open_streams", None)
-                if streams is None:
-                    streams = []
-                    self._open_streams = streams
-                streams.append(stream)
+                self._open_streams.append(stream)
                 return
         # The interface closed while the stream was being built (it passed
         # _check_open before the flag flipped, but registered after
@@ -255,26 +284,36 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
 
     def _unregister_stream(self, stream: StreamCore) -> None:
         with _LIFECYCLE_LOCK:
-            streams = getattr(self, "_open_streams", None)
-            if streams is not None and stream in streams:
-                streams.remove(stream)
+            if stream in self._open_streams:
+                self._open_streams.remove(stream)
 
     def _close_streams(self) -> None:
         # Snapshot under the lock, close outside it: stream.close() calls
         # back into _unregister_stream, which takes the lock itself.
         with _LIFECYCLE_LOCK:
-            streams = list(getattr(self, "_open_streams", ()) or ())
+            streams = list(self._open_streams)
         for stream in streams:
             stream.close()
+
+    def _isolated_copy(self, event: Any) -> Any:
+        """Validate ``event`` and round-trip it through the codec, so the
+        in-process and wire paths agree on what is serialisable and local
+        subscribers never share an object with the publisher."""
+        self.registry.check_publishable(event)
+        return self.registry.decode(self.registry.encode(event))
+
+    def _begin_publish(self, event: Any) -> Any:
+        """Check that ``event`` may be published here; returns its copy."""
+        self._check_open()
+        self._check_affinity("publish")
+        return self._isolated_copy(event)
 
     def _check_open(self) -> None:
         """Raise the uniform post-close error when the interface is closed."""
         if self._tps_closed:
-            registry = getattr(self, "registry", None)
-            name = f" for {registry.interface_name}" if registry is not None else ""
             raise PSException(
-                f"the TPS interface{name} is closed; "
-                "publish/subscribe are no longer available"
+                f"the TPS interface for {self.registry.interface_name} is "
+                "closed; publish/subscribe are no longer available"
             )
 
     # ---------------------------------------------------------- subscribing
@@ -283,8 +322,9 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
     # subscribe()/unsubscribe()/handle.cancel()/stream teardown, so the
     # affinity check lives in them: a call from the wrong thread or loop
     # fails before the subscriber manager mutates and leaves nothing
-    # half-registered.  Bindings extend a hook to react to the change (open
-    # or close wire readers, the composite's bridge).
+    # half-registered.  Each then calls :meth:`_subscriptions_changed`, the
+    # one place a binding reacts to the change (the JXTA engine opens or
+    # closes its wire readers there).
 
     def _check_affinity(self, operation: str) -> None:
         """Raise :class:`PSException` when ``operation`` may not run here.
@@ -293,22 +333,30 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         to its owning thread, the ASYNC engine to its owning loop.
         """
 
+    def _subscriptions_changed(self) -> None:
+        """Hook: the subscription set was just mutated (no-op by default)."""
+
     def _add_subscription(self, subscription: Subscription) -> None:
         """Register one subscription with ``self.subscriber_manager``."""
         self._check_affinity("subscribe")
         self.subscriber_manager.add(subscription)
+        self._subscriptions_changed()
 
     def _remove_subscriptions(
         self, callback: Optional[Any] = None, handler: Optional[Any] = None
     ) -> int:
         """Remove matching subscriptions (all of them when ``callback`` is None)."""
         self._check_affinity("unsubscribe")
-        return self.subscriber_manager.remove(callback, handler)
+        removed = self.subscriber_manager.remove(callback, handler)
+        self._subscriptions_changed()
+        return removed
 
     def _discard_subscription(self, subscription: Subscription) -> int:
         """Remove one exact subscription object (handle cancellation)."""
         self._check_affinity("subscription cancel")
-        return self.subscriber_manager.discard(subscription)
+        removed = self.subscriber_manager.discard(subscription)
+        self._subscriptions_changed()
+        return removed
 
     def subscribe(
         self,
@@ -438,19 +486,9 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
 
     # --------------------------------------------------------------- history
     #
-    # Every concrete binding installs a (received, sent) pair of
-    # :class:`~repro.core.history.HistoryStore` objects as ``self._received``
-    # / ``self._sent`` at construction (see ``make_history_pair``); the
-    # queries below are shared across all five bindings through this core.
-
-    def _history_store(self, sent: bool = False) -> Any:
-        store = getattr(self, "_sent" if sent else "_received", None)
-        if store is None:
-            raise PSException(
-                f"{type(self).__name__} exposes no history store; bindings "
-                "must install self._received/self._sent at construction"
-            )
-        return store
+    # The queries below answer from the (received, sent) pair of
+    # :class:`~repro.core.history.HistoryStore` objects the constructor
+    # built, the same way on all five bindings.
 
     def objects_received(self) -> List[EventT]:
         """(6) The retained events delivered to this interface, in order.
@@ -464,7 +502,7 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         :meth:`history_since` with an offset cursor to consume the history
         incrementally instead of re-reading the whole Vector.
         """
-        return self._history_store().snapshot()
+        return self._received.snapshot()
 
     def objects_sent(self) -> List[EventT]:
         """(7) The retained events published through this interface, in order.
@@ -473,7 +511,7 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         newest ``history_size`` events under the default ring store,
         complete (and durable) under ``history="log"``.
         """
-        return self._history_store(sent=True).snapshot()
+        return self._sent.snapshot()
 
     @property
     def history_offset(self) -> int:
@@ -482,12 +520,12 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         ``stream(from_offset=tps.history_offset)`` therefore means "from
         now on"; any smaller offset replays retained history first.
         """
-        return self._history_store().next_offset
+        return self._received.next_offset
 
     @property
     def sent_offset(self) -> int:
         """The offset the next published event will get in the sent history."""
-        return self._history_store(sent=True).next_offset
+        return self._sent.next_offset
 
     def history_since(self, offset: int) -> List[Any]:
         """Retained delivered events at or after ``offset``, as
@@ -498,14 +536,11 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         last offset it processed calls ``history_since(last + 1)`` to get
         exactly what it missed (minus anything a bounded store evicted).
         """
-        return [(entry_offset, event) for entry_offset, event, _ in self._history_store().since(offset)]
+        return [(entry_offset, event) for entry_offset, event, _ in self._received.since(offset)]
 
     def sent_history_since(self, offset: int) -> List[Any]:
         """Retained published events at or after ``offset`` (``(offset, event)``)."""
-        return [
-            (entry_offset, event)
-            for entry_offset, event, _ in self._history_store(sent=True).since(offset)
-        ]
+        return [(entry_offset, event) for entry_offset, event, _ in self._sent.since(offset)]
 
     # Aliases matching the paper's method names.
     def objectsReceived(self) -> List[EventT]:  # noqa: N802 - paper-compatible alias
@@ -578,7 +613,7 @@ class TPSInterface(TPSInterfaceCore[EventT]):
             policy=policy,
             predicate=predicate,
             exception_handler=exception_handler,
-            source=self._history_store() if from_offset is not None else None,
+            source=self._received if from_offset is not None else None,
             from_offset=from_offset,
         )
 

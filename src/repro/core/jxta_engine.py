@@ -40,10 +40,10 @@ from repro.core.advertisements import (
 )
 from repro.core.bindings import BindingParam, BindingRequest, not_bool, register_binding
 from repro.core.exceptions import DeliveryFailedError, NotInitializedError, PSException
-from repro.core.history import DEFAULT_HISTORY_SIZE, make_history_pair
-from repro.core.interface import PublishReceipt, Subscription, TPSInterface
-from repro.core.subscriber import TPSPipeReader, TPSSubscriberManager
-from repro.core.type_registry import Criteria, TypeRegistry, type_name
+from repro.core.history import DEFAULT_HISTORY_SIZE
+from repro.core.interface import PublishReceipt, TPSInterface
+from repro.core.subscriber import TPSPipeReader
+from repro.core.type_registry import Criteria, type_name
 from repro.core.wire_finder import TPSMyInputPipe, TPSMyOutputPipe, TPSWireServiceFinder
 from repro.jxta.advertisement import PeerGroupAdvertisement
 from repro.jxta.ids import BoundedIdSet, PeerID
@@ -120,13 +120,12 @@ class TPSConfig:
         Shape of the retry schedule: per-attempt multiplier, cap on the
         backoff delay, and proportional jitter (drawn off the simulation
         clock's seeded noise, so runs stay deterministic).
-    ordered_delivery:
-        Whether reliable receivers hold back out-of-order messages to
-        preserve per-source publish order (see ``WireReliability.ordered``).
     order_gap_timeout:
-        How long a reliable receiver waits for a missing sequence number
-        before abandoning the gap (must exceed the full retry window, or an
-        actually-lost message would wedge its channel forever).
+        How long a reliable receiver (which holds back out-of-order
+        messages to preserve per-source publish order) waits for a missing
+        sequence number before abandoning the gap (must exceed the full
+        retry window, or an actually-lost message would wedge its channel
+        forever).
     breaker_threshold:
         Consecutive-failure count at which a subscription's callback is
         quarantined by a circuit breaker.  Zero (default) disables crash
@@ -167,7 +166,6 @@ class TPSConfig:
     retry_backoff: float = 2.0
     retry_backoff_cap: float = 2.0
     retry_jitter: float = 0.2
-    ordered_delivery: bool = True
     order_gap_timeout: float = 6.0
     breaker_threshold: int = 0
     breaker_cooldown: float = 30.0
@@ -186,7 +184,6 @@ class TPSConfig:
             backoff=self.retry_backoff,
             backoff_cap=self.retry_backoff_cap,
             jitter=self.retry_jitter,
-            ordered=self.ordered_delivery,
             gap_timeout=self.order_gap_timeout,
             dedup_capacity=self.duplicate_cache_size,
         )
@@ -343,16 +340,15 @@ class JxtaTPSEngine(TPSInterface):
         #: The simulated-network thread this engine belongs to (see the
         #: class docstring's thread-affinity contract).
         self._owner_ident = threading.get_ident()
-        self.registry = TypeRegistry(event_type, codec=codec)
         self.peer = peer
-        self.criteria = criteria
         self.config = config or TPSConfig()
-        self.subscriber_manager = TPSSubscriberManager()
-        self._received, self._sent = make_history_pair(
-            self.config.history,
-            self.config.history_size,
-            self.config.history_path or None,
-            codec=self.registry.codec,
+        super().__init__(
+            event_type,
+            criteria=criteria,
+            codec=codec,
+            history=self.config.history,
+            history_size=self.config.history_size,
+            history_path=self.config.history_path or None,
         )
         self._seen_message_ids = BoundedIdSet(self.config.duplicate_cache_size)
         #: Per-source high-water marks: origin peer URN -> highest sent-store
@@ -505,32 +501,14 @@ class JxtaTPSEngine(TPSInterface):
 
     # ----------------------------------------------------------- subscribing
 
-    def _add_subscription(self, subscription: Subscription) -> None:
-        super()._add_subscription(subscription)
-        self.manager.ensure_readers()
-        self.peer.metrics.counter("tps_subscriptions").increment()
-
-    def _remove_subscriptions(
-        self, callback: Optional[Any] = None, handler: Optional[Any] = None
-    ) -> int:
-        removed = super()._remove_subscriptions(callback, handler)
-        self._close_idle_readers()
-        return removed
-
-    def _discard_subscription(self, subscription: Subscription) -> int:
-        removed = super()._discard_subscription(subscription)
-        self._close_idle_readers()
-        return removed
-
-    def _close_idle_readers(self) -> None:
-        if self.subscriber_manager.empty and not self.config.serve_history:
+    def _subscriptions_changed(self) -> None:
+        """Keep wire readers open exactly while somebody is subscribed."""
+        if not self.subscriber_manager.empty:
+            self.manager.ensure_readers()
+        elif not self.config.serve_history:
             # "After this call, no event is received anymore."  (With
             # serve_history the readers stay open for catch-up requests.)
             self.manager.close_readers()
-
-    # objects_received / objects_sent come from TPSInterfaceCore, answered
-    # by the engine's history stores (bounded ring by default, durable log
-    # with ``history="log"``).
 
     # -------------------------------------------------------------- catch-up
 
@@ -707,14 +685,10 @@ class JxtaTPSEngine(TPSInterface):
     # ----------------------------------------------------------------- close
 
     def _do_close(self) -> None:
-        """Stop the finder, close all pipes and drop subscriptions."""
+        """Stop the finder and close all pipes, then the shared teardown."""
         self._check_affinity("close")
         self.manager.stop()
-        self.subscriber_manager.remove()
-        # Flush/fsync durable stores; history queries stay answerable after
-        # close (the stores keep serving reads).
-        self._received.close()
-        self._sent.close()
+        super()._do_close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -749,10 +723,17 @@ JXTA_BINDING_PARAMS = tuple(
 
 
 def resolve_jxta_config(request: BindingRequest) -> Optional[TPSConfig]:
-    """The request's effective :class:`TPSConfig`: engine config + overrides."""
-    if not request.params:
+    """The request's effective :class:`TPSConfig`: the engine config plus the
+    binding parameters that name one of its fields (all of them for
+    ``"JXTA"``; the shared history parameters for ``"SHARDED+JXTA"``)."""
+    overrides = {
+        name: value
+        for name, value in request.params.items()
+        if name in TPSConfig.__dataclass_fields__
+    }
+    if not overrides:
         return request.config
-    return dataclasses.replace(request.config or TPSConfig(), **dict(request.params))
+    return dataclasses.replace(request.config or TPSConfig(), **overrides)
 
 
 def _jxta_binding(request: BindingRequest) -> JxtaTPSEngine:

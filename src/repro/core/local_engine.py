@@ -30,16 +30,9 @@ import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.core.bindings import BindingRequest, register_binding
-from repro.core.history import (
-    DEFAULT_HISTORY_SIZE,
-    HISTORY_BINDING_PARAMS,
-    history_kwargs,
-    make_history_pair,
-)
+from repro.core.history import HISTORY_BINDING_PARAMS, history_kwargs
 from repro.core.interface import PublishReceipt, TPSInterface, TPSInterfaceCore
-from repro.core.type_registry import Criteria, TypeRegistry, type_name
-from repro.core.subscriber import TPSSubscriberManager
-from repro.serialization.object_codec import ObjectCodec
+from repro.core.type_registry import type_name
 
 
 class LocalBus:
@@ -47,7 +40,11 @@ class LocalBus:
 
     Engines attach under the *root* of their type hierarchy; publishing walks
     every engine attached to the same hierarchy and delivers to those whose
-    interface type the event conforms to.
+    interface type the event conforms to.  A route row reads only what
+    :class:`~repro.core.interface.TPSInterfaceCore` builds for every binding
+    (``registry``, ``criteria``, ``subscriber_manager``, the received store,
+    the closed flag), so any engine can attach -- the ``"SHARDED+JXTA"``
+    engine does, beside its wire readers.
 
     Publishing is served from a *type-indexed routing table*: per hierarchy
     root, the tuple of engines whose interface type a given concrete event
@@ -196,54 +193,25 @@ DEFAULT_BUS = LocalBus()
 
 
 class LocalEngineCore(TPSInterfaceCore):
-    """What every bus-attached engine shares, whatever its front end.
+    """What every purely bus-attached engine shares, whatever its front end.
 
-    Construction (registry, subscriber manager, history pair, bus
-    attachment), the front half of a publish (open/affinity checks,
+    Bus attachment, the front half of a publish (open/affinity checks,
     validation, codec round-trip), the back half (sent history, receipt) and
     teardown.  :class:`LocalTPSEngine` calls the bus between the two halves;
-    the asyncio front end awaits it there instead.
+    the asyncio front end awaits it there instead.  ``**options`` are the
+    :class:`~repro.core.interface.TPSInterfaceCore` constructor's
+    (``criteria``, ``codec``, ``history``, ``history_size``,
+    ``history_path``).
     """
 
     def __init__(
-        self,
-        event_type: Type[Any],
-        *,
-        bus: Optional[Any] = None,
-        criteria: Optional[Criteria] = None,
-        codec: Optional[ObjectCodec] = None,
-        history: str = "ring",
-        history_size: int = DEFAULT_HISTORY_SIZE,
-        history_path: Optional[str] = None,
+        self, event_type: Type[Any], *, bus: Optional[Any] = None, **options: Any
     ) -> None:
-        # Shadow the TPSInterfaceCore class attribute with an instance slot:
-        # the delivery loop reads this flag once per route row per publish,
-        # and an instance-dict hit is measurably cheaper than the class-MRO
-        # fallback at high fan-out.
-        self._tps_closed = False
-        self.registry = TypeRegistry(event_type, codec=codec)
-        self.criteria = criteria
+        super().__init__(event_type, **options)
         self.bus = bus or DEFAULT_BUS
-        self.subscriber_manager = TPSSubscriberManager()
-        self._received, self._sent = make_history_pair(
-            history, history_size, history_path, codec=self.registry.codec
-        )
         self.bus.attach(self)
 
     # ------------------------------------------------------------ publishing
-
-    def _isolated_copy(self, event: Any) -> Any:
-        """Validate ``event`` and round-trip it through the codec, so local
-        and JXTA bindings agree on what is serialisable and subscribers never
-        share an object with the publisher."""
-        self.registry.check_publishable(event)
-        return self.registry.decode(self.registry.encode(event))
-
-    def _begin_publish(self, event: Any) -> Any:
-        """Check that ``event`` may be published here; returns its copy."""
-        self._check_open()
-        self._check_affinity("publish")
-        return self._isolated_copy(event)
 
     def _begin_batch(self, events: Iterable[Any]) -> Tuple[List[Any], List[Any]]:
         """``(batch, copies)`` of a ``publish_many`` call.
@@ -263,18 +231,11 @@ class LocalEngineCore(TPSInterfaceCore):
             cpu_time=0.0, completion_time=0.0, pipes=1, wire_receipts=[delivered]
         )
 
-    # --------------------------------------------------------------- history
-    # objects_received/objects_sent (and their retention contract) are the
-    # shared TPSInterfaceCore implementations over self._received/self._sent.
-
     def _do_close(self) -> None:
-        """Detach from the bus, drop every subscription, settle the stores."""
+        """Detach from the bus, then the shared teardown."""
         self._check_affinity("close")
         self.bus.detach(self)
-        self.subscriber_manager.remove()
-        # Flush/fsync a durable store; history queries keep working after.
-        self._received.close()
-        self._sent.close()
+        super()._do_close()
 
 
 class LocalTPSEngine(LocalEngineCore, TPSInterface):

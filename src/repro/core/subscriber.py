@@ -27,12 +27,12 @@ import inspect
 import threading
 from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.core.interface import Subscription
 from repro.core.subscriptions import CircuitBreaker
 from repro.jxta.ids import PeerID
 from repro.jxta.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.interface import Subscription
     from repro.core.jxta_engine import JxtaTPSEngine
 
 

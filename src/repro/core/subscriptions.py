@@ -24,8 +24,9 @@ top of any :class:`~repro.core.interface.TPSInterface` binding:
   event (``half_open``) that either resets it or re-opens the quarantine.
   Attached per subscription by
   :meth:`~repro.core.subscriber.TPSSubscriberManager.set_breaker_policy`
-  (the JXTA/SHARDED bindings wire it to ``TPSConfig.breaker_threshold`` /
-  ``breaker_cooldown``); both dispatch paths -- the manager's and the
+  (JXTA and SHARDED+JXTA wire it to ``TPSConfig.breaker_threshold`` /
+  ``breaker_cooldown``, ASYNC to its same-named binding parameters; LOCAL
+  and SHARDED install none); both dispatch paths -- the manager's and the
   :class:`~repro.core.local_engine.LocalBus` inline loop -- honour it.
 * :class:`EventStream` -- pull-style consumption:
   ``tps.stream(maxsize=..., policy=...)`` subscribes an internal enqueue

@@ -312,6 +312,24 @@ class EndpointService:
             body=message.to_bytes(),
         )
 
+    def _next_hop(self, envelope: EndpointEnvelope) -> EndpointEnvelope:
+        """``envelope`` as this peer relays it: same id, addressing and mode
+        (unicast stays unicast, propagated stays propagated), one TTL hop
+        spent, this peer appended to the path.  The body is carried, never
+        re-encoded."""
+        return EndpointEnvelope(
+            src_peer=envelope.src_peer,
+            src_address=envelope.src_address,
+            dst_peer=envelope.dst_peer,
+            service=envelope.service,
+            param=envelope.param,
+            envelope_id=envelope.envelope_id,
+            ttl=envelope.ttl - 1,
+            propagate=envelope.propagate,
+            hops=[*envelope.hops, self.peer.peer_id.to_urn()],
+            body=envelope.body,
+        )
+
     # --------------------------------------------------------- unicast path
 
     def _dispatch_unicast(self, envelope: EndpointEnvelope) -> bool:
@@ -358,18 +376,7 @@ class EndpointService:
         if envelope.ttl <= 0:
             self.metrics.counter("endpoint_ttl_expired").increment()
             return False
-        relayed = EndpointEnvelope(
-            src_peer=envelope.src_peer,
-            src_address=envelope.src_address,
-            dst_peer=envelope.dst_peer,
-            service=envelope.service,
-            param=envelope.param,
-            envelope_id=envelope.envelope_id,
-            ttl=envelope.ttl - 1,
-            propagate=False,
-            hops=[*envelope.hops, self.peer.peer_id.to_urn()],
-            body=envelope.body,
-        )
+        relayed = self._next_hop(envelope)
         for address in self._router_candidates():
             if address == self.node.address:
                 continue
@@ -449,18 +456,7 @@ class EndpointService:
         if envelope.ttl <= 0:
             self.metrics.counter("endpoint_ttl_expired").increment()
             return
-        forwarded = EndpointEnvelope(
-            src_peer=envelope.src_peer,
-            src_address=envelope.src_address,
-            dst_peer=envelope.dst_peer,
-            service=envelope.service,
-            param=envelope.param,
-            envelope_id=envelope.envelope_id,
-            ttl=envelope.ttl - 1,
-            propagate=False,
-            hops=[*envelope.hops, my_urn],
-            body=envelope.body,
-        )
+        forwarded = self._next_hop(envelope)
         address = self._address_book.get(envelope.dst_peer)
         if address is not None and self._send_packet(address, forwarded):
             self.metrics.counter("endpoint_forwarded").increment()
@@ -481,19 +477,9 @@ class EndpointService:
         self._deliver_local(envelope)
         # Rendez-vous peers re-propagate towards their other clients/rdvs.
         if (self.peer.config.rendezvous or self.peer.config.router) and envelope.ttl > 0:
-            forwarded = EndpointEnvelope(
-                src_peer=envelope.src_peer,
-                src_address=envelope.src_address,
-                dst_peer=envelope.dst_peer,
-                service=envelope.service,
-                param=envelope.param,
-                envelope_id=envelope.envelope_id,
-                ttl=envelope.ttl - 1,
-                propagate=True,
-                hops=[*envelope.hops, self.peer.peer_id.to_urn()],
-                body=envelope.body,
+            self._dispatch_propagate(
+                self._next_hop(envelope), exclude_address=envelope.src_address
             )
-            self._dispatch_propagate(forwarded, exclude_address=envelope.src_address)
 
     def _deliver_local(self, envelope: EndpointEnvelope) -> None:
         listener = self._listeners.get((envelope.service, envelope.param))

@@ -47,9 +47,10 @@ reorder or delay packets (see :mod:`repro.net.faults`):
 * **receiver**: wire ids are deduplicated with a bounded LRU
   :class:`~repro.jxta.ids.BoundedIdSet`, so retransmits and network
   duplicates collapse to one observed delivery; a duplicate is re-acked
-  (the previous ack may have been the lost packet).  Sequenced messages
-  run through a per-channel hold-back buffer that releases them in sequence
-  order, restoring per-source FIFO under reordering.  A sequence gap that
+  (the previous ack may have been the lost packet).  Reliable messages are
+  always sequenced per (pipe, target): they run through a per-channel
+  hold-back buffer that releases them in sequence order, restoring
+  per-source FIFO under reordering.  A sequence gap that
   does not fill within ``gap_timeout`` (e.g. the sender terminally gave up
   on that message) is abandoned -- counted in
   ``wire_order_gaps_abandoned`` -- and delivery resumes at the next
@@ -90,7 +91,7 @@ WIRE_MSG_ID_ELEMENT = "JxtaWireMsgId"
 WIRE_SRC_ELEMENT = "JxtaWireSrc"
 #: Element marking a message whose delivery must be acknowledged.
 WIRE_ACK_REQ_ELEMENT = "JxtaWireAckReq"
-#: Element carrying the per-(pipe, target) sequence number (ordered mode).
+#: Element carrying the per-(pipe, target) sequence number of a reliable send.
 WIRE_SEQ_ELEMENT = "JxtaWireSeq"
 #: Element carrying the sender-side channel id (unique per output pipe).
 WIRE_CHANNEL_ELEMENT = "JxtaWireChan"
@@ -118,9 +119,6 @@ class WireReliability:
     jitter:
         Relative sigma of lognormal noise on each retry delay, decorrelating
         retransmission bursts from concurrent senders.
-    ordered:
-        Whether to sequence messages per (pipe, target) and restore
-        per-source FIFO on the receiver through a hold-back buffer.
     gap_timeout:
         Receiver-side seconds to wait for a sequence gap to fill before
         abandoning it (should exceed the sender's full retry window).
@@ -133,7 +131,6 @@ class WireReliability:
     backoff: float = 2.0
     backoff_cap: float = 2.0
     jitter: float = 0.2
-    ordered: bool = True
     gap_timeout: float = 6.0
     dedup_capacity: int = 4096
 
@@ -338,25 +335,19 @@ class WireService:
     #: messages the gap is abandoned early to keep memory constant.
     HOLDBACK_LIMIT = 64
 
-    def __init__(self, group: "PeerGroup", *, duplicate_suppression: bool = False) -> None:
+    def __init__(self, group: "PeerGroup") -> None:
         self.group = group
         self.peer = group.peer
         self.cost_model = self.peer.cost_model
         self.noise = self.peer.noise
-        #: When True the wire service itself drops messages whose wire id was
-        #: already delivered.  The real JXTA-WIRE did *not* do this -- the
-        #: paper lists duplicate handling among the functionality the SR
-        #: layers add -- so the default is False; ablation benches flip it.
-        #: (Reliable-mode messages are always deduplicated: that is part of
-        #: the ack/retry protocol, not an application-layer courtesy.)
-        self.duplicate_suppression = duplicate_suppression
         #: pipe URN -> wire input pipes opened locally.
         self._inputs: Dict[str, List[WireInputPipe]] = {}
         #: pipe URN -> set of source peer URNs seen (connected publishers).
         self._sources: Dict[str, set] = {}
-        self._seen_wire_ids = BoundedIdSet(capacity=4096)
         #: Wire ids of accepted reliable messages (bounded LRU); retransmits
-        #: hitting this set are re-acked and dropped.
+        #: hitting this set are re-acked and dropped.  Only the ack/retry
+        #: protocol deduplicates: the real JXTA-WIRE did not -- the paper
+        #: lists duplicate handling among the functionality the SR layers add.
         self._seen_reliable = BoundedIdSet(capacity=4096)
         #: Receiver-side gap timeout; create_input_pipe overrides it from the
         #: caller's :class:`WireReliability`.
@@ -484,16 +475,15 @@ class WireService:
         sequences: Dict[str, int] = {}
         if reliability is not None and targets:
             tracker = DeliveryTracker(wire_id, [t.to_urn() for t in targets])
-            if reliability.ordered:
-                # Sequence numbers are claimed *now*, synchronously, in
-                # publish-call order: the transmit event below fires at a
-                # jittered CPU-completion instant, so stamping there would
-                # scramble the sequences of same-instant publishes and break
-                # the per-source ordering the channel exists to provide.
-                sequences = {
-                    target.to_urn(): pipe.next_sequence(target.to_urn())
-                    for target in targets
-                }
+            # Sequence numbers are claimed *now*, synchronously, in
+            # publish-call order: the transmit event below fires at a
+            # jittered CPU-completion instant, so stamping there would
+            # scramble the sequences of same-instant publishes and break
+            # the per-source ordering the channel exists to provide.
+            sequences = {
+                target.to_urn(): pipe.next_sequence(target.to_urn())
+                for target in targets
+            }
 
         def _transmit() -> None:
             if targets:
@@ -501,7 +491,7 @@ class WireService:
                     if reliability is not None:
                         self._send_reliable(
                             pipe, target, wire_message, pipe_urn, wire_id,
-                            tracker, reliability, sequences.get(target.to_urn()),
+                            tracker, reliability, sequences[target.to_urn()],
                         )
                     else:
                         self.peer.endpoint.send(
@@ -534,15 +524,14 @@ class WireService:
         wire_id: str,
         tracker: DeliveryTracker,
         reliability: WireReliability,
-        sequence: Optional[int] = None,
+        sequence: int,
     ) -> None:
         """First transmission of one per-target copy; arms the retry timer."""
         target_urn = target.to_urn()
         copy = wire_message.dup()
         copy.add(WIRE_ACK_REQ_ELEMENT, "1")
-        if reliability.ordered and sequence is not None:
-            copy.add(WIRE_CHANNEL_ELEMENT, pipe.channel_id)
-            copy.add(WIRE_SEQ_ELEMENT, str(sequence))
+        copy.add(WIRE_CHANNEL_ELEMENT, pipe.channel_id)
+        copy.add(WIRE_SEQ_ELEMENT, str(sequence))
         pending = _PendingDelivery(
             wire_id=wire_id,
             target=target,
@@ -681,10 +670,6 @@ class WireService:
         if wire_id and message.has(WIRE_ACK_REQ_ELEMENT):
             self._receive_reliable(pipe_urn, envelope, message, wire_id)
             return
-        if self.duplicate_suppression and wire_id:
-            if self._seen_wire_ids.seen(wire_id):
-                self.peer.metrics.counter("wire_duplicates_suppressed").increment()
-                return
         self._enqueue(pipe_urn, envelope, message)
 
     def _receive_reliable(
@@ -698,16 +683,15 @@ class WireService:
             return
         channel = message.get_text(WIRE_CHANNEL_ELEMENT)
         seq_text = message.get_text(WIRE_SEQ_ELEMENT)
-        if channel and seq_text:
-            self._receive_ordered(
-                pipe_urn, envelope, message, wire_id, channel, int(seq_text)
-            )
+        if not channel or not seq_text.isdigit():
+            # Every reliable send is sequenced; an ack request without a
+            # channel/sequence did not come from a WireOutputPipe.  Count
+            # it and drop it un-acked.
+            self.peer.metrics.counter("wire_malformed").increment()
             return
-        # Unordered reliable message: accept, then ack.
-        if not self._enqueue(pipe_urn, envelope, message):
-            return  # queue full -> no ack -> the sender's retry is our flow control
-        self._seen_reliable.add(wire_id)
-        self._send_ack(envelope, message, wire_id)
+        self._receive_ordered(
+            pipe_urn, envelope, message, wire_id, channel, int(seq_text)
+        )
 
     def _receive_ordered(
         self,

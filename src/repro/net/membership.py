@@ -20,9 +20,9 @@ style of classic gossip/heartbeat failure detectors:
 * a peer still silent ``confirm_timeout`` seconds later is **confirmed**
   ``DEAD``.  Listeners get every transition (``"join"``, ``"suspect"``,
   ``"confirm"``, ``"recover"``), which is the hook
-  :mod:`repro.core.composite_engine` uses to close a departed peer's wire
-  leg and report queued deliveries through ``delivery_failure_handler``
-  instead of retrying forever;
+  :mod:`repro.core.composite_engine` uses to close the wire towards a
+  departed peer and report queued deliveries through
+  ``delivery_failure_handler`` instead of retrying forever;
 * a heartbeat from a ``SUSPECT``/``DEAD`` peer flips it back to ``ALIVE``
   (``"recover"``) -- suspicion is a verdict about *communication*, and the
   detector must heal when the network does.

@@ -238,6 +238,10 @@ class MetricsRegistry:
         """Snapshot of all counter values."""
         return {name: c.value for name, c in sorted(self._counters.items())}
 
+    def gauges(self) -> Dict[str, float]:
+        """Snapshot of all gauge levels."""
+        return {name: g.value for name, g in sorted(self._gauges.items())}
+
     def timers(self) -> Dict[str, Timer]:
         """All timers, keyed by name."""
         return dict(self._timers)
@@ -254,6 +258,8 @@ class MetricsRegistry:
             timer.reset()
         for series in self._series.values():
             series.reset()
+        for gauge in self._gauges.values():
+            gauge.set(0.0)
 
 
 def summarize(samples: Iterable[float]) -> Tuple[float, float, float, float]:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import os
 from typing import Any, List, Optional, Tuple
 
 import pytest
@@ -55,9 +56,10 @@ import pytest
 from repro.apps.skirental.types import SkiRental
 from repro.core import TPSConfig, TPSEngine
 from repro.core.exceptions import PSException
-from repro.core.interface import TPSInterface
+from repro.core.interface import TPSInterface, TPSInterfaceCore
 from repro.core.local_engine import LocalBus
 from repro.core.sharded_engine import ShardedLocalBus
+from repro.core.subscriber import TPSSubscriberManager
 from repro.jxta.platform import JxtaNetworkBuilder
 from repro.net.faults import FaultPlan
 
@@ -292,9 +294,15 @@ class BindingHarness:
         return self.builder is not None
 
     def interface(
-        self, *, peer: Any = None, create: bool = True, event_type: type = SkiRental
+        self,
+        *,
+        peer: Any = None,
+        create: bool = True,
+        event_type: type = SkiRental,
+        **params: Any,
     ) -> TPSInterface:
-        """One interface over this harness's binding (wire peers explicit)."""
+        """One interface over this harness's binding (wire peers explicit);
+        ``params`` are binding parameters."""
         if self.wire:
             config = TPSConfig(
                 search_timeout=2.0 if create else 6.0,
@@ -309,12 +317,12 @@ class BindingHarness:
             self.engines.append(engine)
             # new_interface must run on the owning loop ('the loop is the
             # thread'); the driver keeps marshaling every later call there.
-            interface = self._run_on_loop(engine.new_interface, self.binding)
+            interface = self._run_on_loop(engine.new_interface, self.binding, **params)
             return AsyncInterfaceDriver(interface, self.loop)
         else:
             engine = TPSEngine(event_type, local_bus=self.local_bus)
         self.engines.append(engine)
-        interface = engine.new_interface(self.binding)
+        interface = engine.new_interface(self.binding, **params)
         if self.reshard:
             bus = getattr(interface, "bus", None) or self.local_bus
             if isinstance(bus, ShardedLocalBus) and bus not in self._reshard_buses:
@@ -647,8 +655,122 @@ class TestLifecycleConformance:
         assert subscriber.objects_received() == []
 
 
+def _owned_objects(interface: Any) -> List[Any]:
+    """Every ``repro.core`` object reachable from ``interface`` through its
+    own attributes -- not through the shared infrastructure it merely joins
+    (bus, peer, failure detector), which legitimately knows other engines."""
+    seen = {id(interface)}
+    found: List[Any] = []
+    frontier = [interface]
+    while frontier:
+        for value in vars(frontier.pop()).values():
+            if (
+                id(value) in seen
+                or isinstance(value, (LocalBus, ShardedLocalBus))
+                or not type(value).__module__.startswith("repro.core")
+            ):
+                continue
+            seen.add(id(value))
+            found.append(value)
+            if hasattr(value, "__dict__"):
+                frontier.append(value)
+    return found
+
+
+class TestOneEnginePerInterface:
+    """Section 3.4 / Figure 10: an interface has one Interface Repository and
+    one history pair -- no binding is two engines glued together."""
+
+    def test_no_second_engine_or_repository_behind_the_interface(self, harness):
+        for interface in harness.pair():
+            interface = getattr(interface, "_interface", interface)  # ASYNC driver
+            owned = _owned_objects(interface)
+            assert not [o for o in owned if isinstance(o, TPSInterfaceCore)]
+            managers = [o for o in owned if isinstance(o, TPSSubscriberManager)]
+            assert managers == [interface.subscriber_manager]
+
+
 class TestCompositeSpecifics:
     """The composite's distinguishing behavior, on top of the shared matrix."""
+
+    @pytest.mark.parametrize("history", ["ring", "log"])
+    def test_bus_and_wire_deliveries_share_one_history_pair(self, history, tmp_path):
+        harness = BindingHarness("SHARDED+JXTA")
+        try:
+            remote_publisher = harness.interface(create=True)
+            harness.pump()
+            params = {"history": history}
+            if history == "log":
+                params["history_path"] = str(tmp_path / "sub")
+            subscriber = harness.interface(
+                peer=harness.subscriber_peer, create=False, **params
+            )
+            if history == "log":
+                params["history_path"] = str(tmp_path / "local-pub")
+            local_publisher = harness.interface(
+                peer=harness.subscriber_peer, create=False, **params
+            )
+            inbox: List[Any] = []
+            subscriber.subscribe(inbox.append)
+            harness.pump()
+            # N = 3 deliveries through the local bus, M = 2 over the wire.
+            publishers = [
+                local_publisher,
+                remote_publisher,
+                local_publisher,
+                local_publisher,
+                remote_publisher,
+            ]
+            for index, publisher in enumerate(publishers):
+                harness.publish(publisher, _offer(f"shop-{index}"))
+            assert sorted(e.shop for e in inbox) == [f"shop-{i}" for i in range(5)]
+            # One received store: every delivery appended once, in dispatch
+            # order, whichever inlet it came through.
+            assert [e.shop for e in subscriber.objects_received()] == [
+                e.shop for e in inbox
+            ]
+            assert len(subscriber.history_since(0)) == 5
+            # One sent store: each publish recorded once.
+            assert [e.shop for e in local_publisher.objects_sent()] == [
+                "shop-0", "shop-2", "shop-3"
+            ]
+            assert len(local_publisher.sent_history_since(0)) == 3
+            if history == "log":
+                subscriber.close()
+                local_publisher.close()
+                for directory in ("sub", "local-pub"):
+                    assert sorted(os.listdir(tmp_path / directory)) == [
+                        "received.log",
+                        "sent.log",
+                    ]
+        finally:
+            harness.finish()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"membership": True, "heartbeat_interval": 5.0, "suspect_timeout": 1.0},
+            {"history": "log", "history_path": "<under-a-file>"},
+        ],
+        ids=["membership-timing", "history-path"],
+    )
+    def test_failing_constructor_leaves_nothing_attached_to_the_bus(
+        self, params, tmp_path
+    ):
+        harness = BindingHarness("SHARDED+JXTA")
+        try:
+            if "history_path" in params:
+                blocker = tmp_path / "blocker"
+                blocker.write_text("a file where the directory should go")
+                params = dict(params, history_path=str(blocker / "sub"))
+            engine = TPSEngine(SkiRental, peer=harness.publisher_peer)
+            with pytest.raises((PSException, OSError)):
+                engine.new_interface("SHARDED+JXTA", **params)
+            # The same (peer, default parameter set) bus a working request gets.
+            survivor = harness.interface(create=True)
+            assert survivor.bus.engines_for(survivor.registry.root) == (survivor,)
+        finally:
+            harness.finish()
 
     def test_same_peer_interfaces_deliver_locally_without_settling(self):
         harness = BindingHarness("SHARDED+JXTA")

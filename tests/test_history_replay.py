@@ -19,6 +19,7 @@ Three layers of the durable-history story:
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
@@ -399,7 +400,7 @@ class TestWireCatchUp:
         builder.settle(rounds=6)
         return builder, pub_peer, sub_peer
 
-    def _subscriber(self, sub_peer, path):
+    def _subscriber(self, sub_peer, path, binding="JXTA"):
         config = TPSConfig(
             search_timeout=2.0,
             create_if_missing=False,
@@ -408,13 +409,22 @@ class TestWireCatchUp:
             history_path=path,
         )
         interface = TPSEngine(SkiRental, peer=sub_peer, config=config).new_interface(
-            "JXTA"
+            binding
         )
         inbox = []
         interface.subscribe(inbox.append)
         return interface, inbox
 
     def test_restarted_peer_replays_missed_events_exactly_once(self, tmp_path):
+        self._kill_restart_catch_up("JXTA", tmp_path)
+
+    def test_restarted_composite_replays_missed_events_exactly_once(self, tmp_path):
+        """The composite is one engine with one received.log: the replayed
+        events are recognised by the message ids persisted there."""
+        self._kill_restart_catch_up("SHARDED+JXTA", tmp_path)
+        assert sorted(os.listdir(tmp_path / "sub")) == ["received.log", "sent.log"]
+
+    def _kill_restart_catch_up(self, binding, tmp_path):
         builder, pub_peer, sub_peer = self._network()
         pub_config = TPSConfig(
             search_timeout=2.0,
@@ -424,11 +434,11 @@ class TestWireCatchUp:
             history_path=str(tmp_path / "pub"),
         )
         publisher = TPSEngine(SkiRental, peer=pub_peer, config=pub_config).new_interface(
-            "JXTA"
+            binding
         )
         builder.settle(rounds=8)
         sub_path = str(tmp_path / "sub")
-        subscriber, inbox = self._subscriber(sub_peer, sub_path)
+        subscriber, inbox = self._subscriber(sub_peer, sub_path, binding)
         builder.settle(rounds=14)
 
         publisher.publish(_offer(0))
@@ -448,7 +458,7 @@ class TestWireCatchUp:
         # Restart: same store directory, fresh engine.  Construction
         # re-seeds the duplicate filter and per-source offsets from disk
         # and schedules one automatic catch-up request.
-        reborn, inbox2 = self._subscriber(sub_peer, sub_path)
+        reborn, inbox2 = self._subscriber(sub_peer, sub_path, binding)
         assert reborn.history_offset == 2  # the persisted prefix
         builder.settle(rounds=20)
 

@@ -221,7 +221,7 @@ class TestCompositeMembership:
         assert monitor.state_of(sub.peer_id) == ALIVE
 
         failures: List[Any] = []
-        publisher.wire.delivery_failure_handler = failures.append
+        publisher.delivery_failure_handler = failures.append
         builder.network.partition("sub", "pub")
         builder.network.partition("sub", "rdv-0")
         publisher.publish(SkiRental("lost", 20.0, "Atomic", 5))

@@ -133,6 +133,16 @@ class TestMetricsRegistry:
         assert registry.timer("t").count == 0
         assert len(registry.series("s")) == 0
 
+    def test_gauges_snapshot_and_reset(self):
+        registry = MetricsRegistry()
+        assert registry.gauge("depth") is registry.gauge("depth")
+        registry.gauge("membership_alive").set(3)
+        registry.gauge("depth").increment(2)
+        registry.gauge("depth").decrement()
+        assert registry.gauges() == {"depth": 1.0, "membership_alive": 3}
+        registry.reset()
+        assert registry.gauges() == {"depth": 0.0, "membership_alive": 0.0}
+
 
 def test_summarize():
     mean, stdev, low, high = summarize([1.0, 2.0, 3.0])

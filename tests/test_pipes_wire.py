@@ -8,7 +8,7 @@ from repro.jxta.advertisement import PipeAdvertisement
 from repro.jxta.errors import PipeError
 from repro.jxta.message import Message
 from repro.jxta.pipes import PipeKind
-from repro.jxta.wire import WIRE_MSG_ID_ELEMENT, WireService
+from repro.jxta.wire import WIRE_ACK_REQ_ELEMENT, WIRE_MSG_ID_ELEMENT, WireService
 
 
 def _pipe_adv(name="test-pipe", kind=PipeKind.UNICAST):
@@ -223,27 +223,25 @@ class TestWireService:
         assert delivered + dropped == limit * 3
         assert len(inbox) == delivered
 
-    def test_duplicate_suppression_flag(self, two_peers):
+    def test_ack_request_without_sequence_is_counted_and_dropped(self, two_peers):
+        """Reliable sends are always sequenced; an ack-requesting message
+        with no channel/sequence is outside input: counted, dropped, no ack."""
         alpha, beta, builder = two_peers
         advertisement = _pipe_adv(kind=PipeKind.WIRE)
         inbox = []
-        beta.world_group.wire.duplicate_suppression = True
         beta.world_group.wire.create_input_pipe(advertisement, lambda m, s: inbox.append(m))
         builder.settle(rounds=2)
-        output = alpha.world_group.wire.create_output_pipe(advertisement)
-        builder.settle(rounds=2)
-        receipt = output.send(_message("once"))
-        builder.settle(rounds=4)
-        # Re-inject the very same wire message by sending it again through the
-        # endpoint (as a propagation echo would).
-        wire_message = _message("once")
-        wire_message.add(WIRE_MSG_ID_ELEMENT, receipt.wire_message_id)
+        forged = _message("forged")
+        forged.add(WIRE_MSG_ID_ELEMENT, "urn:jxta:forged/w1")
+        forged.add(WIRE_ACK_REQ_ELEMENT, "1")
         alpha.endpoint.send(
-            beta.peer_id, wire_message, WireService.WireName, advertisement.pipe_id.to_urn()
+            beta.peer_id, forged, WireService.WireName, advertisement.pipe_id.to_urn()
         )
         builder.settle(rounds=4)
-        assert len(inbox) == 1
-        assert beta.metrics.counters().get("wire_duplicates_suppressed", 0) == 1
+        assert inbox == []
+        counters = beta.metrics.counters()
+        assert counters.get("wire_malformed", 0) == 1
+        assert counters.get("wire_acks_sent", 0) == 0
 
     def test_connected_publishers_tracked(self, lan):
         builder = lan

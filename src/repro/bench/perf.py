@@ -389,7 +389,6 @@ def _parse_corpus() -> List[str]:
     adv_doc = advertisement.to_document()
     response = XmlElement("DiscoveryResponse")
     response.add("Kind", "2")
-    response.add("QueryId", "bench/q1")
     for _ in range(3):
         response.add("Adv", adv_doc)
     return [event_doc, adv_doc, to_xml(response, declaration=False)]

@@ -10,12 +10,18 @@ lines 9-11) to avoid acting on stale advertisements.
 Entries carry the insertion time and a lifetime, so the cache can drop
 advertisements whose age exceeds their lifetime ("each advertisement
 encompasses an age to distinguish stale advertisements from new ones").
+
+An entry also keeps the advertisement's XML document -- what JXTA's cm writes
+to stable storage -- so answering a discovery query does not render an
+unchanged advertisement again.  The document belongs to one publication:
+every (re-)publish makes a fresh entry, so code that edits a cached
+advertisement publishes it again, as it already must to refresh its lifetime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.jxta.advertisement import Advertisement
 from repro.net.simclock import SimClock
@@ -47,10 +53,19 @@ class CacheEntry:
     lifetime: float
     #: Whether the advertisement was published locally (vs. learned remotely).
     local: bool = True
+    #: The advertisement's XML document: the text that arrived for a remotely
+    #: learned entry, otherwise rendered on first use.
+    document: Optional[str] = None
 
     def expired(self, now: float) -> bool:
         """Whether the entry has outlived its lifetime."""
         return (now - self.inserted_at) > self.lifetime
+
+    def rendered(self) -> str:
+        """The advertisement's XML document as of this publication."""
+        if self.document is None:
+            self.document = self.advertisement.to_document()
+        return self.document
 
 
 class CacheManager:
@@ -58,11 +73,7 @@ class CacheManager:
 
     def __init__(self, clock: SimClock) -> None:
         self._clock = clock
-        self._entries: Dict[int, Dict[str, CacheEntry]] = {
-            DiscoveryKind.PEER: {},
-            DiscoveryKind.GROUP: {},
-            DiscoveryKind.ADV: {},
-        }
+        self._entries: Dict[int, Dict[str, CacheEntry]] = {kind: {} for kind in DiscoveryKind.ALL}
 
     # ------------------------------------------------------------- mutation
 
@@ -73,12 +84,14 @@ class CacheManager:
         *,
         lifetime: Optional[float] = None,
         local: bool = True,
+        document: Optional[str] = None,
     ) -> CacheEntry:
         """Insert (or refresh) an advertisement in the cache.
 
         Re-publishing an advertisement with the same unique key refreshes its
         insertion time and lifetime -- this is how remote republications keep
-        advertisements alive.
+        advertisements alive.  ``document`` is the advertisement's XML text
+        when the caller already holds it (it arrived from another peer).
         """
         DiscoveryKind.validate(kind)
         entry = CacheEntry(
@@ -86,6 +99,7 @@ class CacheManager:
             inserted_at=self._clock.now,
             lifetime=lifetime if lifetime is not None else advertisement.lifetime,
             local=local,
+            document=document,
         )
         self._entries[kind][advertisement.unique_key()] = entry
         return entry
@@ -94,6 +108,12 @@ class CacheManager:
         """Remove one advertisement; returns whether it was present."""
         DiscoveryKind.validate(kind)
         return self._entries[kind].pop(advertisement.unique_key(), None) is not None
+
+    def rendering_changed(self, advertisement: Advertisement, kind: int) -> None:
+        """Forget the kept document of ``advertisement``: a rendered field was edited."""
+        entry = self._entries[DiscoveryKind.validate(kind)].get(advertisement.unique_key())
+        if entry is not None:
+            entry.document = None
 
     def flush(self, kind: Optional[int] = None, *, remote_only: bool = False) -> int:
         """Drop cached advertisements.
@@ -104,30 +124,50 @@ class CacheManager:
         Returns the number of entries removed.
         """
         kinds = DiscoveryKind.ALL if kind is None else (DiscoveryKind.validate(kind),)
-        removed = 0
-        for k in kinds:
-            table = self._entries[k]
-            if remote_only:
-                doomed = [key for key, entry in table.items() if not entry.local]
-            else:
-                doomed = list(table)
-            for key in doomed:
-                del table[key]
-                removed += 1
-        return removed
+        return sum(
+            self._drop(self._entries[k], lambda entry: not (remote_only and entry.local))
+            for k in kinds
+        )
 
     def expire(self) -> int:
         """Drop every entry whose age exceeds its lifetime; return how many were dropped."""
         now = self._clock.now
-        removed = 0
-        for table in self._entries.values():
-            doomed = [key for key, entry in table.items() if entry.expired(now)]
-            for key in doomed:
-                del table[key]
-                removed += 1
-        return removed
+        return sum(
+            self._drop(table, lambda entry: entry.expired(now)) for table in self._entries.values()
+        )
+
+    @staticmethod
+    def _drop(table: Dict[str, CacheEntry], doomed: Callable[[CacheEntry], bool]) -> int:
+        keys = [key for key, entry in table.items() if doomed(entry)]
+        for key in keys:
+            del table[key]
+        return len(keys)
 
     # -------------------------------------------------------------- queries
+
+    def matching(
+        self,
+        kind: int,
+        attribute: Optional[str] = None,
+        value: Optional[str] = None,
+        *,
+        limit: Optional[int] = None,
+    ) -> List[CacheEntry]:
+        """Return the entries of ``kind`` whose advertisement matches the attribute query.
+
+        Expired entries of that kind are removed first.  ``limit`` bounds the
+        number of results, mirroring the discovery threshold.
+        """
+        table = self._entries[DiscoveryKind.validate(kind)]
+        now = self._clock.now
+        self._drop(table, lambda entry: entry.expired(now))
+        results: List[CacheEntry] = []
+        for entry in table.values():
+            if entry.advertisement.matches(attribute, value):
+                results.append(entry)
+                if limit is not None and len(results) >= limit:
+                    break
+        return results
 
     def search(
         self,
@@ -137,27 +177,8 @@ class CacheManager:
         *,
         limit: Optional[int] = None,
     ) -> List[Advertisement]:
-        """Return cached advertisements of ``kind`` matching the attribute query.
-
-        Expired entries are skipped (and lazily removed).  ``limit`` bounds
-        the number of results, mirroring the discovery threshold.
-        """
-        DiscoveryKind.validate(kind)
-        now = self._clock.now
-        table = self._entries[kind]
-        results: List[Advertisement] = []
-        doomed: List[str] = []
-        for key, entry in table.items():
-            if entry.expired(now):
-                doomed.append(key)
-                continue
-            if entry.advertisement.matches(attribute, value):
-                results.append(entry.advertisement)
-                if limit is not None and len(results) >= limit:
-                    break
-        for key in doomed:
-            table.pop(key, None)
-        return results
+        """The advertisements of :meth:`matching`'s entries."""
+        return [entry.advertisement for entry in self.matching(kind, attribute, value, limit=limit)]
 
     def contains(self, advertisement: Advertisement, kind: int) -> bool:
         """Whether an (unexpired) entry with the same unique key exists."""

@@ -17,12 +17,24 @@ Figures 15 and 16:
 * ``add_discovery_listener`` -- be notified when responses arrive.
 
 Queries and responses travel over the Peer Resolver Protocol.
+
+A response body is a pure function of its kind and of the XML documents of
+the advertisements it carries, and finders re-ask every few virtual seconds
+about advertisements that have not changed.  So the service keeps two small
+bounded memos, both keyed by content (never by object identity): rendered
+bodies by ``(kind, documents)`` -- the documents themselves live on the cache
+entries (:mod:`repro.jxta.cache`) -- and parsed advertisements by body text.
+A body seen before is absorbed without parsing it again: the same
+advertisement objects are re-published (fresh ``created_at`` and cache
+lifetime) and handed to the listeners, which therefore treat received
+advertisements as read-only.  Only a body that parsed without a single
+malformed part is remembered, so ``discovery_malformed`` counts every arrival.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, TYPE_CHECKING, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from repro.jxta.advertisement import (
     Advertisement,
@@ -36,6 +48,15 @@ from repro.serialization.xml_codec import XmlElement, XmlParseError, parse_xml, 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.jxta.peergroup import PeerGroup
+
+#: Entries each memo of a :class:`DiscoveryService` keeps; the oldest goes first.
+_MEMO_LIMIT = 32
+
+
+def _remember(memo: dict, key: object, value: object) -> None:
+    memo[key] = value
+    if len(memo) > _MEMO_LIMIT:
+        del memo[next(iter(memo))]
 
 
 @dataclass
@@ -72,6 +93,10 @@ class DiscoveryService:
         self.peer = group.peer
         self.cache = CacheManager(self.peer.clock)
         self._listeners: List[DiscoveryListener] = []
+        #: (kind, advertisement documents) -> rendered response body.
+        self._bodies: Dict[Tuple[int, Tuple[str, ...]], str] = {}
+        #: Cleanly parsed response body -> (kind, ((advertisement, its document), ...)).
+        self._absorbed: Dict[str, Tuple[int, tuple]] = {}
         group.resolver.register_handler(self.HANDLER_NAME, self)
 
     # ------------------------------------------------------------ listeners
@@ -124,7 +149,8 @@ class DiscoveryService:
         (paper, Section 4.4.1)
         """
         advertisement.expiration = expiration
-        body = self._response_body(kind, [advertisement], query_id="push")
+        self.cache.rendering_changed(advertisement, kind)
+        body = self._response_body(kind, (advertisement.to_document(),))
         self.group.resolver.send_query(self.HANDLER_NAME, body)
         self.peer.metrics.counter("discovery_remote_published").increment()
 
@@ -192,15 +218,17 @@ class DiscoveryService:
         Malformed bodies (a remote peer's bug, or hostile input) are counted
         and dropped instead of crashing the resolver dispatch loop.
         """
-        try:
-            element = parse_xml(query.body)
-        except XmlParseError:
-            self.peer.metrics.counter("discovery_malformed").increment()
-            return None
-        if element.name == "DiscoveryResponse":
+        seen_before = query.body in self._absorbed  # only response bodies are
+        if not seen_before:
+            try:
+                element = parse_xml(query.body)
+            except XmlParseError:
+                self.peer.metrics.counter("discovery_malformed").increment()
+                return None
+        if seen_before or element.name == "DiscoveryResponse":
             # remote_publish pushes advertisements as unsolicited "queries"
             # carrying a response payload; absorb them without replying.
-            self._absorb_response(element, src_peer=query.src_peer, query_id=query.query_id)
+            self.process_response(query)
             return None
         try:
             kind = int(element.child_text("Kind", str(self.ADV)))
@@ -210,63 +238,78 @@ class DiscoveryService:
             return None
         attribute = element.child_text("Attribute") or None
         value = element.child_text("Value") or None
-        matches = self.cache.search(kind, attribute, value, limit=threshold)
+        matches = self.cache.matching(kind, attribute, value, limit=threshold)
         self.peer.metrics.counter("discovery_queries_served").increment()
         if not matches:
             return None
-        return self._response_body(kind, matches, query_id=query.query_id)
+        return self._response_body(kind, tuple(entry.rendered() for entry in matches))
 
-    def process_response(self, response: ResolverResponse) -> None:
-        """Handle a discovery response: cache the advertisements, notify listeners."""
-        try:
-            element = parse_xml(response.body)
-        except XmlParseError:
-            self.peer.metrics.counter("discovery_malformed").increment()
+    def process_response(self, response: Union[ResolverResponse, ResolverQuery]) -> None:
+        """Handle a discovery response (or a pushed one, which arrives as a
+        query): cache the advertisements, notify listeners."""
+        if response.src_peer == self.peer.peer_id:
             return
-        self._absorb_response(element, src_peer=response.src_peer, query_id=response.query_id)
-
-    def _absorb_response(
-        self, element: XmlElement, *, src_peer: PeerID, query_id: str
-    ) -> None:
-        if src_peer == self.peer.peer_id:
-            return
-        try:
-            kind = int(element.child_text("Kind", str(self.ADV)))
-        except ValueError:
-            self.peer.metrics.counter("discovery_malformed").increment()
-            return
-        advertisements: List[Advertisement] = []
-        for child in element.find_all("Adv"):
-            try:
-                advertisement = AdvertisementFactory.from_document(child.text)
-            except Exception:
-                self.peer.metrics.counter("discovery_malformed").increment()
-                continue
-            advertisement.created_at = self.peer.now
-            advertisements.append(advertisement)
+        body = response.body
+        parsed = self._absorbed.get(body)
+        if parsed is None:
+            parsed = self._parse_response(body)
+        kind, carried = parsed
+        now = self.peer.now
+        for advertisement, document in carried:
+            advertisement.created_at = now
             self.cache.publish(
-                advertisement, kind, lifetime=advertisement.expiration, local=False
+                advertisement,
+                kind,
+                lifetime=advertisement.expiration,
+                local=False,
+                document=document,
             )
-        if advertisements:
+        if carried:
             self.peer.metrics.counter("discovery_responses_received").increment()
             self._notify(
                 DiscoveryEvent(
                     kind=kind,
-                    advertisements=advertisements,
-                    src_peer=src_peer,
-                    query_id=query_id,
+                    advertisements=[advertisement for advertisement, _ in carried],
+                    src_peer=response.src_peer,
+                    query_id=response.query_id,
                 )
             )
 
-    def _response_body(
-        self, kind: int, advertisements: List[Advertisement], *, query_id: str
-    ) -> str:
-        response = XmlElement("DiscoveryResponse")
-        response.add("Kind", str(kind))
-        response.add("QueryId", query_id)
-        for advertisement in advertisements:
-            response.add("Adv", advertisement.to_document())
-        return to_xml(response, declaration=False)
+    def _parse_response(self, body: str) -> Tuple[int, tuple]:
+        """Parse a response body: malformed parts are counted and skipped; a
+        body without any is remembered, so its next arrival is a dictionary
+        lookup."""
+        try:
+            element = parse_xml(body)
+            kind = int(element.child_text("Kind", str(self.ADV)))
+        except ValueError:  # XmlParseError is one
+            self.peer.metrics.counter("discovery_malformed").increment()
+            return self.ADV, ()
+        carried = []
+        # The root check keeps a query document some peer sent as a
+        # "response" from ever short-cutting process_query.
+        clean = element.name == "DiscoveryResponse"
+        for child in element.find_all("Adv"):
+            try:
+                carried.append((AdvertisementFactory.from_document(child.text), child.text))
+            except Exception:
+                self.peer.metrics.counter("discovery_malformed").increment()
+                clean = False
+        parsed = (kind, tuple(carried))
+        if clean:
+            _remember(self._absorbed, body, parsed)
+        return parsed
+
+    def _response_body(self, kind: int, documents: Tuple[str, ...]) -> str:
+        body = self._bodies.get((kind, documents))
+        if body is None:
+            response = XmlElement("DiscoveryResponse")
+            response.add("Kind", str(kind))
+            for document in documents:
+                response.add("Adv", document)
+            body = to_xml(response, declaration=False)
+            _remember(self._bodies, (kind, documents), body)
+        return body
 
 
 __all__ = ["DiscoveryEvent", "DiscoveryListener", "DiscoveryService"]

@@ -10,26 +10,42 @@ dispatch information and discovery queries between peers").
 
 Services register listeners keyed by a service name and an optional service
 parameter; incoming envelopes are dispatched to the most specific listener.
+
+An envelope travels as a fixed-layout frame (all integers big-endian)::
+
+    i32 ttl, u8 propagate (0 / 1), u16 hop count, u32 body length
+    source peer, source address, destination peer, service, param,
+        envelope id, then each hop: u16 byte length + UTF-8 text
+        (so each at most 65 535 bytes)
+    body
+
+The body is the carried message's own frame (:mod:`repro.jxta.message`): it
+is copied in and out as opaque bytes, and a relaying peer forwards the bytes
+it received -- the body is carried, never re-encoded.
+:meth:`EndpointEnvelope.from_bytes` raises :class:`ValueError` on anything
+but a frame :meth:`EndpointEnvelope.to_bytes` can produce; the endpoint
+counts such packets in ``endpoint_malformed`` and drops them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.jxta.errors import RoutingError
 from repro.jxta.ids import BoundedIdSet, PeerID
 from repro.jxta.message import Message
 from repro.net.network import NetworkError, NoRouteError
 from repro.net.packet import Packet
 from repro.net.transport import TransportKind
-from repro.serialization.object_codec import ObjectCodec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.jxta.peer import Peer
 
-_ENVELOPE_CODEC = ObjectCodec(strict=True)
+#: ttl, propagate, hop count, body length.
+_HEADER = struct.Struct(">iBHI")
+_STRING_LENGTH = struct.Struct(">H")
 _envelope_counter = itertools.count(1)
 
 #: Address used for propagated (broadcast) envelopes.
@@ -66,38 +82,35 @@ class EndpointEnvelope:
     body: bytes = b""
 
     def to_bytes(self) -> bytes:
-        """Serialise the envelope for the network."""
-        return _ENVELOPE_CODEC.encode(
-            {
-                "src_peer": self.src_peer,
-                "src_address": self.src_address,
-                "dst_peer": self.dst_peer,
-                "service": self.service,
-                "param": self.param,
-                "envelope_id": self.envelope_id,
-                "ttl": self.ttl,
-                "propagate": self.propagate,
-                "hops": self.hops,
-                "body": self.body,
-            }
-        )
+        """Serialise the envelope for the network (layout in the module docstring)."""
+        parts = [_HEADER.pack(self.ttl, self.propagate, len(self.hops), len(self.body))]
+        for text in (
+            self.src_peer, self.src_address, self.dst_peer,
+            self.service, self.param, self.envelope_id, *self.hops,
+        ):
+            raw = text.encode("utf-8")
+            parts += (_STRING_LENGTH.pack(len(raw)), raw)
+        parts.append(self.body)
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EndpointEnvelope":
-        """Decode an envelope serialised with :meth:`to_bytes`."""
-        raw = _ENVELOPE_CODEC.decode(data)
-        return cls(
-            src_peer=raw["src_peer"],
-            src_address=raw["src_address"],
-            dst_peer=raw["dst_peer"],
-            service=raw["service"],
-            param=raw["param"],
-            envelope_id=raw["envelope_id"],
-            ttl=raw["ttl"],
-            propagate=raw["propagate"],
-            hops=list(raw["hops"]),
-            body=raw["body"],
-        )
+        """Decode a frame written by :meth:`to_bytes`; ValueError on a malformed one."""
+        try:
+            ttl, propagate, hop_count, body_length = _HEADER.unpack_from(data, 0)
+            offset = _HEADER.size
+            strings = []  # the six addressing fields, then the hops
+            for _ in range(6 + hop_count):
+                (length,) = _STRING_LENGTH.unpack_from(data, offset)
+                offset += _STRING_LENGTH.size + length
+                strings.append(data[offset - length : offset].decode())
+        except struct.error as error:
+            raise ValueError(f"truncated envelope frame: {error}") from error
+        # Offsets advance by the *declared* lengths, so one comparison rejects
+        # both a length that overruns the buffer and trailing bytes.
+        if propagate > 1 or offset + body_length != len(data):
+            raise ValueError("envelope frame lengths do not add up to the packet")
+        return cls(*strings[:6], ttl, bool(propagate), strings[6:], data[offset:])
 
     @property
     def source_peer_id(self) -> PeerID:
@@ -111,6 +124,10 @@ class EndpointEnvelope:
 
 #: Listener signature: ``listener(envelope, message)``.
 EndpointListener = Callable[[EndpointEnvelope, Message], None]
+
+
+def _urn(peer_id: PeerID | str) -> str:
+    return peer_id.to_urn() if isinstance(peer_id, PeerID) else peer_id
 
 
 class EndpointService:
@@ -135,8 +152,6 @@ class EndpointService:
         self._rendezvous: Dict[str, str] = {}
         #: peer URN -> network address of connected clients (when *this* peer is a rdv).
         self._clients: Dict[str, str] = {}
-        #: peer URN -> network address of known router peers.
-        self._routers: Dict[str, str] = {}
         #: Recently seen envelope ids (duplicate suppression).
         self._seen = BoundedIdSet(4096)
         self.metrics = peer.metrics
@@ -154,10 +169,6 @@ class EndpointService:
         """Remove a listener (missing registrations are ignored)."""
         self._listeners.pop((service, param), None)
 
-    def listener_count(self) -> int:
-        """Number of registered listeners (a proxy for PRP handler coverage)."""
-        return len(self._listeners)
-
     # --------------------------------------------------------- address book
 
     def learn_address(self, peer_id: PeerID | str, address: str) -> None:
@@ -168,31 +179,26 @@ class EndpointService:
         working when a peer's IP changes (the Pipe Binding Protocol relies on
         the stable peer UUID, not the address).
         """
-        urn = peer_id.to_urn() if isinstance(peer_id, PeerID) else peer_id
-        self._address_book[urn] = address
+        self._address_book[_urn(peer_id)] = address
 
     def known_address(self, peer_id: PeerID | str) -> Optional[str]:
         """The last known network address of a peer, or None."""
-        urn = peer_id.to_urn() if isinstance(peer_id, PeerID) else peer_id
-        return self._address_book.get(urn)
+        return self._address_book.get(_urn(peer_id))
 
     def forget_address(self, peer_id: PeerID | str) -> None:
         """Drop a peer from the address book (used by failure-injection tests)."""
-        urn = peer_id.to_urn() if isinstance(peer_id, PeerID) else peer_id
-        self._address_book.pop(urn, None)
+        self._address_book.pop(_urn(peer_id), None)
 
-    # ---------------------------------------------- rendezvous / router book
+    # ------------------------------------------------------- rendezvous book
 
     def add_rendezvous(self, peer_id: PeerID | str, address: str) -> None:
         """Record a rendez-vous peer this peer is connected to."""
-        urn = peer_id.to_urn() if isinstance(peer_id, PeerID) else peer_id
-        self._rendezvous[urn] = address
-        self.learn_address(urn, address)
+        self._rendezvous[_urn(peer_id)] = address
+        self.learn_address(peer_id, address)
 
     def remove_rendezvous(self, peer_id: PeerID | str) -> None:
         """Drop a rendez-vous connection."""
-        urn = peer_id.to_urn() if isinstance(peer_id, PeerID) else peer_id
-        self._rendezvous.pop(urn, None)
+        self._rendezvous.pop(_urn(peer_id), None)
 
     def rendezvous_connections(self) -> Dict[str, str]:
         """The rendez-vous peers this peer is connected to (URN -> address)."""
@@ -200,28 +206,16 @@ class EndpointService:
 
     def add_client(self, peer_id: PeerID | str, address: str) -> None:
         """Record a client peer connected to this rendez-vous."""
-        urn = peer_id.to_urn() if isinstance(peer_id, PeerID) else peer_id
-        self._clients[urn] = address
-        self.learn_address(urn, address)
+        self._clients[_urn(peer_id)] = address
+        self.learn_address(peer_id, address)
 
     def remove_client(self, peer_id: PeerID | str) -> None:
         """Drop a connected client."""
-        urn = peer_id.to_urn() if isinstance(peer_id, PeerID) else peer_id
-        self._clients.pop(urn, None)
+        self._clients.pop(_urn(peer_id), None)
 
     def client_connections(self) -> Dict[str, str]:
         """The clients connected to this rendez-vous (URN -> address)."""
         return dict(self._clients)
-
-    def add_router(self, peer_id: PeerID | str, address: str) -> None:
-        """Record a router peer usable for relayed delivery."""
-        urn = peer_id.to_urn() if isinstance(peer_id, PeerID) else peer_id
-        self._routers[urn] = address
-        self.learn_address(urn, address)
-
-    def router_addresses(self) -> List[str]:
-        """Known router addresses, in insertion order."""
-        return list(self._routers.values())
 
     # ----------------------------------------------------------------- send
 
@@ -317,17 +311,8 @@ class EndpointService:
         (unicast stays unicast, propagated stays propagated), one TTL hop
         spent, this peer appended to the path.  The body is carried, never
         re-encoded."""
-        return EndpointEnvelope(
-            src_peer=envelope.src_peer,
-            src_address=envelope.src_address,
-            dst_peer=envelope.dst_peer,
-            service=envelope.service,
-            param=envelope.param,
-            envelope_id=envelope.envelope_id,
-            ttl=envelope.ttl - 1,
-            propagate=envelope.propagate,
-            hops=[*envelope.hops, self.peer.peer_id.to_urn()],
-            body=envelope.body,
+        return replace(
+            envelope, ttl=envelope.ttl - 1, hops=[*envelope.hops, self.peer.peer_id.to_urn()]
         )
 
     # --------------------------------------------------------- unicast path
@@ -342,6 +327,16 @@ class EndpointService:
             return True
         return self._relay_through_router(envelope)
 
+    def _packet(self, destination: str, kind: TransportKind, envelope: EndpointEnvelope) -> Packet:
+        return Packet(
+            source=self.node.address,
+            destination=destination,
+            payload=envelope.to_bytes(),
+            protocol="jxta",
+            transport=kind.value,
+            ttl=envelope.ttl,
+        )
+
     def _send_packet(self, address: str, envelope: EndpointEnvelope) -> bool:
         """Try to send directly to ``address`` over TCP, then HTTP."""
         network = self.node.network
@@ -350,16 +345,8 @@ class EndpointService:
         for kind in (TransportKind.TCP, TransportKind.HTTP):
             if not network.reachable(self.node.address, address, kind):
                 continue
-            packet = Packet(
-                source=self.node.address,
-                destination=address,
-                payload=envelope.to_bytes(),
-                protocol="jxta",
-                transport=kind.value,
-                ttl=envelope.ttl,
-            )
             try:
-                self.node.send(packet)
+                self.node.send(self._packet(address, kind, envelope))
             except (NoRouteError, NetworkError):
                 continue
             self.metrics.counter("endpoint_sent").increment()
@@ -387,10 +374,8 @@ class EndpointService:
         return False
 
     def _router_candidates(self) -> List[str]:
-        """Router peers first, then rendez-vous peers (which also route)."""
-        candidates = list(self._routers.values())
-        candidates.extend(a for a in self._rendezvous.values() if a not in candidates)
-        return candidates
+        """The connected rendez-vous peers, which also route."""
+        return list(self._rendezvous.values())
 
     # -------------------------------------------------------- propagate path
 
@@ -403,25 +388,16 @@ class EndpointService:
             return 0
         # 1. IP multicast on the local segment (if we have the interface).
         if self.node.supports(TransportKind.MULTICAST):
-            packet = Packet(
-                source=self.node.address,
-                destination=Packet.MULTICAST_ADDRESS,
-                payload=envelope.to_bytes(),
-                protocol="jxta",
-                transport=TransportKind.MULTICAST.value,
-                ttl=envelope.ttl,
-            )
             try:
-                self.node.send(packet)
+                self.node.send(
+                    self._packet(Packet.MULTICAST_ADDRESS, TransportKind.MULTICAST, envelope)
+                )
                 sends += 1
             except NetworkError:
                 pass
         # 2. Unicast to connected rendez-vous peers (and, when we are the
         #    rendez-vous, to our connected clients).
-        targets: Dict[str, str] = {}
-        targets.update(self._rendezvous)
-        targets.update(self._clients)
-        for urn, address in targets.items():
+        for address in {**self._rendezvous, **self._clients}.values():
             if address in (self.node.address, exclude_address):
                 continue
             if self._send_packet(address, envelope):
@@ -445,8 +421,7 @@ class EndpointService:
             self._receive_unicast(envelope)
 
     def _receive_unicast(self, envelope: EndpointEnvelope) -> None:
-        my_urn = self.peer.peer_id.to_urn()
-        if envelope.dst_peer in (my_urn, ANY_PEER):
+        if envelope.dst_peer in (self.peer.peer_id.to_urn(), ANY_PEER):
             self._deliver_local(envelope)
             return
         # Not for us: we are acting as a relay (router/rendez-vous peer).

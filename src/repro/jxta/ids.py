@@ -61,10 +61,12 @@ class JxtaID:
     kind_code: ClassVar[str] = "00"
     kind_name: ClassVar[str] = "generic"
 
-    __slots__ = ("_uuid",)
+    __slots__ = ("_uuid", "_urn")
 
     def __init__(self, value: Optional[uuid.UUID] = None) -> None:
         self._uuid = value if value is not None else _default_factory.new_uuid()
+        #: IDs are immutable, so the URN form is rendered once.
+        self._urn = f"{_URN_PREFIX}{self._uuid.hex.upper()}{self.kind_code}"
 
     @property
     def uuid(self) -> uuid.UUID:
@@ -73,7 +75,7 @@ class JxtaID:
 
     def to_urn(self) -> str:
         """Render as ``urn:jxta:uuid-<hex><kind code>``."""
-        return f"{_URN_PREFIX}{self._uuid.hex.upper()}{self.kind_code}"
+        return self._urn
 
     @classmethod
     def from_urn(cls, urn: str) -> "JxtaID":

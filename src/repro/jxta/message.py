@@ -5,8 +5,24 @@ namespace and a MIME type, carrying either text or bytes.  Services
 communicate by adding elements to a message, handing it to the endpoint (or a
 pipe), and reading elements back out on the receiving side.
 
-Messages serialise to a compact binary envelope via the shared object codec;
-the serialised size is what the network and the cost model account, so padding
+Messages serialise to a fixed-layout binary frame (all integers big-endian)::
+
+    u32 element count
+    per element:
+        u8 kind (0 = text, 1 = bytes)
+        u16 name length, u16 namespace length, u16 MIME type length,
+        u32 content length
+        name, namespace, MIME type, content   (strings and text as UTF-8)
+
+Content bytes are copied into the frame as they are; nothing walks them (a
+name, namespace or MIME type is a header field, at most 65 535 bytes).
+:meth:`Message.from_bytes` accepts exactly the frames :meth:`Message.to_bytes`
+produces -- a length that overruns the buffer, trailing bytes, an unknown
+kind or invalid UTF-8 raise :class:`ValueError`.  The frame is computed once
+per message and kept until the message is edited, so sending one message to
+many peers, and re-sending it, shares one ``bytes`` object.
+
+The serialised size is what the network and the cost model account, so padding
 a message (as the benchmarks do to reach the paper's 1910-byte message size)
 genuinely affects simulated transmission and serialisation costs.
 """
@@ -14,20 +30,20 @@ genuinely affects simulated transmission and serialisation costs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+import struct
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Union
 
-from repro.serialization.object_codec import ObjectCodec
-
-#: Codec used for message envelopes (plain containers only -- no registration needed).
-_ENVELOPE_CODEC = ObjectCodec(strict=True)
+_COUNT = struct.Struct(">I")
+#: kind, then the byte lengths of name, namespace, MIME type and content.
+_ELEMENT = struct.Struct(">BHHHI")
 
 _message_counter = itertools.count(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MessageElement:
-    """One named element inside a message.
+    """One named, immutable element inside a message.
 
     Attributes
     ----------
@@ -82,6 +98,8 @@ class Message:
 
     def __init__(self, elements: Optional[List[MessageElement]] = None) -> None:
         self._elements: List[MessageElement] = list(elements or [])
+        #: The frame of the current elements; every edit drops it.
+        self._encoded: Optional[bytes] = None
         self.message_number = next(_message_counter)
 
     # --------------------------------------------------------------- editing
@@ -89,6 +107,7 @@ class Message:
     def add_element(self, element: MessageElement) -> None:
         """Append an element to the message."""
         self._elements.append(element)
+        self._encoded = None
 
     def add(
         self,
@@ -112,6 +131,7 @@ class Message:
         for index, element in enumerate(self._elements):
             if element.name == name and element.namespace == namespace:
                 del self._elements[index]
+                self._encoded = None
                 return True
         return False
 
@@ -158,51 +178,65 @@ class Message:
     # ------------------------------------------------------------ duplication
 
     def dup(self) -> "Message":
-        """Return a deep copy of the message (as JXTA requires before re-sending)."""
-        copy = Message(
-            [
-                MessageElement(
-                    name=e.name,
-                    content=e.content,
-                    namespace=e.namespace,
-                    mime_type=e.mime_type,
-                )
-                for e in self._elements
-            ]
-        )
-        return copy
+        """Return an independent copy (as JXTA requires before re-sending).
+
+        Elements are immutable, so the copy shares them; it never shares the
+        source's frame.
+        """
+        return Message(self._elements)
 
     # ----------------------------------------------------------- wire format
 
     def to_bytes(self) -> bytes:
-        """Serialise the message (element order is preserved)."""
-        payload = [
-            {
-                "name": e.name,
-                "namespace": e.namespace,
-                "mime_type": e.mime_type,
-                "text": e.content if isinstance(e.content, str) else None,
-                "data": e.content if isinstance(e.content, bytes) else None,
-            }
-            for e in self._elements
-        ]
-        return _ENVELOPE_CODEC.encode(payload)
+        """The message's frame (element order is preserved); see the module docstring."""
+        encoded = self._encoded
+        if encoded is None:
+            parts = [_COUNT.pack(len(self._elements))]
+            for element in self._elements:
+                name = element.name.encode("utf-8")
+                namespace = element.namespace.encode("utf-8")
+                mime_type = element.mime_type.encode("utf-8")
+                content = element.as_bytes
+                parts.append(
+                    _ELEMENT.pack(
+                        isinstance(element.content, bytes),
+                        len(name), len(namespace), len(mime_type), len(content),
+                    )
+                )
+                parts += (name, namespace, mime_type, content)
+            encoded = self._encoded = b"".join(parts)
+        return encoded
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Message":
-        """Reconstruct a message serialised by :meth:`to_bytes`."""
-        payload = _ENVELOPE_CODEC.decode(data)
-        elements = []
-        for entry in payload:
-            content = entry["text"] if entry["text"] is not None else entry["data"]
-            elements.append(
-                MessageElement(
-                    name=entry["name"],
-                    content=content,
-                    namespace=entry["namespace"],
-                    mime_type=entry["mime_type"],
+        """Reconstruct a message from a frame; raises ValueError on a malformed one."""
+        size = len(data)
+        try:
+            (count,) = _COUNT.unpack_from(data, 0)
+            offset = _COUNT.size
+            elements = []
+            for _ in range(count):
+                kind, n_name, n_namespace, n_mime, n_content = _ELEMENT.unpack_from(data, offset)
+                name_at = offset + _ELEMENT.size
+                namespace_at = name_at + n_name
+                mime_at = namespace_at + n_namespace
+                content_at = mime_at + n_mime
+                offset = content_at + n_content
+                if kind > 1 or offset > size:
+                    raise ValueError(f"unknown element kind {kind} or a length overruns the frame")
+                content = data[content_at:offset]
+                elements.append(
+                    MessageElement(
+                        data[name_at:namespace_at].decode(),
+                        content if kind else content.decode(),
+                        data[namespace_at:mime_at].decode(),
+                        data[mime_at:content_at].decode(),
+                    )
                 )
-            )
+        except struct.error as error:
+            raise ValueError(f"truncated message frame: {error}") from error
+        if offset != size:
+            raise ValueError(f"{size - offset} trailing bytes after the message frame")
         return cls(elements)
 
     def pad_to(self, target_size: int, *, name: str = "padding") -> None:

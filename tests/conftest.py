@@ -33,3 +33,43 @@ def two_peers(builder):
     b = builder.add_peer("beta", connect_rendezvous=False)
     builder.settle(rounds=4)
     return a, b, builder
+
+
+def _damaged_frames(frame: bytes):
+    """``(candidate, must_reject)`` pairs: ``frame`` damaged every cheap way.
+
+    Every truncation and three kinds of trailing garbage (never a valid
+    frame), then two bit flips per byte (a flip inside *content* makes a
+    different valid frame, so those only must not half-succeed).
+    """
+    for cut in range(len(frame)):
+        yield frame[:cut], True
+    for tail in (b"\x00", b"garbage", frame):
+        yield frame + tail, True
+    for index, byte in enumerate(frame):
+        for bit in (0x01, 0x80):
+            yield frame[:index] + bytes([byte ^ bit]) + frame[index + 1 :], False
+
+
+@pytest.fixture
+def check_frame_fuzz():
+    """``check(frame, decode, encode)``: ``decode`` never half-succeeds on damage.
+
+    A damaged frame either raises ValueError or decodes to an object whose
+    own encoding is exactly the damaged bytes -- so a length that overruns
+    the buffer, a read past its end and silently ignored trailing bytes all
+    fail.  Returns the damaged frames for further use.
+    """
+
+    def check(frame, decode, encode):
+        damaged = list(_damaged_frames(frame))
+        for candidate, must_reject in damaged:
+            try:
+                decoded = decode(candidate)
+            except ValueError:
+                continue
+            assert not must_reject, candidate
+            assert encode(decoded) == candidate
+        return [candidate for candidate, _ in damaged]
+
+    return check

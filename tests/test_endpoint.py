@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.jxta.endpoint import EndpointEnvelope
 from repro.jxta.message import Message
 from repro.net.firewall import Firewall
 from repro.net.network import LinkSpec
+from repro.net.packet import Packet
 from repro.net.transport import TransportKind
 
 
@@ -23,6 +25,15 @@ def _register(peer, service="test.service", param=""):
         service, param, lambda envelope, message: received.append((envelope, message))
     )
     return received
+
+
+def _envelope(**overrides):
+    fields = dict(
+        src_peer="urn:src", src_address="host-a", dst_peer="urn:dst", service="svc",
+        param="p", envelope_id="id-1", ttl=3, propagate=False, hops=[], body=b"",
+    )
+    fields.update(overrides)
+    return EndpointEnvelope(**fields)
 
 
 class TestEnvelope:
@@ -44,6 +55,115 @@ class TestEnvelope:
         assert restored.dst_peer == "urn:dst"
         assert restored.hops == ["urn:relay"]
         assert restored.message().get_text("body") == "payload"
+
+    def test_body_is_carried_not_re_encoded(self):
+        """The frame holds the body bytes verbatim -- a relay that decodes
+        and re-encodes an envelope never touches the carried message."""
+        body = _message("carried").to_bytes()
+        envelope = _envelope(body=body)
+        assert envelope.to_bytes().endswith(body)
+        assert EndpointEnvelope.from_bytes(envelope.to_bytes()).body == body
+
+    def test_frame_fuzz(self, check_frame_fuzz):
+        envelope = _envelope(
+            src_peer="urn:jxta:uuid-é", hops=["urn:relay-1", "urn:relay-2"], ttl=3,
+            propagate=True, body=_message().to_bytes(),
+        )
+        check_frame_fuzz(
+            envelope.to_bytes(), EndpointEnvelope.from_bytes, EndpointEnvelope.to_bytes
+        )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda frame: b"",
+            lambda frame: frame[:10],  # inside the header
+            lambda frame: frame[:4] + b"\x02" + frame[5:],  # propagate is 0 or 1
+            lambda frame: frame[:5] + b"\xff\xff" + frame[7:],  # 65 535 hops, none present
+            lambda frame: frame[:7] + b"\xff\xff\xff\xff" + frame[11:],  # body overruns
+            lambda frame: frame[:11] + b"\xff\xff" + frame[13:],  # source peer overruns
+            lambda frame: frame[:13] + b"\xff" + frame[14:],  # invalid UTF-8 in a string
+        ],
+        ids=["empty", "short-header", "propagate", "hop-count", "body-overrun", "string-overrun", "utf8"],
+    )
+    def test_malformed_frames_raise(self, damage):
+        with pytest.raises(ValueError):
+            EndpointEnvelope.from_bytes(damage(_envelope(body=b"body").to_bytes()))
+
+
+_urns = st.text(max_size=24)  # non-ASCII included
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strings=st.tuples(*[_urns] * 6),
+    ttl=st.integers(min_value=-(2**31), max_value=2**31 - 1),
+    propagate=st.booleans(),
+    hops=st.lists(_urns, max_size=4),
+    body=st.binary(max_size=64),
+)
+def test_property_envelope_round_trip(strings, ttl, propagate, hops, body):
+    """Every field survives the frame: non-ASCII URNs, empty and multi-entry
+    ``hops``, an empty body, ``ttl`` 0 and below."""
+    src_peer, src_address, dst_peer, service, param, envelope_id = strings
+    envelope = EndpointEnvelope(
+        src_peer, src_address, dst_peer, service, param, envelope_id, ttl, propagate, hops, body
+    )
+    assert EndpointEnvelope.from_bytes(envelope.to_bytes()) == envelope
+
+
+class TestMalformedPackets:
+    """Bytes that are not an envelope frame around a message frame are
+    counted and dropped: no listener runs, nothing raises into the network's
+    delivery callback."""
+
+    def test_damaged_frames_are_counted_and_dropped(self, two_peers, check_frame_fuzz):
+        alpha, beta, _builder = two_peers
+        received = _register(beta)
+        body = _message("intact").to_bytes()
+        frame = _envelope(
+            src_peer=alpha.peer_id.to_urn(), src_address=alpha.node.address,
+            dst_peer=beta.peer_id.to_urn(), service="test.service", param="", body=body,
+        ).to_bytes()
+
+        def dropped_count():
+            counters = beta.metrics.counters()
+            # A damaged envelope frame is "malformed"; an intact envelope
+            # around a damaged message frame fails where the listener's
+            # message is decoded.
+            return counters.get("endpoint_malformed", 0), counters.get(
+                "endpoint_listener_errors", 0
+            )
+
+        def damage(payload):
+            try:
+                envelope = EndpointEnvelope.from_bytes(payload)
+            except ValueError:
+                return (1, 0)
+            try:
+                envelope.message()
+            except ValueError:
+                return (0, 1)
+            return (0, 0)
+
+        damaged = check_frame_fuzz(frame, EndpointEnvelope.from_bytes, EndpointEnvelope.to_bytes)
+        dropped = 0
+        for payload in [frame, *damaged]:
+            counted, seen = dropped_count(), len(received)
+            beta.endpoint._on_packet(
+                Packet(source=alpha.node.address, destination=beta.node.address, payload=payload)
+            )
+            expected = damage(payload)
+            assert dropped_count() == (counted[0] + expected[0], counted[1] + expected[1])
+            if any(expected):
+                dropped += 1
+                assert len(received) == seen
+        # The intact frame got through; every truncation, every extension and
+        # every flip inside the carried message's own header did not.
+        assert received[0][1].get_text("body") == "intact"
+        assert dropped >= len(frame) + 3
+        assert dropped_count()[0] >= len(frame) + 3
+        assert all(message.to_bytes() == envelope.body for envelope, message in received)
 
 
 class TestUnicast:

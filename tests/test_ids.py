@@ -41,6 +41,15 @@ class TestUrnFormat:
         assert type(restored) is cls
         assert restored == identifier
 
+    @pytest.mark.parametrize("cls", ALL_KINDS)
+    def test_urn_is_rendered_once_per_instance(self, cls):
+        value = uuid.UUID(int=0xABCDEF)
+        identifier = cls(value)
+        assert identifier.to_urn() is identifier.to_urn()
+        assert identifier.to_urn() == f"urn:jxta:uuid-{value.hex.upper()}{cls.kind_code}"
+        # A lower-case spelling parses to an equal ID that renders canonically.
+        assert cls.from_urn(identifier.to_urn().replace("ABCDEF", "abcdef")).to_urn() == str(identifier)
+
     def test_kind_specific_parse_rejects_other_kinds(self):
         pipe_urn = PipeID().to_urn()
         with pytest.raises(AdvertisementError):

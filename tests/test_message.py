@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,13 @@ class TestMessageElement:
     def test_size(self):
         assert MessageElement("t", "abc").size == 3
         assert MessageElement("b", b"12345").size == 5
+
+    def test_elements_are_immutable(self):
+        """A message keeps its frame between edits, so an element it holds
+        must not be editable behind its back."""
+        element = MessageElement("t", "abc")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            element.content = "changed"
 
 
 class TestMessage:
@@ -111,6 +120,65 @@ class TestMessage:
         assert Message().message_number != Message().message_number
 
 
+class TestFrameMemo:
+    """``to_bytes`` is computed once per edit and shared by every caller."""
+
+    @staticmethod
+    def _message():
+        message = Message()
+        message.add("a", "1")
+        message.add("b", b"\x02")
+        return message
+
+    def test_unedited_message_returns_the_same_bytes_object(self):
+        message = self._message()
+        assert message.to_bytes() is message.to_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.add("c", "3"),
+            lambda m: m.add_element(MessageElement("c", "3")),
+            lambda m: m.remove("a"),
+            lambda m: m.pad_to(64),
+        ],
+        ids=["add", "add_element", "remove", "pad_to"],
+    )
+    def test_every_edit_invalidates(self, edit):
+        message = self._message()
+        before = message.to_bytes()
+        edit(message)
+        after = message.to_bytes()
+        assert after != before
+        restored = Message.from_bytes(after)
+        assert [(e.name, e.content) for e in restored] == [(e.name, e.content) for e in message]
+        assert message.to_bytes() is after
+
+    def test_edits_that_change_nothing_keep_the_frame(self):
+        message = self._message()
+        before = message.to_bytes()
+        assert not message.remove("missing")
+        message.pad_to(1)  # already larger
+        assert message.to_bytes() is before
+
+    def test_dup_never_inherits_the_source_frame(self):
+        message = self._message()
+        frame = message.to_bytes()
+        copy = message.dup()
+        assert copy.to_bytes() == frame and copy.to_bytes() is not frame
+        copy.add("c", "3")
+        assert message.to_bytes() is frame
+        assert len(Message.from_bytes(copy.to_bytes())) == 3
+        assert len(Message.from_bytes(message.to_bytes())) == 2
+
+    def test_dup_shares_elements_not_the_list(self):
+        message = self._message()
+        copy = message.dup()
+        assert all(a is b for a, b in zip(message, copy))
+        copy.remove("a")
+        assert message.has("a")
+
+
 # ----------------------------------------------------------------- property
 
 _names = st.from_regex(r"[A-Za-z][A-Za-z0-9._-]{0,12}", fullmatch=True)
@@ -127,8 +195,32 @@ def test_property_message_round_trip(elements):
     for name, content, namespace in elements:
         message.add(name, content, namespace=namespace)
     restored = Message.from_bytes(message.to_bytes())
-    assert len(restored) == len(message)
-    for original, copy in zip(message.elements(), restored.elements()):
-        assert copy.name == original.name
-        assert copy.namespace == original.namespace
-        assert copy.as_bytes == original.as_bytes
+    assert restored.elements() == message.elements()
+
+
+# --------------------------------------------------------------------- fuzz
+
+
+def test_message_frame_fuzz(check_frame_fuzz):
+    message = Message()
+    message.add("text", "héllo", namespace="ns")
+    message.add("data", b"\x00\xff\x10", mime_type="application/x-thing")
+    message.add("empty", "")
+    check_frame_fuzz(message.to_bytes(), Message.from_bytes, Message.to_bytes)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        b"",
+        b"\x00\x00\x00",  # shorter than the count
+        b"\xff\xff\xff\xff",  # four billion elements, none present
+        b"\x00\x00\x00\x01" + b"\x00" + b"\x00\x01\x00\x00\x00\x00" + b"\xff\xff\xff\xff" + b"n",
+        b"\x00\x00\x00\x01" + b"\x02" + b"\x00" * 10,  # unknown kind
+        b"\x00\x00\x00\x01" + b"\x00" + b"\x00\x01" + b"\x00" * 8 + b"\xff",  # bad UTF-8
+    ],
+    ids=["empty", "short-count", "huge-count", "content-overrun", "kind", "utf8"],
+)
+def test_malformed_message_frames_raise(frame):
+    with pytest.raises(ValueError):
+        Message.from_bytes(frame)

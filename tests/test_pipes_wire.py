@@ -8,7 +8,13 @@ from repro.jxta.advertisement import PipeAdvertisement
 from repro.jxta.errors import PipeError
 from repro.jxta.message import Message
 from repro.jxta.pipes import PipeKind
-from repro.jxta.wire import WIRE_ACK_REQ_ELEMENT, WIRE_MSG_ID_ELEMENT, WireService
+from repro.jxta.wire import (
+    WIRE_ACK_REQ_ELEMENT,
+    WIRE_MSG_ID_ELEMENT,
+    WireReliability,
+    WireService,
+)
+from repro.net.faults import FaultPlan
 
 
 def _pipe_adv(name="test-pipe", kind=PipeKind.UNICAST):
@@ -299,6 +305,50 @@ class TestWireService:
         # The receive side keeps the one series Figure 20 is drawn from.
         assert list(beta.metrics.all_series()) == ["wire_received"]
         assert len(beta.metrics.series("wire_received").times) == sends
+
+    @staticmethod
+    def _sent_bodies(peer, advertisement, monkeypatch):
+        """Record the body of every data envelope ``peer`` puts on ``advertisement``'s pipe."""
+        bodies = []
+        send_packet = peer.endpoint._send_packet
+
+        def spy(address, envelope):
+            if (envelope.service, envelope.param) == (
+                WireService.WireName, advertisement.pipe_id.to_urn()
+            ):
+                bodies.append(envelope.body)
+            return send_packet(address, envelope)
+
+        monkeypatch.setattr(peer.endpoint, "_send_packet", spy)
+        return bodies
+
+    def test_one_send_shares_one_frame_across_targets(self, lan, monkeypatch):
+        """The message is serialised once per send, not once per bound peer."""
+        builder = lan
+        sender = builder.peer_named("peer-0")
+        receivers = [builder.peer_named("peer-1"), builder.peer_named("peer-2")]
+        advertisement, output, inboxes = self._wire_pair(builder, sender, receivers)
+        bodies = self._sent_bodies(sender, advertisement, monkeypatch)
+        output.send(_message("event"))
+        builder.settle(rounds=2)
+        assert len(bodies) == 2 and bodies[0] is bodies[1]
+        assert all(inbox[0].get_text("body") == "event" for inbox in inboxes)
+
+    def test_reliable_retry_resends_the_same_frame(self, two_peers, monkeypatch):
+        """A retransmission reuses the bytes of the first transmission."""
+        alpha, beta, builder = two_peers
+        advertisement, output, inboxes = self._wire_pair(
+            builder, alpha, [beta], reliability=WireReliability()
+        )
+        bodies = self._sent_bodies(alpha, advertisement, monkeypatch)
+        builder.network.fault_plan = FaultPlan(seed=5).drop_next(
+            alpha.node.address, beta.node.address, count=1
+        )
+        output.send(_message("again"))
+        builder.settle(rounds=8)
+        assert alpha.metrics.counters().get("wire_retries", 0) == 1
+        assert len(bodies) == 2 and bodies[0] is bodies[1]
+        assert [m.get_text("body") for m in inboxes[0]] == ["again"]
 
     def test_send_without_bindings_falls_back_to_propagation(self, two_peers):
         alpha, beta, builder = two_peers

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 import pytest
 
-from repro.jxta.advertisement import PeerGroupAdvertisement, PipeAdvertisement
+from repro.jxta.advertisement import (
+    AdvertisementFactory,
+    PeerGroupAdvertisement,
+    PipeAdvertisement,
+)
 from repro.jxta.cache import DiscoveryKind
 from repro.jxta.discovery import DiscoveryEvent
 from repro.jxta.errors import ResolverError
 from repro.jxta.resolver import ResolverQuery, ResolverResponse
+from repro.serialization.xml_codec import XmlElement, parse_xml, to_xml
 
 
 class EchoHandler:
@@ -217,6 +223,218 @@ class TestDiscovery:
         assert len(found) >= 1
 
 
+class _UnmemoisedDiscovery:
+    """What the discovery handlers did before they kept anything: render every
+    response from the advertisement objects, parse every body from scratch.
+
+    Wraps one live service's ``process_query`` / ``process_response`` and
+    checks each call against that reference *at the instant of the call*.
+    """
+
+    def __init__(self, peer, monkeypatch):
+        self.peer = peer
+        self.discovery = peer.world_group.discovery
+        self.cache = self.discovery.cache
+        self.events: list[DiscoveryEvent] = []
+        self.served: list[str] = []
+        self.absorbed = 0
+        self.discovery.add_discovery_listener(self.events.append)
+        self._process_query = self.discovery.process_query
+        self._process_response = self.discovery.process_response
+        monkeypatch.setattr(self.discovery, "process_query", self.process_query)
+        monkeypatch.setattr(self.discovery, "process_response", self.process_response)
+
+    @staticmethod
+    def render(kind, advertisements):
+        response = XmlElement("DiscoveryResponse")
+        response.add("Kind", str(kind))
+        for advertisement in advertisements:
+            response.add("Adv", advertisement.to_document())
+        return to_xml(response, declaration=False)
+
+    def snapshot(self):
+        """(kind, key) -> everything an entry holds, its document rendered now."""
+        state = {}
+        for kind in DiscoveryKind.ALL:
+            for entry in self.cache.entries(kind):
+                advertisement = entry.advertisement
+                fresh = advertisement.to_document()
+                assert entry.document in (None, fresh), "a kept document went stale"
+                state[kind, advertisement.unique_key()] = (
+                    fresh, entry.lifetime, entry.inserted_at, entry.local,
+                )
+        return state
+
+    def process_query(self, query):
+        element = parse_xml(query.body)
+        if element.name == "DiscoveryResponse":
+            # A remote_publish push: the service hands it to process_response.
+            return self._process_query(query)
+        matches = self.cache.search(
+            int(element.child_text("Kind")),
+            element.child_text("Attribute") or None,
+            element.child_text("Value") or None,
+            limit=int(element.child_text("Threshold")),
+        )
+        expected = self.render(int(element.child_text("Kind")), matches) if matches else None
+        served = self._process_query(query)
+        assert served == expected
+        if served is not None:
+            self.served.append(served)
+        return served
+
+    def process_response(self, arrival):
+        element = parse_xml(arrival.body)
+        kind = int(element.child_text("Kind"))
+        carried = [
+            AdvertisementFactory.from_document(child.text) for child in element.find_all("Adv")
+        ]
+        expected, heard = self.snapshot(), len(self.events)
+        self._process_response(arrival)
+        now = self.peer.now
+        for advertisement in carried:
+            expected[kind, advertisement.unique_key()] = (
+                advertisement.to_document(), advertisement.expiration, now, False,
+            )
+        assert self.snapshot() == expected
+        assert carried, "this test's peers never send an empty response"
+        (event,) = self.events[heard:]
+        assert (event.kind, event.src_peer, event.query_id) == (
+            kind, arrival.src_peer, arrival.query_id,
+        )
+        assert [a.to_document() for a in event.advertisements] == [
+            a.to_document() for a in carried
+        ]
+        assert all(a.created_at == now for a in event.advertisements)
+        self.absorbed += 1
+
+
+class TestDiscoveryMemoDifferential:
+    """The rendered-body and parsed-body memos change no observable result.
+
+    A seeded op sequence over two peers; every served body and every absorbed
+    response is compared with the un-memoised reference above.
+    """
+
+    EXPIRATIONS = (12.0, 600.0, 7200.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_seeded_op_sequence(self, two_peers, monkeypatch, seed):
+        alpha, beta, builder = two_peers
+        rng = random.Random(seed)
+        sides = [_UnmemoisedDiscovery(peer, monkeypatch) for peer in (alpha, beta)]
+        owned = {id(side): [] for side in sides}
+        counter = iter(range(10_000))
+
+        def publish(side):
+            advertisement = PeerGroupAdvertisement(name=f"PS$T-{next(counter)}")
+            owned[id(side)].append(advertisement)
+            # Some publications are short-lived so "advance" can expire them.
+            side.discovery.publish(
+                advertisement, DiscoveryKind.GROUP, lifetime=rng.choice([8.0, None])
+            )
+
+        def remote_publish(side):
+            if owned[id(side)]:
+                side.discovery.remote_publish(
+                    rng.choice(owned[id(side)]),
+                    DiscoveryKind.GROUP,
+                    expiration=rng.choice(self.EXPIRATIONS),
+                )
+
+        def mutate_and_republish(side):
+            if owned[id(side)]:
+                advertisement = rng.choice(owned[id(side)])
+                advertisement.description = f"edited-{next(counter)}"
+                side.discovery.publish(advertisement, DiscoveryKind.GROUP)
+
+        def flush(side):
+            if rng.random() < 0.5 or not owned[id(side)]:
+                side.discovery.flush_advertisements(None, DiscoveryKind.GROUP)
+            else:
+                victim = rng.choice(owned[id(side)])
+                side.discovery.flush_advertisements(
+                    victim.get_gid().to_urn(), DiscoveryKind.GROUP
+                )
+
+        def advance(side):
+            builder.network.simulator.run_for(rng.choice([3.0, 10.0, 15.0]))
+
+        def query(side):
+            side.discovery.get_remote_advertisements(
+                None, DiscoveryKind.GROUP, "Name", "PS$T-*", threshold=rng.choice([2, 10])
+            )
+
+        ops = [publish, remote_publish, mutate_and_republish, flush, advance, query, query, query]
+        for side in sides:
+            publish(side)
+        for _ in range(120):
+            rng.choice(ops)(rng.choice(sides))
+            builder.settle(rounds=2)
+        # The sequence did reach both memos: some bodies were served again
+        # as the same object, some advertisements absorbed again as the same
+        # objects (the lists keep them alive, so ids are not recycled).
+        served = [body for side in sides for body in side.served]
+        heard = [a for side in sides for event in side.events for a in event.advertisements]
+        assert len(served) > 20 and sum(side.absorbed for side in sides) > 20
+        assert len({id(body) for body in served}) < len(served)
+        assert len({id(advertisement) for advertisement in heard}) < len(heard)
+
+    def test_every_invalidation_path_with_one_asker(self, two_peers, monkeypatch):
+        """Only beta asks, so alpha's entries stay its own publications (a
+        peer that asks absorbs its advertisements back as remote copies) and
+        each path that changes a rendered field is followed by a serve."""
+        alpha, beta, builder = two_peers
+        owner, asker = (_UnmemoisedDiscovery(peer, monkeypatch) for peer in (alpha, beta))
+        kind = DiscoveryKind.GROUP
+
+        def ask():
+            asker.discovery.get_remote_advertisements(None, kind, "Name", "PS$T-*")
+            builder.settle(rounds=2)
+            return owner.served[-1]
+
+        first = PeerGroupAdvertisement(name="PS$T-first")
+        owner.discovery.publish(first, kind)
+        body = ask()
+        assert ask() is body  # nothing changed: not rendered again
+        owner.discovery.remote_publish(first, kind, expiration=12.0)  # a rendered field
+        builder.settle(rounds=2)
+        assert "<Expiration>12.0" in parse_xml(ask()).child_text("Adv")
+        first.description = "edited"
+        owner.discovery.publish(first, kind)
+        assert "edited" in ask()
+        second = PeerGroupAdvertisement(name="PS$T-second")
+        owner.discovery.publish(second, kind, lifetime=8.0)
+        assert "PS$T-second" in ask()
+        owner.discovery.flush_advertisements(first.get_gid().to_urn(), kind)
+        assert "PS$T-first" not in ask()
+        builder.network.simulator.run_for(10.0)  # past ``second``'s lifetime
+        served = len(owner.served)
+        asker.discovery.get_remote_advertisements(None, kind, "Name", "PS$T-*")
+        builder.settle(rounds=2)
+        assert len(owner.served) == served  # nothing left to serve
+
+    def test_memos_are_bounded_and_evict_oldest_first(self, two_peers):
+        from repro.jxta import discovery as discovery_module
+
+        alpha, beta, _builder = two_peers
+        service = alpha.world_group.discovery
+        limit = discovery_module._MEMO_LIMIT
+        bodies = []
+        for index in range(limit + 5):
+            advertisement = PeerGroupAdvertisement(name=f"PS$Many-{index}")
+            body = _UnmemoisedDiscovery.render(DiscoveryKind.GROUP, [advertisement])
+            bodies.append(body)
+            service.process_response(
+                ResolverResponse(
+                    handler_name="h", query_id="q", body=body, src_peer=beta.peer_id
+                )
+            )
+            assert service._response_body(DiscoveryKind.GROUP, (body,))
+        assert list(service._absorbed) == bodies[5:]
+        assert [key[1][0] for key in service._bodies] == bodies[5:]
+
+
 class TestMalformedRemoteBodies:
     """A remote peer's malformed XML must never crash the dispatch loop.
 
@@ -243,12 +461,30 @@ class TestMalformedRemoteBodies:
     def test_discovery_drops_malformed_bodies(self, two_peers):
         alpha, _, _ = two_peers
         discovery = alpha.world_group.discovery
-        for body in self.BAD_BODIES:
+        def malformed():
+            return alpha.metrics.counters().get("discovery_malformed", 0)
+
+        # Every body twice: a malformed body is never remembered, so its
+        # second arrival is counted like its first.
+        for body in self.BAD_BODIES * 2:
+            before = malformed()
             assert discovery.process_query(self._query(body)) is None
             discovery.process_response(self._response(body))
+            assert malformed() == before + 2
         # Numeric fields that do not parse are dropped too.
         assert discovery.process_query(self._query("<DiscoveryQuery><Kind>NaN</Kind></DiscoveryQuery>")) is None
-        assert alpha.metrics.counters().get("discovery_malformed", 0) >= len(self.BAD_BODIES) * 2 + 1
+        # So is one bad advertisement among good ones, on every arrival.
+        good = PeerGroupAdvertisement(name="PS$Good").to_document()
+        mixed = XmlElement("DiscoveryResponse")
+        mixed.add("Kind", "1")
+        mixed.add("Adv", good)
+        mixed.add("Adv", "<not an advertisement")
+        for arrival in range(2):
+            before = malformed()
+            discovery.process_response(self._response(to_xml(mixed, declaration=False)))
+            assert malformed() == before + 1
+        assert malformed() == len(self.BAD_BODIES) * 4 + 1 + 2
+        assert discovery.cache.count(DiscoveryKind.GROUP) >= 1
 
     def test_cms_drops_malformed_bodies(self, two_peers):
         alpha, _, _ = two_peers

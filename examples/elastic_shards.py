@@ -10,9 +10,8 @@ The placement layer in one sitting:
    surviving shards (``crc32 % N``, the arithmetic the ring replaced, would
    move ~N/(N+1) of them).
 2. *Live resharding* -- ``bus.add_shard()`` / ``bus.remove_shard()`` work on
-   a *running* bus: a drain-then-switch migration pauses only the keys that
-   change owner, drains in-flight deliveries, and swaps an immutable epoch
-   snapshot -- publishers on unaffected keys never block.
+   a *running* bus: a reshard swaps one immutable (epoch, placement)
+   snapshot over the bus's single route table -- publishers never block.
 3. *Order preservation* -- a publisher streaming sequenced events across a
    migration loses, duplicates and reorders nothing.
 

@@ -16,7 +16,7 @@ there.
   under an internal lock can re-enter and deadlock, or block every other
   thread on the lock while it runs.
 * **RL003 snapshot-mutation** -- attributes documented as immutable dispatch
-  snapshots (``_handlers``, epoch ``shards``/``placement`` rows) may only be
+  snapshots (``_handlers``, the sharded bus's ``_topology``) may only be
   *rebound* to fresh tuples, never mutated in place: lock-free readers rely
   on a single atomic attribute load observing old-or-new, never half-built.
 * **RL004 determinism** -- the simulated substrate (``repro.net``,
@@ -456,11 +456,16 @@ DEFAULT_PROFILE = {
     "RL003": RuleScope(
         options={
             # ``_handlers``: the TPSSubscriberManager dispatch snapshot.
-            # ``shards``/``placement``/``shard_ids``: the _Epoch /
-            # Placement routing rows the sharded publish path reads
-            # lock-free.  (``inflight`` is deliberately absent: the epoch's
-            # in-flight list is the one mutable, CPython-atomic field.)
-            "snapshot_attrs": ("_handlers", "shards", "placement", "shard_ids"),
+            # ``_topology``: ShardedLocalBus's (epoch number, Placement)
+            # pair, read lock-free once per batch; ``shards``/``placement``/
+            # ``shard_ids`` are its public views and the ring's id tuple.
+            "snapshot_attrs": (
+                "_handlers",
+                "_topology",
+                "shards",
+                "placement",
+                "shard_ids",
+            ),
         }
     ),
     # Determinism applies to the simulated substrate and the engine core;

@@ -887,8 +887,8 @@ def _bench_reshard_live(profile: Dict[str, Any]) -> Dict[str, Any]:
     One content-keyed ring bus (the PR 7 elastic default), one subscriber,
     one publisher streaming the same key corpus twice: first against a
     fixed topology (steady), then again while a background thread grows the
-    bus by one shard mid-stream (the drain-then-switch migration pauses
-    only the moved keys, so throughput should dip, not stop).  The scenario
+    bus by one shard mid-stream (a reshard is one snapshot swap that no
+    publish waits for, so throughput should hold).  The scenario
     also records the placement-layer movement bound in action: how many of
     the corpus keys the migration actually re-homed (consistent hashing
     promises ~1/(N+1) of them; mod-N rehashing would move ~N/(N+1)).

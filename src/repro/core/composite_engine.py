@@ -257,20 +257,27 @@ class ShardedJxtaTPSEngine(JxtaTPSEngine):
     def publish(self, event: Any) -> PublishReceipt:
         """Publish locally through the sharded bus *and* remotely over JXTA.
 
-        The placement key is resolved first, so a content-keyed event
-        missing its declared attribute fails before anything is sent; the
-        wire send runs next (it can refuse with ``NotInitializedError``
-        before the network settles, and it records the event as sent), and
-        local shard delivery last -- via the bus's own epoch-registered
-        publish path, so a concurrent ``add_shard``/``remove_shard`` either
-        waits this delivery out or this delivery routes through one
-        consistent placement snapshot (never a stale pre-computed shard
-        index).  The receipt is the wire receipt with the local delivery
-        prepended: one extra "pipe" (the bus) and its delivered-count as
-        the first wire receipt entry.
+        The copy and its placement key are resolved first, so a
+        content-keyed event missing its declared attribute fails before
+        anything is sent; the wire send runs next (it can refuse with
+        ``NotInitializedError`` before the network settles, and it records
+        the event as sent), and local delivery last, through the bus's own
+        publish path -- one route table whatever the shard count, so a
+        concurrent ``add_shard``/``remove_shard`` changes nothing about who
+        receives it.  The receipt is the wire receipt with the local
+        delivery prepended: one extra "pipe" (the bus) and its
+        delivered-count as the first wire receipt entry.
         """
+        return self._publish_copy(event, self._keyed_copy(event))
+
+    def _keyed_copy(self, event: Any) -> Any:
+        """The bus-side copy of ``event``, refused unless the bus can key it."""
         copy = self._begin_publish(event)
         self.bus.placement_key(self.registry.advertised_name, copy)
+        return copy
+
+    def _publish_copy(self, event: Any, copy: Any) -> PublishReceipt:
+        """Send ``event`` over the wire, then deliver ``copy`` through the bus."""
         self._sync_membership_watches()
         receipt = super().publish(event)
         receipt.pipes += 1
@@ -280,17 +287,18 @@ class ShardedJxtaTPSEngine(JxtaTPSEngine):
     def publish_many(self, events: Iterable[Any]) -> List[PublishReceipt]:
         """Publish a batch; the wire is single-threaded, so loop.
 
-        Validates the whole batch up front (batch atomicity matches the
-        other bindings), then publishes serially on the calling thread:
-        wire sends must stay on the owning thread, and one interface's
-        local batch is one hierarchy whose per-key order a serial loop
-        trivially preserves.
+        Every event's copy and placement key are resolved before the first
+        publish (batch atomicity matches the other bindings: a
+        non-publishable or unkeyable event fails the batch before anything
+        is delivered or sent), then the batch publishes serially on the
+        calling thread: wire sends must stay on the owning thread, and one
+        interface's local batch is one hierarchy whose per-key order a
+        serial loop trivially preserves.
         """
         self._check_open()
         batch = list(events)
-        for event in batch:
-            self.registry.check_publishable(event)
-        return [self.publish(event) for event in batch]
+        copies = [self._keyed_copy(event) for event in batch]
+        return [self._publish_copy(event, copy) for event, copy in zip(batch, copies)]
 
     # ----------------------------------------------------------------- close
 

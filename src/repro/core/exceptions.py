@@ -45,8 +45,8 @@ class DeliveryFailedError(PSException):
     """A reliable publish terminally failed for at least one target.
 
     Raised *asynchronously*: the wire layer retries with backoff and only
-    gives up after ``max_delivery_attempts``, so the failure is routed to the
-    engine's ``delivery_failure_handler`` (or, absent one, to every
+    gives up after ``WireReliability.max_attempts``, so the failure is routed
+    to the engine's ``delivery_failure_handler`` (or, absent one, to every
     subscription's exception handler) instead of the original ``publish()``
     call, which returned long ago in virtual time.  Carries the wire-level
     :class:`~repro.jxta.wire.DeliveryFailure` describing the message, target

@@ -80,10 +80,6 @@ class TPSConfig:
         the type before creating our own ("If the application does not find
         such advertisement in a specific amount of time, it creates its own
         one" -- paper, Section 4.1).
-    research_interval:
-        How often the finder keeps re-querying for further advertisements
-        ("but keeps trying to find others in order to send messages to the
-        maximum number of interested subscribers").
     create_if_missing:
         Whether to create an advertisement at all when none is found (pure
         subscribers may prefer to wait instead).
@@ -109,23 +105,11 @@ class TPSConfig:
         acks, retries with capped exponential backoff, receiver-side dedup
         and per-source ordering).  Off by default: the clean-network cost
         profile of the paper's measurements stays untouched unless asked for.
-    ack_timeout:
-        Base virtual-seconds wait for a delivery ack before the first retry
-        (doubled per attempt up to ``retry_backoff_cap``).
-    max_delivery_attempts:
-        Terminal give-up point of the retry loop; the failure is then routed
-        to :attr:`JxtaTPSEngine.delivery_failure_handler` (or every
+        The retry schedule and the give-up point are
+        :class:`~repro.jxta.wire.WireReliability`'s defaults; a delivery
+        that exhausts them is routed to
+        :attr:`JxtaTPSEngine.delivery_failure_handler` (or every
         subscription's exception handler), never silently dropped.
-    retry_backoff / retry_backoff_cap / retry_jitter:
-        Shape of the retry schedule: per-attempt multiplier, cap on the
-        backoff delay, and proportional jitter (drawn off the simulation
-        clock's seeded noise, so runs stay deterministic).
-    order_gap_timeout:
-        How long a reliable receiver (which holds back out-of-order
-        messages to preserve per-source publish order) waits for a missing
-        sequence number before abandoning the gap (must exceed the full
-        retry window, or an actually-lost message would wedge its channel
-        forever).
     breaker_threshold:
         Consecutive-failure count at which a subscription's callback is
         quarantined by a circuit breaker.  Zero (default) disables crash
@@ -154,19 +138,12 @@ class TPSConfig:
     """
 
     search_timeout: float = 3.0
-    research_interval: float = 5.0
     create_if_missing: bool = True
     charge_layer_costs: bool = True
     duplicate_filtering: bool = True
     duplicate_cache_size: int = 8192
     message_padding: int = 0
     reliable_delivery: bool = False
-    ack_timeout: float = 0.25
-    max_delivery_attempts: int = 6
-    retry_backoff: float = 2.0
-    retry_backoff_cap: float = 2.0
-    retry_jitter: float = 0.2
-    order_gap_timeout: float = 6.0
     breaker_threshold: int = 0
     breaker_cooldown: float = 30.0
     history: str = "ring"
@@ -178,15 +155,7 @@ class TPSConfig:
         """The wire-layer reliability spec this config asks for (None when off)."""
         if not self.reliable_delivery:
             return None
-        return WireReliability(
-            ack_timeout=self.ack_timeout,
-            max_attempts=self.max_delivery_attempts,
-            backoff=self.retry_backoff,
-            backoff_cap=self.retry_backoff_cap,
-            jitter=self.retry_jitter,
-            gap_timeout=self.order_gap_timeout,
-            dedup_capacity=self.duplicate_cache_size,
-        )
+        return WireReliability(dedup_capacity=self.duplicate_cache_size)
 
 
 @dataclass
@@ -226,7 +195,7 @@ class TPSAdvertisementsManager:
             return
         self._started = True
         self.finder.add_advertisements_listener(self.handle_new_advertisements)
-        self.finder.start(interval=self.engine.config.research_interval)
+        self.finder.start()
         if self.engine.config.create_if_missing:
             self.engine.peer.simulator.schedule(
                 self.engine.config.search_timeout,
@@ -611,7 +580,7 @@ class JxtaTPSEngine(TPSInterface):
         Never silent: the failure is counted, then handed to the engine's
         ``delivery_failure_handler`` when one is set, else to every
         subscription's exception handler (the same channel callback errors
-        use), so a publish that gave up after ``max_delivery_attempts`` is
+        use), so a publish that gave up after ``WireReliability.max_attempts`` is
         always observable.
         """
         self.peer.metrics.counter("tps_delivery_failed").increment()

@@ -12,7 +12,7 @@ a pure, immutable value:
   key move?") -- the primitive live resharding is built on;
 * deriving a placement for a grown/shrunk shard set (:meth:`Placement.
   with_shards`) returns a new object; nothing is ever mutated in place.
-  The sharded bus swaps whole placements atomically inside its ring epochs,
+  The sharded bus swaps whole placements atomically, one per ring epoch,
   exactly like the PR 1/PR 4 immutable route-row snapshots.
 
 There is one placement policy, :class:`Placement` (also importable as
@@ -61,10 +61,10 @@ class Placement:
     shard set leaves every surviving shard's points exactly where they were
     -- the bounded-movement property.
 
-    ``index_for`` answers in *positions* (indexes into the parallel shard
-    tuple an epoch holds); ``shard_id_for`` answers in *stable ids* (what
-    movement comparisons need, because positions shift when the tuple
-    shrinks).
+    ``index_for`` answers in *positions* (indexes into ``shard_ids``, the
+    numbering of the bus's batch lanes); ``shard_id_for`` answers in
+    *stable ids* (what movement comparisons need, because positions shift
+    when the tuple shrinks).
     """
 
     def __init__(
@@ -98,7 +98,7 @@ class Placement:
         self._owners: Tuple[int, ...] = tuple(owner for _, owner in ring)
 
     def index_for(self, key: str) -> int:
-        """Position (into the epoch's shard tuple) owning ``key``."""
+        """Position (into ``shard_ids``) owning ``key``."""
         points = self._points
         cursor = bisect_left(points, stable_hash(key))
         if cursor == len(points):  # wrap past the last point
@@ -126,7 +126,7 @@ RingPlacement = Placement
 
 def moved_keys(old: Placement, new: Placement, keys: Iterable[str]) -> List[str]:
     """The subset of ``keys`` whose owning *shard id* differs between
-    ``old`` and ``new`` -- the keys a live reshard must pause and migrate.
+    ``old`` and ``new`` -- the keys a reshard re-homes.
     Compared by stable id, not position: a tuple shrink renumbers positions
     without moving the keys of surviving shards.
     """

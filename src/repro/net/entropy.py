@@ -6,10 +6,9 @@ The RL004 determinism rule (see ``docs/CONCURRENCY.md#rl004``) bans
 ``repro.jxta`` and ``repro.core``: a simulated run must be a pure function
 of its seeds and the simclock, or replays and the chaos suite stop being
 reproducible.  But the escape hatches have to live *somewhere* --
-components need seeded RNGs, the circuit breaker needs a real monotonic
-clock when it guards a real executor, and the sharded engine's drain loop
-needs a real (tiny) pause.  This module is that somewhere: the only
-file-level RL004 suppression in the tree, so every nondeterministic
+components need seeded RNGs, and the circuit breaker needs a real monotonic
+clock when it guards a real executor.  This module is that somewhere: the
+only file-level RL004 suppression in the tree, so every nondeterministic
 touchpoint is auditable in one place and "whitelisted by construction" --
 callers import these helpers instead of carrying their own pragma.
 
@@ -21,8 +20,6 @@ House rules for the helpers:
 * :func:`monotonic_clock` is for *real-time* guards (circuit-breaker
   cool-downs around a real thread pool), never for simulated event time --
   that is the simclock's job.
-* :func:`brief_pause` is for real-thread backoff loops (executor drains).
-  Simulated code advances virtual time instead.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import random
 import time
 from typing import Callable, Optional
 
-__all__ = ["brief_pause", "monotonic_clock", "seeded_rng"]
+__all__ = ["monotonic_clock", "seeded_rng"]
 
 
 def seeded_rng(seed: Optional[int]) -> random.Random:
@@ -49,8 +46,3 @@ def seeded_rng(seed: Optional[int]) -> random.Random:
 #: callable so components accept ``clock=monotonic_clock`` by default and a
 #: virtual clock under test.
 monotonic_clock: Callable[[], float] = time.monotonic
-
-
-def brief_pause(seconds: float) -> None:
-    """Really sleep, briefly -- for real-thread polling/backoff loops."""
-    time.sleep(seconds)

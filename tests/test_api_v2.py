@@ -144,9 +144,9 @@ class TestShardedBinding:
         publisher = TPSEngine(SkiRental, local_bus=sharded).new_interface("SHARDED")
         subscriber = TPSEngine(SkiRental, local_bus=sharded).new_interface("SHARDED")
         root = publisher.registry.advertised_name
-        shard = sharded.shard_for(root)
-        assert publisher in shard._engines[root]
-        assert subscriber in shard._engines[root]
+        assert sharded.engines_for(publisher.registry.root) == (publisher, subscriber)
+        # Root partitioning: every event of the hierarchy shares its shard.
+        assert sharded.partition_index(root, _offer()) == sharded.shard_index(root)
 
     def test_delivery_matches_local_semantics(self):
         sharded = ShardedLocalBus(shards=4)
@@ -177,10 +177,8 @@ class TestShardedBinding:
             assert isinstance(interface.bus, ShardedLocalBus)
             assert len(interface.bus.shards) == DEFAULT_SHARD_COUNT
             assert twin.bus is interface.bus
-            root = interface.registry.advertised_name
-            shard = interface.bus.shard_for(root)
-            assert interface in shard._engines[root]
-            assert twin in shard._engines[root]
+            attached = interface.bus.engines_for(interface.registry.root)
+            assert interface in attached and twin in attached
         finally:
             interface.close()
             twin.close()

@@ -24,6 +24,7 @@ from repro.apps.skirental.types import SkiRental
 from repro.core import TPSConfig, TPSEngine
 from repro.core.exceptions import DeliveryFailedError
 from repro.jxta.platform import JxtaNetworkBuilder
+from repro.jxta.wire import WireReliability
 from repro.net.faults import FaultPlan, LinkFaults
 from repro.net.firewall import Firewall
 from repro.net.network import LinkSpec
@@ -220,7 +221,7 @@ class TestReliableDeliveryUnderFaults:
         assert len(failures) == 1
         error = failures[0]
         assert isinstance(error, DeliveryFailedError)
-        assert error.failure.attempts == TPSConfig().max_delivery_attempts
+        assert error.failure.attempts == WireReliability.max_attempts
         counters = pub_peer.metrics.counters()
         assert counters.get("tps_delivery_failed", 0) == 1
         assert counters.get("wire_delivery_failed", 0) == 1

@@ -27,7 +27,7 @@ PR 7 adds the placement layer's contract on top:
   CRC-32-mod-N compatibility mode with its last caller);
 * *live resharding* (``migration`` marker): publishing concurrently with
   ``add_shard``/``remove_shard`` churn loses, duplicates and reorders
-  nothing -- the drain-then-switch epoch protocol in executable form.
+  nothing, and a reshard (one snapshot swap) never waits for a delivery.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import Any, Dict, List
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import TPSConfig, TPSEngine
 from repro.core.exceptions import PSException
 from repro.core.local_engine import LocalTPSEngine
 from repro.core.placement import (
@@ -50,6 +51,7 @@ from repro.core.placement import (
     stable_hash,
 )
 from repro.core.sharded_engine import ShardedLocalBus
+from repro.jxta.platform import JxtaNetworkBuilder
 
 
 @dataclasses.dataclass
@@ -57,6 +59,15 @@ class Tick:
     symbol: str = ""
     price: float = 0.0
     sequence: int = 0
+
+
+class SparseTick:
+    """A codec-friendly event whose ``symbol`` attribute may be absent."""
+
+    def __init__(self, symbol: Any = None, sequence: int = 0) -> None:
+        if symbol is not None:
+            self.symbol = symbol
+        self.sequence = sequence
 
 
 _ROOT = f"{Tick.__module__}.{Tick.__qualname__}"
@@ -208,6 +219,48 @@ class TestContentKeyErrorPath:
             bus.publish_all([(publisher, event) for event in batch])
         # Grouping failed before any delivery: nothing was half-published.
         assert inbox == []
+
+    @pytest.mark.parametrize("binding", ["SHARDED", "SHARDED+JXTA"])
+    def test_publish_many_is_batch_atomic_on_a_bad_key(self, binding):
+        # An event that survives the codec round trip but lacks the declared
+        # content key, in the middle of a batch: nothing of the batch may be
+        # delivered, wire-sent or recorded as sent, on either sharded binding.
+        options: Dict[str, Any] = {}
+        builder = None
+        if binding == "SHARDED+JXTA":
+            builder = JxtaNetworkBuilder(seed=20020713)
+            builder.add_rendezvous("rdv-0")
+            options = {
+                "peer": builder.add_peer("batch-peer"),
+                "config": TPSConfig(search_timeout=2.0),
+            }
+            builder.settle(rounds=6)
+        publisher, subscriber = (
+            TPSEngine(SparseTick, **options).new_interface(
+                binding, shards=3, content_key="symbol"
+            )
+            for _ in range(2)
+        )
+        if builder is not None:
+            builder.settle(rounds=10)
+        inbox: List[SparseTick] = []
+        subscriber.subscribe(inbox.append)
+        try:
+            with pytest.raises(PSException, match="symbol"):
+                publisher.publish_many(
+                    [SparseTick("a", 0), SparseTick(None, 1), SparseTick("c", 2)]
+                )
+            assert inbox == []
+            assert publisher.objects_sent() == []
+            # The refused batch left the interface fully usable.
+            publisher.publish_many([SparseTick("a", 3), SparseTick("c", 4)])
+            # (distinct keys may run on parallel lanes: compare as a set)
+            assert sorted(event.sequence for event in inbox) == [3, 4]
+            assert [event.sequence for event in publisher.objects_sent()] == [3, 4]
+        finally:
+            publisher.bus.shutdown()
+            publisher.close()
+            subscriber.close()
 
 
 class TestConstructorValidation:
@@ -443,6 +496,52 @@ class TestLiveResharding:
         bus.shutdown()
         assert not errors
         assert sorted(e.sequence for e in inbox) == list(range(batches * width))
+
+    def test_reshard_does_not_wait_for_in_flight_delivery(self):
+        # A reshard is one snapshot swap: it must complete while a delivery
+        # is parked inside a subscriber callback, and that delivery must
+        # still finish exactly once afterwards.
+        bus = ShardedLocalBus(2, partition="content", content_key="symbol")
+        publisher = LocalTPSEngine(Tick, bus=bus)
+        subscriber = LocalTPSEngine(Tick, bus=bus)
+        inbox: List[Tick] = []
+        parked = threading.Event()
+        release = threading.Event()
+
+        def park(event: Tick) -> None:
+            parked.set()
+            release.wait(timeout=10.0)
+            inbox.append(event)
+
+        subscriber.subscribe(park)
+        pump = threading.Thread(
+            target=publisher.publish,
+            args=(Tick(symbol="parked", sequence=1),),
+            name="parked-publisher",
+            daemon=True,
+        )
+        resharded = threading.Event()
+
+        def reshard() -> None:
+            bus.add_shard()
+            bus.remove_shard()
+            resharded.set()
+
+        churn = threading.Thread(target=reshard, name="resharder", daemon=True)
+        try:
+            pump.start()
+            assert parked.wait(timeout=5.0)
+            churn.start()
+            # The hard wall-clock guard: both reshards return although the
+            # delivery above is still inside its callback.
+            assert resharded.wait(timeout=5.0), "reshard waited on an in-flight delivery"
+            assert inbox == [] and bus.epoch_number == 2 and len(bus.shards) == 2
+        finally:
+            release.set()
+            pump.join(timeout=10.0)
+            churn.join(timeout=10.0)
+            bus.shutdown()
+        assert [event.sequence for event in inbox] == [1]
 
     def test_root_mode_rehomes_attached_engines(self):
         # Engines attached under "root" partitioning must follow their

@@ -5,8 +5,8 @@ quantities, documenting *why* the system is built the way it is:
 
 * wire-level duplicate suppression on/off (the real JXTA-WIRE leaves it to the
   application; the SR layers add it);
-* application-level duplicate filtering on/off when two advertisements exist
-  for the same type;
+* what application-level duplicate filtering absorbs when two advertisements
+  exist for the same type;
 * subtype-hierarchy matching vs. publishing the exact type only;
 * substrate speed scaling (does the SR-TPS vs SR-JXTA gap stay ~1 % on faster
   hardware?);
@@ -25,7 +25,7 @@ from repro.jxta.platform import JxtaNetworkBuilder
 from repro.net.cost import PAPER_TESTBED
 
 
-def _tps_pair(builder, *, duplicate_filtering=True, padding=1910):
+def _tps_pair(builder, *, padding=1910):
     """A publisher/subscriber TPS pair where *both* sides create advertisements.
 
     Starting both engines simultaneously makes each create its own
@@ -35,9 +35,7 @@ def _tps_pair(builder, *, duplicate_filtering=True, padding=1910):
     """
     pub_peer = builder.add_peer("ablation-pub")
     sub_peer = builder.add_peer("ablation-sub")
-    config = TPSConfig(
-        search_timeout=2.0, message_padding=padding, duplicate_filtering=duplicate_filtering
-    )
+    config = TPSConfig(search_timeout=2.0, message_padding=padding)
     publisher = TPSEngine(SkiRental, peer=pub_peer, config=config).new_interface("JXTA")
     subscriber = TPSEngine(SkiRental, peer=sub_peer, config=config).new_interface("JXTA")
     received = []
@@ -47,28 +45,31 @@ def _tps_pair(builder, *, duplicate_filtering=True, padding=1910):
 
 
 def test_ablation_duplicate_filtering(once):
-    """Without app-level duplicate filtering, multi-advertisement delivery duplicates events."""
+    """Multi-advertisement delivery duplicates events; the app-level filter absorbs them.
 
-    def run(filtering: bool) -> int:
+    The filter has no off switch (it is functionality (3) of the paper's
+    footnote, not an option), so the ablation reads what delivery would have
+    been without it from the filter's own counter.
+    """
+
+    def run() -> tuple[int, int]:
         builder = JxtaNetworkBuilder(seed=31)
         builder.add_rendezvous("rdv-0")
-        publisher, _subscriber, received = _tps_pair(builder, duplicate_filtering=filtering)
+        publisher, subscriber, received = _tps_pair(builder)
         for index in range(5):
             receipt = publisher.publish(SkiRental("shop", 50.0 + index, "Salomon", 7))
             builder.simulator.run_until(
                 max(builder.simulator.now, receipt.completion_time)
             )
         builder.settle(rounds=16)
-        return len(received)
+        filtered = subscriber.peer.metrics.counters().get("tps_duplicates_filtered", 0)
+        return len(received), filtered
 
-    def run_both():
-        return run(True), run(False)
-
-    with_filter, without_filter = once(run_both)
+    with_filter, filtered = once(run)
     assert with_filter == 5
-    # Both engines created an advertisement, so unfiltered delivery sees each
-    # event roughly twice.
-    assert without_filter > with_filter
+    # Both engines created an advertisement, so every event arrives roughly
+    # twice: unfiltered delivery would have seen the filtered copies too.
+    assert filtered > 0
 
 
 def test_ablation_subtype_vs_exact_matching(once):

@@ -45,7 +45,7 @@ class DeliveryFailedError(PSException):
     """A reliable publish terminally failed for at least one target.
 
     Raised *asynchronously*: the wire layer retries with backoff and only
-    gives up after ``WireReliability.max_attempts``, so the failure is routed
+    gives up after ``repro.jxta.wire.MAX_ATTEMPTS``, so the failure is routed
     to the engine's ``delivery_failure_handler`` (or, absent one, to every
     subscription's exception handler) instead of the original ``publish()``
     call, which returned long ago in virtual time.  Carries the wire-level

@@ -49,7 +49,7 @@ from repro.jxta.advertisement import PeerGroupAdvertisement
 from repro.jxta.ids import BoundedIdSet, PeerID
 from repro.jxta.message import Message
 from repro.jxta.peer import Peer
-from repro.jxta.wire import DeliveryFailure, WireReliability
+from repro.jxta.wire import DeliveryFailure
 from repro.serialization.object_codec import ObjectCodec
 
 _tps_message_counter = itertools.count(1)
@@ -83,31 +83,27 @@ class TPSConfig:
     create_if_missing:
         Whether to create an advertisement at all when none is found (pure
         subscribers may prefer to wait instead).
-    charge_layer_costs:
-        Whether to charge the calibrated SR-layer + TPS-layer virtual CPU
-        costs on publish and receive.  Disabled in micro-benchmarks that
-        measure only the real Python work.
-    duplicate_filtering:
-        Whether to drop events whose application-level message id has been
-        seen before (functionality (3) of the paper's Section 4.4 footnote).
     duplicate_cache_size:
-        How many recently seen message ids the duplicate filter remembers.
-        Duplicates arise when one event reaches the engine through several
-        attached advertisements, i.e. within a short window, so a bounded
-        LRU window filters them all while keeping memory constant under
-        sustained traffic.  Zero or negative means unbounded (the seed's
-        behaviour).
+        How many recently seen application-level message ids the engine's
+        duplicate filter remembers (functionality (3) of the paper's Section
+        4.4 footnote; always on).  Duplicates arise when one event reaches
+        the engine through several attached advertisements, i.e. within a
+        short window, so a bounded LRU window filters them all while keeping
+        memory constant under sustained traffic.  Zero or negative means
+        unbounded (the seed's behaviour).  It sizes this filter only: the
+        wire layer's reliable channels need none (their sequence window is
+        their duplicate filter).
     message_padding:
         When positive, pad published messages to this many bytes (the paper's
         measurements use 1910-byte messages).
     reliable_delivery:
-        Whether to run the wire layer's at-least-once protocol (per-message
-        acks, retries with capped exponential backoff, receiver-side dedup
-        and per-source ordering).  Off by default: the clean-network cost
-        profile of the paper's measurements stays untouched unless asked for.
-        The retry schedule and the give-up point are
-        :class:`~repro.jxta.wire.WireReliability`'s defaults; a delivery
-        that exhausts them is routed to
+        Whether the engine's output pipes run the wire layer's at-least-once
+        protocol (per-message acks, retries with capped exponential backoff,
+        a per-source sequence window on the receiver).  Off by default: the
+        clean-network cost profile of the paper's measurements stays
+        untouched unless asked for.  The retry schedule and the give-up
+        point are constants of :mod:`repro.jxta.wire`; a delivery that
+        exhausts them is routed to
         :attr:`JxtaTPSEngine.delivery_failure_handler` (or every
         subscription's exception handler), never silently dropped.
     breaker_threshold:
@@ -139,8 +135,6 @@ class TPSConfig:
 
     search_timeout: float = 3.0
     create_if_missing: bool = True
-    charge_layer_costs: bool = True
-    duplicate_filtering: bool = True
     duplicate_cache_size: int = 8192
     message_padding: int = 0
     reliable_delivery: bool = False
@@ -150,12 +144,6 @@ class TPSConfig:
     history_size: int = DEFAULT_HISTORY_SIZE
     history_path: str = ""
     serve_history: bool = False
-
-    def wire_reliability(self) -> Optional[WireReliability]:
-        """The wire-layer reliability spec this config asks for (None when off)."""
-        if not self.reliable_delivery:
-            return None
-        return WireReliability(dedup_capacity=self.duplicate_cache_size)
 
 
 @dataclass
@@ -236,9 +224,9 @@ class TPSAdvertisementsManager:
         finder.lookup_wire_service()
         output_pipe = finder.create_output_pipe(
             extra_send_cost=self.engine.send_overhead,
-            reliability=self.engine.reliability,
+            reliable=self.engine.config.reliable_delivery,
         )
-        if self.engine.reliability is not None:
+        if self.engine.config.reliable_delivery:
             output_pipe.add_failure_listener(self.engine._on_delivery_failure)
         attachment = TPSAttachment(
             advertisement=advertisement, finder=finder, output_pipe=output_pipe
@@ -276,9 +264,7 @@ class TPSAdvertisementsManager:
     def _open_reader(self, attachment: TPSAttachment) -> None:
         reader = TPSPipeReader(self.engine)
         attachment.input_pipe = attachment.finder.create_input_pipe(
-            reader,
-            processing_cost=self.engine.receive_overhead,
-            reliability=self.engine.reliability,
+            reader, processing_cost=self.engine.receive_overhead
         )
 
 
@@ -327,10 +313,6 @@ class JxtaTPSEngine(TPSInterface):
         #: the advertisements manager schedules one automatic catch-up
         #: request once the engine is attached.
         self._needs_catchup = self._recover_wire_state()
-        #: Wire-layer reliability spec derived from the config (None when
-        #: ``reliable_delivery`` is off); threaded into every pipe the
-        #: advertisements manager opens.
-        self.reliability: Optional[WireReliability] = self.config.wire_reliability()
         #: Optional application hook for terminal delivery failures.  Called
         #: with a :class:`DeliveryFailedError`; when unset, failures are
         #: routed to every subscription's exception handler instead.
@@ -343,16 +325,12 @@ class JxtaTPSEngine(TPSInterface):
                 listener=self._on_breaker_transition,
             )
         cost_model = peer.cost_model
-        if self.config.charge_layer_costs:
-            #: The SR application-layer work (duplicate ids, multi-advertisement
-            #: bookkeeping) plus the TPS-specific work (typed serialisation,
-            #: registry lookups) charged per published message.
-            self.send_overhead = cost_model.app_layer_send + cost_model.tps_layer_send
-            #: The receive-side equivalent, charged per delivered message.
-            self.receive_overhead = cost_model.app_layer_receive + cost_model.tps_layer_receive
-        else:
-            self.send_overhead = 0.0
-            self.receive_overhead = 0.0
+        #: The SR application-layer work (duplicate ids, multi-advertisement
+        #: bookkeeping) plus the TPS-specific work (typed serialisation,
+        #: registry lookups) charged per published message.
+        self.send_overhead = cost_model.app_layer_send + cost_model.tps_layer_send
+        #: The receive-side equivalent, charged per delivered message.
+        self.receive_overhead = cost_model.app_layer_receive + cost_model.tps_layer_receive
         self.manager = TPSAdvertisementsManager(self)
         self.manager.start()
 
@@ -580,8 +558,8 @@ class JxtaTPSEngine(TPSInterface):
         Never silent: the failure is counted, then handed to the engine's
         ``delivery_failure_handler`` when one is set, else to every
         subscription's exception handler (the same channel callback errors
-        use), so a publish that gave up after ``WireReliability.max_attempts`` is
-        always observable.
+        use), so a publish that gave up after the wire layer's ``MAX_ATTEMPTS``
+        is always observable.
         """
         self.peer.metrics.counter("tps_delivery_failed").increment()
         error = DeliveryFailedError(failure)
@@ -613,12 +591,11 @@ class JxtaTPSEngine(TPSInterface):
             )
             return
         message_id = message.get_text(TPS_MSG_ID_ELEMENT)
-        if self.config.duplicate_filtering and message_id:
-            # seen() refreshes recency on a hit, keeping actively-duplicated
-            # ids away from the LRU eviction boundary.
-            if self._seen_message_ids.seen(message_id):
-                self.peer.metrics.counter("tps_duplicates_filtered").increment()
-                return
+        # seen() refreshes recency on a hit, keeping actively-duplicated ids
+        # away from the LRU eviction boundary.
+        if message_id and self._seen_message_ids.seen(message_id):
+            self.peer.metrics.counter("tps_duplicates_filtered").increment()
+            return
         payload = message.get_bytes(TPS_EVENT_ELEMENT)
         if not payload:
             self.peer.metrics.counter("tps_malformed").increment()

@@ -85,8 +85,12 @@ class CircuitBreaker:
     virtual clock while plain LOCAL deployments default to
     ``time.monotonic``.  Trip/reset transitions are observable through the
     optional ``listener`` (called with ``(state, breaker)`` *outside* the
-    breaker's lock) and the ``events`` log of ``(state, timestamp)`` pairs.
+    breaker's lock) and the ``events`` log of ``(state, timestamp)`` pairs
+    (bounded: the newest :attr:`EVENT_LOG_SIZE` transitions).
     """
+
+    #: Transitions the ``events`` log retains.
+    EVENT_LOG_SIZE = 64
 
     __slots__ = (
         "threshold",
@@ -122,8 +126,9 @@ class CircuitBreaker:
         self.trips = 0
         self.resets = 0
         self.skipped = 0
-        #: (state, clock timestamp) transition log, oldest first.
-        self.events: List[Tuple[str, float]] = []
+        #: (state, clock timestamp) transition log, oldest first; the newest
+        #: :attr:`EVENT_LOG_SIZE` entries, so a flapping callback cannot grow it.
+        self.events: deque[Tuple[str, float]] = deque(maxlen=self.EVENT_LOG_SIZE)
         self._open_until = 0.0
         self._clock = clock if clock is not None else monotonic_clock
         self._listener = listener

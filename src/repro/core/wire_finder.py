@@ -21,13 +21,7 @@ from repro.jxta.errors import JxtaError
 from repro.jxta.message import Message
 from repro.jxta.peergroup import PeerGroup
 from repro.jxta.pipes import PipeMessageListener
-from repro.jxta.wire import (
-    SendReceipt,
-    WireInputPipe,
-    WireOutputPipe,
-    WireReliability,
-    WireService,
-)
+from repro.jxta.wire import SendReceipt, WireInputPipe, WireOutputPipe, WireService
 
 
 class WireServiceFinderException(PSException):
@@ -157,17 +151,13 @@ class TPSWireServiceFinder:
         listener: Optional[PipeMessageListener] = None,
         *,
         processing_cost: float = 0.0,
-        reliability: Optional[WireReliability] = None,
     ) -> TPSMyInputPipe:
         """Create the wire input pipe used to receive events for this type."""
         wire = self._require_wire()
         pipe_advertisement = self.get_pipe_advertisement()
         try:
             pipe = wire.create_input_pipe(
-                pipe_advertisement,
-                listener,
-                processing_cost=processing_cost,
-                reliability=reliability,
+                pipe_advertisement, listener, processing_cost=processing_cost
             )
         except JxtaError as exc:
             raise WireServiceFinderException("Unable to create the input pipe.") from exc
@@ -178,16 +168,14 @@ class TPSWireServiceFinder:
         self,
         *,
         extra_send_cost: float = 0.0,
-        reliability: Optional[WireReliability] = None,
+        reliable: bool = False,
     ) -> TPSMyOutputPipe:
         """Create the wire output pipe used to publish events for this type."""
         wire = self._require_wire()
         pipe_advertisement = self.get_pipe_advertisement()
         try:
             pipe = wire.create_output_pipe(
-                pipe_advertisement,
-                extra_send_cost=extra_send_cost,
-                reliability=reliability,
+                pipe_advertisement, extra_send_cost=extra_send_cost, reliable=reliable
             )
         except JxtaError as exc:
             raise WireServiceFinderException("Unable to create the output pipe.") from exc

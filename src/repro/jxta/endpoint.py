@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.jxta.ids import BoundedIdSet, PeerID
 from repro.jxta.message import Message
-from repro.net.network import NetworkError, NoRouteError
+from repro.net.network import NetworkError
 from repro.net.packet import Packet
 from repro.net.transport import TransportKind
 
@@ -270,7 +270,7 @@ class EndpointService:
         *,
         ttl: int = DEFAULT_PROPAGATE_TTL,
     ) -> int:
-        """Broadcast a message to every reachable peer for the given service.
+        """Broadcast a message for the given service to every peer propagation reaches.
 
         Propagation combines IP multicast on the local segment with unicast
         re-propagation through connected rendez-vous peers; duplicate
@@ -327,35 +327,32 @@ class EndpointService:
             return True
         return self._relay_through_router(envelope)
 
-    def _packet(self, destination: str, kind: TransportKind, envelope: EndpointEnvelope) -> Packet:
+    def _packet(self, destination: str, kind: TransportKind, payload: bytes, ttl: int) -> Packet:
         return Packet(
             source=self.node.address,
             destination=destination,
-            payload=envelope.to_bytes(),
+            payload=payload,
             protocol="jxta",
             transport=kind.value,
-            ttl=envelope.ttl,
+            ttl=ttl,
         )
 
     def _send_packet(self, address: str, envelope: EndpointEnvelope) -> bool:
-        """Try to send directly to ``address`` over TCP, then HTTP."""
-        network = self.node.network
-        if network is None:
-            return False
+        """Send directly to ``address`` over TCP, then HTTP.
+
+        Whether a transport can carry the packet is the network's decision,
+        taken once, on the packet itself: a refused attempt raises and counts
+        as sent nowhere (the network counts the refusal).
+        """
+        payload = envelope.to_bytes()
         for kind in (TransportKind.TCP, TransportKind.HTTP):
-            if not network.reachable(self.node.address, address, kind):
-                continue
             try:
-                self.node.send(self._packet(address, kind, envelope))
-            except (NoRouteError, NetworkError):
+                self.node.send(self._packet(address, kind, payload, envelope.ttl))
+            except NetworkError:
                 continue
             self.metrics.counter("endpoint_sent").increment()
             return True
-        # No transport got the packet out: count the failure instead of
-        # letting it vanish (the network counts routed-but-rejected packets;
-        # this covers the pre-flight reachability misses).
         self.metrics.counter("endpoint_unroutable").increment()
-        network.metrics.counter("packets_no_route").increment()
         return False
 
     def _relay_through_router(self, envelope: EndpointEnvelope) -> bool:
@@ -388,10 +385,11 @@ class EndpointService:
             return 0
         # 1. IP multicast on the local segment (if we have the interface).
         if self.node.supports(TransportKind.MULTICAST):
+            packet = self._packet(
+                Packet.MULTICAST_ADDRESS, TransportKind.MULTICAST, envelope.to_bytes(), envelope.ttl
+            )
             try:
-                self.node.send(
-                    self._packet(Packet.MULTICAST_ADDRESS, TransportKind.MULTICAST, envelope)
-                )
+                self.node.send(packet)
                 sends += 1
             except NetworkError:
                 pass

@@ -178,8 +178,8 @@ class BoundedIdSet:
     disables eviction entirely.
 
     Used both by the TPS engine (application-level message ids) and by the
-    wire service's at-least-once receiver (wire-level ids), which is why it
-    lives here in the id layer rather than in either consumer.
+    endpoint service (propagated envelope ids), which is why it lives here
+    in the id layer rather than in either consumer.
     """
 
     __slots__ = ("capacity", "_entries")

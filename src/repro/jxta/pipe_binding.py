@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.jxta.advertisement import PipeAdvertisement
 from repro.jxta.endpoint import EndpointEnvelope
+from repro.jxta.errors import AdvertisementError
 from repro.jxta.ids import PeerID, PipeID
 from repro.jxta.message import Message
 from repro.jxta.pipes import InputPipe, OutputPipe, PipeMessageListener
@@ -48,8 +49,9 @@ class PipeBindingService:
         self.peer = group.peer
         #: pipe URN -> input pipes opened locally.
         self._local: Dict[str, List[InputPipe]] = {}
-        #: pipe URN -> {peer URN -> last known address} for remote bindings.
-        self._remote: Dict[str, Dict[str, str]] = {}
+        #: pipe URN -> {peer URN -> that peer's ID, parsed when the binding
+        #: was learned} for remote bindings.
+        self._remote: Dict[str, Dict[str, PeerID]] = {}
         group.resolver.register_handler(self.HANDLER_NAME, self)
 
     # --------------------------------------------------------- pipe creation
@@ -116,14 +118,9 @@ class PipeBindingService:
         )
 
     def resolved_peers(self, pipe_id: PipeID) -> List[PeerID]:
-        """Peers known to have an input pipe bound for ``pipe_id`` (excluding self)."""
-        urn = pipe_id.to_urn()
-        me = self.peer.peer_id.to_urn()
-        return [
-            PeerID.from_urn(peer_urn)
-            for peer_urn in sorted(self._remote.get(urn, {}))
-            if peer_urn != me
-        ]
+        """Peers known to have an input pipe bound for ``pipe_id`` (never self), in URN order."""
+        bindings = self._remote.get(pipe_id.to_urn(), {})
+        return [bindings[peer_urn] for peer_urn in sorted(bindings)]
 
     def forget_peer(self, peer_id: PeerID | str) -> int:
         """Drop every remote binding of one peer; returns bindings removed.
@@ -216,7 +213,14 @@ class PipeBindingService:
             return
         if peer_urn == self.peer.peer_id.to_urn():
             return
-        self._remote.setdefault(pipe_urn, {})[peer_urn] = address
+        try:
+            # The URN comes off the network: parsed here, once, so a malformed
+            # one is dropped on entry instead of failing every later send.
+            peer_id = PeerID.from_urn(peer_urn)
+        except AdvertisementError:
+            self.peer.metrics.counter("pbp_malformed").increment()
+            return
+        self._remote.setdefault(pipe_urn, {})[peer_urn] = peer_id
         if address:
             self.peer.endpoint.learn_address(peer_urn, address)
         self.peer.metrics.counter("pbp_bindings_learned").increment()

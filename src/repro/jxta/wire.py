@@ -27,41 +27,55 @@ The layers above (SR-JXTA, SR-TPS) add their own per-message costs through
 ``extra_send_cost`` and the input pipes' ``processing_cost``, so the relative
 ordering JXTA-WIRE < SR-JXTA <= SR-TPS emerges from the layering itself.
 
-Reliability model (at-least-once + dedup = exactly-once observed)
------------------------------------------------------------------
+Reliability model (at-least-once + a sequence window = exactly-once observed)
+----------------------------------------------------------------------------
 
-An output pipe created with a :class:`WireReliability` runs an at-least-once
-protocol per resolved target, on top of a network that may drop, duplicate,
-reorder or delay packets (see :mod:`repro.net.faults`):
+An output pipe created with ``reliable=True`` runs an at-least-once protocol
+per resolved target, on top of a network that may drop, duplicate, reorder
+or delay packets (see :mod:`repro.net.faults`):
 
 * **sender**: each target gets its own copy of the message stamped with an
-  ack request, a per-(pipe, target) sequence number and a channel id unique
-  to the output pipe.  Unacked copies are retransmitted on a capped
-  exponential backoff schedule (``ack_timeout * backoff**(attempt-1)``,
-  capped at ``backoff_cap``, jittered), driven entirely off the virtual
-  clock.  After ``max_attempts`` the delivery is declared failed: the
-  ``wire_delivery_failed`` counter is bumped, the
+  ack request, a channel id unique to the output pipe and a per-(pipe,
+  target) sequence number.  An unacked copy is retransmitted after
+  ``ACK_TIMEOUT * BACKOFF**(attempt-1)`` seconds, capped at ``BACKOFF_CAP``
+  and jittered by ``RETRY_JITTER``, driven entirely off the virtual clock:
+  nominally at 0.25, 0.75, 1.75, 3.75 and 5.75 s after the first send.  When
+  the timer after transmission ``MAX_ATTEMPTS`` expires (7.75 s) the delivery
+  is declared failed: the ``wire_delivery_failed`` counter is bumped, the
   :class:`DeliveryTracker` on the :class:`SendReceipt` records the terminal
   state and the pipe's failure listeners fire with a
   :class:`DeliveryFailure` -- a give-up is *reported*, never silent.
-* **receiver**: wire ids are deduplicated with a bounded LRU
-  :class:`~repro.jxta.ids.BoundedIdSet`, so retransmits and network
-  duplicates collapse to one observed delivery; a duplicate is re-acked
-  (the previous ack may have been the lost packet).  Reliable messages are
-  always sequenced per (pipe, target): they run through a per-channel
-  hold-back buffer that releases them in sequence order, restoring
-  per-source FIFO under reordering.  A sequence gap that
-  does not fill within ``gap_timeout`` (e.g. the sender terminally gave up
-  on that message) is abandoned -- counted in
-  ``wire_order_gaps_abandoned`` -- and delivery resumes at the next
-  buffered sequence so one lost message cannot wedge the channel.
+* **receiver**: one window per sender channel -- ``next_seq``, the sequence
+  it will deliver next, plus a hold-back buffer of later ones -- decides
+  every arrival.  ``seq == next_seq`` is delivered (and whatever it unblocks
+  is released in order, restoring per-source FIFO under reordering); a later
+  ``seq`` is held; ``seq < next_seq`` (already released, or abandoned:
+  ``wire_stale_retransmits``) and a ``seq`` already in the buffer
+  (``wire_duplicates_suppressed``) are copies of something the window has
+  decided: re-acked (the previous ack may have been the lost packet) and
+  dropped.  **The window is the duplicate filter.**  Every reliable message
+  is sequenced, and a wire id reaches a given receiver on exactly one
+  (channel, sequence), so remembering wire ids as well would only repeat the
+  window's answer -- with an eviction bound the window does not need.  (The
+  layer above still filters by *application* message id, which is what
+  catches one event published on several advertisements: the paper's
+  Section 4.4 footnote puts that filter in the SR/TPS layers, not here.)
+* **gaps**: a sequence gap that does not fill within ``GAP_TIMEOUT`` is
+  abandoned -- counted in ``wire_order_gaps_abandoned`` -- and delivery
+  resumes at the next held sequence, so one lost message cannot wedge the
+  channel.  ``GAP_TIMEOUT`` (6 s) exceeds the last retransmission (5.75 s):
+  a message held behind a gap waits out every attempt the sender will make
+  at the missing one before giving up on it.  The buffer is also bounded
+  (``HOLDBACK_LIMIT``); an arrival that would overflow it abandons the gap
+  early.
 * **acks happen after acceptance**: a receiver only acks a message it has
-  accepted (enqueued or held back); a message bounced off the full receive
+  delivered, held or already decided; a message bounced off the full receive
   queue is *not* acked, so sender retransmission doubles as flow control.
 
-The result is the exactly-once-observed, per-source-FIFO contract pinned by
-``tests/test_binding_conformance.py``, which the chaos matrix re-runs over a
-faulty network.
+The protocol's schedule is the module constants below, not options: nothing
+ever set them to anything else.  The result is the exactly-once-observed,
+per-source-FIFO contract pinned by ``tests/test_binding_conformance.py``,
+which the chaos matrix re-runs over a faulty network.
 """
 
 from __future__ import annotations
@@ -73,8 +87,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.jxta.advertisement import PipeAdvertisement
 from repro.jxta.endpoint import EndpointEnvelope
-from repro.jxta.errors import PipeError
-from repro.jxta.ids import BoundedIdSet, PeerID, PipeID
+from repro.jxta.errors import AdvertisementError, PipeError
+from repro.jxta.ids import PeerID, PipeID
 from repro.jxta.message import Message
 from repro.jxta.pipes import InputPipe, OutputPipe, PipeKind, PipeMessageListener
 from repro.net.simclock import EventHandle
@@ -101,38 +115,25 @@ WIRE_ACK_ID_ELEMENT = "JxtaWireAckId"
 WIRE_ACK_PARAM_PREFIX = "jxta-wire-ack:"
 
 
-@dataclass(frozen=True)
-class WireReliability:
-    """Parameters of the at-least-once wire protocol (see module docstring).
+#: Seconds a reliable sender waits for the first ack before retransmitting.
+ACK_TIMEOUT = 0.25
+#: Transmissions of one (message, target), the first included, before the
+#: delivery is declared failed.
+MAX_ATTEMPTS = 6
+#: Multiplier applied to the retry delay after each attempt.
+BACKOFF = 2.0
+#: Upper bound (seconds) on the retry delay.
+BACKOFF_CAP = 2.0
+#: Relative sigma of the lognormal noise on each retry delay, decorrelating
+#: the retransmission bursts of concurrent senders.
+RETRY_JITTER = 0.2
+#: Seconds a receiver waits for a sequence gap to fill before abandoning it;
+#: longer than the sender's last retransmission (module docstring).
+GAP_TIMEOUT = 6.0
 
-    Attributes
-    ----------
-    ack_timeout:
-        Seconds to wait for the first ack before retransmitting.
-    max_attempts:
-        Total transmission attempts (first send included) before the
-        delivery is declared failed.
-    backoff:
-        Multiplier applied to the retry delay after each attempt.
-    backoff_cap:
-        Upper bound (seconds) on the retry delay.
-    jitter:
-        Relative sigma of lognormal noise on each retry delay, decorrelating
-        retransmission bursts from concurrent senders.
-    gap_timeout:
-        Receiver-side seconds to wait for a sequence gap to fill before
-        abandoning it (should exceed the sender's full retry window).
-    dedup_capacity:
-        Capacity of the receiver's bounded wire-id dedup set.
-    """
-
-    ack_timeout: float = 0.25
-    max_attempts: int = 6
-    backoff: float = 2.0
-    backoff_cap: float = 2.0
-    jitter: float = 0.2
-    gap_timeout: float = 6.0
-    dedup_capacity: int = 4096
+#: One received message on its way to the input pipes: (pipe URN, message,
+#: wire source -- parsed once, on entry).
+_Arrival = Tuple[str, Message, PeerID]
 
 
 @dataclass(frozen=True)
@@ -235,10 +236,10 @@ class WireInputPipe(InputPipe):
 class WireOutputPipe(OutputPipe):
     """A wire (many-to-many) output pipe with cost-accounted sends.
 
-    When constructed with a :class:`WireReliability` the pipe runs the
-    at-least-once protocol: each send is tracked per target, retransmitted
-    with capped exponential backoff and eventually acked or reported failed
-    to the registered failure listeners.
+    A ``reliable`` pipe runs the at-least-once protocol of the module
+    docstring: each send is tracked per target, retransmitted with capped
+    exponential backoff and eventually acked or reported failed to the
+    registered failure listeners.
     """
 
     def __init__(
@@ -247,14 +248,14 @@ class WireOutputPipe(OutputPipe):
         wire_service: "WireService",
         *,
         extra_send_cost: float = 0.0,
-        reliability: Optional[WireReliability] = None,
+        reliable: bool = False,
     ) -> None:
         super().__init__(advertisement, wire_service.group.pipe_service)
         self._wire = wire_service
         #: Extra virtual CPU charged per send on top of the wire cost,
         #: representing the work done by the layer above (SR-JXTA / SR-TPS).
         self.extra_send_cost = extra_send_cost
-        self.reliability = reliability
+        self.reliable = reliable
         #: Called with a :class:`DeliveryFailure` when a reliable delivery
         #: exhausts its attempts.
         self.failure_listeners: List[Callable[[DeliveryFailure], None]] = []
@@ -297,25 +298,22 @@ class _PendingDelivery:
 
     wire_id: str
     target: PeerID
-    target_urn: str
     message: Message
     pipe: WireOutputPipe
-    pipe_urn: str
-    reliability: WireReliability
     tracker: DeliveryTracker
     attempts: int = 1
     handle: Optional[EventHandle] = None
 
 
 class _ChannelState:
-    """Receiver-side hold-back state for one sender channel."""
+    """Receiver-side window of one sender channel (module docstring)."""
 
     __slots__ = ("next_seq", "buffer", "gap_handle")
 
     def __init__(self) -> None:
         self.next_seq = 1
-        #: seq -> (pipe_urn, envelope, message) held until the gap fills.
-        self.buffer: Dict[int, Tuple[str, EndpointEnvelope, Message]] = {}
+        #: seq -> arrival held until the gap before it fills.
+        self.buffer: Dict[int, _Arrival] = {}
         self.gap_handle: Optional[EventHandle] = None
 
 
@@ -344,19 +342,13 @@ class WireService:
         self._inputs: Dict[str, List[WireInputPipe]] = {}
         #: pipe URN -> set of source peer URNs seen (connected publishers).
         self._sources: Dict[str, set] = {}
-        #: Wire ids of accepted reliable messages (bounded LRU); retransmits
-        #: hitting this set are re-acked and dropped.  Only the ack/retry
-        #: protocol deduplicates: the real JXTA-WIRE did not -- the paper
-        #: lists duplicate handling among the functionality the SR layers add.
-        self._seen_reliable = BoundedIdSet(capacity=4096)
-        #: Receiver-side gap timeout; create_input_pipe overrides it from the
-        #: caller's :class:`WireReliability`.
-        self.order_gap_timeout = WireReliability.gap_timeout
-        self._queue: Deque[Tuple[str, EndpointEnvelope, Message]] = deque()
+        self._queue: Deque[_Arrival] = deque()
         self._busy = False
         #: (wire id, target urn) -> in-flight reliable delivery.
         self._pending: Dict[Tuple[str, str], _PendingDelivery] = {}
-        #: channel id -> hold-back sequencing state.
+        #: channel id -> the receiver window of that sender channel; only the
+        #: ack/retry protocol filters duplicates here (the real JXTA-WIRE did
+        #: not: the paper lists duplicate handling among what the SR layers add).
         self._channels: Dict[str, _ChannelState] = {}
         #: ack params this service already listens on.
         self._ack_params: set[str] = set()
@@ -369,13 +361,11 @@ class WireService:
         listener: Optional[PipeMessageListener] = None,
         *,
         processing_cost: float = 0.0,
-        reliability: Optional[WireReliability] = None,
     ) -> WireInputPipe:
         """Open a wire input pipe: messages sent on this pipe id will be delivered here.
 
-        ``reliability`` tunes the *receiver* side of the protocol (dedup
-        capacity, gap timeout); ack/retransmit behaviour is governed by the
-        sender's output-pipe reliability.
+        Whether a message is acked and sequenced is the *sender's* choice
+        (its output pipe's ``reliable``); an input pipe serves both kinds.
         """
         pipe = WireInputPipe(
             advertisement,
@@ -383,9 +373,6 @@ class WireService:
             listener=listener,
             processing_cost=processing_cost,
         )
-        if reliability is not None:
-            self._seen_reliable.capacity = reliability.dedup_capacity
-            self.order_gap_timeout = reliability.gap_timeout
         urn = advertisement.pipe_id.to_urn()
         if urn not in self._inputs:
             self._inputs[urn] = []
@@ -407,13 +394,13 @@ class WireService:
         *,
         extra_send_cost: float = 0.0,
         resolve: bool = True,
-        reliability: Optional[WireReliability] = None,
+        reliable: bool = False,
     ) -> WireOutputPipe:
         """Open a wire output pipe (and resolve the current set of bound peers)."""
         pipe = WireOutputPipe(
-            advertisement, self, extra_send_cost=extra_send_cost, reliability=reliability
+            advertisement, self, extra_send_cost=extra_send_cost, reliable=reliable
         )
-        if reliability is not None:
+        if reliable:
             ack_param = WIRE_ACK_PARAM_PREFIX + advertisement.pipe_id.to_urn()
             if ack_param not in self._ack_params:
                 self._ack_params.add(ack_param)
@@ -470,10 +457,9 @@ class WireService:
         simulator = self.peer.simulator
         completion = simulator.now + total_cost
         pipe_urn = pipe.pipe_id.to_urn()
-        reliability = pipe.reliability
         tracker: Optional[DeliveryTracker] = None
         sequences: Dict[str, int] = {}
-        if reliability is not None and targets:
+        if pipe.reliable and targets:
             tracker = DeliveryTracker(wire_id, [t.to_urn() for t in targets])
             # Sequence numbers are claimed *now*, synchronously, in
             # publish-call order: the transmit event below fires at a
@@ -488,10 +474,10 @@ class WireService:
         def _transmit() -> None:
             if targets:
                 for target in targets:
-                    if reliability is not None:
+                    if tracker is not None:
                         self._send_reliable(
-                            pipe, target, wire_message, pipe_urn, wire_id,
-                            tracker, reliability, sequences[target.to_urn()],
+                            pipe, target, wire_message, wire_id, tracker,
+                            sequences[target.to_urn()],
                         )
                     else:
                         self.peer.endpoint.send(
@@ -520,75 +506,59 @@ class WireService:
         pipe: WireOutputPipe,
         target: PeerID,
         wire_message: Message,
-        pipe_urn: str,
         wire_id: str,
         tracker: DeliveryTracker,
-        reliability: WireReliability,
         sequence: int,
     ) -> None:
         """First transmission of one per-target copy; arms the retry timer."""
-        target_urn = target.to_urn()
         copy = wire_message.dup()
         copy.add(WIRE_ACK_REQ_ELEMENT, "1")
         copy.add(WIRE_CHANNEL_ELEMENT, pipe.channel_id)
         copy.add(WIRE_SEQ_ELEMENT, str(sequence))
-        pending = _PendingDelivery(
-            wire_id=wire_id,
-            target=target,
-            target_urn=target_urn,
-            message=copy,
-            pipe=pipe,
-            pipe_urn=pipe_urn,
-            reliability=reliability,
-            tracker=tracker,
-        )
-        self._pending[(wire_id, target_urn)] = pending
-        self.peer.endpoint.send(target, copy, self.WireName, pipe_urn)
+        pending = _PendingDelivery(wire_id, target, copy, pipe, tracker)
+        self._pending[(wire_id, target.to_urn())] = pending
+        self.peer.endpoint.send(target, copy, self.WireName, pipe.pipe_id.to_urn())
         self._arm_retry(pending)
 
     def _arm_retry(self, pending: _PendingDelivery) -> None:
-        reliability = pending.reliability
-        delay = min(
-            reliability.backoff_cap,
-            reliability.ack_timeout * reliability.backoff ** (pending.attempts - 1),
-        )
-        if reliability.jitter > 0:
-            delay = self.noise.jittered(delay, reliability.jitter)
+        delay = min(BACKOFF_CAP, ACK_TIMEOUT * BACKOFF ** (pending.attempts - 1))
         pending.handle = self.peer.simulator.schedule(
-            delay,
+            self.noise.jittered(delay, RETRY_JITTER),
             lambda: self._retry(pending),
             label=f"wire-retry:{self.peer.name}",
         )
 
     def _retry(self, pending: _PendingDelivery) -> None:
-        key = (pending.wire_id, pending.target_urn)
+        target_urn = pending.target.to_urn()
+        key = (pending.wire_id, target_urn)
         if self._pending.get(key) is not pending:
             return  # acked or abandoned while the timer was in flight
         if pending.pipe.closed:
             del self._pending[key]
-            pending.tracker.mark(pending.target_urn, "abandoned")
+            pending.tracker.mark(target_urn, "abandoned")
             return
-        if pending.attempts >= pending.reliability.max_attempts:
+        if pending.attempts >= MAX_ATTEMPTS:
             self._fail(pending)
             return
         pending.attempts += 1
-        pending.tracker.record_retry(pending.target_urn)
+        pending.tracker.record_retry(target_urn)
         self.peer.metrics.counter("wire_retries").increment()
         self.peer.endpoint.send(
-            pending.target, pending.message, self.WireName, pending.pipe_urn
+            pending.target, pending.message, self.WireName, pending.pipe.pipe_id.to_urn()
         )
         self._arm_retry(pending)
 
     def _fail(self, pending: _PendingDelivery) -> None:
         """Terminal failure of one in-flight delivery: the single reported
         path (tracker state, ``wire_delivery_failed``, failure listeners)."""
-        del self._pending[(pending.wire_id, pending.target_urn)]
-        pending.tracker.mark(pending.target_urn, "failed")
+        target_urn = pending.target.to_urn()
+        del self._pending[(pending.wire_id, target_urn)]
+        pending.tracker.mark(target_urn, "failed")
         self.peer.metrics.counter("wire_delivery_failed").increment()
         failure = DeliveryFailure(
             wire_message_id=pending.wire_id,
-            pipe_urn=pending.pipe_urn,
-            target_urn=pending.target_urn,
+            pipe_urn=pending.pipe.pipe_id.to_urn(),
+            target_urn=target_urn,
             attempts=pending.attempts,
         )
         for listener in list(pending.pipe.failure_listeners):
@@ -603,7 +573,7 @@ class WireService:
             if pending.pipe is pipe:
                 if pending.handle is not None:
                     pending.handle.cancel()
-                pending.tracker.mark(pending.target_urn, "abandoned")
+                pending.tracker.mark(pending.target.to_urn(), "abandoned")
                 del self._pending[key]
 
     def fail_target(self, target_urn: str) -> int:
@@ -619,7 +589,7 @@ class WireService:
         """
         failed = 0
         for pending in list(self._pending.values()):
-            if pending.target_urn != target_urn:
+            if pending.target.to_urn() != target_urn:
                 continue
             if pending.handle is not None:
                 pending.handle.cancel()
@@ -639,24 +609,18 @@ class WireService:
             return
         if pending.handle is not None:
             pending.handle.cancel()
-        pending.tracker.mark(pending.target_urn, "acked")
+        pending.tracker.mark(envelope.src_peer, "acked")
         self.peer.metrics.counter("wire_acks_received").increment()
 
-    def _send_ack(self, envelope: EndpointEnvelope, message: Message, wire_id: str) -> None:
-        """Acknowledge an accepted reliable message back to its wire source.
+    def _send_ack(self, source: PeerID, pipe_urn: str, wire_id: str) -> None:
+        """Acknowledge a reliable message back to its wire source.
 
         Acks are tiny control messages; they charge network time but no wire
         CPU cost, like the protocol chatter of the other JXTA services.
         """
-        source_urn = message.get_text(WIRE_SRC_ELEMENT) or envelope.src_peer
         ack = Message()
         ack.add(WIRE_ACK_ID_ELEMENT, wire_id)
-        self.peer.endpoint.send(
-            PeerID.from_urn(source_urn),
-            ack,
-            self.WireName,
-            WIRE_ACK_PARAM_PREFIX + envelope.param,
-        )
+        self.peer.endpoint.send(source, ack, self.WireName, WIRE_ACK_PARAM_PREFIX + pipe_urn)
         self.peer.metrics.counter("wire_acks_sent").increment()
 
     # -------------------------------------------------------------- receive
@@ -666,20 +630,18 @@ class WireService:
         if pipe_urn not in self._inputs:
             self.peer.metrics.counter("wire_unbound_deliveries").increment()
             return
-        wire_id = message.get_text(WIRE_MSG_ID_ELEMENT)
-        if wire_id and message.has(WIRE_ACK_REQ_ELEMENT):
-            self._receive_reliable(pipe_urn, envelope, message, wire_id)
+        try:
+            # The source URN comes off the network: it is parsed here, once,
+            # into the PeerID the rest of the receive path (queue, ack, input
+            # pipes) hands on.
+            source = PeerID.from_urn(message.get_text(WIRE_SRC_ELEMENT) or envelope.src_peer)
+        except AdvertisementError:
+            self.peer.metrics.counter("wire_malformed").increment()
             return
-        self._enqueue(pipe_urn, envelope, message)
-
-    def _receive_reliable(
-        self, pipe_urn: str, envelope: EndpointEnvelope, message: Message, wire_id: str
-    ) -> None:
-        if wire_id in self._seen_reliable:
-            # Retransmit (or network duplicate) of an already-accepted
-            # message: the previous ack may have been lost, so re-ack.
-            self._send_ack(envelope, message, wire_id)
-            self.peer.metrics.counter("wire_duplicates_suppressed").increment()
+        arrival = (pipe_urn, message, source)
+        wire_id = message.get_text(WIRE_MSG_ID_ELEMENT)
+        if not (wire_id and message.has(WIRE_ACK_REQ_ELEMENT)):
+            self._enqueue(arrival)
             return
         channel = message.get_text(WIRE_CHANNEL_ELEMENT)
         seq_text = message.get_text(WIRE_SEQ_ELEMENT)
@@ -689,58 +651,42 @@ class WireService:
             # it and drop it un-acked.
             self.peer.metrics.counter("wire_malformed").increment()
             return
-        self._receive_ordered(
-            pipe_urn, envelope, message, wire_id, channel, int(seq_text)
-        )
+        self._accept(arrival, wire_id, channel, int(seq_text))
 
-    def _receive_ordered(
-        self,
-        pipe_urn: str,
-        envelope: EndpointEnvelope,
-        message: Message,
-        wire_id: str,
-        channel: str,
-        seq: int,
-    ) -> None:
+    def _accept(self, arrival: _Arrival, wire_id: str, channel: str, seq: int) -> None:
+        """Put one reliable arrival to its channel's window: the single place
+        that decides deliver / hold / duplicate, and so what is acked."""
         state = self._channels.setdefault(channel, _ChannelState())
+        held = state.buffer
+        if seq > state.next_seq and seq not in held and len(held) >= self.HOLDBACK_LIMIT:
+            # No room to hold another: give up on the gap now.  That moves
+            # the window, so the arrival is judged against where it ends up.
+            self._abandon_gap(channel, state)
         if seq < state.next_seq:
-            # A retransmit of a sequence this channel already released
-            # (typically after an abandoned gap): ack so the sender stops,
-            # but do not deliver twice.
-            self._seen_reliable.add(wire_id)
-            self._send_ack(envelope, message, wire_id)
+            # Already released, or abandoned with its gap: not delivered
+            # (again), but acked so the sender stops.
             self.peer.metrics.counter("wire_stale_retransmits").increment()
-            return
-        if seq == state.next_seq:
-            if not self._enqueue(pipe_urn, envelope, message):
-                return  # not accepted: no ack, sender will retransmit
-            self._seen_reliable.add(wire_id)
-            self._send_ack(envelope, message, wire_id)
+        elif seq in held:
+            self.peer.metrics.counter("wire_duplicates_suppressed").increment()
+        elif seq > state.next_seq:
+            held[seq] = arrival
+            self.peer.metrics.counter("wire_out_of_order_held").increment()
+            self._arm_gap_timer(channel, state)
+        elif self._enqueue(arrival):
             state.next_seq += 1
             self._flush_channel(channel, state)
-            return
-        # Future sequence: hold it back until the gap fills (or times out).
-        if len(state.buffer) >= self.HOLDBACK_LIMIT:
-            self._abandon_gap(channel, state)
-            if seq < state.next_seq:  # the jump may have released our slot
-                self._seen_reliable.add(wire_id)
-                self._send_ack(envelope, message, wire_id)
-                return
-        state.buffer[seq] = (pipe_urn, envelope, message)
-        self._seen_reliable.add(wire_id)
-        self._send_ack(envelope, message, wire_id)
-        self.peer.metrics.counter("wire_out_of_order_held").increment()
-        self._arm_gap_timer(channel, state)
+        else:
+            return  # refused by the bounded queue: no ack, the sender retransmits
+        pipe_urn, _message, source = arrival
+        self._send_ack(source, pipe_urn, wire_id)
 
     def _flush_channel(self, channel: str, state: _ChannelState) -> None:
         """Release consecutively-sequenced held messages, manage the gap timer."""
         while state.next_seq in state.buffer:
-            held_urn, held_envelope, held_message = state.buffer.pop(state.next_seq)
+            # Acked when it was held; under overload the bounded receive
+            # queue still wins (counted in wire_messages_dropped).
+            self._enqueue(state.buffer.pop(state.next_seq))
             state.next_seq += 1
-            if not self._enqueue(held_urn, held_envelope, held_message):
-                # Already acked when buffered; under overload the bounded
-                # receive queue still wins (counted in wire_messages_dropped).
-                pass
         if state.gap_handle is not None:
             state.gap_handle.cancel()
             state.gap_handle = None
@@ -751,7 +697,7 @@ class WireService:
         if state.gap_handle is not None and not state.gap_handle.cancelled:
             return
         state.gap_handle = self.peer.simulator.schedule(
-            self.order_gap_timeout,
+            GAP_TIMEOUT,
             lambda: self._on_gap_timeout(channel),
             label=f"wire-gap:{self.peer.name}",
         )
@@ -777,16 +723,14 @@ class WireService:
         self.peer.metrics.counter("wire_order_gaps_abandoned").increment()
         self._flush_channel(channel, state)
 
-    def _enqueue(
-        self, pipe_urn: str, envelope: EndpointEnvelope, message: Message
-    ) -> bool:
+    def _enqueue(self, arrival: _Arrival) -> bool:
         """Admit one message into the bounded service queue; False when full."""
-        source = message.get_text(WIRE_SRC_ELEMENT) or envelope.src_peer
-        self._sources.setdefault(pipe_urn, set()).add(source)
+        pipe_urn, _message, source = arrival
+        self._sources.setdefault(pipe_urn, set()).add(source.to_urn())
         if len(self._queue) >= self.cost_model.receive_queue_limit:
             self.peer.metrics.counter("wire_messages_dropped").increment()
             return False
-        self._queue.append((pipe_urn, envelope, message))
+        self._queue.append(arrival)
         self.peer.metrics.counter("wire_messages_enqueued").increment()
         if not self._busy:
             self._process_next()
@@ -797,7 +741,7 @@ class WireService:
             self._busy = False
             return
         self._busy = True
-        pipe_urn, envelope, message = self._queue.popleft()
+        pipe_urn, message, source = self._queue.popleft()
         pipes = self._inputs.get(pipe_urn, [])
         connections = max(1, len(self._sources.get(pipe_urn, set())))
         service_time = self.noise.jittered(
@@ -807,8 +751,6 @@ class WireService:
         service_time += sum(pipe.processing_cost for pipe in pipes)
 
         def _finish() -> None:
-            source_urn = message.get_text(WIRE_SRC_ELEMENT) or envelope.src_peer
-            source = PeerID.from_urn(source_urn)
             for pipe in list(pipes):
                 if pipe.closed:
                     # The pipe closed while the message was queued: count the
@@ -827,8 +769,14 @@ class WireService:
 
 
 __all__ = [
+    "ACK_TIMEOUT",
+    "BACKOFF",
+    "BACKOFF_CAP",
     "DeliveryFailure",
     "DeliveryTracker",
+    "GAP_TIMEOUT",
+    "MAX_ATTEMPTS",
+    "RETRY_JITTER",
     "SendReceipt",
     "WIRE_ACK_ID_ELEMENT",
     "WIRE_ACK_PARAM_PREFIX",
@@ -839,6 +787,5 @@ __all__ = [
     "WIRE_SRC_ELEMENT",
     "WireInputPipe",
     "WireOutputPipe",
-    "WireReliability",
     "WireService",
 ]

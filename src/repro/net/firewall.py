@@ -45,13 +45,13 @@ class FirewallRule:
         if self.action not in ("allow", "deny"):
             raise ValueError(f"rule action must be 'allow' or 'deny', got {self.action!r}")
 
-    def matches(self, packet: Packet, direction: Direction) -> bool:
-        """Whether this rule applies to the given packet and direction."""
+    def matches(self, transport: str, protocol: str, direction: Direction) -> bool:
+        """Whether this rule applies to traffic of this transport and protocol."""
         if self.direction is not None and self.direction != direction:
             return False
-        if self.transport is not None and self.transport.value != packet.transport:
+        if self.transport is not None and self.transport.value != transport:
             return False
-        if self.protocol is not None and self.protocol != packet.protocol:
+        if self.protocol is not None and self.protocol != protocol:
             return False
         return True
 
@@ -76,24 +76,26 @@ class Firewall:
             raise ValueError("default policies must be 'allow' or 'deny'")
         self.default_inbound = default_inbound
         self.default_outbound = default_outbound
+        #: Packets this firewall refused (see :meth:`permits`).
         self.blocked_count = 0
 
     def add_rule(self, rule: FirewallRule) -> None:
         """Append a rule (evaluated after all existing rules)."""
         self.rules.append(rule)
 
-    def permits(self, packet: Packet, direction: Direction) -> bool:
-        """Evaluate the rule list; record and return whether the packet passes."""
+    def allows(self, transport: str, protocol: str, direction: Direction) -> bool:
+        """The policy's answer for one kind of traffic: a query, counts nothing."""
         for rule in self.rules:
-            if rule.matches(packet, direction):
-                allowed = rule.action == "allow"
-                if not allowed:
-                    self.blocked_count += 1
-                return allowed
+            if rule.matches(transport, protocol, direction):
+                return rule.action == "allow"
         default = (
             self.default_inbound if direction is Direction.INBOUND else self.default_outbound
         )
-        allowed = default == "allow"
+        return default == "allow"
+
+    def permits(self, packet: Packet, direction: Direction) -> bool:
+        """Put one packet to the policy; a refusal is counted in ``blocked_count``."""
+        allowed = self.allows(packet.transport, packet.protocol, direction)
         if not allowed:
             self.blocked_count += 1
         return allowed

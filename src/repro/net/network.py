@@ -22,16 +22,22 @@ in the network metrics (``faults_dropped``, ``faults_duplicated``,
 (``packets_no_route`` for unreachable unicast destinations and
 ``packets_blocked`` for firewall rejections), so no packet ever vanishes
 without a counter.
+
+Whether a unicast packet can travel is decided once, in
+:meth:`Network._route`, from the packet's own transport and protocol:
+senders do not pre-flight (they hand the packet over and the network refuses
+it with :class:`NoRouteError`), and :meth:`Network.reachable` is the same
+decision asked as a question -- it builds no packet and counts nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.cost import CostModel, NoiseSource, PAPER_TESTBED
 from repro.net.faults import FaultPlan
-from repro.net.firewall import Direction
+from repro.net.firewall import Direction, Firewall
 from repro.net.metrics import MetricsRegistry
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -135,7 +141,8 @@ class Network:
         self.default_link = default_link or LinkSpec.lan(cost_model)
         self.metrics = MetricsRegistry(name="network")
         self._nodes: Dict[str, Node] = {}
-        self._segments: Dict[str, set[str]] = {self.DEFAULT_SEGMENT: set()}
+        #: address -> name of the segment the node is attached to.
+        self._segment_of: Dict[str, str] = {}
         self._links: List[Link] = []
         self._partitions: set[frozenset[str]] = set()
 
@@ -167,7 +174,7 @@ class Network:
             raise NetworkError(f"a node with address {node.address!r} is already attached")
         node.network = self
         self._nodes[node.address] = node
-        self._segments.setdefault(segment, set()).add(node.address)
+        self._segment_of[node.address] = segment
         return node
 
     def create_node(
@@ -184,14 +191,14 @@ class Network:
 
     def segment_of(self, address: str) -> str:
         """Return the name of the segment the node lives on."""
-        for name, members in self._segments.items():
-            if address in members:
-                return name
-        raise UnknownNodeError(f"node {address!r} is not on any segment")
+        try:
+            return self._segment_of[address]
+        except KeyError:
+            raise UnknownNodeError(f"node {address!r} is not on any segment") from None
 
     def segment_members(self, segment: str) -> List[str]:
         """Addresses of every node attached to the given segment."""
-        return sorted(self._segments.get(segment, set()))
+        return sorted(a for a, name in self._segment_of.items() if name == segment)
 
     def connect(self, a: str, b: str, spec: Optional[LinkSpec] = None) -> Link:
         """Add an explicit link between two nodes (possibly on different segments)."""
@@ -214,32 +221,58 @@ class Network:
         return frozenset((a, b)) in self._partitions
 
     def _link_between(self, a: str, b: str) -> Optional[LinkSpec]:
-        """The link spec to use between two addresses, or None if unreachable."""
+        """The link spec to use between two attached addresses, or None if unlinked."""
         for link in self._links:
             if link.connects(a, b):
                 return link.spec
-        if self.segment_of(a) == self.segment_of(b):
+        if self._segment_of[a] == self._segment_of[b]:
             return self.default_link
         return None
 
-    def reachable(self, a: str, b: str, transport: TransportKind | str = TransportKind.TCP) -> bool:
-        """Whether ``a`` can send a packet of the given transport directly to ``b``."""
+    def _route(
+        self, a: str, b: str, kind: TransportKind, ask: Callable[[Firewall, Direction], bool]
+    ) -> LinkSpec | str:
+        """The one unicast routing decision, behind :meth:`reachable` and :meth:`transmit`.
+
+        Returns the :class:`LinkSpec` that carries ``kind`` traffic from ``a``
+        to ``b``, or why nothing does: ``"route"`` (an unknown node, a
+        partition, no link, the interface missing at either end) or
+        ``"firewall"`` (policy; asked last, so a firewall only ever sees
+        traffic the topology could carry).  ``ask(firewall, direction)`` puts
+        the traffic to one firewall -- the sender's outbound, then the
+        receiver's inbound -- and is the only place a query and a
+        transmission differ: the query asks about a kind of traffic and
+        counts nothing, the transmission asks about its packet and a refusal
+        is counted.
+        """
+        sender, receiver = self._nodes.get(a), self._nodes.get(b)
+        if sender is None or receiver is None:
+            return "route"
         if a == b:
-            return True
-        if not self.has_node(a) or not self.has_node(b):
-            return False
+            return self.default_link
         if self.partitioned(a, b):
-            return False
-        if self._link_between(a, b) is None:
-            return False
-        kind = TransportKind(transport) if isinstance(transport, str) else transport
-        sender, receiver = self.node(a), self.node(b)
-        if not (sender.supports(kind) and receiver.supports(kind)):
-            return False
-        probe = Packet(source=a, destination=b, payload=b"", transport=kind.value)
-        return sender.firewall.permits(probe, Direction.OUTBOUND) and receiver.firewall.permits(
-            probe, Direction.INBOUND
+            return "route"
+        spec = self._link_between(a, b)
+        if spec is None or not (sender.supports(kind) and receiver.supports(kind)):
+            return "route"
+        if not (
+            ask(sender.firewall, Direction.OUTBOUND) and ask(receiver.firewall, Direction.INBOUND)
+        ):
+            return "firewall"
+        return spec
+
+    def reachable(self, a: str, b: str, transport: TransportKind | str = TransportKind.TCP) -> bool:
+        """Whether ``a`` could send a ``"jxta"`` packet of the given transport directly to ``b``.
+
+        A query: it takes the decision a transmission would (:meth:`_route`)
+        but builds no packet and counts nothing -- no network metric, no
+        firewall's ``blocked_count``.
+        """
+        kind = TransportKind(transport)
+        route = self._route(
+            a, b, kind, lambda firewall, way: firewall.allows(kind.value, "jxta", way)
         )
+        return isinstance(route, LinkSpec)
 
     # --------------------------------------------------------------- delivery
 
@@ -248,47 +281,36 @@ class Network:
 
         Point-to-point packets go to ``packet.destination``; multicast packets
         are expanded to every multicast-capable node on the sender's segment.
-        Raises :class:`NoRouteError` when a unicast destination is unreachable.
+        Raises :class:`NoRouteError` when a unicast destination is unreachable;
+        a refused packet is counted in ``packets_no_route`` (and
+        ``packets_blocked`` when a firewall refused it), never in
+        ``packets_offered``.
         """
         packet.created_at = self.simulator.now
-        self.metrics.counter("packets_offered").increment()
         if packet.is_multicast:
             self._transmit_multicast(sender, packet)
         else:
             self._transmit_unicast(sender, packet)
+        self.metrics.counter("packets_offered").increment()
 
     def _transmit_unicast(self, sender: Node, packet: Packet) -> None:
         destination = packet.destination
-        if not self.has_node(destination):
-            self.metrics.counter("packets_no_route").increment()
+        kind = TransportKind(packet.transport)
+        route = self._route(
+            sender.address, destination, kind, lambda firewall, way: firewall.permits(packet, way)
+        )
+        if isinstance(route, LinkSpec):
+            self._schedule_delivery(sender, self._nodes[destination], packet, route)
+            return
+        # Discriminate firewall rejections (policy) from missing routes
+        # (topology); either way the packet lands in a counter.
+        if route == "firewall":
+            self.metrics.counter("packets_blocked").increment()
+        self.metrics.counter("packets_no_route").increment()
+        if destination not in self._nodes:
             raise UnknownNodeError(f"unknown destination {destination!r}")
-        if not self.reachable(sender.address, destination, packet.transport):
-            # Routing failures used to vanish without a counter; discriminate
-            # firewall rejections (policy) from missing routes (topology).
-            if self._firewall_blocked(sender.address, destination, packet):
-                self.metrics.counter("packets_blocked").increment()
-            self.metrics.counter("packets_no_route").increment()
-            raise NoRouteError(
-                f"no {packet.transport} route from {sender.address!r} to {destination!r}"
-            )
-        spec = self._link_between(sender.address, destination) or self.default_link
-        self._schedule_delivery(sender, self.node(destination), packet, spec)
-
-    def _firewall_blocked(self, a: str, b: str, packet: Packet) -> bool:
-        """Whether the only obstacle between ``a`` and ``b`` is a firewall."""
-        if self.partitioned(a, b) or self._link_between(a, b) is None:
-            return False
-        try:
-            kind = TransportKind(packet.transport)
-        except ValueError:
-            return False
-        sender, receiver = self.node(a), self.node(b)
-        if not (sender.supports(kind) and receiver.supports(kind)):
-            return False
-        probe = Packet(source=a, destination=b, payload=b"", transport=kind.value)
-        return not (
-            sender.firewall.permits(probe, Direction.OUTBOUND)
-            and receiver.firewall.permits(probe, Direction.INBOUND)
+        raise NoRouteError(
+            f"no {packet.transport} route from {sender.address!r} to {destination!r}"
         )
 
     def _transmit_multicast(self, sender: Node, packet: Packet) -> None:
@@ -362,7 +384,8 @@ class Network:
         return self.simulator.drain(rounds=rounds, quantum=quantum)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Network(nodes={len(self._nodes)}, segments={len(self._segments)})"
+        segments = len(set(self._segment_of.values()))
+        return f"Network(nodes={len(self._nodes)}, segments={segments})"
 
 
 __all__ = [

@@ -133,15 +133,16 @@ class Node:
         """Hand a packet to the network for delivery.
 
         Raises :class:`~repro.net.network.NetworkError` if the node is not
-        attached to a network.
+        attached to a network or the network refuses the packet (no route, a
+        firewall); a refused packet is not counted as sent.
         """
         if self.network is None:
             from repro.net.network import NetworkError
 
             raise NetworkError(f"node {self.address!r} is not attached to a network")
+        self.network.transmit(self, packet)
         self.metrics.counter("packets_sent").increment()
         self.metrics.counter("bytes_sent").increment(packet.size)
-        self.network.transmit(self, packet)
 
     def deliver(self, packet: Packet) -> None:
         """Called by the network when a packet arrives at this node."""

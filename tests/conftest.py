@@ -35,6 +35,39 @@ def two_peers(builder):
     return a, b, builder
 
 
+@pytest.fixture(scope="session")
+def reliable_arrival():
+    """``make(sender, receiver, pipe_urn, seq, channel=...)``: the (envelope,
+    message) pair a reliable wire send of sequence ``seq`` from ``sender``
+    lands on ``receiver`` -- for driving ``WireService._on_wire_envelope``
+    with a chosen arrival order."""
+    from repro.jxta import wire
+    from repro.jxta.endpoint import EndpointEnvelope
+    from repro.jxta.message import Message
+
+    def make(sender, receiver, pipe_urn, seq, channel="test/c1"):
+        message = Message()
+        message.add("body", str(seq))
+        message.add(wire.WIRE_MSG_ID_ELEMENT, f"{channel}/w{seq}")
+        message.add(wire.WIRE_SRC_ELEMENT, sender.peer_id.to_urn())
+        message.add(wire.WIRE_ACK_REQ_ELEMENT, "1")
+        message.add(wire.WIRE_CHANNEL_ELEMENT, channel)
+        message.add(wire.WIRE_SEQ_ELEMENT, str(seq))
+        envelope = EndpointEnvelope(
+            src_peer=sender.peer_id.to_urn(),
+            src_address=sender.node.address,
+            dst_peer=receiver.peer_id.to_urn(),
+            service=wire.WireService.WireName,
+            param=pipe_urn,
+            envelope_id=f"{channel}/e{seq}",
+            ttl=4,
+            propagate=False,
+        )
+        return envelope, message
+
+    return make
+
+
 def _damaged_frames(frame: bytes):
     """``(candidate, must_reject)`` pairs: ``frame`` damaged every cheap way.
 

@@ -104,6 +104,23 @@ class TestParamValidationErrors:
         assert "'duplicate_cache_size'" in str(excinfo.value)
 
 
+#: ROADMAP's tracked option counts, as it measures them: the number of
+#: parameters each built-in binding's schema accepts
+#: (``registered_bindings(with_params=True)``).  A ratchet, like
+#: ``PRAGMA_CEILING`` in tests/test_lint_gate.py: lower it when an option
+#: goes, never raise it to make room for a new one.
+OPTION_CEILING = {"ASYNC": 7, "JXTA": 11, "LOCAL": 3, "SHARDED": 7, "SHARDED+JXTA": 11}
+
+
+def test_binding_option_counts_only_go_down():
+    report = registered_bindings(with_params=True)
+    for binding, ceiling in OPTION_CEILING.items():
+        assert len(report[binding]) <= ceiling, (
+            f"{binding} accepts {len(report[binding])} parameters, ceiling {ceiling}: "
+            f"make the new one a constant or derive it (ROADMAP aim 2): {report[binding]}"
+        )
+
+
 class TestRegistryIntrospection:
     def test_registered_bindings_reports_declared_parameter_names(self):
         report = registered_bindings(with_params=True)
@@ -353,10 +370,10 @@ class TestJxtaConfigOverrides:
     def test_params_override_config_fields(self, two_peers):
         peer, _, builder = two_peers
         interface = TPSEngine(SkiRental, peer=peer).new_interface(
-            "JXTA", search_timeout=1.5, duplicate_filtering=False
+            "JXTA", search_timeout=1.5, serve_history=True
         )
         assert interface.config.search_timeout == 1.5
-        assert interface.config.duplicate_filtering is False
+        assert interface.config.serve_history is True
         # Unspecified fields keep their defaults.
         assert interface.config.create_if_missing is True
 

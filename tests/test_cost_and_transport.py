@@ -164,6 +164,15 @@ class TestFirewall:
         firewall.permits(self._packet(), Direction.INBOUND)
         assert firewall.blocked_count == 2
 
+    def test_allows_is_the_same_answer_without_the_count(self):
+        firewall = Firewall.corporate_default()
+        for transport in ("tcp", "http", "multicast"):
+            for direction in Direction:
+                answer = firewall.allows(transport, "jxta", direction)
+                assert firewall.blocked_count == 0
+                assert firewall.permits(self._packet(transport), direction) == answer
+                firewall.blocked_count = 0
+
     def test_invalid_rule_action_rejected(self):
         with pytest.raises(ValueError):
             FirewallRule("maybe")

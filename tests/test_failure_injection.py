@@ -18,13 +18,18 @@ breaker.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.apps.skirental.types import SkiRental
 from repro.core import TPSConfig, TPSEngine
 from repro.core.exceptions import DeliveryFailedError
+from repro.core.subscriptions import CircuitBreaker
+from repro.jxta.advertisement import PipeAdvertisement
+from repro.jxta.pipes import PipeKind
 from repro.jxta.platform import JxtaNetworkBuilder
-from repro.jxta.wire import WireReliability
+from repro.jxta.wire import MAX_ATTEMPTS, WireService
 from repro.net.faults import FaultPlan, LinkFaults
 from repro.net.firewall import Firewall
 from repro.net.network import LinkSpec
@@ -195,6 +200,39 @@ class TestReliableDeliveryUnderFaults:
         assert [offer.price for offer in inbox] == [10.0 + i for i in range(10)]
         assert sub_peer.metrics.counters().get("wire_out_of_order_held", 0) > 0
 
+    def test_holdback_overflow_delivers_the_unblocked_arrival_at_once(
+        self, two_peers, reliable_arrival
+    ):
+        """Overflowing the hold-back buffer abandons the gap; an arrival that
+        is then exactly the next sequence is delivered like any other (it
+        used to be parked behind a fresh gap timer and count a second
+        abandonment ``GAP_TIMEOUT`` later)."""
+        alpha, beta, builder = two_peers
+        advertisement = PipeAdvertisement(name="held", pipe_kind=PipeKind.WIRE.value)
+        wire = beta.world_group.wire
+        inbox = []
+        wire.create_input_pipe(advertisement, lambda m, s: inbox.append(m.get_text("body")))
+        # Room for everything the overflow releases at once.
+        wire.cost_model = dataclasses.replace(wire.cost_model, receive_queue_limit=1000)
+
+        def arrive(seq):
+            wire._on_wire_envelope(
+                *reliable_arrival(alpha, beta, advertisement.pipe_id.to_urn(), seq)
+            )
+
+        held = range(3, 3 + WireService.HOLDBACK_LIMIT)
+        for seq in (1, *held):
+            arrive(seq)
+        overflow = held[-1] + 1
+        arrive(overflow)
+        state = wire._channels["test/c1"]
+        assert (state.next_seq, state.buffer, state.gap_handle) == (overflow + 1, {}, None)
+        builder.settle(rounds=64)
+        assert inbox == [str(seq) for seq in (1, *held, overflow)]
+        counters = beta.metrics.counters()
+        assert counters["wire_order_gaps_abandoned"] == 1
+        assert counters["wire_out_of_order_held"] == WireService.HOLDBACK_LIMIT
+
     def test_retries_heal_scripted_drops(self, builder):
         builder.add_rendezvous("rdv-0")
         publisher, _subscriber, inbox, pub_peer, sub_peer = _reliable_pair(builder)
@@ -221,7 +259,7 @@ class TestReliableDeliveryUnderFaults:
         assert len(failures) == 1
         error = failures[0]
         assert isinstance(error, DeliveryFailedError)
-        assert error.failure.attempts == WireReliability.max_attempts
+        assert error.failure.attempts == MAX_ATTEMPTS
         counters = pub_peer.metrics.counters()
         assert counters.get("tps_delivery_failed", 0) == 1
         assert counters.get("wire_delivery_failed", 0) == 1
@@ -308,6 +346,21 @@ class TestCircuitBreaker:
         assert counters.get("tps_breaker_open", 0) == 1
         assert counters.get("tps_breaker_half_open", 0) == 1
         assert counters.get("tps_breaker_closed", 0) == 1
+
+
+    def test_transition_log_keeps_the_newest_entries_only(self):
+        """A callback that flaps for the life of a subscription must not grow
+        the breaker's ``events`` log without bound."""
+        now = [0.0]
+        breaker = CircuitBreaker(threshold=1, cooldown=1.0, clock=lambda: now[0])
+        flaps = CircuitBreaker.EVENT_LOG_SIZE * 2
+        for _ in range(flaps):
+            breaker.record_failure()  # -> open
+            now[0] += 2.0
+            assert breaker.allow()  # cooled down -> half_open
+        assert breaker.trips == flaps
+        assert len(breaker.events) == CircuitBreaker.EVENT_LOG_SIZE
+        assert breaker.events[-1] == ("half_open", now[0])
 
 
 class TestOverload:

@@ -222,3 +222,18 @@ class TestRoutingFailureCounters:
         counters = network.metrics.counters()
         assert counters["packets_blocked"] == 1
         assert counters["packets_no_route"] == 1
+
+    def test_refused_packet_is_counted_once_and_as_sent_nowhere(self):
+        network = Network(Simulator(), noise=NoiseSource(1))
+        firewall = Firewall(default_inbound="deny")
+        sender = network.create_node("a")
+        network.create_node("b", firewall=firewall)
+        assert not network.reachable("a", "b")  # a query: counts nothing
+        with pytest.raises(NoRouteError):
+            sender.send(Packet(source="a", destination="b", payload=b"refused"))
+        assert firewall.blocked_count == 1
+        counters = network.metrics.counters()
+        assert counters["packets_blocked"] == 1
+        assert counters["packets_no_route"] == 1
+        assert "packets_offered" not in counters
+        assert "packets_sent" not in sender.metrics.counters()

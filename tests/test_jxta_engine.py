@@ -221,16 +221,6 @@ class TestPublishSubscribe:
         receipt = publisher.publish(SkiRental("s", 1.0, "b", 1))
         assert receipt.cpu_time >= cost_model.app_layer_send + cost_model.tps_layer_send
 
-    def test_charge_layer_costs_disabled(self, lan):
-        builder = lan
-        pub_peer = builder.peer_named("peer-2")
-        interface = _interface(
-            pub_peer, config=TPSConfig(search_timeout=2.0, charge_layer_costs=False)
-        )
-        builder.settle(rounds=6)
-        assert interface.send_overhead == 0.0
-        assert interface.receive_overhead == 0.0
-
     def test_close_stops_everything(self, lan):
         builder = lan
         publisher, subs, collected = _pub_sub(builder)

@@ -215,6 +215,34 @@ class TestFirewallIntegration:
         network.create_node("b")
         assert not network.reachable("a", "b", TransportKind.TCP)
 
+    def test_queries_count_nothing_and_a_refused_packet_counts_once(self, network):
+        """``blocked_count`` counts refused packets, not questions asked."""
+        firewall = Firewall(default_inbound="deny")
+        sender = network.create_node("a")
+        network.create_node("b", firewall=firewall)
+        assert not network.reachable("a", "b", TransportKind.TCP)
+        assert not network.reachable("a", "b", TransportKind.HTTP)
+        assert firewall.blocked_count == 0
+        with pytest.raises(NoRouteError):
+            sender.send(Packet(source="a", destination="b", payload=b"x"))
+        assert firewall.blocked_count == 1
+        assert network.metrics.counters()["packets_blocked"] == 1
+
+    def test_protocol_rule_applies_to_unicast(self, network):
+        """The unicast decision is taken on the real packet, protocol included
+        (it used to be taken on a probe that was always ``"jxta"``)."""
+        firewall = Firewall(rules=[FirewallRule("deny", protocol="experimental")])
+        sender = network.create_node("a")
+        received = _collect(network.create_node("b", firewall=firewall))
+        with pytest.raises(NoRouteError):
+            sender.send(
+                Packet(source="a", destination="b", payload=b"x", protocol="experimental")
+            )
+        sender.send(Packet(source="a", destination="b", payload=b"y", protocol="jxta"))
+        network.simulator.run()
+        assert [packet.payload for packet in received] == [b"y"]
+        assert firewall.blocked_count == 1
+
     def test_node_metrics_track_traffic(self, network):
         sender = network.create_node("a")
         receiver = network.create_node("b")

@@ -11,7 +11,7 @@ from repro.jxta.pipes import PipeKind
 from repro.jxta.wire import (
     WIRE_ACK_REQ_ELEMENT,
     WIRE_MSG_ID_ELEMENT,
-    WireReliability,
+    WIRE_SRC_ELEMENT,
     WireService,
 )
 from repro.net.faults import FaultPlan
@@ -249,6 +249,24 @@ class TestWireService:
         assert counters.get("wire_malformed", 0) == 1
         assert counters.get("wire_acks_sent", 0) == 0
 
+    def test_malformed_wire_source_is_counted_and_dropped(self, two_peers):
+        """The wire source element is outside input, parsed once on entry: one
+        that is not a peer URN used to raise out of the scheduled delivery
+        callback and abort the whole simulator run."""
+        alpha, beta, builder = two_peers
+        advertisement, output, inboxes = self._wire_pair(builder, alpha, [beta])
+        forged = _message("forged")
+        forged.add(WIRE_SRC_ELEMENT, "not-a-jxta-urn")
+        alpha.endpoint.send(
+            beta.peer_id, forged, WireService.WireName, advertisement.pipe_id.to_urn()
+        )
+        builder.settle(rounds=4)
+        assert inboxes[0] == []
+        assert beta.metrics.counters().get("wire_malformed", 0) == 1
+        output.send(_message("genuine"))
+        builder.settle(rounds=4)
+        assert [m.get_text("body") for m in inboxes[0]] == ["genuine"]
+
     def test_connected_publishers_tracked(self, lan):
         builder = lan
         receiver = builder.peer_named("peer-0")
@@ -338,7 +356,7 @@ class TestWireService:
         """A retransmission reuses the bytes of the first transmission."""
         alpha, beta, builder = two_peers
         advertisement, output, inboxes = self._wire_pair(
-            builder, alpha, [beta], reliability=WireReliability()
+            builder, alpha, [beta], reliable=True
         )
         bodies = self._sent_bodies(alpha, advertisement, monkeypatch)
         builder.network.fault_plan = FaultPlan(seed=5).drop_next(

@@ -507,6 +507,34 @@ class TestMalformedRemoteBodies:
             service.process_response(self._response(body))
         assert alpha.metrics.counters().get("pbp_malformed", 0) >= len(self.BAD_BODIES) * 2
 
+    def test_pipe_binding_drops_a_malformed_peer_urn_on_entry(self, two_peers):
+        """A binding's ``<Peer>`` is outside input, parsed once when it is
+        learned: one that is not a peer URN used to be stored and then make
+        every later send on the pipe raise AdvertisementError."""
+        from repro.jxta.message import Message
+        from repro.jxta.pipes import PipeKind
+
+        alpha, beta, builder = two_peers
+        advertisement = PipeAdvertisement(name="bound", pipe_kind=PipeKind.WIRE.value)
+        inbox = []
+        beta.world_group.wire.create_input_pipe(advertisement, lambda m, s: inbox.append(m))
+        builder.settle(rounds=2)
+        output = alpha.world_group.wire.create_output_pipe(advertisement)
+        builder.settle(rounds=2)
+        service = alpha.world_group.pipe_service
+        body = (
+            "<{0}><Pipe>" + advertisement.pipe_id.to_urn() + "</Pipe>"
+            "<Peer>not-a-jxta-urn</Peer><Address>nowhere</Address></{0}>"
+        )
+        before = alpha.metrics.counters().get("pbp_malformed", 0)
+        service.process_query(self._query(body.format("PipeBind")))
+        service.process_response(self._response(body.format("PipeBound")))
+        assert alpha.metrics.counters().get("pbp_malformed", 0) == before + 2
+        assert output.resolved_peers() == [beta.peer_id]
+        output.send(Message())
+        builder.settle(rounds=2)
+        assert len(inbox) == 1
+
     def test_peerinfo_drops_malformed_bodies(self, two_peers):
         alpha, _, _ = two_peers
         service = alpha.world_group.peerinfo

@@ -333,11 +333,12 @@ class AsyncEventStream(StreamCore):
             while True:
                 if self._closed:
                     return
+                generation = self._generation
                 entries = self._source.since(self._cursor)
                 if not entries:
                     return
                 for offset, event, _ in entries:
-                    if self._closed:
+                    if self._closed or self._generation != generation:
                         return
                     # Advance before filtering, same rationale as the
                     # threaded EventStream._pump: a raising predicate
@@ -372,6 +373,7 @@ class AsyncEventStream(StreamCore):
         self._buffer.clear()
         self._wake_all(self._not_full)
         self._cursor = max(0, offset)
+        self._generation += 1
         await self._pump()
         return self
 
@@ -383,6 +385,7 @@ class AsyncEventStream(StreamCore):
                 self._buffer.popleft()
                 self._dropped += 1
             else:
+                generation = self._generation
                 while len(self._buffer) >= self.maxsize and not self._closed:
                     if self._consumer_tasks == {_task_ident()}:
                         # The publishing task is this stream's only consumer
@@ -400,8 +403,8 @@ class AsyncEventStream(StreamCore):
                     waiter = self._loop.create_future()
                     self._not_full.append(waiter)
                     await waiter
-                if self._closed:
-                    return
+                if self._closed or self._generation != generation:
+                    return  # closed, or resumed past this entry while waiting
         self._buffer.append(event)
         self._wake_one(self._not_empty)
 

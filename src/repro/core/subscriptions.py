@@ -428,6 +428,11 @@ class StreamCore:
         # it filters at replay time instead.
         self._source = source
         self._cursor = max(0, from_offset or 0)
+        #: Bumped by every ``resume``: a pump that pulled its batch under an
+        #: older generation is stale and must neither move the cursor nor
+        #: enqueue (``resume`` cannot take the pump mutex -- a pump blocked
+        #: on a full ``"block"`` buffer holds it).
+        self._generation = 0
         self._pull_predicate = predicate if source is not None else None
         self._init_waiters()
         subscription = interface._subscribe_one(
@@ -563,12 +568,13 @@ class EventStream(StreamCore):
                 with self._lock:
                     if self._closed:
                         return
+                    generation = self._generation
                     entries = self._source.since(self._cursor)
                 if not entries:
                     return
                 for offset, event, _ in entries:
                     with self._lock:
-                        if self._closed:
+                        if self._closed or self._generation != generation:
                             return
                         # Advance before filtering: a predicate that raises
                         # consumes its entry (the error is routed to the
@@ -580,7 +586,7 @@ class EventStream(StreamCore):
                     if predicate is not None and not predicate(event):
                         continue
                     with self._lock:
-                        if self._closed:
+                        if self._closed or self._generation != generation:
                             return
                         self._enqueue_locked(event)
 
@@ -607,6 +613,7 @@ class EventStream(StreamCore):
             self._buffer.clear()
             self._not_full.notify_all()
             self._cursor = max(0, offset)
+            self._generation += 1
         self._pump()
         return self
 
@@ -642,10 +649,11 @@ class EventStream(StreamCore):
                         "full; drain the stream first, use a consumer "
                         "thread, or choose policy='drop_oldest'"
                     )
+                generation = self._generation
                 while len(self._buffer) >= self.maxsize and not self._closed:
                     self._not_full.wait()
-                if self._closed:
-                    return
+                if self._closed or self._generation != generation:
+                    return  # closed, or resumed past this entry while waiting
             elif len(self._buffer) >= self.maxsize:
                 self._buffer.popleft()
                 self._dropped += 1

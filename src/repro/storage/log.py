@@ -20,18 +20,25 @@ longer decodes, is dropped along with everything after it, so the store
 always reopens to a prefix of complete records (``recovered_records`` /
 ``truncated_bytes`` report what recovery found).
 
-Reads (``snapshot``/``since``) flush the write buffer and scan the file with
-an independent descriptor, skipping unwanted records header-by-header; they
-keep working after ``close()`` -- the paper's contract that a closed
-interface still answers its history queries extends to the durable store.
+Reads (``snapshot``/``since``) cost O(returned): the store keeps a sparse
+index of one file position per ``_STRIDE`` records plus the position of the
+last record, so ``since(offset)`` seeks to the nearest indexed record at or
+before ``offset`` (or straight to the tail, the common case of a reader that
+follows live appends) and reads only from there, in one positional read
+of the writer's descriptor (of a briefly opened one after ``close()``),
+taken under the store's lock and decoded after it.  Reads keep working
+after ``close()`` -- the paper's contract that a closed interface still
+answers its history queries extends to the durable store.
 
-In-memory footprint is O(1): the store keeps only counters, never the
-records, so a ``history="log"`` engine honours the "no engine's in-memory
-history grows beyond its configured bound" guarantee trivially.
+In-memory footprint is an index of one int per ``_STRIDE`` records, never
+the records themselves, so a ``history="log"`` engine honours the "no
+engine's in-memory history grows beyond its configured bound" guarantee
+with ~1/``_STRIDE`` of an int per event.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import threading
 from typing import Any, Callable, List, Tuple
@@ -41,6 +48,10 @@ from repro.core.history import HistoryStore
 
 #: Bytes of the per-record big-endian length prefix.
 _HEADER_SIZE = 4
+
+#: Records per sparse-index entry: ``since`` reads at most this many
+#: records it does not return.
+_STRIDE = 64
 
 #: Default group-commit batch: fsync once per this many appends.
 DEFAULT_FSYNC_EVERY = 64
@@ -71,8 +82,15 @@ class LogHistory(HistoryStore):
         self.recovered_records = 0
         #: Torn-tail bytes dropped by crash recovery on open.
         self.truncated_bytes = 0
+        #: File position of every ``_STRIDE``-th record (record ``k * _STRIDE``).
+        self._index: List[int] = []
+        #: File positions of the last record and of the end of the last record.
+        self._tail = 0
+        self._size = 0
         self._next = self._recover()
-        self._writer = open(self.path, "ab")
+        # Readable too: ``since`` preads from this descriptor instead of
+        # opening the file; O_APPEND still appends every write.
+        self._writer = open(self.path, "a+b")
 
     # ------------------------------------------------------------- recovery
 
@@ -84,7 +102,7 @@ class LogHistory(HistoryStore):
             return 0
         records = 0
         good_end = 0
-        last_start = 0
+        last_start = previous_start = 0
         last_payload = b""
         with open(self.path, "rb") as segment:
             while True:
@@ -98,9 +116,11 @@ class LogHistory(HistoryStore):
                 payload = segment.read(length)
                 if len(payload) < length:
                     break  # torn payload
+                if records % _STRIDE == 0:
+                    self._index.append(start)
                 records += 1
                 good_end = segment.tell()
-                last_start = start
+                previous_start, last_start = last_start, start
                 last_payload = payload
         if records:
             # A tail record can be structurally complete yet undecodable
@@ -111,7 +131,9 @@ class LogHistory(HistoryStore):
                 self._decode(last_payload)
             except Exception:  # noqa: BLE001 - any decode failure means a torn tail
                 records -= 1
-                good_end = last_start
+                good_end, last_start = last_start, previous_start
+                del self._index[(records + _STRIDE - 1) // _STRIDE :]
+        self._tail, self._size = last_start, good_end
         self.recovered_records = records
         self.truncated_bytes = size - good_end
         if good_end < size:
@@ -123,16 +145,22 @@ class LogHistory(HistoryStore):
 
     def append(self, event: Any, meta: Any = None) -> int:
         payload = self._encode((event, meta))
+        record = len(payload).to_bytes(_HEADER_SIZE, "big") + payload
         with self._lock:
             if self._closed:
                 raise PSException(f"the history log {self.path!r} is closed")
-            self._writer.write(len(payload).to_bytes(_HEADER_SIZE, "big"))
-            self._writer.write(payload)
+            self._writer.write(record)
+            # Account for the record before the group commit, so a failed
+            # fsync cannot leave the index behind the bytes written.
+            offset = self._next
+            position = self._tail = self._size
+            if offset % _STRIDE == 0:
+                self._index.append(position)
+            self._size = position + len(record)
+            self._next = offset + 1
             self._pending += 1
             if self._pending >= self.fsync_every:
                 self._sync_locked()
-            offset = self._next
-            self._next = offset + 1
             return offset
 
     def _sync_locked(self) -> None:
@@ -149,31 +177,44 @@ class LogHistory(HistoryStore):
     # -------------------------------------------------------------- reading
 
     def since(self, offset: int) -> List[Tuple[int, Any, Any]]:
+        offset = max(0, offset)
         with self._lock:
-            if not self._closed:
-                # Make buffered appends visible to the reading descriptor;
-                # no fsync needed for same-process reads.
-                self._writer.flush()
             end = self._next
+            if offset >= end:
+                return []
+            if offset == end - 1:
+                index, position = offset, self._tail
+            else:
+                index = offset - offset % _STRIDE
+                position = self._index[index // _STRIDE]
+            # Take the bytes while still holding the lock, so a concurrent
+            # clear() cannot leave ``position`` pointing mid-record.
+            span = self._size - position
+            if self._closed:
+                with open(self.path, "rb") as closed:
+                    data = os.pread(closed.fileno(), span, position)
+            else:
+                # Make buffered appends visible; no fsync needed for
+                # same-process reads.
+                self._writer.flush()
+                data = os.pread(self._writer.fileno(), span, position)
+        # Decode outside the lock: the codec is a call-out.
         entries: List[Tuple[int, Any, Any]] = []
-        if offset >= end:
-            return entries
-        with open(self.path, "rb") as segment:
-            index = 0
-            while index < end:
-                header = segment.read(_HEADER_SIZE)
-                if len(header) < _HEADER_SIZE:
+        segment = io.BytesIO(data)
+        while index < end:
+            header = segment.read(_HEADER_SIZE)
+            if len(header) < _HEADER_SIZE:
+                break
+            length = int.from_bytes(header, "big")
+            if index < offset:
+                segment.seek(length, os.SEEK_CUR)
+            else:
+                payload = segment.read(length)
+                if len(payload) < length:
                     break
-                length = int.from_bytes(header, "big")
-                if index < offset:
-                    segment.seek(length, os.SEEK_CUR)
-                else:
-                    payload = segment.read(length)
-                    if len(payload) < length:
-                        break
-                    event, meta = self._decode(payload)
-                    entries.append((index, event, meta))
-                index += 1
+                event, meta = self._decode(payload)
+                entries.append((index, event, meta))
+            index += 1
         return entries
 
     def snapshot(self) -> List[Any]:
@@ -209,6 +250,8 @@ class LogHistory(HistoryStore):
             self._writer.seek(0)
             self._pending = 0
             self._next = 0
+            self._index = []
+            self._tail = self._size = 0
 
     def close(self) -> None:
         """Flush, fsync and close the writer; reads keep working."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 
 import pytest
 
@@ -89,6 +90,40 @@ class TestResumableStreams:
         publisher.publish(_offer(4))
         stream.resume(3)
         assert _shops(stream.drain()) == ["shop-3", "shop-4"]
+        publisher.close()
+        subscriber.close()
+
+    def test_resume_discards_a_pump_blocked_on_a_full_buffer(self):
+        """A publisher-thread pump blocked on a full ``"block"`` buffer must
+        not deliver its pre-resume entry (nor rewind the cursor) once the
+        consumer has resumed past it."""
+        bus = LocalBus()
+        publisher = LocalTPSEngine(SkiRental, bus=bus)
+        subscriber = LocalTPSEngine(SkiRental, bus=bus)
+        subscriber.subscribe(lambda event: None)
+        stream = subscriber.stream(from_offset=0, maxsize=1, policy="block")
+        # Signal when the pump starts waiting for room in the buffer.
+        blocked = threading.Event()
+        real_wait = stream._not_full.wait
+
+        def wait(*args, **kwargs):
+            blocked.set()
+            return real_wait(*args, **kwargs)
+
+        stream._not_full.wait = wait
+        producer = threading.Thread(
+            target=lambda: [publisher.publish(_offer(i)) for i in range(2)]
+        )
+        producer.start()
+        # Offset 0 fills the buffer; the pump then blocks holding offset 1.
+        assert blocked.wait(timeout=5), "the pump never blocked"
+        stream.resume(2)
+        producer.join(timeout=5)
+        received = _shops(stream.drain())
+        publisher.publish(_offer(2))
+        received += _shops(stream.drain())
+        assert received == ["shop-2"]
+        assert stream.offset == 3
         publisher.close()
         subscriber.close()
 
@@ -177,6 +212,46 @@ class TestResumableStreams:
             live = subscriber.stream()
             with pytest.raises(PSException, match="from_offset"):
                 await live.resume(0)
+            await publisher.close()
+            await subscriber.close()
+            return True
+
+        loop = asyncio.new_event_loop()
+        try:
+            assert loop.run_until_complete(main())
+        finally:
+            loop.close()
+
+    @pytest.mark.asyncio
+    def test_async_resume_discards_a_pump_suspended_on_a_full_buffer(self):
+        """The asyncio twin: a pump suspended in ``_enqueue`` must not
+        deliver its pre-resume entry after ``await stream.resume``."""
+
+        async def main():
+            engine = TPSEngine(SkiRental)
+            publisher = engine.new_interface("ASYNC")
+            subscriber = engine.new_interface("ASYNC")
+            subscriber.subscribe(lambda event: None)
+            stream = subscriber.stream(from_offset=0, maxsize=1, policy="block")
+
+            async def produce():
+                for index in range(2):
+                    await publisher.publish(_offer(index))
+
+            producer = asyncio.get_running_loop().create_task(produce())
+            # Offset 0 fills the buffer; the pump then suspends on offset 1,
+            # parking its waiter future in the stream's own _not_full deque.
+            for _ in range(1000):
+                if stream._not_full:
+                    break
+                await asyncio.sleep(0)
+            assert stream._not_full, "the pump never suspended"
+            await stream.resume(2)
+            await producer
+            assert stream.drain() == []
+            await publisher.publish(_offer(2))
+            assert _shops(stream.drain()) == ["shop-2"]
+            assert stream.offset == 3
             await publisher.close()
             await subscriber.close()
             return True

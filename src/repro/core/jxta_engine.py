@@ -412,7 +412,6 @@ class JxtaTPSEngine(TPSInterface):
         self.peer.metrics.counter("tps_published").increment()
         cpu_time = sum(receipt.cpu_time for receipt in receipts)
         completion = max(receipt.completion_time for receipt in receipts)
-        self.peer.metrics.timer("tps_publish_cpu").observe(cpu_time)
         return PublishReceipt(
             cpu_time=cpu_time,
             completion_time=completion,

@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.exceptions import PSException
 from repro.jxta.advertisement import PipeAdvertisement
+from repro.jxta.errors import AdvertisementError
 from repro.jxta.ids import PeerID, PipeID
 from repro.jxta.message import Message
 from repro.jxta.peer import Peer
@@ -98,12 +99,13 @@ class ReplyEndpoint:
     def _on_message(self, message: Message, source: PeerID) -> None:
         try:
             body = self._codec.decode(message.get_bytes(_REPLY_BODY))
+            responder = PeerID.from_urn(message.get_text(_REPLY_SENDER))
         except Exception:
             self.peer.metrics.counter("reply_malformed").increment()
             return
         self.replies.append(
             Reply(
-                responder=PeerID.from_urn(message.get_text(_REPLY_SENDER)),
+                responder=responder,
                 event_id=message.get_text(_REPLY_EVENT_ID),
                 body=body,
                 received_at=self.peer.now,
@@ -128,21 +130,23 @@ def reply(peer: Peer, event: Replyable, body: Any) -> bool:
 
     ``body`` may be any plain value (strings, numbers, lists, dicts...).
     Returns True when the response was handed to the network; raises
-    :class:`PSException` when the event carries no reply address.
+    :class:`PSException` when the event carries no reply address, or one
+    whose ``peer`` or ``pipe`` is missing or not a URN of that kind.
     """
     if not isinstance(event, Replyable) or not event.accepts_replies():
         raise PSException("this event does not accept replies (no reply address attached)")
     address = event.reply_address
+    try:
+        # The address travelled inside a remote event: outside input.
+        publisher = PeerID.from_urn(address["peer"])
+        pipe_urn = PipeID.from_urn(address["pipe"]).to_urn()
+    except (AdvertisementError, AttributeError, KeyError, TypeError) as exc:
+        raise PSException(f"malformed reply address {address!r}") from exc
     message = Message()
     message.add(_REPLY_BODY, ObjectCodec(strict=False).encode(body))
     message.add(_REPLY_SENDER, peer.peer_id.to_urn())
     message.add(_REPLY_EVENT_ID, address.get("event_id", ""))
-    sent = peer.endpoint.send(
-        PeerID.from_urn(address["peer"]),
-        message,
-        "jxta.service.pipedata",
-        address["pipe"],
-    )
+    sent = peer.endpoint.send(publisher, message, "jxta.service.pipedata", pipe_urn)
     if sent:
         peer.metrics.counter("replies_sent").increment()
     return sent

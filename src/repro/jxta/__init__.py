@@ -2,7 +2,7 @@
 
 The paper layers TPS on top of Sun's JXTA 1.0, "an analogous to the sockets
 for P2P infrastructures".  This package reimplements the JXTA machinery the
-paper relies on:
+paper's TPS layer relies on:
 
 Concepts (Section 2.1 of the paper)
     :mod:`repro.jxta.ids` (IDs), :mod:`repro.jxta.peer` (peers, rendez-vous
@@ -14,15 +14,14 @@ Concepts (Section 2.1 of the paper)
 Protocols (Section 2.2)
     * Peer Discovery Protocol (PDP) -- :mod:`repro.jxta.discovery`
     * Peer Resolver Protocol (PRP) -- :mod:`repro.jxta.resolver`
-    * Peer Information Protocol (PIP) -- :mod:`repro.jxta.peerinfo`
-    * Peer Membership Protocol (PMP) -- :mod:`repro.jxta.membership`
     * Pipe Binding Protocol (PBP) -- :mod:`repro.jxta.pipe_binding`
     * Endpoint Routing Protocol (ERP) -- :mod:`repro.jxta.routing`
 
 Services (Section 2 "service layer")
     * the many-to-many WIRE service -- :mod:`repro.jxta.wire`
-    * the monitoring service -- :mod:`repro.jxta.monitoring`
-    * a small content-management (cms-like) service -- :mod:`repro.jxta.cms`
+
+The paper's other JXTA protocols and services (peer information, membership,
+monitoring, cms, bi-directional pipes) are out of scope: TPS does not use them.
 
 :mod:`repro.jxta.platform` bootstraps a peer (endpoint, world peer group and
 all standard services) on top of a :class:`repro.net.Node`.
@@ -30,7 +29,6 @@ all standard services) on top of a :class:`repro.net.Node`.
 
 from __future__ import annotations
 
-from repro.jxta.bidipipe import BidirectionalPipe, BidirectionalPipeListener
 from repro.jxta.advertisement import (
     Advertisement,
     AdvertisementFactory,
@@ -42,35 +40,29 @@ from repro.jxta.advertisement import (
 )
 from repro.jxta.errors import (
     JxtaError,
-    MembershipError,
     PipeError,
     ResolverError,
     ServiceNotFoundError,
 )
-from repro.jxta.ids import CodatID, JxtaID, ModuleID, PeerGroupID, PeerID, PipeID
+from repro.jxta.ids import JxtaID, ModuleID, PeerGroupID, PeerID, PipeID
 from repro.jxta.message import Message, MessageElement
 from repro.jxta.peer import Peer, PeerConfig
 from repro.jxta.peergroup import PeerGroup
-from repro.jxta.pipes import InputPipe, OutputPipe, PipeKind
+from repro.jxta.pipes import InputPipe, PipeKind
 from repro.jxta.platform import JxtaNetworkBuilder, create_peer
 from repro.jxta.wire import WireService
 
 __all__ = [
     "Advertisement",
     "AdvertisementFactory",
-    "BidirectionalPipe",
-    "BidirectionalPipeListener",
-    "CodatID",
     "InputPipe",
     "JxtaError",
     "JxtaID",
     "JxtaNetworkBuilder",
-    "MembershipError",
     "Message",
     "MessageElement",
     "ModuleAdvertisement",
     "ModuleID",
-    "OutputPipe",
     "Peer",
     "PeerAdvertisement",
     "PeerConfig",

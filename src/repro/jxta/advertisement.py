@@ -358,7 +358,6 @@ class PeerGroupAdvertisement(Advertisement):
         app: str = "",
         group_impl: str = "",
         is_rendezvous: bool = False,
-        membership_password: Optional[str] = None,
         created_at: float = 0.0,
     ) -> None:
         super().__init__(name=name, created_at=created_at)
@@ -368,8 +367,6 @@ class PeerGroupAdvertisement(Advertisement):
         self.app = app
         self.group_impl = group_impl
         self.is_rendezvous = is_rendezvous
-        #: Optional password required by the Peer Membership Protocol to join.
-        self.membership_password = membership_password
         self._services: Dict[str, ServiceAdvertisement] = {}
 
     def resource_id(self) -> PeerGroupID:
@@ -452,8 +449,6 @@ class PeerGroupAdvertisement(Advertisement):
         element.add("App", self.app)
         element.add("GroupImpl", self.group_impl)
         element.add("Rdv", "true" if self.is_rendezvous else "false")
-        if self.membership_password is not None:
-            element.add("MembershipPassword", self.membership_password)
         services = element.add("Services")
         for name, service in sorted(self._services.items()):
             wrapper = services.add("Service", name=name)
@@ -469,8 +464,6 @@ class PeerGroupAdvertisement(Advertisement):
         self.app = element.child_text("App", self.app)
         self.group_impl = element.child_text("GroupImpl", self.group_impl)
         self.is_rendezvous = element.child_text("Rdv") == "true"
-        password = element.find("MembershipPassword")
-        self.membership_password = password.text if password is not None else None
         services_xml = element.find("Services")
         self._services = {}
         if services_xml is not None:

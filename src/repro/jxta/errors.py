@@ -19,14 +19,6 @@ class PipeError(JxtaError):
     """Raised when a pipe cannot be created, bound or used."""
 
 
-class MembershipError(JxtaError):
-    """Raised by the Peer Membership Protocol (bad credentials, not a member...)."""
-
-
-class RoutingError(JxtaError):
-    """Raised by the Endpoint Routing Protocol when no route can be found."""
-
-
 class AdvertisementError(JxtaError):
     """Raised when an advertisement is malformed or of an unknown type."""
 
@@ -34,9 +26,7 @@ class AdvertisementError(JxtaError):
 __all__ = [
     "AdvertisementError",
     "JxtaError",
-    "MembershipError",
     "PipeError",
     "ResolverError",
-    "RoutingError",
     "ServiceNotFoundError",
 ]

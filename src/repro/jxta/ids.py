@@ -154,15 +154,8 @@ class ModuleID(JxtaID):
     kind_name = "module"
 
 
-class CodatID(JxtaID):
-    """Identifies a codat (a unit of code-and-data shared inside a group)."""
-
-    kind_code = "06"
-    kind_name = "codat"
-
-
 _KIND_REGISTRY: dict[str, Type[JxtaID]] = {
-    cls.kind_code: cls for cls in (JxtaID, PeerID, PeerGroupID, PipeID, ModuleID, CodatID)
+    cls.kind_code: cls for cls in (JxtaID, PeerID, PeerGroupID, PipeID, ModuleID)
 }
 
 #: The well-known ID of the world (net) peer group every peer boots into.
@@ -216,7 +209,6 @@ class BoundedIdSet:
 
 __all__ = [
     "BoundedIdSet",
-    "CodatID",
     "IDFactory",
     "JxtaID",
     "ModuleID",

@@ -7,24 +7,20 @@ groups.  A peergroup creates a scoped and monitored environment."
 
 A :class:`PeerGroup` is a *local* view: each participating peer instantiates
 the group (from its advertisement) and thereby gets its own set of group
-services -- resolver, discovery, membership, pipe binding, peer info,
-rendez-vous, wire, monitoring and content.  Traffic is scoped per group: the
-services register endpoint listeners and resolver handlers parameterised by
-the group ID, so two groups never see each other's queries or messages.
+services -- resolver, discovery, pipe binding, rendez-vous and wire, the ones
+TPS runs on.  Traffic is scoped per group: the services register endpoint
+listeners and resolver handlers parameterised by the group ID, so two groups
+never see each other's queries or messages.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.jxta.advertisement import PeerGroupAdvertisement, ServiceAdvertisement
-from repro.jxta.cms import ContentService
+from repro.jxta.advertisement import PeerGroupAdvertisement
 from repro.jxta.discovery import DiscoveryService
 from repro.jxta.errors import ServiceNotFoundError
 from repro.jxta.ids import PeerGroupID
-from repro.jxta.membership import MembershipService
-from repro.jxta.monitoring import MonitoringService
-from repro.jxta.peerinfo import PeerInfoService
 from repro.jxta.pipe_binding import PipeBindingService
 from repro.jxta.rendezvous import RendezvousService
 from repro.jxta.resolver import ResolverService
@@ -41,13 +37,9 @@ class PeerGroup:
     #: Well-known service names usable with :meth:`lookup_service`.
     RESOLVER = ResolverService.SERVICE_NAME
     DISCOVERY = DiscoveryService.SERVICE_NAME
-    MEMBERSHIP = MembershipService.SERVICE_NAME
     PIPE = PipeBindingService.SERVICE_NAME
     RENDEZVOUS = RendezvousService.SERVICE_NAME
     WIRE = WireService.WireName
-    PEERINFO = "jxta.service.peerinfo"
-    MONITORING = "jxta.service.monitoring"
-    CMS = "jxta.service.cms"
 
     def __init__(
         self,
@@ -63,24 +55,16 @@ class PeerGroup:
         # registers handlers with it), then the rest.
         self.resolver = ResolverService(self)
         self.discovery = DiscoveryService(self)
-        self.membership = MembershipService(self)
         self.pipe_service = PipeBindingService(self)
-        self.peerinfo = PeerInfoService(self)
         self.rendezvous = RendezvousService(self)
         self.wire = WireService(self)
-        self.monitoring = MonitoringService(self)
-        self.content = ContentService(self)
         self.router = EndpointRouter(peer)
         self._services: Dict[str, object] = {
             self.RESOLVER: self.resolver,
             self.DISCOVERY: self.discovery,
-            self.MEMBERSHIP: self.membership,
             self.PIPE: self.pipe_service,
-            self.PEERINFO: self.peerinfo,
             self.RENDEZVOUS: self.rendezvous,
             self.WIRE: self.wire,
-            self.MONITORING: self.monitoring,
-            self.CMS: self.content,
         }
         peer._register_group(self)
 

@@ -29,7 +29,7 @@ from repro.jxta.endpoint import EndpointEnvelope
 from repro.jxta.errors import AdvertisementError
 from repro.jxta.ids import PeerID, PipeID
 from repro.jxta.message import Message
-from repro.jxta.pipes import InputPipe, OutputPipe, PipeMessageListener
+from repro.jxta.pipes import InputPipe, PipeMessageListener
 from repro.jxta.resolver import ResolverQuery, ResolverResponse
 from repro.serialization.xml_codec import XmlElement, XmlParseError, parse_xml, to_xml
 
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class PipeBindingService:
-    """Per-group pipe creation, binding resolution and plain-pipe data delivery."""
+    """Per-group input pipes, binding resolution and plain-pipe data receipt."""
 
     SERVICE_NAME = "jxta.service.pipe"
     DATA_SERVICE_NAME = "jxta.service.pipedata"
@@ -82,16 +82,6 @@ class PipeBindingService:
         self.peer.metrics.counter("pipes_input_created").increment()
         if announce:
             self._announce(advertisement.pipe_id, bind=True)
-        return pipe
-
-    def create_output_pipe(
-        self, advertisement: PipeAdvertisement, *, resolve: bool = True
-    ) -> OutputPipe:
-        """Open an output pipe and (by default) issue a binding resolution query."""
-        pipe = OutputPipe(advertisement, self)
-        self.peer.metrics.counter("pipes_output_created").increment()
-        if resolve:
-            self.resolve(advertisement.pipe_id)
         return pipe
 
     def unbind(self, pipe: InputPipe) -> None:
@@ -226,17 +216,6 @@ class PipeBindingService:
         self.peer.metrics.counter("pbp_bindings_learned").increment()
 
     # ------------------------------------------------------------ data plane
-
-    def send_data(self, pipe_id: PipeID, message: Message, targets: List[PeerID]) -> int:
-        """Send ``message`` to each target's input pipe(s); returns sends performed."""
-        sent = 0
-        for target in targets:
-            if self.peer.endpoint.send(
-                target, message, self.DATA_SERVICE_NAME, pipe_id.to_urn()
-            ):
-                sent += 1
-        self.peer.metrics.counter("pipes_messages_sent").increment(sent if sent else 0)
-        return sent
 
     def _on_data_envelope(self, envelope: EndpointEnvelope, message: Message) -> None:
         pipes = self._local.get(envelope.param, [])

@@ -8,11 +8,10 @@ asynchronous and uni-directionnal but some other variants are available
 wire)).  Pipes are not bound to any physical address (like IP ones)."
 (paper, Section 2.1)
 
-This module defines the pipe kinds and the :class:`InputPipe` /
-:class:`OutputPipe` objects applications hold.  Binding (which peers listen
-on which pipe) is managed by the Pipe Binding Protocol in
-:mod:`repro.jxta.pipe_binding`; the many-to-many wire variant lives in
-:mod:`repro.jxta.wire`.
+This module defines the pipe kinds and the :class:`InputPipe` receiving end.
+Binding (which peers listen on which pipe) is managed by the Pipe Binding
+Protocol in :mod:`repro.jxta.pipe_binding`; the sending end is the
+many-to-many wire output pipe of :mod:`repro.jxta.wire`, the one TPS uses.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ class PipeKind(str, enum.Enum):
 
     #: One sender, one receiver, asynchronous and unidirectional.
     UNICAST = "JxtaUnicast"
-    #: One sender, many receivers on the local scope.
-    PROPAGATE = "JxtaPropagate"
     #: Many-to-many pipe provided by the WIRE service.
     WIRE = "JxtaWire"
 
@@ -120,65 +117,4 @@ class InputPipe:
         return f"InputPipe({self.name!r}, {self.pipe_id!r})"
 
 
-class OutputPipe:
-    """The sending end of a pipe on one peer.
-
-    For a unicast pipe, :meth:`send` delivers to the first resolved bound
-    peer; for a propagate pipe it delivers to every resolved peer.  The wire
-    variant (with cost accounting and queuing) is provided by
-    :class:`repro.jxta.wire.WireOutputPipe`.
-    """
-
-    def __init__(
-        self,
-        advertisement: PipeAdvertisement,
-        binding_service: "PipeBindingService",
-    ) -> None:
-        self.advertisement = advertisement
-        self._binding_service = binding_service
-        self.closed = False
-        self.sent_count = 0
-
-    @property
-    def pipe_id(self) -> PipeID:
-        """The pipe's stable identifier."""
-        return self.advertisement.pipe_id
-
-    @property
-    def name(self) -> str:
-        """The pipe's advertised name."""
-        return self.advertisement.name
-
-    def resolved_peers(self) -> List[PeerID]:
-        """Peers currently known to have a bound input pipe for this pipe."""
-        return self._binding_service.resolved_peers(self.pipe_id)
-
-    def send(self, message: Message) -> int:
-        """Send a message through the pipe; returns the number of peers targeted.
-
-        Raises :class:`PipeError` when the pipe is closed or (for a unicast
-        pipe) when no bound peer has been resolved yet.
-        """
-        if self.closed:
-            raise PipeError("cannot send on a closed output pipe")
-        targets = self.resolved_peers()
-        kind = self.advertisement.pipe_kind
-        if kind == PipeKind.UNICAST.value:
-            if not targets:
-                raise PipeError(
-                    f"unicast pipe {self.name!r} has no resolved input pipe to send to"
-                )
-            targets = targets[:1]
-        sent = self._binding_service.send_data(self.pipe_id, message, targets)
-        self.sent_count += sent
-        return sent
-
-    def close(self) -> None:
-        """Close the pipe.  Idempotent."""
-        self.closed = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"OutputPipe({self.name!r}, {self.pipe_id!r})"
-
-
-__all__ = ["InputPipe", "OutputPipe", "PipeKind", "PipeMessageListener"]
+__all__ = ["InputPipe", "PipeKind", "PipeMessageListener"]

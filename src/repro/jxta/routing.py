@@ -12,8 +12,8 @@ destination over any shared transport it hands the envelope to a router or
 rendez-vous peer, which forwards it.
 
 This module provides the protocol-level view: :class:`EndpointRouter` answers
-"how would I reach that peer right now?" with a :class:`Route`, which tests,
-examples and the monitoring service use to inspect the topology without
+"how would I reach that peer right now?" with a :class:`Route`, which tests
+and ``examples/firewalled_peers.py`` use to inspect the topology without
 sending traffic.
 """
 

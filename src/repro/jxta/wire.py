@@ -90,7 +90,7 @@ from repro.jxta.endpoint import EndpointEnvelope
 from repro.jxta.errors import AdvertisementError, PipeError
 from repro.jxta.ids import PeerID, PipeID
 from repro.jxta.message import Message
-from repro.jxta.pipes import InputPipe, OutputPipe, PipeKind, PipeMessageListener
+from repro.jxta.pipes import InputPipe, PipeMessageListener
 from repro.net.simclock import EventHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -233,13 +233,14 @@ class WireInputPipe(InputPipe):
     """A wire (many-to-many) input pipe; deliveries arrive via the wire service."""
 
 
-class WireOutputPipe(OutputPipe):
+class WireOutputPipe:
     """A wire (many-to-many) output pipe with cost-accounted sends.
 
-    A ``reliable`` pipe runs the at-least-once protocol of the module
-    docstring: each send is tracked per target, retransmitted with capped
-    exponential backoff and eventually acked or reported failed to the
-    registered failure listeners.
+    A send goes to every peer the Pipe Binding Protocol has resolved as bound
+    to the pipe.  A ``reliable`` pipe runs the at-least-once protocol of the
+    module docstring: each send is tracked per target, retransmitted with
+    capped exponential backoff and eventually acked or reported failed to
+    the registered failure listeners.
     """
 
     def __init__(
@@ -250,8 +251,11 @@ class WireOutputPipe(OutputPipe):
         extra_send_cost: float = 0.0,
         reliable: bool = False,
     ) -> None:
-        super().__init__(advertisement, wire_service.group.pipe_service)
+        self.advertisement = advertisement
+        self._binding_service = wire_service.group.pipe_service
         self._wire = wire_service
+        self.closed = False
+        self.sent_count = 0
         #: Extra virtual CPU charged per send on top of the wire cost,
         #: representing the work done by the layer above (SR-JXTA / SR-TPS).
         self.extra_send_cost = extra_send_cost
@@ -266,6 +270,15 @@ class WireOutputPipe(OutputPipe):
         )
         self._next_seq: Dict[str, int] = {}
 
+    @property
+    def pipe_id(self) -> PipeID:
+        """The pipe's stable identifier."""
+        return self.advertisement.pipe_id
+
+    def resolved_peers(self) -> List[PeerID]:
+        """Peers currently known to have a bound input pipe for this pipe."""
+        return self._binding_service.resolved_peers(self.pipe_id)
+
     def add_failure_listener(self, listener: Callable[[DeliveryFailure], None]) -> None:
         """Register a listener for terminal delivery failures on this pipe."""
         self.failure_listeners.append(listener)
@@ -276,7 +289,7 @@ class WireOutputPipe(OutputPipe):
         self._next_seq[target_urn] = value
         return value
 
-    def send(self, message: Message) -> SendReceipt:  # type: ignore[override]
+    def send(self, message: Message) -> SendReceipt:
         """Send a message to every bound input pipe; returns a :class:`SendReceipt`."""
         if self.closed:
             raise PipeError("cannot send on a closed wire output pipe")
@@ -288,7 +301,7 @@ class WireOutputPipe(OutputPipe):
         """Close the pipe and abandon its in-flight reliable deliveries."""
         if self.closed:
             return
-        super().close()
+        self.closed = True
         self._wire.abandon_pending(self)
 
 
@@ -491,7 +504,6 @@ class WireService:
                 self.peer.endpoint.propagate(wire_message, self.WireName, pipe_urn)
 
         simulator.schedule(total_cost, _transmit, label=f"wire-send:{self.peer.name}")
-        self.peer.metrics.timer("wire_send_cpu").observe(total_cost)
         self.peer.metrics.counter("wire_messages_sent").increment()
         return SendReceipt(
             cpu_time=total_cost,
@@ -759,7 +771,6 @@ class WireService:
                     continue
                 pipe.receive(message, source)
             self.peer.metrics.counter("wire_messages_delivered").increment()
-            self.peer.metrics.timer("wire_receive_cpu").observe(service_time)
             self.peer.metrics.series("wire_received").record(self.peer.simulator.now)
             self._process_next()
 

@@ -12,7 +12,7 @@ output:
   and ``str.find`` span jumps -- names, whole attribute runs, whitespace and
   text chunks are each consumed in a single C-level match instead of
   per-character ``isspace``/``isalnum`` loops.  Every advertisement,
-  discovery response, CMS entry and decoded XML event funnels through it.
+  resolver body, discovery response and decoded XML event funnels through it.
 * :class:`_Parser` is the original character-at-a-time implementation, kept
   reachable via ``parse_xml(document, fast=False)`` as the behavioural
   reference; the property tests in ``tests/test_xml_parser_properties.py``

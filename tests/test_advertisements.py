@@ -53,6 +53,28 @@ class TestMatching:
         advertisement = PeerAdvertisement(name="p")
         assert advertisement.matches("PID", advertisement.peer_id.to_urn())
 
+    def test_peer_matches_the_group_it_lives_in(self):
+        group_id = PeerGroupID()
+        advertisement = PeerAdvertisement(name="p", group_id=group_id)
+        assert advertisement.matches("GID", group_id.to_urn())
+        assert not advertisement.matches("GID", PeerGroupID().to_urn())
+
+    def test_peer_group_matches_description(self):
+        advertisement = PeerGroupAdvertisement(name="g", description="ski rentals")
+        assert advertisement.matches("Desc", "ski*")
+        assert not advertisement.matches("Desc", "bikes*")
+
+    @pytest.mark.parametrize(
+        "make",
+        [PeerAdvertisement, PeerGroupAdvertisement, PipeAdvertisement, ModuleAdvertisement],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_every_advertisement_matches_its_resource_id(self, make):
+        advertisement = make(name="x")
+        urn = advertisement.resource_id().to_urn()
+        assert advertisement.matches("ID", urn)
+        assert not advertisement.matches("ID", PipeID().to_urn())
+
 
 class TestXmlRoundTrips:
     def test_peer_advertisement(self):
@@ -101,7 +123,6 @@ class TestXmlRoundTrips:
             creator_peer_id=PeerID(),
             name="PS$SkiRental",
             description="ski rental group",
-            membership_password="secret",
         )
         group.add_service(
             "jxta.service.wire", ServiceAdvertisement(name="jxta.service.wire", pipe=pipe)
@@ -110,10 +131,20 @@ class TestXmlRoundTrips:
         assert isinstance(restored, PeerGroupAdvertisement)
         assert restored.get_gid() == group.group_id
         assert restored.get_pid() == group.creator_peer_id
-        assert restored.membership_password == "secret"
         wire = restored.service("jxta.service.wire")
         assert wire is not None
         assert wire.get_pipe().name == "SkiRental"
+
+    def test_empty_service_entry_in_a_group_document_is_skipped(self):
+        group = PeerGroupAdvertisement(name="PS$SkiRental")
+        group.add_service("jxta.service.wire", ServiceAdvertisement(name="jxta.service.wire"))
+        document = group.to_document().replace(
+            "<Services>", '<Services><Service name="jxta.service.empty"/>', 1
+        )
+        assert '<Service name="jxta.service.empty"/>' in document
+        restored = AdvertisementFactory.from_document(document)
+        assert restored.service("jxta.service.empty") is None
+        assert restored.service("jxta.service.wire") is not None
 
     def test_module_advertisement(self):
         advertisement = ModuleAdvertisement(name="resolver-impl", provider="repro")
@@ -164,6 +195,14 @@ class TestJxtaStyleAccessors:
         assert a.unique_key() == a.unique_key()
         plain = Advertisement(name="n")
         assert "n" in plain.unique_key()
+
+    def test_service_versions_are_distinct_cache_keys(self):
+        old = ServiceAdvertisement(name="jxta.service.wire", version="1.0")
+        new = ServiceAdvertisement(name="jxta.service.wire", version="2.0")
+        assert old.unique_key() != new.unique_key()
+        assert old.unique_key() == ServiceAdvertisement(
+            name="jxta.service.wire", version="1.0"
+        ).unique_key()
 
 
 class TestFactory:

@@ -239,6 +239,15 @@ class TestUnicast:
         builder.settle(rounds=2)
         assert len(received) == 1
 
+    def test_send_to_own_address_is_delivered_locally(self, two_peers):
+        alpha, _beta, _builder = two_peers
+        received = _register(alpha, "svc")
+        sent = alpha.metrics.counters().get("endpoint_sent", 0)
+        assert alpha.endpoint.send_to_address(alpha.node.address, _message("me"), "svc")
+        # Synchronous, and nothing touched the network.
+        assert [message.get_text("body") for _envelope, message in received] == ["me"]
+        assert alpha.metrics.counters().get("endpoint_sent", 0) == sent
+
 
 class TestPropagation:
     def test_propagate_reaches_all_lan_peers(self, builder):
@@ -315,3 +324,24 @@ class TestRouting:
         # budget.  Force the relay path by forgetting the address:
         alpha.endpoint.forget_address(beta.peer_id)
         assert not alpha.endpoint.send(beta.peer_id, _message(), "svc", ttl=0)
+
+    def test_router_drops_a_transit_envelope_with_no_ttl_left(self, lan):
+        builder = lan
+        rendezvous = builder.peer_named("rdv-0")
+        source, destination = builder.peer_named("peer-0"), builder.peer_named("peer-1")
+        inbox = _register(destination, "svc")
+        envelope = _envelope(
+            src_peer=source.peer_id.to_urn(), src_address=source.node.address,
+            dst_peer=destination.peer_id.to_urn(), service="svc", param="", ttl=0,
+            body=_message("spent").to_bytes(),
+        )
+        before = rendezvous.metrics.counters()
+        rendezvous.endpoint._on_packet(
+            Packet(source=source.node.address, destination=rendezvous.node.address,
+                   payload=envelope.to_bytes())
+        )
+        builder.settle(rounds=2)
+        counters = rendezvous.metrics.counters()
+        assert counters["endpoint_ttl_expired"] == before.get("endpoint_ttl_expired", 0) + 1
+        assert counters.get("endpoint_forwarded", 0) == before.get("endpoint_forwarded", 0)
+        assert inbox == []

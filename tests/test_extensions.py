@@ -15,6 +15,9 @@ from repro.core.xml_types import (
     XmlTypeDescription,
     describe_type,
 )
+from repro.jxta.ids import PipeID
+from repro.jxta.message import Message
+from repro.serialization.object_codec import ObjectCodec
 
 
 class TestXmlTypeDescriptions:
@@ -137,6 +140,61 @@ class TestReplyChannel:
         shopper = builder.peer_named("peer-1")
         with pytest.raises(PSException):
             reply(shopper, ReplyableOffer("s", 1.0, "b", 1), "hello")
+
+    #: Reply addresses as a remote event may carry them; ``<peer>`` / ``<pipe>``
+    #: stand for a well-formed URN of that kind.
+    MALFORMED_ADDRESSES = {
+        "missing-peer": {"pipe": "<pipe>"},
+        "peer-not-a-urn": {"peer": "not-a-urn", "pipe": "<pipe>"},
+        "peer-is-a-pipe-urn": {"peer": "<pipe>", "pipe": "<pipe>"},
+        "missing-pipe": {"peer": "<peer>"},
+        "pipe-not-a-urn": {"peer": "<peer>", "pipe": "not-a-urn"},
+        "pipe-is-a-peer-urn": {"peer": "<peer>", "pipe": "<peer>"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ADDRESSES))
+    def test_malformed_reply_address_raises_psexception(self, lan, case):
+        """The address travels inside a remote event, so a bad one is a
+        PSException -- not a KeyError, an AdvertisementError or a send to a
+        pipe that cannot exist."""
+        builder = lan
+        shopper = builder.peer_named("peer-1")
+        urns = {
+            "<peer>": builder.peer_named("peer-0").peer_id.to_urn(),
+            "<pipe>": PipeID().to_urn(),
+        }
+        event = ReplyableOffer("s", 1.0, "b", 1)
+        event.reply_address = {
+            key: urns.get(value, value)
+            for key, value in self.MALFORMED_ADDRESSES[case].items()
+        }
+        with pytest.raises(PSException):
+            reply(shopper, event, "hello")
+        assert shopper.metrics.counters().get("replies_sent", 0) == 0
+
+    def test_reply_with_a_bogus_sender_is_counted_malformed(self, lan):
+        """The sender URN is parsed inside the guarded block: a bogus one is a
+        ``reply_malformed``, not an error raised into the endpoint dispatch."""
+        builder = lan
+        shop_peer = builder.peer_named("peer-0")
+        shopper_peer = builder.peer_named("peer-1")
+        endpoint = ReplyEndpoint(shop_peer)
+        builder.settle(rounds=4)
+        forged = Message()
+        forged.add("TPSReplyBody", ObjectCodec(strict=False).encode("hi"))
+        forged.add("TPSReplySender", "not-a-urn")
+        shopper_peer.endpoint.learn_address(shop_peer.peer_id, shop_peer.node.address)
+        shopper_peer.endpoint.send(
+            shop_peer.peer_id,
+            forged,
+            "jxta.service.pipedata",
+            endpoint.advertisement.pipe_id.to_urn(),
+        )
+        builder.settle(rounds=4)
+        counters = shop_peer.metrics.counters()
+        assert endpoint.replies == []
+        assert counters.get("reply_malformed", 0) == 1
+        assert counters.get("endpoint_listener_errors", 0) == 0
 
     def test_replies_for_unattached_event_is_empty(self, lan):
         builder = lan

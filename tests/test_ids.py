@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.jxta.errors import AdvertisementError
 from repro.jxta.ids import (
-    CodatID,
     IDFactory,
     JxtaID,
     ModuleID,
@@ -20,7 +19,7 @@ from repro.jxta.ids import (
     seed_ids,
 )
 
-ALL_KINDS = [PeerID, PeerGroupID, PipeID, ModuleID, CodatID]
+ALL_KINDS = [PeerID, PeerGroupID, PipeID, ModuleID]
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +88,13 @@ class TestEqualityAndHashing:
     def test_ordering_is_total_within_and_across_kinds(self):
         ids = sorted([PipeID(), PeerID(), PeerGroupID(), PeerID()])
         assert len(ids) == 4  # sortable without error
+
+    def test_an_id_never_equals_or_orders_against_its_urn_string(self):
+        identifier = PeerID()
+        assert identifier != identifier.to_urn()
+        assert identifier.to_urn() not in {identifier}
+        with pytest.raises(TypeError):
+            identifier < identifier.to_urn()
 
     def test_fresh_ids_are_unique(self):
         assert len({PeerID() for _ in range(100)}) == 100

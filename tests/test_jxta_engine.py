@@ -252,6 +252,17 @@ class TestPerMessageMetricsFootprint:
         for attachment in publisher.manager.attachments:
             assert not hasattr(attachment.output_pipe, "receipts")
 
+    def test_wire_publish_writes_no_timer(self, lan):
+        """No per-message timer sample is kept that nothing reads: after one
+        wire publish reaches two subscribers, no peer holds a timer."""
+        publisher, _subs, collected = _pub_sub(lan, subscribers=2)
+        publisher.publish(SkiRental("shop", 10.0, "brand", 1))
+        lan.settle(rounds=4)
+        assert [len(inbox) for inbox in collected] == [1, 1]
+        assert {peer.name: peer.metrics.timers() for peer in lan.peers} == {
+            peer.name: {} for peer in lan.peers
+        }
+
 
 class TestThreadAffinity:
     """The engine is single-threaded by design (it mutates the simulated

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.analysis import (
     validate_document,
 )
 from repro.__main__ import main
+from repro.bench.code_size import count_code_lines
 
 pytestmark = pytest.mark.lint
 
@@ -125,6 +127,20 @@ def test_inline_pragma_count_only_goes_down():
         f"{len(mentions)} inline 'repro-lint: disable' pragmas, ceiling "
         f"{PRAGMA_CEILING}: fix the finding instead of suppressing it "
         "(docs/CONCURRENCY.md):\n" + "\n".join(mentions)
+    )
+
+
+#: ROADMAP's tracked code size, as it measures it: ``count_code_lines``
+#: summed over ``src/repro/**/*.py``.  A ratchet: lower it when code goes,
+#: never raise it to make room for new code -- delete something first.
+SRC_CEILING = 11881
+
+
+def test_source_code_lines_only_go_down():
+    total = sum(count_code_lines(path) for path in Path(SOURCE_TREE).rglob("*.py"))
+    assert total <= SRC_CEILING, (
+        f"src/repro has {total} code lines, ceiling {SRC_CEILING}: "
+        f"delete {total - SRC_CEILING} lines elsewhere instead of raising it"
     )
 
 

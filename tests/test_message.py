@@ -22,6 +22,12 @@ class TestMessageElement:
         bytes_element = MessageElement("b", b"\x01\x02")
         assert bytes_element.as_bytes == b"\x01\x02"
 
+    def test_bytes_content_reads_as_utf8_text(self):
+        assert MessageElement("b", "héllo".encode("utf-8")).as_text == "héllo"
+        message = Message()
+        message.add("b", "wire".encode("utf-8"))
+        assert message.get_text("b") == "wire"
+
     def test_size(self):
         assert MessageElement("t", "abc").size == 3
         assert MessageElement("b", b"12345").size == 5

@@ -30,15 +30,12 @@ class TestCreatePeer:
         for name in (
             PeerGroup.RESOLVER,
             PeerGroup.DISCOVERY,
-            PeerGroup.MEMBERSHIP,
             PeerGroup.PIPE,
             PeerGroup.RENDEZVOUS,
             PeerGroup.WIRE,
-            PeerGroup.PEERINFO,
-            PeerGroup.MONITORING,
-            PeerGroup.CMS,
         ):
             assert world.lookup_service(name) is not None
+        assert len(world.service_names()) == 5
 
     def test_unknown_service_raises(self):
         network = Network(Simulator())
@@ -101,6 +98,13 @@ class TestPeerGroups:
         alpha, _beta, _builder = two_peers
         names = alpha.world_group.service_names()
         assert PeerGroup.WIRE in names and PeerGroup.DISCOVERY in names
+
+    def test_figure_15_accessors_describe_the_local_view(self, two_peers):
+        alpha, _beta, _builder = two_peers
+        world = alpha.world_group
+        assert world.get_id() == WORLD_GROUP_ID == world.group_id
+        assert world.get_peer_id() == alpha.peer_id
+        assert world.get_advertisement() is world.advertisement
 
     def test_world_group_advertisement_helper(self):
         advertisement = world_group_advertisement()

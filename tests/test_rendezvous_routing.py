@@ -69,6 +69,14 @@ class TestRendezvousLeases:
         assert rendezvous.world_group.rendezvous.expire_leases() == 0
         client.world_group.rendezvous.stop_lease_renewal()
 
+    def test_disconnect_without_a_lease_sends_nothing(self, two_peers):
+        alpha, beta, builder = two_peers
+        sent = alpha.metrics.counters().get("endpoint_sent", 0)
+        alpha.world_group.rendezvous.disconnect(beta.peer_id)
+        builder.settle(rounds=2)
+        assert alpha.metrics.counters().get("endpoint_sent", 0) == sent
+        assert not alpha.world_group.rendezvous.is_connected()
+
 
 class TestRouting:
     def test_direct_route_prefers_tcp(self, two_peers):
@@ -117,3 +125,35 @@ class TestRouting:
         builder.network.partition(alpha.node.address, beta.node.address)
         route = alpha.world_group.router.find_route(beta.peer_id)
         assert not route.reachable
+
+    def test_find_route_accepts_a_urn(self, two_peers):
+        alpha, beta, _builder = two_peers
+        alpha.endpoint.learn_address(beta.peer_id, beta.node.address)
+        router = alpha.world_group.router
+        assert router.find_route(beta.peer_id.to_urn()) == router.find_route(beta.peer_id)
+        assert router.find_route(beta.peer_id.to_urn()).destination == beta.peer_id.to_urn()
+
+    @staticmethod
+    def _relayed_pair(builder):
+        """``alpha`` on lan0 and ``beta`` on lan1, joined only through ``rdv-0``."""
+        rendezvous = builder.add_rendezvous("rdv-0")
+        alpha = builder.add_peer("alpha")
+        beta = builder.add_peer("beta", segment="lan1", connect_rendezvous=False)
+        builder.connect_segments("beta", "rdv-0", LinkSpec.lan())
+        beta.world_group.rendezvous.connect("rdv-0")
+        builder.settle(rounds=4)
+        alpha.endpoint.learn_address(beta.peer_id, beta.node.address)
+        return rendezvous, alpha, beta
+
+    def test_no_route_when_the_relay_is_out_of_reach(self, builder):
+        rendezvous, alpha, beta = self._relayed_pair(builder)
+        builder.network.partition(alpha.node.address, rendezvous.node.address)
+        route = alpha.world_group.router.find_route(beta.peer_id)
+        assert not route.reachable
+        assert route.hops == [] and route.hop_count == 0
+
+    def test_no_route_when_the_relay_cannot_reach_the_destination(self, builder):
+        rendezvous, alpha, beta = self._relayed_pair(builder)
+        assert alpha.world_group.router.find_route(beta.peer_id).hop_count == 1
+        builder.network.partition(rendezvous.node.address, beta.node.address)
+        assert not alpha.world_group.router.can_reach(beta.peer_id)

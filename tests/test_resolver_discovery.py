@@ -91,6 +91,36 @@ class TestResolver:
         builder.settle(rounds=2)
         assert asker.responses == []
 
+    def test_own_query_is_not_answered(self, two_peers):
+        """A query that comes back to its sender (loopback, or a propagated
+        echo) reaches the resolver but never the local handler."""
+        alpha, _beta, _builder = two_peers
+        handler = EchoHandler()
+        alpha.world_group.resolver.register_handler("echo", handler)
+        alpha.world_group.resolver.send_query("echo", "x", dest_peer=alpha.peer_id)
+        counters = alpha.metrics.counters()
+        assert counters["resolver_queries_received"] >= 1
+        assert counters.get("resolver_responses_sent", 0) == 0
+        assert handler.queries == [] and handler.responses == []
+
+    def test_unknown_message_kind_is_counted_malformed(self, two_peers):
+        from repro.jxta.message import Message
+        from repro.jxta.resolver import ResolverService
+
+        alpha, beta, builder = two_peers
+        handler = EchoHandler()
+        beta.world_group.resolver.register_handler("echo", handler)
+        message = Message()
+        for name, text in (("kind", "gossip"), ("handler", "echo"), ("query_id", "q1"), ("body", "x")):
+            message.add(name, text)
+        alpha.endpoint.learn_address(beta.peer_id, beta.node.address)
+        alpha.endpoint.send(
+            beta.peer_id, message, ResolverService.SERVICE_NAME, beta.world_group.group_id.to_urn()
+        )
+        builder.settle(rounds=2)
+        assert beta.metrics.counters().get("resolver_malformed", 0) == 1
+        assert handler.queries == [] and handler.responses == []
+
     def test_unregister_handler(self, two_peers):
         alpha, _beta, _builder = two_peers
         resolver = alpha.world_group.resolver
@@ -173,6 +203,28 @@ class TestDiscovery:
             DiscoveryKind.GROUP, "Name", "PS$Pushed"
         )
         assert len(found) == 1
+
+    def test_a_response_from_this_peer_itself_is_ignored(self, two_peers):
+        alpha, beta, _builder = two_peers
+        discovery = alpha.world_group.discovery
+        events = []
+        discovery.add_discovery_listener(events.append)
+        body = XmlElement("DiscoveryResponse")
+        body.add("Kind", str(DiscoveryKind.GROUP))
+        body.add("Adv", PeerGroupAdvertisement(name="PS$Echoed").to_document())
+        body = to_xml(body, declaration=False)
+
+        def arrival(src_peer):
+            return ResolverResponse(handler_name="urn:jxta:pdp", query_id="q1", body=body, src_peer=src_peer)
+
+        def cached():
+            return discovery.get_local_advertisements(DiscoveryKind.GROUP, "Name", "PS$Echoed")
+
+        discovery.process_response(arrival(alpha.peer_id))
+        assert cached() == [] and events == []
+        # The same body from another peer is taken in.
+        discovery.process_response(arrival(beta.peer_id))
+        assert len(cached()) == 1 and len(events) == 1
 
     def test_threshold_limits_response_size(self, two_peers):
         alpha, beta, builder = two_peers
@@ -486,19 +538,6 @@ class TestMalformedRemoteBodies:
         assert malformed() == len(self.BAD_BODIES) * 4 + 1 + 2
         assert discovery.cache.count(DiscoveryKind.GROUP) >= 1
 
-    def test_cms_drops_malformed_bodies(self, two_peers):
-        alpha, _, _ = two_peers
-        content = alpha.world_group.content
-        for body in self.BAD_BODIES:
-            assert content.process_query(self._query(body)) is None
-            content.process_response(self._response(body))
-        # Non-hex fetch payloads are dropped, not raised from bytes.fromhex.
-        content.process_response(self._response(
-            "<ContentFetchResponse><Id>x</Id><Data>zz</Data><Checksum>c</Checksum>"
-            "</ContentFetchResponse>"
-        ))
-        assert alpha.metrics.counters().get("cms_malformed", 0) >= len(self.BAD_BODIES) * 2 + 1
-
     def test_pipe_binding_drops_malformed_bodies(self, two_peers):
         alpha, _, _ = two_peers
         service = alpha.world_group.pipe_service
@@ -534,24 +573,6 @@ class TestMalformedRemoteBodies:
         output.send(Message())
         builder.settle(rounds=2)
         assert len(inbox) == 1
-
-    def test_peerinfo_drops_malformed_bodies(self, two_peers):
-        alpha, _, _ = two_peers
-        service = alpha.world_group.peerinfo
-        for body in self.BAD_BODIES + ["<PeerInfoResponse><PID>bogus</PID></PeerInfoResponse>"]:
-            service.process_response(self._response(body))
-        assert service.received == []
-        assert alpha.metrics.counters().get("peerinfo_malformed", 0) >= len(self.BAD_BODIES) + 1
-
-    def test_monitoring_drops_malformed_bodies(self, two_peers):
-        alpha, _, _ = two_peers
-        service = alpha.world_group.monitoring
-        for body in self.BAD_BODIES + [
-            "<MonitoringReport><PID>bogus</PID></MonitoringReport>"
-        ]:
-            service.process_response(self._response(body))
-        assert service.collected == []
-        assert alpha.metrics.counters().get("monitoring_malformed", 0) >= len(self.BAD_BODIES) + 1
 
     def test_advertisement_factory_wraps_parse_errors(self):
         from repro.jxta.advertisement import AdvertisementFactory

@@ -53,7 +53,9 @@ simulated wire bindings is documented in ``docs/CONCURRENCY.md``.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Iterable, List, Optional, Type
+import inspect
+from collections import deque
+from typing import Any, Awaitable, Iterable, List, Optional, Type
 
 from repro.core.bindings import (
     BindingParam,
@@ -239,14 +241,30 @@ class AsyncLocalBus(LocalBus):
         )
 
 
+class _Futures(deque):
+    """Futures parked on the owning loop, woken through the same
+    ``notify``/``notify_all`` a :class:`threading.Condition` offers."""
+
+    def notify(self, n: int = 1) -> None:
+        # A timed-out get leaves its cancelled future behind; done futures
+        # are skipped, so it never eats a wake-up meant for a live waiter.
+        while self and n:
+            future = self.popleft()
+            if not future.done():
+                future.set_result(None)
+                n -= 1
+
+    def notify_all(self) -> None:
+        self.notify(len(self))
+
+
 class AsyncEventStream(StreamCore):
     """Pull-style consumption over the ASYNC binding: ``async for``-able.
 
-    The same :class:`~repro.core.subscriptions.StreamCore` contract as the
-    threaded :class:`~repro.core.subscriptions.EventStream` -- arrival-order
-    buffer, ``maxsize``, ``policy="block"|"drop_oldest"``, :attr:`dropped`
-    counter, close-wakes-everyone -- with waiting expressed as futures on
-    the owning loop instead of condition variables:
+    The same :class:`~repro.core.subscriptions.StreamCore` contract -- and
+    the same decisions -- as the threaded
+    :class:`~repro.core.subscriptions.EventStream`, with waiting expressed
+    as futures on the owning loop instead of condition variables:
 
     * ``async for event in stream`` (or ``await stream.get(timeout=...)``)
       suspends the consuming task until an event arrives or the stream
@@ -255,104 +273,58 @@ class AsyncEventStream(StreamCore):
       awaitable-backpressure half of the contract -- until a consumer makes
       room; the re-entrant case (the publishing task is the stream's only
       consumer, so nobody can ever make room) raises :class:`PSException`
-      into the subscription's error route, mirroring the threaded
-      heuristic;
-    * :meth:`drain` stays synchronous (the buffer is loop-confined) and
-      wakes blocked producers.
+      into the subscription's error route;
+    * :meth:`drain` stays synchronous and wakes blocked producers.
 
     Both ``with stream:`` (from loop context) and ``async with stream:``
     scope the stream.
     """
 
-    def __init__(
-        self,
-        interface: "AsyncTPSEngine",
-        *,
-        maxsize: int = 0,
-        policy: str = "block",
-        predicate: Optional[Callable[[Any], bool]] = None,
-        exception_handler: Optional[Any] = None,
-        source: Optional[Any] = None,
-        from_offset: Optional[int] = None,
-    ) -> None:
-        # _init_waiters needs the loop, so bind it before StreamCore's
-        # __init__ subscribes (after which _on_event may run immediately).
-        self._loop = interface.bus.loop
-        super().__init__(
-            interface,
-            maxsize=maxsize,
-            policy=policy,
-            predicate=predicate,
-            exception_handler=exception_handler,
-            source=source,
-            from_offset=from_offset,
-        )
+    _ident = staticmethod(_task_ident)
 
     def _init_waiters(self) -> None:
-        from collections import deque
-
-        self._not_empty: "deque[asyncio.Future]" = deque()
-        self._not_full: "deque[asyncio.Future]" = deque()
-        #: Task idents that have consumed (get/drain); see _on_event.
-        self._consumer_tasks: "set[int]" = set()
+        self._loop = self._interface.bus.loop
+        self._not_empty = _Futures()
+        self._not_full = _Futures()
         #: Serialises cursor-mode pulls (the asyncio twin of EventStream's
         #: ``_pump_mutex``): entries enter the buffer in offset order even
         #: when a pull suspends mid-batch on ``"block"`` backpressure.
         self._pump_mutex = asyncio.Lock()
         #: The construction-time backlog pull runs as a task (StreamCore's
-        #: __init__ is synchronous); tracked so _shutdown can cancel it.
+        #: __init__ is synchronous); tracked so close can cancel it.
         self._prefill: Optional[asyncio.Task] = None
-
-    @staticmethod
-    def _wake_one(waiters: Any) -> None:
-        while waiters:
-            future = waiters.popleft()
-            if not future.done():
-                future.set_result(None)
-                return
-
-    @staticmethod
-    def _wake_all(waiters: Any) -> None:
-        while waiters:
-            future = waiters.popleft()
-            if not future.done():
-                future.set_result(None)
+        self._routing: "set[asyncio.Future]" = set()
 
     # ------------------------------------------------------------- producer
 
-    async def _on_event(self, event: Any) -> None:
-        if self._source is not None:
-            # Cursor mode: the pushed event is only a wake signal; deliver
-            # whatever the history store holds past the cursor instead.
-            await self._pump()
-            return
-        await self._enqueue(event)
-
     async def _pump(self) -> None:
         async with self._pump_mutex:
-            while True:
-                if self._closed:
-                    return
-                generation = self._generation
-                entries = self._source.since(self._cursor)
-                if not entries:
-                    return
-                for offset, event, _ in entries:
-                    if self._closed or self._generation != generation:
-                        return
-                    # Advance before filtering, same rationale as the
-                    # threaded EventStream._pump: a raising predicate
-                    # consumes its entry instead of wedging the cursor.
-                    self._cursor = offset + 1
-                    predicate = self._pull_predicate
-                    if predicate is not None and not predicate(event):
-                        continue
-                    await self._enqueue(event)
+            for event, generation in self._pulled():
+                await self._enqueue(event, generation)
 
     def _replay(self) -> None:
         # StreamCore.__init__ is synchronous; pull the backlog as a task on
         # the owning loop (consumers created before it runs simply wait).
         self._prefill = self._loop.create_task(self._pump())
+
+    def _route_error(self, error: Exception) -> None:
+        # A pull cannot await inside StreamCore._pulled, so a coroutine
+        # error handler runs as a task on the owning loop, referenced
+        # until it finishes (the loop itself holds tasks only weakly).
+        routed = super()._route_error(error)
+        if inspect.isawaitable(routed):
+            task = asyncio.ensure_future(routed, loop=self._loop)
+            self._routing.add(task)
+            task.add_done_callback(self._routing.discard)
+
+    async def _enqueue(self, event: Any, generation: int) -> None:
+        while True:
+            with self._lock:
+                if self._room_locked(event, generation):
+                    return
+                waiter = self._loop.create_future()
+                self._not_full.append(waiter)
+            await waiter
 
     async def resume(self, offset: int) -> "AsyncEventStream":
         """Reposition a resumable stream's cursor and pull immediately.
@@ -363,50 +335,9 @@ class AsyncEventStream(StreamCore):
         from there is pulled before this coroutine returns.
         """
         self._interface._check_affinity("stream resume")
-        if self._source is None:
-            raise PSException(
-                "only streams created with from_offset= are resumable; "
-                "use tps.stream(from_offset=...) to make one"
-            )
-        if self._closed:
-            raise PSException("the event stream is closed")
-        self._buffer.clear()
-        self._wake_all(self._not_full)
-        self._cursor = max(0, offset)
-        self._generation += 1
+        self._rewind(offset)
         await self._pump()
         return self
-
-    async def _enqueue(self, event: Any) -> None:
-        if self._closed:
-            return
-        if self.maxsize and len(self._buffer) >= self.maxsize:
-            if self.policy == "drop_oldest":
-                self._buffer.popleft()
-                self._dropped += 1
-            else:
-                generation = self._generation
-                while len(self._buffer) >= self.maxsize and not self._closed:
-                    if self._consumer_tasks == {_task_ident()}:
-                        # The publishing task is this stream's only consumer
-                        # so far: suspending it on _not_full could never be
-                        # woken.  Same deliberate heuristic -- and the same
-                        # trade-offs -- as the threaded EventStream: raise
-                        # into the subscription's error route instead of
-                        # deadlocking the loop's task.
-                        raise PSException(
-                            "AsyncEventStream deadlock: the publishing task "
-                            "is this stream's only consumer and the buffer "
-                            "is full; drain the stream first, consume from "
-                            "another task, or choose policy='drop_oldest'"
-                        )
-                    waiter = self._loop.create_future()
-                    self._not_full.append(waiter)
-                    await waiter
-                if self._closed or self._generation != generation:
-                    return  # closed, or resumed past this entry while waiting
-        self._buffer.append(event)
-        self._wake_one(self._not_empty)
 
     # ------------------------------------------------------------- consumer
 
@@ -418,39 +349,25 @@ class AsyncEventStream(StreamCore):
         without an event.
         """
         self._interface._check_affinity("stream get")
-        self._consumer_tasks.add(_task_ident())
         deadline = None if timeout is None else self._loop.time() + timeout
         while True:
-            if self._buffer:
-                event = self._buffer.popleft()
-                self._wake_one(self._not_full)
-                return event
-            if self._closed:
-                raise PSException("the event stream is closed and empty")
-            waiter = self._loop.create_future()
-            self._not_empty.append(waiter)
-            if deadline is None:
-                await waiter
-                continue
-            remaining = deadline - self._loop.time()
+            with self._lock:
+                self._consumers.add(_task_ident())
+                if self._buffer or self._closed:
+                    return self._take_locked(timeout)
+                waiter = self._loop.create_future()
+                self._not_empty.append(waiter)
+            remaining = None if deadline is None else max(deadline - self._loop.time(), 0.0)
             try:
-                # A timed-out waiter is left cancelled in the deque; the
-                # _wake_* helpers skip done futures, so it never eats a
-                # wake-up meant for a live consumer.
-                await asyncio.wait_for(waiter, max(remaining, 0.0))
+                await asyncio.wait_for(waiter, remaining)
             except asyncio.TimeoutError:
-                raise PSException(
-                    f"no event arrived within {timeout} seconds"
-                ) from None
+                with self._lock:
+                    return self._take_locked(timeout)
 
     def drain(self) -> List[Any]:
         """Remove and return everything currently buffered (never suspends)."""
         self._interface._check_affinity("stream drain")
-        self._consumer_tasks.add(_task_ident())
-        events = list(self._buffer)
-        self._buffer.clear()
-        self._wake_all(self._not_full)
-        return events
+        return super().drain()
 
     def __aiter__(self) -> "AsyncEventStream":
         return self
@@ -462,33 +379,13 @@ class AsyncEventStream(StreamCore):
         except PSException:
             raise StopAsyncIteration from None
 
-    # ------------------------------------------------------------ inspection
-
-    @property
-    def pending(self) -> int:
-        """How many events are buffered right now (loop-confined read)."""
-        return len(self._buffer)
-
-    @property
-    def dropped(self) -> int:
-        """How many events the ``drop_oldest`` policy has discarded."""
-        return self._dropped
-
     # ------------------------------------------------------------- lifecycle
-
-    def _shutdown(self) -> bool:
-        if self._closed:
-            return False
-        self._closed = True
-        if self._prefill is not None and not self._prefill.done():
-            self._prefill.cancel()
-        self._wake_all(self._not_empty)
-        self._wake_all(self._not_full)
-        return True
 
     def close(self) -> None:
         """Close the stream (loop-confined; see :meth:`StreamCore.close`)."""
         self._interface._check_affinity("stream close")
+        if self._prefill is not None:
+            self._prefill.cancel()
         super().close()
 
     async def __aenter__(self) -> "AsyncEventStream":
@@ -523,6 +420,8 @@ class AsyncTPSEngine(LocalEngineCore):
       (see :meth:`AsyncLocalBus.check_loop`); after close they raise the
       uniform post-close :class:`PSException`, never ``RuntimeError``.
     """
+
+    _stream_type = AsyncEventStream
 
     def __init__(
         self,
@@ -580,27 +479,6 @@ class AsyncTPSEngine(LocalEngineCore):
             self._finish_publish(event, delivered)
             for event, delivered in zip(batch, counts)
         ]
-
-    # --------------------------------------------------------------- streams
-
-    def _make_stream(
-        self,
-        maxsize: int,
-        policy: str,
-        predicate: Optional[Callable[[Any], bool]] = None,
-        exception_handler: Optional[Any] = None,
-        from_offset: Optional[int] = None,
-    ) -> AsyncEventStream:
-        self._check_affinity("stream")
-        return AsyncEventStream(
-            self,
-            maxsize=maxsize,
-            policy=policy,
-            predicate=predicate,
-            exception_handler=exception_handler,
-            source=self._received if from_offset is not None else None,
-            from_offset=from_offset,
-        )
 
     # objects_received / objects_sent come from TPSInterfaceCore, answered
     # by the engine's history stores (loop-confined appends, thread-safe

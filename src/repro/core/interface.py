@@ -190,6 +190,9 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
     own teardown.
     """
 
+    #: The stream flavour :meth:`_make_stream` builds, set by each front-end.
+    _stream_type: "type[StreamCore]"
+
     def __init__(
         self,
         event_type: type,
@@ -460,10 +463,18 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         exception_handler: Optional[Any] = None,
         from_offset: Optional[int] = None,
     ) -> StreamCore:
-        """Build this front-end's stream flavour (hook for :meth:`stream` and
-        :meth:`SubscriptionBuilder.stream
+        """Build this front-end's stream flavour, ``_stream_type`` (for
+        :meth:`stream` and :meth:`SubscriptionBuilder.stream
         <repro.core.subscriptions.SubscriptionBuilder.stream>`)."""
-        raise NotImplementedError
+        return self._stream_type(
+            self,
+            maxsize=maxsize,
+            policy=policy,
+            predicate=predicate,
+            exception_handler=exception_handler,
+            source=self._received if from_offset is not None else None,
+            from_offset=from_offset,
+        )
 
     def unsubscribe(
         self,
@@ -564,6 +575,8 @@ class TPSInterface(TPSInterfaceCore[EventT]):
     binds the same core to awaitables instead.)
     """
 
+    _stream_type = EventStream
+
     def close(self) -> None:
         """End this interface's life (idempotent; see :meth:`_close_impl`)."""
         self._close_impl()
@@ -596,26 +609,6 @@ class TPSInterface(TPSInterfaceCore[EventT]):
         """
         self._check_open()
         return [self.publish(event) for event in events]
-
-    # --------------------------------------------------------------- streams
-
-    def _make_stream(
-        self,
-        maxsize: int,
-        policy: str,
-        predicate: Optional[Callable[[Any], bool]] = None,
-        exception_handler: Optional[Any] = None,
-        from_offset: Optional[int] = None,
-    ) -> EventStream:
-        return EventStream(
-            self,
-            maxsize=maxsize,
-            policy=policy,
-            predicate=predicate,
-            exception_handler=exception_handler,
-            source=self._received if from_offset is not None else None,
-            from_offset=from_offset,
-        )
 
 
 __all__ = [

@@ -38,12 +38,16 @@ top of any :class:`~repro.core.interface.TPSInterface` binding:
 
 Locking model: a handle's ``cancel()`` flips its ``_active`` flag under the
 handle's own lock (exactly-once semantics under concurrent cancellation)
-and runs the discards outside it; a stream guards its buffer, flags and
-conditions with one lock, flips ``_closed`` and wakes all waiters *before*
-cancelling its subscription, and refuses a ``policy="block"`` wait that the
-waiting thread itself would have to service (the re-entrant
-publisher-is-the-only-consumer deadlock) by raising :class:`PSException`
-into the subscription's normal error route.
+and runs the discards outside it.  Streams are one core and two waiting
+adapters: :class:`StreamCore` makes every decision -- the next history entry
+past the cursor, whether a pulled entry went stale under a ``resume``, what
+``drop_oldest`` evicts, what ``get``/``drain`` return, when the re-entrant
+publisher-is-the-only-consumer ``"block"`` wait is refused with a
+:class:`PSException` routed to the subscription's error handler -- under
+its one ``_lock``.  A flavour only says how to wait: condition variables
+for :class:`EventStream`, loop futures for
+:class:`~repro.core.async_engine.AsyncEventStream`.  Close flips
+``_closed`` and wakes all waiters *before* cancelling the subscription.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Tuple
 
+from repro.core.callbacks import as_exception_handler
 from repro.core.exceptions import PSException
 from repro.net.entropy import monotonic_clock
 
@@ -351,7 +356,7 @@ class SubscriptionBuilder:
         """Consume the (filtered) subscription as an event stream.
 
         The builder must have no callback -- a stream *is* the consumer.
-        The stream flavour is the interface's choice (``_make_stream``):
+        The stream flavour is the interface's ``_stream_type``:
         sync front-ends return the threaded :class:`EventStream`, the ASYNC
         binding an :class:`~repro.core.async_engine.AsyncEventStream` -- the
         builder itself (predicate push-down, error routing) is shared.
@@ -379,22 +384,35 @@ STREAM_POLICIES = ("block", "drop_oldest")
 
 
 class StreamCore:
-    """The binding-agnostic skeleton of pull-style event consumption.
+    """Pull-style event consumption: every decision, for both flavours.
 
-    Owns everything a stream shares across front-ends -- the
-    ``maxsize``/``policy`` contract and its validation, the arrival-order
-    buffer and :attr:`dropped` counter, the internal subscription (predicate
-    pushed down, errors routed to the paired handler, exactly like any
-    application subscription) and the close template that cancels it and
-    unregisters from the interface.  What differs per front-end is *how
-    waiting is expressed*: the threaded :class:`EventStream` blocks on
-    condition variables, the asyncio
-    :class:`~repro.core.async_engine.AsyncEventStream` suspends on futures.
-    Subclasses supply exactly those hooks: ``_init_waiters`` (synchronisation
-    state, created before the subscription can deliver), ``_on_event`` (the
-    producer side) and ``_shutdown`` (flip the closed flag and wake every
-    waiter, exactly once).
+    Owns the ``maxsize``/``policy`` contract and its validation, the
+    arrival-order buffer and :attr:`dropped` counter, the cursor of a
+    resumable stream and its generation, the internal subscription
+    (predicate pushed down, errors routed to the paired handler, exactly
+    like any application subscription) and the close template.  Every
+    decision is a plain method here, guarded by the one ``_lock`` (the
+    ``*_locked`` ones expect the flavour to hold it): :meth:`_pulled` (the
+    next entries a cursor-mode stream delivers), :meth:`_room_locked`
+    (buffer an event, drop a stale one, or make the producer wait),
+    :meth:`_take_locked` (what ``get`` returns or raises), :meth:`_rewind`
+    (the synchronous half of ``resume``), ``drain``, ``pending``,
+    ``dropped`` and ``_shutdown``.
+
+    A flavour only says *how to wait*: the threaded :class:`EventStream`
+    blocks on condition variables, the asyncio
+    :class:`~repro.core.async_engine.AsyncEventStream` suspends on loop
+    futures.  It supplies ``_init_waiters`` (the ``_not_empty`` /
+    ``_not_full`` waiter sets and the ``_pump_mutex``, created before the
+    subscription can deliver; the core wakes a waiter set through the
+    ``notify()``/``notify_all()`` a :class:`threading.Condition` has),
+    ``_ident`` (who is calling: a thread ident or the current task's id),
+    and the waiting loops themselves: ``_enqueue``, ``_pump``, ``get`` and
+    ``resume``.
     """
+
+    #: Identity of the caller, for the re-entrant ``"block"`` refusal.
+    _ident: Callable[[], int]
 
     def __init__(
         self,
@@ -418,6 +436,10 @@ class StreamCore:
         self._buffer: "deque[Any]" = deque()
         self._closed = False
         self._dropped = 0
+        self._lock = threading.Lock()
+        #: Idents of every caller that has consumed (get/drain), used to
+        #: refuse a ``"block"`` wait that can never be woken (_room_locked).
+        self._consumers: "set[int]" = set()
         # Cursor mode (``from_offset``): the stream pulls entries from the
         # interface's history store instead of buffering pushed events.  The
         # live subscription below degrades to a pure wake signal -- every
@@ -428,41 +450,145 @@ class StreamCore:
         # it filters at replay time instead.
         self._source = source
         self._cursor = max(0, from_offset or 0)
-        #: Bumped by every ``resume``: a pump that pulled its batch under an
-        #: older generation is stale and must neither move the cursor nor
-        #: enqueue (``resume`` cannot take the pump mutex -- a pump blocked
-        #: on a full ``"block"`` buffer holds it).
+        #: Bumped by every ``resume``: an entry pulled under an older
+        #: generation is stale and must neither move the cursor nor enqueue
+        #: (``resume`` cannot take the pump mutex -- a pump blocked on a full
+        #: ``"block"`` buffer holds it).
         self._generation = 0
         self._pull_predicate = predicate if source is not None else None
+        self._handler = as_exception_handler(exception_handler)
+        self._interface = interface
         self._init_waiters()
         subscription = interface._subscribe_one(
             self._on_event,
-            exception_handler,
+            self._handler,
             predicate=None if source is not None else predicate,
         )
         self._handle = SubscriptionHandle(interface, [subscription])
-        self._interface = interface
         interface._register_stream(self)
         if source is not None:
             self._replay()
 
-    # ----------------------------------------------------- subclass hooks
-
-    def _init_waiters(self) -> None:
-        """Create the waiting/synchronisation state; runs before subscribing."""
-        raise NotImplementedError
+    # ---------------------------------------------------------- producer
 
     def _on_event(self, event: Any) -> Any:
-        """The internal subscription's callback (the producer side)."""
-        raise NotImplementedError
+        """The internal subscription's callback.  In cursor mode the pushed
+        event is only a wake signal: pull what history holds past the
+        cursor.  The async flavour returns the awaitable its row awaits."""
+        if self._source is not None:
+            return self._pump()
+        return self._enqueue(event, self._generation)
 
-    def _replay(self) -> Any:
-        """Pull the backlog of a cursor-mode stream at construction/resume."""
-        raise NotImplementedError
+    def _replay(self) -> None:
+        """Pull the backlog of a cursor-mode stream at construction."""
+        self._pump()
 
-    def _shutdown(self) -> bool:
-        """Flip the closed flag and wake all waiters; False when already closed."""
-        raise NotImplementedError
+    def _pulled(self) -> Iterator[Tuple[Any, int]]:
+        """Yield ``(event, generation)`` for each history entry past the
+        cursor that passes the pull predicate, until the batch is done, the
+        stream closes or a ``resume`` makes the batch stale.
+
+        One ``since`` read per pull misses nothing: every append is
+        followed by its own wake, and the flavour's ``_pump_mutex`` runs
+        the pulls one at a time.  The cursor advances before the predicate
+        runs, so every entry is consumed exactly once.  A raising predicate
+        does not end the pull: its error goes to the stream's paired
+        exception handler -- on replay and ``resume`` exactly as on a live
+        wake -- and the pull continues.
+        """
+        lock, predicate = self._lock, self._pull_predicate
+        with lock:
+            if self._closed:
+                return
+            generation = self._generation
+            entries = self._source.since(self._cursor)
+        for offset, event, _ in entries:
+            with lock:
+                if self._closed or self._generation != generation:
+                    return
+                self._cursor = offset + 1
+            if predicate is not None:
+                try:
+                    if not predicate(event):
+                        continue
+                except Exception as error:  # noqa: BLE001 - routed to the paired handler
+                    self._route_error(error)
+                    continue
+            yield event, generation
+
+    def _route_error(self, error: Exception) -> Any:
+        """Hand a predicate error met while pulling to the paired handler."""
+        return self._handler.handle(error)
+
+    def _room_locked(self, event: Any, generation: int) -> bool:
+        """Buffer ``event`` under the ``maxsize``/``policy`` contract, or
+        drop it when the stream closed or a ``resume`` made it stale.
+
+        Returns False when a ``"block"`` buffer is full: the caller waits on
+        ``_not_full`` and calls again.  Caller holds ``_lock``.
+        """
+        if self._closed or generation != self._generation:
+            return True
+        if self.maxsize and len(self._buffer) >= self.maxsize:
+            if self.policy == "block":
+                if self._consumers == {self._ident()}:
+                    # The publisher is this stream's only consumer so far:
+                    # waiting on _not_full could never be woken -- the one
+                    # who would drain the buffer is the one about to wait.
+                    # Raise instead of deadlocking; like any callback error,
+                    # it is routed to the subscription's exception handler.
+                    # A deliberate *heuristic* on observed consumers: a
+                    # stream nobody has consumed yet still blocks (a
+                    # consumer may be about to start), and a past consumer
+                    # publishing while a brand-new consumer has not reached
+                    # its first get() raises spuriously -- the undecidable
+                    # trade-off is resolved toward the re-entrant case that
+                    # is a deadlock for certain.
+                    raise PSException(
+                        f"{type(self).__name__} deadlock: the publisher is "
+                        "this stream's only consumer and the buffer is full; "
+                        "drain the stream first, consume from another thread "
+                        "or task, or choose policy='drop_oldest'"
+                    )
+                return False
+            self._buffer.popleft()
+            self._dropped += 1
+        self._buffer.append(event)
+        self._not_empty.notify()
+        return True
+
+    # ---------------------------------------------------------- consumer
+
+    def _take_locked(self, timeout: Optional[float]) -> Any:
+        """What ``get`` returns or raises once its wait ended (holds ``_lock``)."""
+        if self._buffer:
+            event = self._buffer.popleft()
+            self._not_full.notify()
+            return event
+        if self._closed:
+            raise PSException("the event stream is closed and empty")
+        raise PSException(f"no event arrived within {timeout} seconds")
+
+    def drain(self) -> List[Any]:
+        """Remove and return everything currently buffered (never waits)."""
+        with self._lock:
+            self._consumers.add(self._ident())
+            events = list(self._buffer)
+            self._buffer.clear()
+            self._not_full.notify_all()
+        return events
+
+    @property
+    def pending(self) -> int:
+        """How many events are buffered right now."""
+        with self._lock:
+            return len(self._buffer)
+
+    @property
+    def dropped(self) -> int:
+        """How many events the ``drop_oldest`` policy has discarded."""
+        with self._lock:
+            return self._dropped
 
     # ------------------------------------------------------------- resuming
 
@@ -475,6 +601,23 @@ class StreamCore:
     def offset(self) -> int:
         """The next history offset a cursor-mode stream will pull (0 when live)."""
         return self._cursor
+
+    def _rewind(self, offset: int) -> None:
+        """The synchronous half of ``resume``: discard the buffer, release
+        waiting producers and move the cursor under a new generation, so a
+        pull in flight delivers nothing from before the resume."""
+        if self._source is None:
+            raise PSException(
+                "only streams created with from_offset= are resumable; "
+                "use tps.stream(from_offset=...) to make one"
+            )
+        with self._lock:
+            if self._closed:
+                raise PSException("the event stream is closed")
+            self._buffer.clear()
+            self._not_full.notify_all()
+            self._cursor = max(0, offset)
+            self._generation += 1
 
     # ------------------------------------------------------------ lifecycle
 
@@ -490,15 +633,31 @@ class StreamCore:
         ends once they are consumed.  Idempotent.  The interface itself
         calls this for every open stream when it closes (or on a blanket
         ``unsubscribe()``), so consumers never block on a subscription that
-        no longer exists.  The flag flip and the wake-ups (``_shutdown``)
-        happen *first*, then exactly one caller -- the one that flipped the
-        flag -- cancels the subscription and unregisters the stream; see
-        :meth:`EventStream._shutdown` for the races the order forecloses.
+        no longer exists.  See :meth:`_shutdown` for why the flag flips
+        first.
         """
         if not self._shutdown():
             return
         self._handle.cancel()
         self._interface._unregister_stream(self)
+
+    def _shutdown(self) -> bool:
+        """Flip the closed flag and wake all waiters; False when already closed.
+
+        The flag flips and the wake-ups happen under the lock *first*, then
+        exactly one caller (the one that flipped it) runs the cancel and
+        unregister in :meth:`close`.  Doing it in the other order had two
+        races: two concurrent closers both ran the unregister, and a
+        producer already inside ``_on_event`` could start a ``_not_full``
+        wait after the cancel but before the wake -- and then sleep forever.
+        """
+        with self._lock:
+            if self._closed:
+                return False
+            self._closed = True
+            self._not_empty.notify_all()
+            self._not_full.notify_all()
+        return True
 
     def __enter__(self) -> "StreamCore":
         return self
@@ -532,11 +691,13 @@ class EventStream(StreamCore):
       :attr:`dropped`.
 
     Closing (or leaving the ``with`` block) cancels the subscription and
-    wakes every blocked producer and consumer.
+    wakes every blocked producer and consumer.  The decisions are
+    :class:`StreamCore`'s; this class only waits, on condition variables.
     """
 
+    _ident = staticmethod(threading.get_ident)
+
     def _init_waiters(self) -> None:
-        self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         #: Serialises cursor-mode pulls end to end: entries must enter the
@@ -545,53 +706,16 @@ class EventStream(StreamCore):
         #: outside ``_lock`` only (pump -> buffer lock, never the reverse),
         #: so no ordering cycle with consumers, which take ``_lock`` alone.
         self._pump_mutex = threading.Lock()
-        #: Idents of every thread that has consumed (get/drain), used to
-        #: refuse a ``"block"`` wait that can never be woken (see _on_event).
-        self._consumer_idents: "set[int]" = set()
-
-    # ------------------------------------------------------------- producer
-
-    def _on_event(self, event: Any) -> None:
-        if self._source is not None:
-            # Cursor mode: the pushed event is only a wake signal; deliver
-            # whatever the history store holds past the cursor instead.
-            self._pump()
-            return
-        with self._lock:
-            if self._closed:
-                return
-            self._enqueue_locked(event)
 
     def _pump(self) -> None:
         with self._pump_mutex:
-            while True:
-                with self._lock:
-                    if self._closed:
-                        return
-                    generation = self._generation
-                    entries = self._source.since(self._cursor)
-                if not entries:
-                    return
-                for offset, event, _ in entries:
-                    with self._lock:
-                        if self._closed or self._generation != generation:
-                            return
-                        # Advance before filtering: a predicate that raises
-                        # consumes its entry (the error is routed to the
-                        # subscription's exception handler, exactly like a
-                        # raising pushed-down predicate) instead of wedging
-                        # the cursor on it forever.
-                        self._cursor = offset + 1
-                    predicate = self._pull_predicate
-                    if predicate is not None and not predicate(event):
-                        continue
-                    with self._lock:
-                        if self._closed or self._generation != generation:
-                            return
-                        self._enqueue_locked(event)
+            for event, generation in self._pulled():
+                self._enqueue(event, generation)
 
-    def _replay(self) -> None:
-        self._pump()
+    def _enqueue(self, event: Any, generation: int) -> None:
+        with self._lock:
+            while not self._room_locked(event, generation):
+                self._not_full.wait()
 
     def resume(self, offset: int) -> "EventStream":
         """Reposition a resumable stream's cursor and pull immediately.
@@ -602,65 +726,9 @@ class EventStream(StreamCore):
         holds exactly the retained history at or after ``offset`` and keeps
         following live events from there.  Returns the stream.
         """
-        if self._source is None:
-            raise PSException(
-                "only streams created with from_offset= are resumable; "
-                "use tps.stream(from_offset=...) to make one"
-            )
-        with self._lock:
-            if self._closed:
-                raise PSException("the event stream is closed")
-            self._buffer.clear()
-            self._not_full.notify_all()
-            self._cursor = max(0, offset)
-            self._generation += 1
+        self._rewind(offset)
         self._pump()
         return self
-
-    def _enqueue_locked(self, event: Any) -> None:
-        """Apply the maxsize/policy contract and buffer one event.
-
-        Caller holds ``_lock`` and has checked ``_closed``.
-        """
-        if self.maxsize:
-            if self.policy == "block":
-                if (
-                    len(self._buffer) >= self.maxsize
-                    and self._consumer_idents == {threading.get_ident()}
-                ):
-                    # The publishing thread is this stream's only
-                    # consumer so far: blocking it on _not_full could
-                    # never be woken -- the thread that would drain the
-                    # buffer is the one about to wait.  Raise instead of
-                    # deadlocking; like any callback error, the exception
-                    # is routed to the subscription's exception handler.
-                    # This is deliberately a *heuristic* on observed
-                    # consumers: a stream nobody has consumed yet still
-                    # blocks (a consumer thread may be about to start,
-                    # and raising would break that legitimate pattern),
-                    # and a past consumer publishing while a brand-new
-                    # consumer thread has not reached its first get()
-                    # raises spuriously -- the undecidable trade-off is
-                    # resolved toward the re-entrant case that is a
-                    # deadlock for certain.
-                    raise PSException(
-                        "EventStream deadlock: the publishing thread is "
-                        "this stream's only consumer and the buffer is "
-                        "full; drain the stream first, use a consumer "
-                        "thread, or choose policy='drop_oldest'"
-                    )
-                generation = self._generation
-                while len(self._buffer) >= self.maxsize and not self._closed:
-                    self._not_full.wait()
-                if self._closed or self._generation != generation:
-                    return  # closed, or resumed past this entry while waiting
-            elif len(self._buffer) >= self.maxsize:
-                self._buffer.popleft()
-                self._dropped += 1
-        self._buffer.append(event)
-        self._not_empty.notify()
-
-    # ------------------------------------------------------------- consumer
 
     def get(self, timeout: Optional[float] = None) -> Any:
         """Remove and return the next event, waiting for one if necessary.
@@ -668,28 +736,13 @@ class EventStream(StreamCore):
         Raises :class:`PSException` when the stream is closed and empty, or
         when ``timeout`` (seconds) elapses without an event.
         """
-        with self._not_empty:
-            self._consumer_idents.add(threading.get_ident())
+        with self._lock:
+            self._consumers.add(threading.get_ident())
             if not self._buffer and not self._closed:
                 self._not_empty.wait_for(
                     lambda: self._buffer or self._closed, timeout=timeout
                 )
-            if self._buffer:
-                event = self._buffer.popleft()
-                self._not_full.notify()
-                return event
-            if self._closed:
-                raise PSException("the event stream is closed and empty")
-            raise PSException(f"no event arrived within {timeout} seconds")
-
-    def drain(self) -> List[Any]:
-        """Remove and return everything currently buffered (never blocks)."""
-        with self._lock:
-            self._consumer_idents.add(threading.get_ident())
-            events = list(self._buffer)
-            self._buffer.clear()
-            self._not_full.notify_all()
-            return events
+            return self._take_locked(timeout)
 
     def __iter__(self) -> Iterator[Any]:
         """Yield events until the stream is closed and drained."""
@@ -698,41 +751,6 @@ class EventStream(StreamCore):
                 yield self.get()
             except PSException:
                 return
-
-    # ------------------------------------------------------------ inspection
-
-    @property
-    def pending(self) -> int:
-        """How many events are buffered right now."""
-        with self._lock:
-            return len(self._buffer)
-
-    @property
-    def dropped(self) -> int:
-        """How many events the ``drop_oldest`` policy has discarded."""
-        with self._lock:
-            return self._dropped
-
-    # ------------------------------------------------------------- lifecycle
-
-    def _shutdown(self) -> bool:
-        """Flip the closed flag and wake all waiters, under the lock.
-
-        The flag flips and the wake-ups happen under the lock *first*, then
-        exactly one thread (the one that flipped it) runs the cancel and
-        unregister in :meth:`StreamCore.close`.  Doing it in the other
-        order had two races: two concurrent closers both ran the
-        unregister, and a producer already inside ``_on_event`` could start
-        a ``_not_full`` wait after the cancel but before the wake -- and
-        then sleep forever.
-        """
-        with self._lock:
-            if self._closed:
-                return False
-            self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
-        return True
 
 
 __all__ = [

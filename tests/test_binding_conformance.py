@@ -26,7 +26,8 @@ branch on the binding name.
 Covered surface: publish/subscribe with ordering and history, handle
 cancellation, fluent ``.where()`` predicates, the per-row dispatch semantics
 (error routing, broken handlers, mid-dispatch cancellation), streams under
-both overflow policies, close idempotence, and the uniform post-close
+both overflow policies and in cursor mode (``from_offset`` replay, live
+follow, ``resume``), close idempotence, and the uniform post-close
 ``PSException``.
 
 The ``+CHAOS`` variants (marked ``chaos``) re-run the wire bindings over a
@@ -153,6 +154,18 @@ class AsyncStreamDriver(_LoopProxy):
 
     def close(self) -> None:
         self._run(self._stream.close)
+
+    def resume(self, offset: int) -> "AsyncStreamDriver":
+        self._run(self._stream.resume, offset)
+        return self
+
+    @property
+    def offset(self) -> int:
+        return self._stream.offset
+
+    @property
+    def resumable(self) -> bool:
+        return self._stream.resumable
 
     @property
     def closed(self) -> bool:
@@ -606,6 +619,22 @@ class TestStreamConformance:
         assert [e.shop for e in stream.drain()] == ["kept"]
         with pytest.raises(PSException):
             stream.get(timeout=0.01)
+
+    def test_resumable_stream_replays_follows_and_resumes(self, harness):
+        publisher, subscriber = harness.pair()
+        subscriber.subscribe(lambda event: None)  # the received history records
+        harness.pump()
+        for index in range(3):
+            harness.publish(publisher, _offer(f"shop-{index}"))
+        with subscriber.stream(from_offset=1) as stream:
+            assert stream.resumable
+            assert [e.shop for e in stream.drain()] == ["shop-1", "shop-2"]
+            harness.publish(publisher, _offer("shop-3"))
+            assert [e.shop for e in stream.drain()] == ["shop-3"]
+            assert stream.offset == 4
+            stream.resume(2)
+            assert [e.shop for e in stream.drain()] == ["shop-2", "shop-3"]
+            assert stream.offset == 4
 
 
 class TestLifecycleConformance:

@@ -263,6 +263,129 @@ class TestResumableStreams:
             loop.close()
 
 
+def _raises_on_shop_1(offer: SkiRental) -> bool:
+    if offer.shop == "shop-1":
+        raise ValueError("bad predicate on shop-1")
+    return True
+
+
+class TestReplayPredicateErrors:
+    """A pull predicate that raises while a cursor-mode stream replays (at
+    construction) or re-pulls (``resume``) is routed to the stream's paired
+    exception handler, consumes its entry, and the pull continues -- the
+    same outcome a live wake already had."""
+
+    @staticmethod
+    def _local_backlog():
+        bus = LocalBus()
+        publisher = LocalTPSEngine(SkiRental, bus=bus)
+        subscriber = LocalTPSEngine(SkiRental, bus=bus)
+        subscriber.subscribe(lambda event: None)
+        for index in range(3):
+            publisher.publish(_offer(index))
+        return publisher, subscriber
+
+    def _assert_routed(self, stream, subscriber, errors, drained):
+        assert _shops(drained) == ["shop-0", "shop-2"]
+        assert [str(error) for error in errors] == ["bad predicate on shop-1"]
+        assert stream.offset == subscriber.history_offset == 3
+
+    def test_threaded_replay_routes_a_raising_predicate(self):
+        publisher, subscriber = self._local_backlog()
+        errors = []
+        stream = (
+            subscriber.subscription()
+            .where(_raises_on_shop_1)
+            .on_error(errors.append)
+            .stream(from_offset=0)
+        )
+        self._assert_routed(stream, subscriber, errors, stream.drain())
+        publisher.close()
+        subscriber.close()
+
+    def test_threaded_resume_routes_a_raising_predicate(self):
+        publisher, subscriber = self._local_backlog()
+        errors = []
+        stream = (
+            subscriber.subscription()
+            .where(_raises_on_shop_1)
+            .on_error(errors.append)
+            .stream(from_offset=subscriber.history_offset)
+        )
+        assert stream.resume(0) is stream
+        self._assert_routed(stream, subscriber, errors, stream.drain())
+        publisher.close()
+        subscriber.close()
+
+    def _run_async(self, body):
+        async def main():
+            engine = TPSEngine(SkiRental)
+            publisher = engine.new_interface("ASYNC")
+            subscriber = engine.new_interface("ASYNC")
+            subscriber.subscribe(lambda event: None)
+            for index in range(3):
+                await publisher.publish(_offer(index))
+            errors = []
+            stream, drained = await body(subscriber, errors)
+            self._assert_routed(stream, subscriber, errors, drained)
+            engine.close()
+            return True
+
+        loop = asyncio.new_event_loop()
+        try:
+            assert loop.run_until_complete(main())
+        finally:
+            loop.close()
+
+    @pytest.mark.asyncio
+    def test_async_replay_routes_a_raising_predicate(self):
+        async def body(subscriber, errors):
+            stream = (
+                subscriber.subscription()
+                .where(_raises_on_shop_1)
+                .on_error(errors.append)
+                .stream(from_offset=0)
+            )
+            await asyncio.sleep(0)  # let the prefill task pump
+            return stream, stream.drain()
+
+        self._run_async(body)
+
+    @pytest.mark.asyncio
+    def test_async_resume_routes_a_raising_predicate(self):
+        async def body(subscriber, errors):
+            stream = (
+                subscriber.subscription()
+                .where(_raises_on_shop_1)
+                .on_error(errors.append)
+                .stream(from_offset=subscriber.history_offset)
+            )
+            assert await stream.resume(0) is stream
+            return stream, stream.drain()
+
+        self._run_async(body)
+
+    @pytest.mark.asyncio
+    def test_async_coroutine_handler_runs_on_the_loop(self):
+        async def body(subscriber, errors):
+            async def handler(error):
+                await asyncio.sleep(0)
+                errors.append(error)
+
+            stream = (
+                subscriber.subscription()
+                .where(_raises_on_shop_1)
+                .on_error(handler)
+                .stream(from_offset=subscriber.history_offset)
+            )
+            await stream.resume(0)
+            for _ in range(3):
+                await asyncio.sleep(0)  # let the handler task finish
+            return stream, stream.drain()
+
+        self._run_async(body)
+
+
 class _HistoryReport:
     """What one pub/sub run looked like through the history queries."""
 

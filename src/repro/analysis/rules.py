@@ -477,8 +477,10 @@ DEFAULT_PROFILE = {
     # ``repro.storage`` is the durable history store: file I/O is in scope
     # too -- no wall-clock record timestamps; anything time-like must come
     # from an injected clock so log replay stays deterministic.
+    # ``repro.testing`` checks that simulated runs replay, so it must not
+    # read a wall clock or the global RNG itself.
     "RL004": RuleScope(
-        packages=("repro.net", "repro.jxta", "repro.core", "repro.storage")
+        packages=("repro.net", "repro.jxta", "repro.core", "repro.storage", "repro.testing")
     ),
     "RL005": RuleScope(),
 }

@@ -150,11 +150,6 @@ class TPSAdvertisementsFinder:
         """Register a listener notified of every new advertisement."""
         self._listeners.append(listener)
 
-    def remove_advertisements_listener(self, listener: ListenerLike) -> None:
-        """Unregister a listener (missing listeners are ignored)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     # ------------------------------------------------------------ lifecycle
 
     def start(self, *, flush: bool = True, interval: Optional[float] = None) -> None:

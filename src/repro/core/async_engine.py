@@ -61,7 +61,6 @@ from repro.core.bindings import (
     BindingParam,
     BindingRequest,
     SharedBusCache,
-    not_bool,
     one_of,
     register_binding,
 )
@@ -428,8 +427,6 @@ class AsyncTPSEngine(LocalEngineCore):
         event_type: Type[Any],
         *,
         bus: Optional[AsyncLocalBus] = None,
-        breaker_threshold: int = 0,
-        breaker_cooldown: float = 30.0,
         **options: Any,
     ) -> None:
         if bus is None:
@@ -442,16 +439,14 @@ class AsyncTPSEngine(LocalEngineCore):
         # Constructing from a foreign thread/loop must fail before attach.
         bus.check_loop("ASYNC interface construction")
         super().__init__(event_type, bus=bus, **options)
-        if breaker_threshold > 0:
-            # The breaker clock is the owning loop's own clock ('the loop is
-            # the thread'): cooldowns expire on loop time, which tests drive
-            # deterministically by substituting loop.time.
-            self.subscriber_manager.set_breaker_policy(
-                breaker_threshold, breaker_cooldown, clock=bus.loop.time
-            )
 
     def _check_affinity(self, operation: str) -> None:
         self.bus.check_loop(operation)
+
+    def _clock(self) -> float:
+        """Breaker cooldowns run on the owning loop's clock ('the loop is
+        the thread')."""
+        return self.bus.loop.time()
 
     # ------------------------------------------------------------ publishing
 
@@ -520,37 +515,15 @@ ASYNC_BINDING_PARAMS = (
         one_of(ASYNC_DISPATCH_MODES),
         default="serial",
     ),
-    BindingParam(
-        "group",
-        (str,),
-        "shared-bus group name: interfaces with equal params in the same "
-        "group on one loop share a registry-built bus",
-    ),
-    BindingParam(
-        "breaker_threshold",
-        (int,),
-        "consecutive callback failures before a subscription's circuit "
-        "breaker opens (0 disables breakers); cooldowns run on the owning "
-        "loop's clock",
-        not_bool,
-        default=0,
-    ),
-    BindingParam(
-        "breaker_cooldown",
-        (int, float),
-        "seconds (loop time) an open breaker quarantines its callback "
-        "before probation",
-        not_bool,
-        default=30.0,
-    ),
 ) + HISTORY_BINDING_PARAMS
 
-#: Registry-built buses, one per (owning loop, dispatch, group).
-_SHARED_BUSES = SharedBusCache(AsyncLocalBus, {"dispatch": "serial", "group": None})
+#: Registry-built buses, one per (owning loop, dispatch).  An isolated bus is
+#: spelled ``TPSEngine(E, local_bus=AsyncLocalBus())``.
+_SHARED_BUSES = SharedBusCache(AsyncLocalBus, {"dispatch": "serial"})
 
 
 def _request_bus(request: BindingRequest) -> AsyncLocalBus:
-    """The bus of an ASYNC request: explicit, or one per (loop, dispatch, group).
+    """The bus of an ASYNC request: explicit, or one per (loop, dispatch).
 
     The cache scope is the running loop -- a bus cannot outlive loop
     ownership -- so a parameter-less request shares the *owning loop's*
@@ -580,8 +553,6 @@ def _async_binding(request: BindingRequest) -> AsyncTPSEngine:
         bus=_request_bus(request),
         criteria=request.criteria,
         codec=request.codec,
-        breaker_threshold=request.param("breaker_threshold", 0),
-        breaker_cooldown=request.param("breaker_cooldown", 30.0),
         **history_kwargs(request),
     )
 

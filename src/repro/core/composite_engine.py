@@ -37,20 +37,19 @@ cross-thread misuse surfaces as a clear :class:`PSException` rather than
 corrupted network state or a half-registered subscription.
 
 Binding parameters: the full ``"SHARDED"`` schema (``shards``,
-``partition``, ``content_key``, ``virtual_nodes``, the history parameters)
-plus the composite-only membership knobs (``membership``,
-``heartbeat_interval``, ``suspect_timeout``, ``confirm_timeout``).
+``partition``, ``content_key``, the history parameters) plus the
+composite-only ``membership`` switch.
 Registry-built buses are scoped **per peer** -- each simulated peer models
 one process, so its composite interfaces share a bus with each other but
 never with another peer's; remote traffic goes over the wire, exactly as it
 would between real processes.
 
-Membership (PR 7): with ``membership=True`` the peer runs one shared
-:class:`~repro.net.membership.MembershipMonitor` (first engine to enable it
-fixes the timing -- later engines on the same peer reuse it).  Each publish
-syncs the engine's resolved peers into the monitor's watch list, and the
-monitor's mutual-discovery heartbeats spread the watching to subscribe-only
-peers from there.  When the detector *confirms* a peer dead, the composite
+Membership: with ``membership=True`` the peer runs one shared
+:class:`~repro.net.membership.MembershipMonitor`, whose timing is the
+constants of :mod:`repro.net.membership`.  Each publish syncs the engine's
+resolved peers into the monitor's watch list, and the monitor's
+mutual-discovery heartbeats spread the watching to subscribe-only peers from
+there.  When the detector *confirms* a peer dead, the composite
 closes the wire towards that peer: every reliable delivery still pending
 towards it is failed immediately through :meth:`WireService.fail_target`
 (reported via the PR 6 ``delivery_failure_handler`` path instead of retrying
@@ -65,12 +64,13 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
-from repro.core.bindings import BindingParam, BindingRequest, positive, register_binding
+from repro.core.bindings import BindingParam, BindingRequest, register_binding
 from repro.core.exceptions import PSException
 from repro.core.interface import PublishReceipt
 from repro.core.jxta_engine import JxtaTPSEngine, resolve_jxta_config
+from repro.core.local_engine import LocalBus
 from repro.core.sharded_engine import (
     SHARDED_BINDING_PARAMS,
     SHARED_BUSES,
@@ -80,7 +80,7 @@ from repro.core.sharded_engine import (
 from repro.jxta.ids import PeerID
 from repro.jxta.message import Message
 from repro.jxta.peer import Peer
-from repro.net.membership import MembershipConfig, MembershipMonitor
+from repro.net.membership import MembershipMonitor
 
 #: Message element carrying the publishing bus's id (same-bus echo filter).
 TPS_ORIGIN_ELEMENT = "TPSOrigin"
@@ -93,64 +93,24 @@ _MONITORS: "weakref.WeakKeyDictionary[Peer, MembershipMonitor]" = (
 )
 _MONITORS_LOCK = threading.Lock()
 
-#: The membership timing parameter names (floats, virtual seconds).
-_MEMBERSHIP_TIMING_PARAMS = (
-    "heartbeat_interval",
-    "suspect_timeout",
-    "confirm_timeout",
-)
 
-
-def _monitor_for(peer: Peer, timing: Dict[str, float]) -> MembershipMonitor:
-    """The peer's shared failure detector, created on first request.
-
-    First configuration wins: the monitor is one per peer, so a second
-    engine asking for different timing silently reuses the existing one
-    (the alternative -- two detectors with two clocks disagreeing about the
-    same peers -- is strictly worse).
-    """
+def _monitor_for(peer: Peer) -> MembershipMonitor:
+    """The peer's shared failure detector, created on first request."""
     with _MONITORS_LOCK:
         monitor = _MONITORS.get(peer)
         if monitor is None:
-            try:
-                monitor = MembershipMonitor(peer, MembershipConfig(**timing))
-            except ValueError as error:
-                raise PSException(
-                    f"invalid membership timing for the SHARDED+JXTA binding: {error}"
-                ) from error
-            _MONITORS[peer] = monitor
+            monitor = _MONITORS[peer] = MembershipMonitor(peer)
         return monitor
 
 
 #: The composite's parameter schema: everything SHARDED takes, plus the
-#: membership failure-detector knobs (which need a peer, hence live here).
+#: membership switch (a failure detector needs a peer, hence it lives here).
 COMPOSITE_BINDING_PARAMS = SHARDED_BINDING_PARAMS + (
     BindingParam(
         "membership",
         (bool,),
         "run a heartbeat failure detector on this peer",
         default=False,
-    ),
-    BindingParam(
-        "heartbeat_interval",
-        (int, float),
-        "virtual seconds between heartbeats (membership=True)",
-        positive,
-        default=MembershipConfig.heartbeat_interval,
-    ),
-    BindingParam(
-        "suspect_timeout",
-        (int, float),
-        "silence before a peer turns SUSPECT (membership=True)",
-        positive,
-        default=MembershipConfig.suspect_timeout,
-    ),
-    BindingParam(
-        "confirm_timeout",
-        (int, float),
-        "further silence before SUSPECT is confirmed DEAD (membership=True)",
-        positive,
-        default=MembershipConfig.confirm_timeout,
     ),
 )
 
@@ -261,10 +221,10 @@ class ShardedJxtaTPSEngine(JxtaTPSEngine):
         content-keyed event missing its declared attribute fails before
         anything is sent; the wire send runs next (it can refuse with
         ``NotInitializedError`` before the network settles, and it records
-        the event as sent), and local delivery last, through the bus's own
-        publish path -- one route table whatever the shard count, so a
-        concurrent ``add_shard``/``remove_shard`` changes nothing about who
-        receives it.  The receipt is the wire receipt with the local
+        the event as sent), and local delivery last, through the bus's route
+        table without keying the event again -- one table whatever the
+        shard count, so a concurrent ``add_shard``/``remove_shard`` changes
+        nothing about who receives it.  The receipt is the wire receipt with the local
         delivery prepended: one extra "pipe" (the bus) and its
         delivered-count as the first wire receipt entry.
         """
@@ -281,7 +241,9 @@ class ShardedJxtaTPSEngine(JxtaTPSEngine):
         self._sync_membership_watches()
         receipt = super().publish(event)
         receipt.pipes += 1
-        receipt.wire_receipts.insert(0, self.bus.publish(self, copy))
+        # _keyed_copy already refused an unkeyable event: deliver through the
+        # one route table without the sharded bus keying it a second time.
+        receipt.wire_receipts.insert(0, LocalBus.publish(self.bus, self, copy))
         return receipt
 
     def publish_many(self, events: Iterable[Any]) -> List[PublishReceipt]:
@@ -341,28 +303,14 @@ def _sharded_jxta_binding(request: BindingRequest) -> ShardedJxtaTPSEngine:
             "the SHARDED+JXTA binding needs a peer for its wire: "
             "construct the engine with TPSEngine(EventType, peer=some_peer)"
         )
-    bus = request_bus(request, scope=request.peer)
-    timing = {
-        name: request.param(name)
-        for name in _MEMBERSHIP_TIMING_PARAMS
-        if name in request.params
-    }
-    monitor = None
-    if request.param("membership"):
-        monitor = _monitor_for(request.peer, timing)
-    elif timing:
-        raise PSException(
-            f"membership timing parameters {sorted(timing)} have no effect "
-            "without membership=True; enable the failure detector or drop them"
-        )
     return ShardedJxtaTPSEngine(
         request.event_type,
         request.peer,
-        bus=bus,
+        bus=request_bus(request, scope=request.peer),
         criteria=request.criteria,
         codec=request.codec,
         config=resolve_jxta_config(request),
-        membership=monitor,
+        membership=_monitor_for(request.peer) if request.param("membership") else None,
     )
 
 

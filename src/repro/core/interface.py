@@ -33,6 +33,9 @@ seven signatures above -- ``tests/test_api_surface.py`` pins them):
 * :meth:`TPSInterface.stream` returns an
   :class:`~repro.core.subscriptions.EventStream` for pull-style
   consumption with explicit backpressure;
+* :meth:`TPSInterfaceCore.set_breaker_policy` quarantines a subscription
+  whose callback keeps raising -- the one circuit-breaker spelling, on
+  every binding's own clock;
 * :meth:`TPSInterface.close` (idempotent; every interface is a context
   manager) ends the interface's life: ``publish``/``subscribe`` afterwards
   raise :class:`PSException` uniformly across all bindings;
@@ -77,6 +80,7 @@ from repro.core.subscriptions import (
     SubscriptionHandle,
 )
 from repro.core.type_registry import Criteria, TypeRegistry
+from repro.net.entropy import monotonic_clock
 from repro.serialization.object_codec import ObjectCodec
 
 EventT = TypeVar("EventT")
@@ -192,6 +196,10 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
 
     #: The stream flavour :meth:`_make_stream` builds, set by each front-end.
     _stream_type: "type[StreamCore]"
+
+    #: The clock breaker cooldowns run on: wall time here, the virtual clock
+    #: on the wire bindings, the owning loop's clock on ASYNC.
+    _clock = staticmethod(monotonic_clock)
 
     def __init__(
         self,
@@ -415,6 +423,23 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         )
         self._add_subscription(subscription)
         return subscription
+
+    def set_breaker_policy(self, threshold: int, cooldown: float) -> None:
+        """Give every current and future subscription a circuit breaker.
+
+        ``threshold`` consecutive failures of a callback (or of its pushed-down
+        predicate) quarantine that subscription for ``cooldown`` seconds of
+        this binding's clock; then one probe event decides between closing
+        the breaker and another quarantine (see
+        :class:`~repro.core.subscriptions.CircuitBreaker`).  A non-positive
+        ``threshold`` stops arming future subscriptions.
+        """
+        self.subscriber_manager.set_breaker_policy(
+            threshold, cooldown, clock=self._clock, listener=self._on_breaker_transition
+        )
+
+    def _on_breaker_transition(self, state: str, breaker: Any) -> None:
+        """Hook: a subscription's breaker entered ``state`` (no-op by default)."""
 
     def subscription(self, callback: Optional[CallbackLike] = None) -> SubscriptionBuilder:
         """Open the fluent subscription builder (v2).

@@ -28,7 +28,6 @@ message id.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
@@ -52,7 +51,13 @@ from repro.jxta.peer import Peer
 from repro.jxta.wire import DeliveryFailure
 from repro.serialization.object_codec import ObjectCodec
 
-_tps_message_counter = itertools.count(1)
+#: How many recently seen application-level message ids the duplicate filter
+#: remembers (functionality (3) of the paper's Section 4.4 footnote).
+#: Duplicates arise when one event reaches the engine through several
+#: attached advertisements, i.e. within a short window, so a bounded LRU
+#: window filters them all at constant memory.  The wire layer's reliable
+#: channels need no such filter: their sequence window drops duplicates.
+DUPLICATE_WINDOW = 8192
 
 #: Message element carrying the serialised typed event.
 TPS_EVENT_ELEMENT = "TPSEvent"
@@ -83,16 +88,6 @@ class TPSConfig:
     create_if_missing:
         Whether to create an advertisement at all when none is found (pure
         subscribers may prefer to wait instead).
-    duplicate_cache_size:
-        How many recently seen application-level message ids the engine's
-        duplicate filter remembers (functionality (3) of the paper's Section
-        4.4 footnote; always on).  Duplicates arise when one event reaches
-        the engine through several attached advertisements, i.e. within a
-        short window, so a bounded LRU window filters them all while keeping
-        memory constant under sustained traffic.  Zero or negative means
-        unbounded (the seed's behaviour).  It sizes this filter only: the
-        wire layer's reliable channels need none (their sequence window is
-        their duplicate filter).
     message_padding:
         When positive, pad published messages to this many bytes (the paper's
         measurements use 1910-byte messages).
@@ -106,13 +101,6 @@ class TPSConfig:
         exhausts them is routed to
         :attr:`JxtaTPSEngine.delivery_failure_handler` (or every
         subscription's exception handler), never silently dropped.
-    breaker_threshold:
-        Consecutive-failure count at which a subscription's callback is
-        quarantined by a circuit breaker.  Zero (default) disables crash
-        containment entirely.
-    breaker_cooldown:
-        Virtual seconds a tripped breaker stays open before probing the
-        callback again (half-open state).
     history:
         Which :class:`~repro.core.history.HistoryStore` backs
         ``objects_received``/``objects_sent``: ``"ring"`` (bounded
@@ -135,11 +123,8 @@ class TPSConfig:
 
     search_timeout: float = 3.0
     create_if_missing: bool = True
-    duplicate_cache_size: int = 8192
     message_padding: int = 0
     reliable_delivery: bool = False
-    breaker_threshold: int = 0
-    breaker_cooldown: float = 30.0
     history: str = "ring"
     history_size: int = DEFAULT_HISTORY_SIZE
     history_path: str = ""
@@ -305,7 +290,7 @@ class JxtaTPSEngine(TPSInterface):
             history_size=self.config.history_size,
             history_path=self.config.history_path or None,
         )
-        self._seen_message_ids = BoundedIdSet(self.config.duplicate_cache_size)
+        self._seen_message_ids = BoundedIdSet(DUPLICATE_WINDOW)
         #: Per-source high-water marks: origin peer URN -> highest sent-store
         #: offset observed from that origin (drives catch-up requests).
         self._source_offsets: Dict[str, int] = {}
@@ -317,13 +302,6 @@ class JxtaTPSEngine(TPSInterface):
         #: with a :class:`DeliveryFailedError`; when unset, failures are
         #: routed to every subscription's exception handler instead.
         self.delivery_failure_handler: Optional[Callable[[DeliveryFailedError], None]] = None
-        if self.config.breaker_threshold > 0:
-            self.subscriber_manager.set_breaker_policy(
-                self.config.breaker_threshold,
-                self.config.breaker_cooldown,
-                clock=lambda: self.peer.now,
-                listener=self._on_breaker_transition,
-            )
         cost_model = peer.cost_model
         #: The SR application-layer work (duplicate ids, multi-advertisement
         #: bookkeeping) plus the TPS-specific work (typed serialisation,
@@ -402,7 +380,7 @@ class JxtaTPSEngine(TPSInterface):
                 f"the TPS interface for {self.registry.interface_name} has no attached "
                 "advertisement yet; run the network (settle) to let initialisation finish"
             )
-        message_id = f"{self.peer.peer_id.to_urn()}/t{next(_tps_message_counter)}"
+        message_id = self.peer.next_id("t")
         # Record before sending so the stamped offset matches the store: a
         # catch-up replay of ``sent.since(offset)`` re-produces exactly the
         # messages (same ids, same offsets) that went on the wire.
@@ -568,6 +546,10 @@ class JxtaTPSEngine(TPSInterface):
             return
         self.subscriber_manager.report(error)
 
+    def _clock(self) -> float:
+        """Breaker cooldowns run on the simulated network's virtual clock."""
+        return self.peer.now
+
     def _on_breaker_transition(self, state: str, breaker: Any) -> None:
         """Count breaker state changes (``tps_breaker_open`` etc.)."""
         self.peer.metrics.counter(f"tps_breaker_{state}").increment()
@@ -708,6 +690,7 @@ register_binding(
 
 __all__ = [
     "BoundedIdSet",
+    "DUPLICATE_WINDOW",
     "JXTA_BINDING_PARAMS",
     "JxtaTPSEngine",
     "resolve_jxta_config",

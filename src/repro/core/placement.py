@@ -17,9 +17,9 @@ a pure, immutable value:
 
 There is one placement policy, :class:`Placement` (also importable as
 ``RingPlacement``): a consistent-hash ring with virtual nodes.  Every shard
-id projects ``virtual_nodes`` points onto the 2**32 CRC-32 ring; a key is
-owned by the first point at or after its own hash (wrapping).  Assignment is
-a pure function of ``(shard_ids, virtual_nodes, key)`` -- stable across
+id projects ``DEFAULT_VIRTUAL_NODES`` points onto the 2**32 CRC-32 ring; a
+key is owned by the first point at or after its own hash (wrapping).
+Assignment is a pure function of ``(shard_ids, key)`` -- stable across
 calls, buses and processes -- and adding one shard to N only captures the
 key ranges that fall to the new shard's points: in expectation ``1/(N+1)``
 of the keyspace moves (modulo virtual-node variance), and no key ever moves
@@ -55,7 +55,7 @@ class Placement:
     nodes over a tuple of stable shard ids.
 
     Shard id ``s`` projects points ``crc32("shard-{s}#vnode-{v}")`` for
-    ``v`` in ``range(virtual_nodes)``; a key belongs to the first point
+    ``v`` in ``range(DEFAULT_VIRTUAL_NODES)``; a key belongs to the first point
     clockwise from its hash.  Because points depend only on the shard *id*
     (never on the shard count or tuple position), growing or shrinking the
     shard set leaves every surviving shard's points exactly where they were
@@ -67,32 +67,19 @@ class Placement:
     when the tuple shrinks).
     """
 
-    def __init__(
-        self,
-        shard_ids: Sequence[int],
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-    ) -> None:
+    def __init__(self, shard_ids: Sequence[int]) -> None:
         ids = tuple(int(shard_id) for shard_id in shard_ids)
         if not ids:
             raise PSException("a placement needs at least one shard id")
         if len(set(ids)) != len(ids):
             raise PSException(f"duplicate shard ids in placement: {ids!r}")
-        if (
-            isinstance(virtual_nodes, bool)
-            or not isinstance(virtual_nodes, int)
-            or virtual_nodes < 1
-        ):
-            raise PSException(
-                f"virtual_nodes must be an int >= 1, got {virtual_nodes!r}"
-            )
         self.shard_ids: Tuple[int, ...] = ids
-        self.virtual_nodes = virtual_nodes
         # Sort by (point, position): the tie-break makes point collisions
         # (possible: CRC-32 is 32 bits) deterministic across builds.
         ring: List[Tuple[int, int]] = sorted(
             (stable_hash(f"shard-{shard_id}#vnode-{vnode}"), position)
             for position, shard_id in enumerate(ids)
-            for vnode in range(virtual_nodes)
+            for vnode in range(DEFAULT_VIRTUAL_NODES)
         )
         self._points: Tuple[int, ...] = tuple(point for point, _ in ring)
         self._owners: Tuple[int, ...] = tuple(owner for _, owner in ring)
@@ -110,8 +97,8 @@ class Placement:
         return self.shard_ids[self.index_for(key)]
 
     def with_shards(self, shard_ids: Sequence[int]) -> "Placement":
-        """The same ring parameters over a different shard-id tuple."""
-        return Placement(shard_ids, self.virtual_nodes)
+        """The same ring over a different shard-id tuple."""
+        return Placement(shard_ids)
 
     def __len__(self) -> int:
         return len(self.shard_ids)

@@ -17,7 +17,6 @@ publish/subscribe flow, exactly as the paper suggests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -29,8 +28,6 @@ from repro.jxta.message import Message
 from repro.jxta.peer import Peer
 from repro.jxta.pipes import PipeKind
 from repro.serialization.object_codec import ObjectCodec
-
-_reply_counter = itertools.count(1)
 
 #: Message element names used on the reply pipe.
 _REPLY_BODY = "TPSReplyBody"
@@ -90,7 +87,7 @@ class ReplyEndpoint:
         event.reply_address = {
             "peer": self.peer.peer_id.to_urn(),
             "pipe": self.advertisement.pipe_id.to_urn(),
-            "event_id": f"{self.peer.peer_id.to_urn()}/r{next(_reply_counter)}",
+            "event_id": self.peer.next_id("r"),
         }
         return event
 

@@ -37,16 +37,16 @@ parameter):
   same way.
 
 *Where* a key lives is delegated to :mod:`repro.core.placement`: one policy,
-a consistent-hash ring with ``virtual_nodes`` points per stable shard id, so
-resizing moves only ~``1/(N+1)`` of the keys and never moves a key between
-two surviving shards.  :attr:`ShardedLocalBus.placement` is the current
-ring.
+a consistent-hash ring with ``DEFAULT_VIRTUAL_NODES`` points per stable
+shard id, so resizing moves only ~``1/(N+1)`` of the keys and never moves a
+key between two surviving shards.  :attr:`ShardedLocalBus.placement` is the
+current ring.
 
 Binding parameters (v2 registry schema): ``new_interface("SHARDED",
-shards=16)`` or ``new_interface("SHARDED", shards=8, partition="content",
-content_key="symbol", virtual_nodes=128)``.  Interfaces created with the
-*same* parameter set share one registry-built bus (so they can talk to each
-other); passing parameters together with an explicit engine-level
+shards=16)`` or ``new_interface("SHARDED", shards=8, content_key="symbol")``
+(``content_key`` implies ``partition="content"``).  Interfaces created with
+the *same* parameter set share one registry-built bus (so they can talk to
+each other); passing parameters together with an explicit engine-level
 ``local_bus`` is rejected -- the parameters describe a bus, so supply one or
 the other.
 
@@ -99,7 +99,7 @@ from repro.core.bindings import (
 from repro.core.exceptions import PSException
 from repro.core.history import HISTORY_BINDING_PARAMS, history_kwargs
 from repro.core.local_engine import LocalBus, LocalTPSEngine
-from repro.core.placement import DEFAULT_VIRTUAL_NODES, Placement
+from repro.core.placement import Placement
 
 #: Shard count of a sharded bus built without ``shards``.
 DEFAULT_SHARD_COUNT = 8
@@ -127,7 +127,6 @@ class ShardedLocalBus(LocalBus):
         *,
         partition: Union[str, Callable[[Any], Any]] = "root",
         content_key: Optional[str] = None,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
     ) -> None:
         super().__init__()
         if shards < 1:
@@ -152,15 +151,14 @@ class ShardedLocalBus(LocalBus):
         self.content_key = content_key
         ordinal = next(_bus_counter)
         #: Process-unique token identifying this bus; composite bindings tag
-        #: wire messages with it to filter same-bus echoes.
-        self.bus_id = f"shardedbus-{ordinal}"
+        #: wire messages with it to filter same-bus echoes.  Fixed width, so
+        #: a tagged message's size (and simulated cost) does not depend on
+        #: how many buses this process built before.
+        self.bus_id = f"shardedbus-{ordinal:08x}"
         self._ordinal = ordinal
         #: The immutable ``(epoch number, placement)`` snapshot: rebound
         #: whole under ``_topology_lock``, read lock-free.
-        self._topology: Tuple[int, Placement] = (
-            0,
-            Placement(range(shards), virtual_nodes),
-        )
+        self._topology: Tuple[int, Placement] = (0, Placement(range(shards)))
         #: Next stable shard id add_shard() hands out (ids are never reused,
         #: which is what keeps surviving shards' ring points fixed).
         self._next_shard_id = shards
@@ -263,6 +261,9 @@ class ShardedLocalBus(LocalBus):
         The shard of a single publish decides nothing about its delivery --
         one route table serves every shard -- but an event the partition
         cannot key is still refused here, before anything is delivered.
+        The SHARDED+JXTA binding keys its copy itself and then calls
+        ``LocalBus.publish`` directly, skipping this override: anything
+        added here beyond the key check must be added there too.
         """
         if self.intra_hierarchy:
             self.partition_key(event)
@@ -466,13 +467,6 @@ _BUS_PARAMS = (
         "content_key",
         (str,),
         "event attribute to shard by (partition='content')",
-    ),
-    BindingParam(
-        "virtual_nodes",
-        (int,),
-        "consistent-hash ring points per shard",
-        positive,
-        default=DEFAULT_VIRTUAL_NODES,
     ),
 )
 

@@ -255,11 +255,9 @@ class TPSPipeReader:
 
     def __init__(self, engine: "JxtaTPSEngine") -> None:
         self.engine = engine
-        self.messages_seen = 0
 
     def __call__(self, message: Message, source: PeerID) -> None:
         """Wire pipe listener entry point."""
-        self.messages_seen += 1
         self.engine._on_wire_message(message, source)
 
 

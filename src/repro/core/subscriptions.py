@@ -22,12 +22,13 @@ top of any :class:`~repro.core.interface.TPSInterface` binding:
   raises ``threshold`` consecutive times is quarantined (``closed`` ->
   ``open``), skipped for a ``cooldown`` period, then given one probational
   event (``half_open``) that either resets it or re-opens the quarantine.
-  Attached per subscription by
-  :meth:`~repro.core.subscriber.TPSSubscriberManager.set_breaker_policy`
-  (JXTA and SHARDED+JXTA wire it to ``TPSConfig.breaker_threshold`` /
-  ``breaker_cooldown``, ASYNC to its same-named binding parameters; LOCAL
-  and SHARDED install none); both dispatch paths -- the manager's and the
-  :class:`~repro.core.local_engine.LocalBus` inline loop -- honour it.
+  Attached per subscription once the application calls
+  ``tps.set_breaker_policy(threshold, cooldown)``, the one spelling on every
+  binding; cooldowns run on the binding's own clock (wall time on LOCAL and
+  SHARDED, virtual time on the wire bindings, loop time on ASYNC).  Every
+  dispatch path -- the manager's, the
+  :class:`~repro.core.local_engine.LocalBus` inline loop and the ASYNC
+  awaiting row -- honours it.
 * :class:`EventStream` -- pull-style consumption:
   ``tps.stream(maxsize=..., policy=...)`` subscribes an internal enqueue
   callback and hands the application an iterator/queue hybrid with explicit

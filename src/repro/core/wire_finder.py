@@ -109,11 +109,6 @@ class TPSWireServiceFinder:
         output_pipe = finder.create_output_pipe()
     """
 
-    #: How long an output pipe may wait for resolution, kept for API fidelity
-    #: with the paper's ``TIME_TO_WAIT`` (the simulation resolves bindings
-    #: asynchronously, so this is only used as a hint).
-    TIME_TO_WAIT = 3.0
-
     def __init__(self, peer_group: PeerGroup, pg_advertisement: PeerGroupAdvertisement) -> None:
         self.peer_group = peer_group
         self.pg_advertisement = pg_advertisement

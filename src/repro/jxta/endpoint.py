@@ -29,7 +29,6 @@ counts such packets in ``endpoint_malformed`` and drops them.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
@@ -46,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ttl, propagate, hop count, body length.
 _HEADER = struct.Struct(">iBHI")
 _STRING_LENGTH = struct.Struct(">H")
-_envelope_counter = itertools.count(1)
 
 #: Address used for propagated (broadcast) envelopes.
 PROPAGATE_DESTINATION = "*"
@@ -300,7 +298,7 @@ class EndpointService:
             dst_peer=dst_peer,
             service=service,
             param=param,
-            envelope_id=f"{self.peer.peer_id.to_urn()}/{next(_envelope_counter)}",
+            envelope_id=self.peer.next_id(""),
             ttl=ttl,
             propagate=propagate,
             body=message.to_bytes(),

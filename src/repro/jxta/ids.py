@@ -167,8 +167,7 @@ class BoundedIdSet:
 
     Membership and insertion are O(1); once ``capacity`` ids are held, adding
     a new id evicts the least recently seen one, so a duplicate filter's
-    memory stays constant under sustained traffic.  A non-positive capacity
-    disables eviction entirely.
+    memory stays constant under sustained traffic.
 
     Used both by the TPS engine (application-level message ids) and by the
     endpoint service (propagated envelope ids), which is why it lives here
@@ -177,7 +176,9 @@ class BoundedIdSet:
 
     __slots__ = ("capacity", "_entries")
 
-    def __init__(self, capacity: int = 0) -> None:
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"a BoundedIdSet needs a positive capacity, got {capacity!r}")
         self.capacity = capacity
         self._entries: "OrderedDict[str, None]" = OrderedDict()
 
@@ -202,7 +203,7 @@ class BoundedIdSet:
             entries.move_to_end(item)
             return True
         entries[item] = None
-        if 0 < self.capacity < len(entries):
+        if len(entries) > self.capacity:
             entries.popitem(last=False)
         return False
 

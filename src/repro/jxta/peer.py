@@ -13,6 +13,7 @@ traffic between peers that cannot talk directly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, TYPE_CHECKING
 
@@ -79,9 +80,21 @@ class Peer:
         self.noise = noise or NoiseSource()
         self.metrics: MetricsRegistry = node.metrics
         self.started_at = simulator.now
+        #: Sequence behind every id this peer mints (see :meth:`next_id`).
+        self._id_sequence = itertools.count(1)
         self.endpoint = EndpointService(self)
         self._world_group: Optional["PeerGroup"] = None
         self._joined_groups: List["PeerGroup"] = []
+
+    def next_id(self, kind: str) -> str:
+        """A fresh ``<peer urn>/<kind><n>`` id (TPS messages, wire messages
+        and channels, envelopes, resolver queries, reply addresses).
+
+        The number is per peer, not per interpreter: a peer models a process,
+        so its ids -- and the message sizes they feed into the cost model --
+        must not depend on which simulations ran earlier in this process.
+        """
+        return f"{self.peer_id.to_urn()}/{kind}{next(self._id_sequence)}"
 
     # ------------------------------------------------------------ properties
 

@@ -15,7 +15,6 @@ every reachable peer (multicast + rendez-vous re-propagation).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Protocol, TYPE_CHECKING
 
@@ -26,8 +25,6 @@ from repro.jxta.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.jxta.peergroup import PeerGroup
-
-_query_counter = itertools.count(1)
 
 
 @dataclass
@@ -109,7 +106,7 @@ class ResolverService:
             raise ResolverError(
                 f"cannot send a query for unregistered handler {handler_name!r}"
             )
-        query_id = f"{self.peer.peer_id.to_urn()}/q{next(_query_counter)}"
+        query_id = self.peer.next_id("q")
         message = self._build(self._KIND_QUERY, handler_name, query_id, body)
         self.peer.metrics.counter("resolver_queries_sent").increment()
         if dest_peer is None:

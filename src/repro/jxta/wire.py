@@ -80,7 +80,6 @@ which the chaos matrix re-runs over a faulty network.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
@@ -95,9 +94,6 @@ from repro.net.simclock import EventHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.jxta.peergroup import PeerGroup
-
-_wire_message_counter = itertools.count(1)
-_wire_channel_counter = itertools.count(1)
 
 #: Name of the message element carrying the wire-level message id.
 WIRE_MSG_ID_ELEMENT = "JxtaWireMsgId"
@@ -265,9 +261,7 @@ class WireOutputPipe:
         self.failure_listeners: List[Callable[[DeliveryFailure], None]] = []
         #: Sender-side channel id; globally unique per output pipe so the
         #: receiver's sequencing state can never collide across pipes.
-        self.channel_id = (
-            f"{wire_service.peer.peer_id.to_urn()}/c{next(_wire_channel_counter)}"
-        )
+        self.channel_id = wire_service.peer.next_id("c")
         self._next_seq: Dict[str, int] = {}
 
     @property
@@ -458,7 +452,7 @@ class WireService:
         stamp per-target sequence/ack elements and arm the retry machinery.
         """
         wire_message = message.dup()
-        wire_id = f"{self.peer.peer_id.to_urn()}/w{next(_wire_message_counter)}"
+        wire_id = self.peer.next_id("w")
         wire_message.add(WIRE_MSG_ID_ELEMENT, wire_id)
         wire_message.add(WIRE_SRC_ELEMENT, self.peer.peer_id.to_urn())
         targets = pipe.resolved_peers()

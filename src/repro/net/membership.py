@@ -7,17 +7,17 @@ gives every peer an explicit, testable view of *who is still there*, in the
 style of classic gossip/heartbeat failure detectors:
 
 * every :class:`MembershipMonitor` sends a small heartbeat message to each
-  watched peer on a fixed period, jittered through the peer's seeded
-  :class:`~repro.net.cost.NoiseSource` (runs stay bit-for-bit reproducible,
-  but two monitors never phase-lock);
+  watched peer every :data:`HEARTBEAT_INTERVAL`, jittered through the
+  peer's seeded :class:`~repro.net.cost.NoiseSource` (runs stay
+  bit-for-bit reproducible, but two monitors never phase-lock);
 * receiving a heartbeat marks the sender ``ALIVE`` (auto-registering unknown
   senders -- monitoring is mutual by construction) and refreshes its network
   address via the endpoint address book;
-* a peer not heard from for ``suspect_timeout`` seconds becomes ``SUSPECT``
+* a peer not heard from for :data:`SUSPECT_TIMEOUT` becomes ``SUSPECT``
   (it may just be behind a lossy link -- the PR 6 ``FaultPlan`` drops
   heartbeats like any other packet, which is exactly how the chaos tests
   drive these transitions);
-* a peer still silent ``confirm_timeout`` seconds later is **confirmed**
+* a peer still silent :data:`CONFIRM_TIMEOUT` later is **confirmed**
   ``DEAD``.  Listeners get every transition (``"join"``, ``"suspect"``,
   ``"confirm"``, ``"recover"``), which is the hook
   :mod:`repro.core.composite_engine` uses to close the wire towards a
@@ -27,8 +27,15 @@ style of classic gossip/heartbeat failure detectors:
   (``"recover"``) -- suspicion is a verdict about *communication*, and the
   detector must heal when the network does.
 
-All timing is virtual (:class:`~repro.net.simclock.Simulator`); all
-randomness is seeded.  Metrics land on the owning peer's registry:
+All timing is virtual (:class:`~repro.net.simclock.Simulator`) and fixed by
+the module constants below; all randomness is seeded.  Both checks run on
+the heartbeat tick, so a peer heard last at ``t`` is convicted by ``t +
+SUSPECT_TIMEOUT + CONFIRM_TIMEOUT`` plus two tick periods (~1.44 s) -- well
+before the reliable wire's retry ladder gives up on it
+(:mod:`repro.jxta.wire`, ~7.75 s nominal), which is what lets the composite
+binding fail deliveries towards a departed peer early.
+
+Metrics land on the owning peer's registry:
 ``membership_heartbeats_sent/received``, ``membership_joined/suspected/
 confirmed_dead/recovered`` counters and the ``membership_alive`` gauge.
 """
@@ -59,37 +66,16 @@ MEMBER_ADDR_ELEMENT = "MemberAddr"
 MembershipListener = Callable[[str, str], None]
 
 
-@dataclass
-class MembershipConfig:
-    """Failure-detector timing (all in virtual seconds, all seeded).
-
-    ``suspect_timeout`` and ``confirm_timeout`` are measured from the last
-    heartbeat heard, respectively from the moment of suspicion; both should
-    comfortably exceed ``heartbeat_interval`` or a single dropped packet
-    convicts an honest peer.
-    """
-
-    heartbeat_interval: float = 0.5
-    suspect_timeout: float = 2.0
-    confirm_timeout: float = 4.0
-    #: Relative uniform jitter applied to each heartbeat period through the
-    #: peer's seeded noise source (0 disables).
-    jitter: float = 0.1
-
-    def validate(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive, got {self.heartbeat_interval!r}"
-            )
-        if self.suspect_timeout <= self.heartbeat_interval:
-            raise ValueError(
-                "suspect_timeout must exceed heartbeat_interval "
-                f"({self.suspect_timeout!r} <= {self.heartbeat_interval!r})"
-            )
-        if self.confirm_timeout <= 0:
-            raise ValueError(
-                f"confirm_timeout must be positive, got {self.confirm_timeout!r}"
-            )
+#: Virtual seconds between two heartbeats to each watched peer.
+HEARTBEAT_INTERVAL = 0.2
+#: Relative uniform jitter on each heartbeat period, drawn from the peer's
+#: seeded noise source.
+HEARTBEAT_JITTER = 0.1
+#: Silence since the last heartbeat heard before a peer turns ``SUSPECT``;
+#: more than two periods, so one dropped heartbeat raises no suspicion.
+SUSPECT_TIMEOUT = 0.5
+#: Further silence since the suspicion before ``SUSPECT`` is confirmed ``DEAD``.
+CONFIRM_TIMEOUT = 0.5
 
 
 @dataclass
@@ -116,7 +102,6 @@ class MembershipMonitor:
     def __init__(
         self,
         peer: Any,
-        config: Optional[MembershipConfig] = None,
         *,
         clock: Optional[Callable[[], float]] = None,
         noise: Optional[Any] = None,
@@ -126,8 +111,6 @@ class MembershipMonitor:
         :class:`~repro.net.cost.NoiseSource`, and tests can substitute their
         own without monkey-patching the peer."""
         self.peer = peer
-        self.config = config or MembershipConfig()
-        self.config.validate()
         self._clock = clock if clock is not None else (lambda: peer.now)
         self._noise = noise if noise is not None else peer.noise
         self._members: Dict[str, MemberState] = {}
@@ -136,16 +119,12 @@ class MembershipMonitor:
         peer.endpoint.register_listener(
             MEMBERSHIP_SERVICE, HEARTBEAT_PARAM, self._on_heartbeat
         )
-        interval = self.config.heartbeat_interval
-        jitter = None
-        if self.config.jitter > 0:
-            spread = self.config.jitter * interval
-            jitter = lambda: self._noise.uniform(-spread, spread)  # noqa: E731
+        spread = HEARTBEAT_JITTER * HEARTBEAT_INTERVAL
         self._task = peer.simulator.schedule_periodic(
-            interval,
+            HEARTBEAT_INTERVAL,
             self._tick,
             label=f"membership:{peer.name}",
-            jitter=jitter,
+            jitter=lambda: self._noise.uniform(-spread, spread),
         )
 
     # ------------------------------------------------------------- watching
@@ -154,7 +133,7 @@ class MembershipMonitor:
         """Start monitoring a peer (a :class:`Peer`, :class:`PeerID` or URN).
 
         Idempotent; the monitor's own peer is never watched.  New members
-        start ``ALIVE`` (they get a full ``suspect_timeout`` of grace) and
+        start ``ALIVE`` (they get a full :data:`SUSPECT_TIMEOUT` of grace) and
         emit ``"join"``.
         """
         urn = self._to_urn(target)
@@ -231,7 +210,7 @@ class MembershipMonitor:
             # keeps *probing* it -- that asymmetry is the rejoin path.
             self._send_heartbeat(member.urn)
             if member.state == ALIVE:
-                if now - member.last_heard >= self.config.suspect_timeout:
+                if now - member.last_heard >= SUSPECT_TIMEOUT:
                     member.state = SUSPECT
                     member.suspected_at = now
                     self.peer.metrics.counter("membership_suspected").increment()
@@ -239,7 +218,7 @@ class MembershipMonitor:
                     self._emit("suspect", member.urn)
             elif member.state == SUSPECT:
                 assert member.suspected_at is not None
-                if now - member.suspected_at >= self.config.confirm_timeout:
+                if now - member.suspected_at >= CONFIRM_TIMEOUT:
                     member.state = DEAD
                     self.peer.metrics.counter("membership_confirmed_dead").increment()
                     self._emit("confirm", member.urn)
@@ -319,14 +298,17 @@ class MembershipMonitor:
 
 __all__ = [
     "ALIVE",
+    "CONFIRM_TIMEOUT",
     "DEAD",
+    "HEARTBEAT_INTERVAL",
+    "HEARTBEAT_JITTER",
     "HEARTBEAT_PARAM",
     "MEMBERSHIP_SERVICE",
     "MEMBER_ADDR_ELEMENT",
     "MEMBER_PEER_ELEMENT",
     "MemberState",
-    "MembershipConfig",
     "MembershipListener",
     "MembershipMonitor",
     "SUSPECT",
+    "SUSPECT_TIMEOUT",
 ]

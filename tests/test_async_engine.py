@@ -363,9 +363,6 @@ class TestAsyncBindingRegistry:
         report = registered_bindings(with_params=True)
         assert report["ASYNC"] == (
             "dispatch",
-            "group",
-            "breaker_threshold",
-            "breaker_cooldown",
             "history",
             "history_size",
             "history_path",
@@ -378,8 +375,6 @@ class TestAsyncBindingRegistry:
                 engine.new_interface("ASYNC", dispatch=5)
             with pytest.raises(PSException, match="dispatch"):
                 engine.new_interface("ASYNC", dispatch="bogus")
-            with pytest.raises(PSException, match="group"):
-                engine.new_interface("ASYNC", group=7)
             with pytest.raises(PSException, match="ring_size"):
                 engine.new_interface("ASYNC", ring_size=4)  # undeclared
             engine.close()
@@ -389,16 +384,18 @@ class TestAsyncBindingRegistry:
     def test_same_loop_same_params_share_one_bus(self):
         async def main():
             engine = TPSEngine(SkiRental)
-            a = engine.new_interface("ASYNC", group="g", dispatch="concurrent")
-            b = engine.new_interface("ASYNC", group="g", dispatch="concurrent")
-            c = engine.new_interface("ASYNC", group="other")
+            a = engine.new_interface("ASYNC", dispatch="concurrent")
+            b = engine.new_interface("ASYNC", dispatch="concurrent")
             default = engine.new_interface("ASYNC")
+            # An isolated bus is the explicit-bus spelling.
+            isolated = TPSEngine(SkiRental, local_bus=AsyncLocalBus()).new_interface("ASYNC")
             shared = a.bus is b.bus
             distinct = (
-                c.bus is not a.bus
-                and default.bus is not a.bus
-                and default.bus is not c.bus
+                default.bus is not a.bus
+                and isolated.bus is not a.bus
+                and isolated.bus is not default.bus
             )
+            isolated.close()
             engine.close()
             return shared, distinct
 
@@ -413,7 +410,7 @@ class TestAsyncBindingRegistry:
             tps = direct.new_interface("ASYNC")
             assert tps.bus is bus
             with pytest.raises(PSException, match="not both"):
-                direct.new_interface("ASYNC", group="g")
+                direct.new_interface("ASYNC", dispatch="serial")
             direct.close()
             wrong = TPSEngine(SkiRental, local_bus=LocalBus())
             with pytest.raises(PSException, match="AsyncLocalBus"):
@@ -430,11 +427,11 @@ class TestUnregisterCacheReset:
     def test_async_reregistration_does_not_leak_loop_bus_cache(self):
         async def main():
             engine = TPSEngine(SkiRental)
-            before = engine.new_interface("ASYNC", group="leak")
+            before = engine.new_interface("ASYNC", dispatch="concurrent")
             try:
                 assert unregister_binding("ASYNC")
                 register_async_binding()
-                after = engine.new_interface("ASYNC", group="leak")
+                after = engine.new_interface("ASYNC", dispatch="concurrent")
                 fresh = after.bus is not before.bus
             finally:
                 register_async_binding()
@@ -505,13 +502,12 @@ class TestLoopClockBreakers:
     def test_breaker_cooldown_follows_a_manually_advanced_loop_clock(self):
         loop = asyncio.new_event_loop()
         fake = [1_000.0]
-        loop.time = lambda: fake[0]  # patched BEFORE the engine captures it
+        loop.time = lambda: fake[0]  # the breakers read the owning loop's clock
 
         async def main():
             engine = TPSEngine(SkiRental)
-            publisher, subscriber = _pair(
-                engine, breaker_threshold=2, breaker_cooldown=5.0
-            )
+            publisher, subscriber = _pair(engine)
+            subscriber.set_breaker_policy(2, 5.0)
             calls: List[Any] = []
             healthy: List[Any] = []
 

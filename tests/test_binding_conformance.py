@@ -27,8 +27,8 @@ Covered surface: publish/subscribe with ordering and history, handle
 cancellation, fluent ``.where()`` predicates, the per-row dispatch semantics
 (error routing, broken handlers, mid-dispatch cancellation), streams under
 both overflow policies and in cursor mode (``from_offset`` replay, live
-follow, ``resume``), close idempotence, and the uniform post-close
-``PSException``.
+follow, ``resume``), circuit breakers, close idempotence, and the uniform
+post-close ``PSException``.
 
 The ``+CHAOS`` variants (marked ``chaos``) re-run the wire bindings over a
 fault-injected network -- every link drops, duplicates, reorders and delays
@@ -62,6 +62,7 @@ from repro.core.local_engine import LocalBus
 from repro.core.sharded_engine import ShardedLocalBus
 from repro.core.subscriber import TPSSubscriberManager
 from repro.jxta.platform import JxtaNetworkBuilder
+from repro.net.entropy import monotonic_clock
 from repro.net.faults import FaultPlan
 
 #: Suffix selecting a fault-injected network with reliable delivery on.
@@ -95,6 +96,21 @@ pytestmark = [pytest.mark.slow]
 
 def _offer(shop: str = "shop", price: float = 10.0) -> SkiRental:
     return SkiRental(shop, price, "Salomon", 7)
+
+
+class KeyedOffer:
+    """An event whose content key counts its reads (the codec only sees
+    ``__dict__``, so every read is a placement-key lookup)."""
+
+    reads = 0
+
+    def __init__(self, region: str = "") -> None:
+        self._region = region
+
+    @property
+    def region(self) -> str:
+        KeyedOffer.reads += 1
+        return self._region
 
 
 class _LoopProxy:
@@ -229,6 +245,9 @@ class AsyncInterfaceDriver(_LoopProxy):
 
     def unsubscribe(self, *args: Any, **kwargs: Any) -> int:
         return self._run(self._interface.unsubscribe, *args, **kwargs)
+
+    def set_breaker_policy(self, threshold: int, cooldown: float) -> None:
+        self._run(self._interface.set_breaker_policy, threshold, cooldown)
 
     def subscription(self, *args: Any, **kwargs: Any) -> AsyncBuilderDriver:
         return AsyncBuilderDriver(
@@ -684,6 +703,70 @@ class TestLifecycleConformance:
         assert subscriber.objects_received() == []
 
 
+class TestBreakerConformance:
+    """``set_breaker_policy`` is the one breaker spelling on every binding."""
+
+    def test_breaker_trips_skips_and_lets_one_probe_through(self, harness):
+        publisher, subscriber = harness.pair()
+        now = [100.0]
+        # The fake replaces the binding's own clock before the policy binds it.
+        getattr(subscriber, "_interface", subscriber)._clock = lambda: now[0]
+        subscriber.set_breaker_policy(2, 5.0)
+        calls: List[str] = []
+        healthy: List[str] = []
+
+        def flaky(offer: Any) -> None:
+            calls.append(offer.shop)
+            raise RuntimeError("subscriber crash")
+
+        subscriber.subscribe(flaky, lambda error: None)
+        subscriber.subscribe(lambda offer: healthy.append(offer.shop))
+        harness.pump()
+        # Two failures trip the breaker; the third delivery is skipped.
+        for shop in ("a", "b", "c"):
+            harness.publish(publisher, _offer(shop))
+        assert calls == ["a", "b"]
+        # Past the cooldown exactly one probe gets through; it fails again.
+        now[0] += 5.1
+        for shop in ("d", "e"):
+            harness.publish(publisher, _offer(shop))
+        assert calls == ["a", "b", "d"]
+        # The healthy subscription on the same interface never skipped.
+        assert healthy == ["a", "b", "c", "d", "e"]
+
+
+class TestBreakerClocks:
+    """Each binding's breakers default to the clock its deliveries run on."""
+
+    @pytest.mark.parametrize("binding", ["LOCAL", "SHARDED"])
+    def test_in_process_bindings_read_wall_time(self, binding):
+        harness = BindingHarness(binding)
+        try:
+            assert harness.interface()._clock is monotonic_clock
+        finally:
+            harness.finish()
+
+    @pytest.mark.parametrize("binding", ["JXTA", "SHARDED+JXTA"])
+    def test_wire_bindings_read_the_peer_clock(self, binding):
+        harness = BindingHarness(binding)
+        try:
+            interface = harness.interface()
+            simulator = harness.builder.simulator
+            simulator.run_until(simulator.now + 3.25)
+            assert interface._clock() == interface.peer.now == simulator.now > 0
+        finally:
+            harness.finish()
+
+    @pytest.mark.asyncio
+    def test_async_reads_the_owning_loop_clock(self):
+        harness = BindingHarness("ASYNC")
+        harness.loop.time = lambda: 4321.5
+        try:
+            assert harness.interface()._interface._clock() == 4321.5
+        finally:
+            harness.finish()
+
+
 def _owned_objects(interface: Any) -> List[Any]:
     """Every ``repro.core`` object reachable from ``interface`` through its
     own attributes -- not through the shared infrastructure it merely joins
@@ -778,10 +861,10 @@ class TestCompositeSpecifics:
     @pytest.mark.parametrize(
         "params",
         [
-            {"membership": True, "heartbeat_interval": 5.0, "suspect_timeout": 1.0},
             {"history": "log", "history_path": "<under-a-file>"},
+            {"membership": True, "history": "log", "history_path": "<under-a-file>"},
         ],
-        ids=["membership-timing", "history-path"],
+        ids=["history-path", "membership-history-path"],
     )
     def test_failing_constructor_leaves_nothing_attached_to_the_bus(
         self, params, tmp_path
@@ -798,6 +881,19 @@ class TestCompositeSpecifics:
             # The same (peer, default parameter set) bus a working request gets.
             survivor = harness.interface(create=True)
             assert survivor.bus.engines_for(survivor.registry.root) == (survivor,)
+        finally:
+            harness.finish()
+
+    def test_each_publish_keys_its_event_once(self):
+        harness = BindingHarness("SHARDED+JXTA")
+        try:
+            publisher = harness.interface(event_type=KeyedOffer, content_key="region")
+            harness.pump()
+            KeyedOffer.reads = 0
+            publisher.publish(KeyedOffer("north"))
+            assert KeyedOffer.reads == 1
+            publisher.publish_many([KeyedOffer(region) for region in ("a", "b", "c")])
+            assert KeyedOffer.reads == 4
         finally:
             harness.finish()
 

@@ -64,7 +64,7 @@ class TestParamValidationErrors:
         with pytest.raises(PSException) as excinfo:
             TPSEngine(SkiRental).new_interface(binding, placement=mode)
         message = str(excinfo.value)
-        assert "'placement'" in message and "virtual_nodes" in message
+        assert "'placement'" in message and "content_key" in message
 
     def test_wrong_type_names_key_and_expectation(self):
         engine = TPSEngine(SkiRental)
@@ -100,8 +100,29 @@ class TestParamValidationErrors:
     def test_bool_rejected_where_int_expected(self):
         engine = TPSEngine(SkiRental)
         with pytest.raises(PSException) as excinfo:
-            engine.new_interface("JXTA", duplicate_cache_size=True)
-        assert "'duplicate_cache_size'" in str(excinfo.value)
+            engine.new_interface("JXTA", message_padding=True)
+        assert "'message_padding'" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "binding, knob",
+        [
+            ("ASYNC", "group"),
+            ("ASYNC", "breaker_threshold"),
+            ("JXTA", "duplicate_cache_size"),
+            ("JXTA", "breaker_cooldown"),
+            ("SHARDED", "virtual_nodes"),
+            ("SHARDED+JXTA", "virtual_nodes"),
+            ("SHARDED+JXTA", "heartbeat_interval"),
+            ("SHARDED+JXTA", "suspect_timeout"),
+            ("SHARDED+JXTA", "confirm_timeout"),
+        ],
+    )
+    def test_culled_knobs_are_unknown_keys(self, binding, knob):
+        # Each became a constant, an explicit bus or set_breaker_policy:
+        # validation names it as unknown before any factory runs.
+        with pytest.raises(PSException) as excinfo:
+            TPSEngine(SkiRental).new_interface(binding, **{knob: 1})
+        assert f"unknown parameter {knob!r}" in str(excinfo.value)
 
 
 #: ROADMAP's tracked option counts, as it measures them: the number of
@@ -109,7 +130,7 @@ class TestParamValidationErrors:
 #: (``registered_bindings(with_params=True)``).  A ratchet, like
 #: ``PRAGMA_CEILING`` in tests/test_lint_gate.py: lower it when an option
 #: goes, never raise it to make room for a new one.
-OPTION_CEILING = {"ASYNC": 7, "JXTA": 11, "LOCAL": 3, "SHARDED": 7, "SHARDED+JXTA": 11}
+OPTION_CEILING = {"ASYNC": 4, "JXTA": 8, "LOCAL": 3, "SHARDED": 6, "SHARDED+JXTA": 7}
 
 
 def test_binding_option_counts_only_go_down():
@@ -126,25 +147,10 @@ class TestRegistryIntrospection:
         report = registered_bindings(with_params=True)
         history_params = ("history", "history_size", "history_path")
         assert report["LOCAL"] == history_params
-        assert report["ASYNC"] == (
-            "dispatch",
-            "group",
-            "breaker_threshold",
-            "breaker_cooldown",
-        ) + history_params
-        assert report["SHARDED"] == (
-            "shards",
-            "partition",
-            "content_key",
-            "virtual_nodes",
-        ) + history_params
+        assert report["ASYNC"] == ("dispatch",) + history_params
+        assert report["SHARDED"] == ("shards", "partition", "content_key") + history_params
         # The composite takes everything SHARDED does, plus membership.
-        assert report["SHARDED+JXTA"] == report["SHARDED"] + (
-            "membership",
-            "heartbeat_interval",
-            "suspect_timeout",
-            "confirm_timeout",
-        )
+        assert report["SHARDED+JXTA"] == report["SHARDED"] + ("membership",)
         assert "search_timeout" in report["JXTA"]
         # Same name set as the plain listing, same sorted order.
         assert list(report) == list(registered_bindings())
@@ -155,29 +161,20 @@ class TestRegistryIntrospection:
         assert by_name["shards"].types == (int,)
         assert by_name["content_key"].types == (str,)
         assert "placement" not in by_name
-        assert by_name["virtual_nodes"].default == 64
+        assert by_name["shards"].default == 8
         composite = {param.name: param for param in binding_params("SHARDED+JXTA")}
         assert composite["membership"].types == (bool,)
         assert composite["membership"].default is False
-        assert composite["heartbeat_interval"].default == 0.5
         # Declared defaults render in the schema description.
-        assert "[=64]" in by_name["virtual_nodes"].describe()
+        assert "[=8]" in by_name["shards"].describe()
         assert all(param.description for param in params)
-
-    def test_placement_params_validated(self):
-        engine = TPSEngine(SkiRental)
-        with pytest.raises(PSException) as excinfo:
-            engine.new_interface("SHARDED", virtual_nodes=0)
-        assert "'virtual_nodes'" in str(excinfo.value)
-        with pytest.raises(PSException) as excinfo:
-            engine.new_interface("SHARDED", virtual_nodes="lots")
-        assert "'virtual_nodes'" in str(excinfo.value)
 
     def test_jxta_schema_mirrors_tpsconfig_fields(self):
         import dataclasses
 
         declared = set(get_binding("JXTA").param_names)
         assert declared == {f.name for f in dataclasses.fields(TPSConfig)}
+        assert len(declared) == 8
 
 
 class _BusCacheCase:
@@ -195,16 +192,16 @@ class _BusCacheCase:
         #: every bus-describing default spelled out.
         self.params: Dict[str, Any] = {"shards": 5}
         self.other: Dict[str, Any] = {"shards": 6}
-        self.default: Dict[str, Any] = {"virtual_nodes": 64}
-        self.all_defaults: Dict[str, Any] = {
-            "shards": 8, "partition": "root", "virtual_nodes": 64,
-        }
+        self.default: Dict[str, Any] = {"partition": "root"}
+        self.all_defaults: Dict[str, Any] = {"shards": 8, "partition": "root"}
         self._engines: List[Any] = []
         self._loops: List[asyncio.AbstractEventLoop] = []
         self._peers: List[Any] = []
         if binding == "ASYNC":
-            self.params, self.other = {"group": "a"}, {"group": "b"}
-            self.default = self.all_defaults = {"dispatch": "serial"}
+            # ``dispatch`` is the one bus-describing parameter: its spelled-out
+            # default is the all-default set below.
+            self.params, self.other = {"dispatch": "concurrent"}, {}
+            self.default, self.all_defaults = {}, {"dispatch": "serial"}
             self._loops = [asyncio.new_event_loop(), asyncio.new_event_loop()]
         elif binding == "SHARDED+JXTA":
             self._peers = [builder.add_peer("cache-a"), builder.add_peer("cache-b")]
@@ -325,7 +322,7 @@ class TestShardedParams:
         # "The process default bus" is the cache entry of the all-default
         # parameter set: no params, one default and every default spelled
         # out are three spellings of it, so the interfaces hear each other.
-        spellings = ({}, {"shards": 8}, {"shards": 8, "partition": "root", "virtual_nodes": 64})
+        spellings = ({}, {"shards": 8}, {"shards": 8, "partition": "root"})
         interfaces = [
             TPSEngine(SkiRental).new_interface("SHARDED", **params) for params in spellings
         ]

@@ -299,16 +299,12 @@ class TestCircuitBreaker:
         subscriber = TPSEngine(
             SkiRental,
             peer=sub_peer,
-            config=TPSConfig(
-                search_timeout=6.0,
-                create_if_missing=False,
-                # Longer than a publish pump (8 settle rounds = 8 virtual
-                # seconds), so the while-open publish below genuinely lands
-                # inside the cooldown window.
-                breaker_threshold=2,
-                breaker_cooldown=30.0,
-            ),
+            config=TPSConfig(search_timeout=6.0, create_if_missing=False),
         ).new_interface("JXTA")
+        # A cooldown longer than a publish pump (8 settle rounds = 8 virtual
+        # seconds), so the while-open publish below genuinely lands inside
+        # the cooldown window.
+        subscriber.set_breaker_policy(2, 30.0)
         failing = [True]
         inbox = []
 

@@ -15,10 +15,14 @@ Three layers under test:
   one detector per peer, publishes watch resolved peers, and a *confirmed*
   departure closes the wire leg: queued deliveries surface through the PR 6
   ``delivery_failure_handler`` instead of burning the whole retry ladder.
+
+The detector's timing is module constants; :class:`TestDetectorTiming` pins
+that a departed peer is convicted before the wire's retry ladder gives up.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Tuple
 
 import pytest
@@ -26,13 +30,17 @@ import pytest
 from repro.apps.skirental.types import SkiRental
 from repro.core import TPSConfig, TPSEngine
 from repro.core.exceptions import PSException
+from repro.jxta import wire
 from repro.jxta.platform import JxtaNetworkBuilder
 from repro.net.faults import FaultPlan, LinkFaults
 from repro.net.membership import (
     ALIVE,
+    CONFIRM_TIMEOUT,
     DEAD,
+    HEARTBEAT_INTERVAL,
+    HEARTBEAT_JITTER,
     SUSPECT,
-    MembershipConfig,
+    SUSPECT_TIMEOUT,
     MembershipMonitor,
 )
 
@@ -45,35 +53,36 @@ def _network(*names: str, seed: int = 20020713):
     return builder, peers
 
 
-def _fast() -> MembershipConfig:
-    return MembershipConfig(
-        heartbeat_interval=0.2, suspect_timeout=0.5, confirm_timeout=0.5
-    )
+class TestDetectorTiming:
+    #: The longest gap between two ticks (the period plus its jitter).
+    TICK = HEARTBEAT_INTERVAL * (1 + HEARTBEAT_JITTER)
 
+    def test_one_lost_heartbeat_raises_no_suspicion(self):
+        assert HEARTBEAT_INTERVAL > 0 and CONFIRM_TIMEOUT > 0
+        assert SUSPECT_TIMEOUT > 2 * self.TICK
 
-class TestMembershipConfig:
-    def test_defaults_validate(self):
-        MembershipConfig().validate()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"heartbeat_interval": 0.0},
-            {"heartbeat_interval": -1.0},
-            {"heartbeat_interval": 2.0, "suspect_timeout": 2.0},
-            {"confirm_timeout": 0.0},
-        ],
-    )
-    def test_bad_timing_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            MembershipConfig(**kwargs).validate()
+    def test_worst_case_conviction_beats_the_shortest_retry_ladder(self):
+        # Suspicion and confirmation are each checked on a tick, so each can
+        # land one full tick late: this bounds the time from the last
+        # heartbeat heard (never later than the send) to the conviction.
+        conviction = SUSPECT_TIMEOUT + self.TICK + CONFIRM_TIMEOUT + self.TICK
+        # The reliable sender gives up when the timer after its last
+        # transmission expires; every timer is lognormally jittered, so take
+        # each one four sigma short at once.
+        nominal = sum(
+            min(wire.BACKOFF_CAP, wire.ACK_TIMEOUT * wire.BACKOFF**attempt)
+            for attempt in range(wire.MAX_ATTEMPTS)
+        )
+        assert nominal == pytest.approx(7.75)
+        shortest = nominal * math.exp(-4 * wire.RETRY_JITTER)
+        assert conviction < shortest, (conviction, shortest)
 
 
 class TestFailureDetector:
     def test_mutual_heartbeats_keep_both_alive(self):
         builder, (alice, bob) = _network("alice", "bob")
-        a = MembershipMonitor(alice, _fast())
-        b = MembershipMonitor(bob, _fast())
+        a = MembershipMonitor(alice)
+        b = MembershipMonitor(bob)
         a.watch(bob)
         builder.simulator.run_until(builder.simulator.now + 3.0)
         assert a.state_of(bob) == ALIVE
@@ -85,8 +94,8 @@ class TestFailureDetector:
 
     def test_partition_escalates_suspect_then_dead_then_recovers(self):
         builder, (alice, bob) = _network("alice", "bob")
-        a = MembershipMonitor(alice, _fast())
-        b = MembershipMonitor(bob, _fast())
+        a = MembershipMonitor(alice)
+        b = MembershipMonitor(bob)
         a.watch(bob)
         events: List[Tuple[str, str]] = []
         a.add_listener(lambda event, urn: events.append((event, urn)))
@@ -119,8 +128,8 @@ class TestFailureDetector:
         # Drop everything *from* bob: alice convicts bob, bob still hears
         # alice -- suspicion is a verdict about communication, per direction.
         builder, (alice, bob) = _network("alice", "bob")
-        a = MembershipMonitor(alice, _fast())
-        b = MembershipMonitor(bob, _fast())
+        a = MembershipMonitor(alice)
+        b = MembershipMonitor(bob)
         a.watch(bob)
         builder.simulator.run_until(builder.simulator.now + 1.0)
         plan = FaultPlan()
@@ -135,7 +144,7 @@ class TestFailureDetector:
 
     def test_watch_is_idempotent_and_skips_self(self):
         builder, (alice, bob) = _network("alice", "bob")
-        a = MembershipMonitor(alice, _fast())
+        a = MembershipMonitor(alice)
         a.watch(bob)
         a.watch(bob)
         a.watch(bob.peer_id)
@@ -148,7 +157,7 @@ class TestFailureDetector:
 
     def test_listener_errors_are_contained(self):
         builder, (alice, bob) = _network("alice", "bob")
-        a = MembershipMonitor(alice, _fast())
+        a = MembershipMonitor(alice)
 
         def explode(event: str, urn: str) -> None:
             raise RuntimeError("listener boom")
@@ -163,7 +172,7 @@ class TestFailureDetector:
 
     def test_stop_is_idempotent(self):
         builder, (alice,) = _network("alice")
-        a = MembershipMonitor(alice, _fast())
+        a = MembershipMonitor(alice)
         a.stop()
         a.stop()
         sent = alice.metrics.counter("membership_heartbeats_sent").value
@@ -171,16 +180,8 @@ class TestFailureDetector:
         assert alice.metrics.counter("membership_heartbeats_sent").value == sent
 
 
-MEMBERSHIP_PARAMS = dict(
-    membership=True,
-    heartbeat_interval=0.2,
-    suspect_timeout=0.5,
-    confirm_timeout=0.5,
-)
-
-
 def _composite_pair(builder, pub_peer, sub_peer, **extra):
-    params = dict(MEMBERSHIP_PARAMS, **extra)
+    params = dict(membership=True, **extra)
     pub_engine = TPSEngine(
         SkiRental,
         peer=pub_peer,
@@ -245,7 +246,7 @@ class TestCompositeMembership:
         pub_engine.close()
         sub_engine.close()
 
-    def test_monitor_is_shared_per_peer_first_config_wins(self):
+    def test_monitor_is_shared_per_peer(self):
         builder, (pub, sub) = _network("pub", "sub")
         pub_engine, publisher, sub_engine, subscriber = _composite_pair(
             builder, pub, sub
@@ -254,12 +255,10 @@ class TestCompositeMembership:
             SkiRental,
             peer=pub,
             config=TPSConfig(search_timeout=2.0, create_if_missing=True),
-        ).new_interface(
-            "SHARDED+JXTA", membership=True, heartbeat_interval=9.0, suspect_timeout=99.0
-        )
-        # Same peer -> same monitor; the second engine's timing was ignored.
+        ).new_interface("SHARDED+JXTA", membership=True)
+        # Same peer -> same monitor; the other peer has its own.
         assert second.membership is publisher.membership
-        assert publisher.membership.config.heartbeat_interval == 0.2
+        assert subscriber.membership is not publisher.membership
         pub_engine.close()
         sub_engine.close()
 
@@ -276,17 +275,6 @@ class TestCompositeMembership:
 
 
 class TestCompositeMembershipParams:
-    def test_timing_without_membership_rejected(self):
-        builder, (pub,) = _network("solo")
-        engine = TPSEngine(
-            SkiRental,
-            peer=pub,
-            config=TPSConfig(search_timeout=2.0, create_if_missing=True),
-        )
-        with pytest.raises(PSException) as excinfo:
-            engine.new_interface("SHARDED+JXTA", heartbeat_interval=0.3)
-        assert "membership" in str(excinfo.value)
-
     def test_ill_typed_membership_params_name_the_key(self):
         builder, (pub,) = _network("solo")
         engine = TPSEngine(
@@ -297,24 +285,3 @@ class TestCompositeMembershipParams:
         with pytest.raises(PSException) as excinfo:
             engine.new_interface("SHARDED+JXTA", membership="yes")
         assert "membership" in str(excinfo.value)
-        with pytest.raises(PSException) as excinfo:
-            engine.new_interface(
-                "SHARDED+JXTA", membership=True, heartbeat_interval=-1.0
-            )
-        assert "heartbeat_interval" in str(excinfo.value)
-
-    def test_inconsistent_timing_combo_rejected(self):
-        builder, (pub,) = _network("solo")
-        engine = TPSEngine(
-            SkiRental,
-            peer=pub,
-            config=TPSConfig(search_timeout=2.0, create_if_missing=True),
-        )
-        with pytest.raises(PSException) as excinfo:
-            engine.new_interface(
-                "SHARDED+JXTA",
-                membership=True,
-                heartbeat_interval=2.0,
-                suspect_timeout=1.0,
-            )
-        assert "suspect_timeout" in str(excinfo.value)

@@ -292,19 +292,24 @@ class TestConstructorValidation:
         with pytest.raises(TypeError, match="placement"):
             ShardedLocalBus(4, placement=mode)
 
-    def test_ill_typed_virtual_nodes_rejected(self):
-        for bad in (0, -4, True, None, 2.5):
-            with pytest.raises(PSException):
-                ShardedLocalBus(4, virtual_nodes=bad)
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: ShardedLocalBus(4, virtual_nodes=16),
+         lambda: Placement(range(4), virtual_nodes=16)],
+        ids=["bus", "placement"],
+    )
+    def test_virtual_nodes_argument_is_unknown(self, build):
+        # The ring density is the constant DEFAULT_VIRTUAL_NODES.
+        with pytest.raises(TypeError, match="virtual_nodes"):
+            build()
 
     def test_bus_exposes_its_current_placement(self):
-        bus = ShardedLocalBus(3, virtual_nodes=16)
+        bus = ShardedLocalBus(3)
         assert isinstance(bus.placement, Placement)
         assert bus.placement.shard_ids == (0, 1, 2)
-        assert bus.placement.virtual_nodes == 16
         bus.add_shard()
         assert bus.placement.shard_ids == (0, 1, 2, 3)
-        assert bus.placement.virtual_nodes == 16
+        assert len(bus.placement._points) == 4 * DEFAULT_VIRTUAL_NODES
 
 
 _corpus = [f"{prefix}-{index}" for prefix in ("alpha", "beta", "r:k") for index in range(400)]

@@ -25,7 +25,9 @@ from repro.bench.perf import (
     write_suite,
 )
 from repro.core.interface import Subscription
-from repro.core.jxta_engine import BoundedIdSet, TPSConfig
+from repro.apps.skirental.types import SkiRental
+from repro.core import TPSEngine
+from repro.core.jxta_engine import DUPLICATE_WINDOW, BoundedIdSet
 from repro.core.callbacks import as_callback, as_exception_handler
 from repro.core.subscriber import TPSSubscriberManager
 
@@ -359,14 +361,17 @@ class TestBoundedIdSet:
         assert seen.seen("a") is True
         assert seen.seen("b") is False  # "b" was evicted, not "a"
 
-    def test_nonpositive_capacity_means_unbounded(self):
-        seen = BoundedIdSet(capacity=0)
-        for index in range(1000):
-            seen.add(f"id-{index}")
-        assert len(seen) == 1000
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_nonpositive_capacity_rejected(self, capacity):
+        # Nothing in a long-running engine may grow without bound.
+        with pytest.raises(ValueError):
+            BoundedIdSet(capacity)
 
-    def test_config_cap_is_wired_into_the_engine_default(self):
-        assert TPSConfig().duplicate_cache_size > 0
+    def test_duplicate_window_is_wired_into_the_engine(self, two_peers):
+        peer, _, _ = two_peers
+        interface = TPSEngine(SkiRental, peer=peer).new_interface("JXTA")
+        assert interface._seen_message_ids.capacity == DUPLICATE_WINDOW > 0
+        interface.close()
 
 
 class TestDispatchSnapshot:

@@ -25,12 +25,14 @@ the guard with a design where the misuse has no correct spelling at all --
 * coroutine subscribers are first-class: subscribe an ``async def`` and the
   delivery loop awaits it (the :class:`~repro.core.callbacks.FunctionCallback`
   adapter passes the coroutine through); plain callables are still accepted
-  and dispatched inline, exactly like on the sync bindings.  With
-  ``dispatch="serial"`` (default) subscribers are awaited in row order --
+  and dispatched inline, exactly like on the sync bindings -- a row opens a
+  coroutine only when its callback *returns* an awaitable.  With
+  ``dispatch="serial"`` (default) that awaitable is awaited in row order --
   per-subscriber delivery order equals publish order; ``"concurrent"``
-  gathers each event's subscriber coroutines so their I/O waits overlap,
-  still with a per-event barrier (``await publish`` returns only when every
-  subscriber finished, so order across events is preserved either way);
+  gathers each event's awaitables once the plain rows ran inline, so their
+  I/O waits overlap, still with a per-event barrier (``await publish``
+  returns only when every subscriber finished, so order across events is
+  preserved either way);
 * :class:`AsyncEventStream` keeps the ``maxsize``/``policy="block"|
   "drop_oldest"`` contract of the threaded stream, but *backpressure is an
   awaitable*: a full ``"block"`` stream suspends the publishing coroutine
@@ -68,7 +70,6 @@ from repro.core.exceptions import PSException
 from repro.core.history import HISTORY_BINDING_PARAMS, history_kwargs
 from repro.core.interface import PublishReceipt
 from repro.core.local_engine import LocalBus, LocalEngineCore
-from repro.core.subscriber import dispatch_row_awaiting
 from repro.core.subscriptions import StreamCore
 
 #: How the bus drives one event's subscriber coroutines (see module docs).
@@ -80,6 +81,31 @@ def _task_ident() -> int:
     backpressure heuristic -- the async analogue of a thread ident."""
     task = asyncio.current_task()
     return id(task) if task is not None else 0
+
+
+async def _route_failure(error: BaseException, handle_error: Any, breaker: Any) -> None:
+    """A failed row's error route: count the failure against the row's
+    breaker and hand ``error`` to the paired handler, awaiting a coroutine
+    handler.  Shared by the inline row body and :func:`_settle`."""
+    if breaker is not None:
+        breaker.record_failure()
+    try:
+        routed = handle_error(error)
+        if inspect.isawaitable(routed):
+            await routed
+    except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken error handler must not stop dispatch
+        pass
+
+
+async def _settle(result: Awaitable[Any], handle_error: Any, breaker: Any) -> None:
+    """The continuation of a ``"concurrent"`` row whose callback returned an
+    awaitable: await it, then settle the row as the inline body would."""
+    try:
+        await result
+        if breaker is not None:
+            breaker.record_success()
+    except BaseException as error:  # noqa: BLE001 - routed to the handler
+        await _route_failure(error, handle_error, breaker)
 
 
 class _Done:
@@ -97,6 +123,16 @@ class _Done:
 
     def __await__(self):
         return iter(())
+
+
+class _AsyncScoped:
+    """``async with`` for the objects whose ``close()`` is synchronous."""
+
+    async def __aenter__(self) -> Any:
+        return self
+
+    async def __aexit__(self, *exc_info: Any) -> None:
+        self.close()
 
 
 class AsyncLocalBus(LocalBus):
@@ -139,12 +175,8 @@ class AsyncLocalBus(LocalBus):
                 ) from None
         super().__init__()
         self.dispatch = dispatch
-        self._loop = loop
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        """The event loop that owns this bus."""
-        return self._loop
+        #: The event loop that owns this bus.
+        self.loop = loop
 
     def check_loop(self, operation: str) -> None:
         """Raise :class:`PSException` unless the owning loop is running us.
@@ -167,10 +199,10 @@ class AsyncLocalBus(LocalBus):
                 "marshal with asyncio.run_coroutine_threadsafe / "
                 "loop.call_soon_threadsafe"
             ) from None
-        if running is not self._loop:
+        if running is not self.loop:
             raise PSException(
                 f"{operation} called on a foreign event loop: this ASYNC "
-                f"interface is owned by loop {self._loop!r} but the running "
+                f"interface is owned by loop {self.loop!r} but the running "
                 f"loop is {running!r} ('the loop is the thread'); marshal "
                 "onto the owning loop with asyncio.run_coroutine_threadsafe"
             )
@@ -196,22 +228,23 @@ class AsyncLocalBus(LocalBus):
     async def publish(self, publisher: "AsyncTPSEngine", event: Any) -> int:
         """Deliver ``event`` to every conforming engine except the publisher.
 
-        Returns the number of engines delivered to.  The loop body mirrors
-        ``LocalBus.publish`` row for row (skip publisher/closed/empty,
-        criteria, record), with the per-row predicate + breaker + error
-        routing in :func:`~repro.core.subscriber.dispatch_row_awaiting`; the
-        async difference is that a subscriber returning an awaitable -- a
-        coroutine callback, or a ``"block"``-policy stream applying
-        backpressure -- suspends *this coroutine* rather than blocking a
-        thread.  ``dispatch="serial"`` awaits rows in order;
-        ``"concurrent"`` collects each row's guarded dispatch and gathers
-        them once, so subscriber waits overlap within the event.
+        Returns the number of engines delivered to.  The loop is
+        ``LocalBus.publish``'s, row body included (skip publisher/closed/
+        empty, criteria, record; per row predicate, breaker, callback, error
+        route).  The async difference is decided on the callback's *result*,
+        not on the row: a plain callback's row settles inline and opens no
+        coroutine, while an awaitable result -- a coroutine callback, or a
+        ``"block"``-policy stream applying backpressure -- suspends *this
+        coroutine* rather than blocking a thread.  ``dispatch="serial"``
+        awaits it inside the row's guard, so rows finish in row order;
+        ``"concurrent"`` collects one continuation per awaitable
+        (:func:`_settle`) and gathers them once after the loop, so their
+        waits overlap within the event.  Plain rows run inline in row order
+        in both modes (in ``"concurrent"`` mode: before the gather).
         """
         self.check_loop("publish")
         targets = self._route(publisher.registry.advertised_name, type(event))
-        concurrent: Optional[List[Awaitable[None]]] = (
-            [] if self.dispatch == "concurrent" else None
-        )
+        gathered = [] if self.dispatch == "concurrent" else None
         delivered = 0
         for engine, manager, criteria, record in targets:
             if engine is publisher or engine._tps_closed:
@@ -222,21 +255,34 @@ class AsyncLocalBus(LocalBus):
             if criteria is not None and not criteria.matches_event(event):
                 continue
             record(event)
-            for row in handlers:
-                if concurrent is None:
-                    await dispatch_row_awaiting(row, event)
-                else:
-                    concurrent.append(dispatch_row_awaiting(row, event))
+            for handle, handle_error, predicate, breaker in handlers:
+                # LocalBus.publish's row body; only an awaitable result
+                # differs (see the docstring).
+                try:
+                    if predicate is not None and not predicate(event):
+                        continue
+                    if breaker is not None and not breaker.allow():
+                        continue
+                    result = handle(event)
+                    if result is not None and inspect.isawaitable(result):
+                        if gathered is not None:
+                            gathered.append(_settle(result, handle_error, breaker))
+                            continue
+                        await result
+                    if breaker is not None:
+                        breaker.record_success()
+                except BaseException as error:  # noqa: BLE001 - routed to the handler
+                    await _route_failure(error, handle_error, breaker)
             delivered += 1
-        if concurrent:
-            await asyncio.gather(*concurrent)
+        if gathered:
+            await asyncio.gather(*gathered)
         return delivered
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         attached = sum(len(engines) for engines in self._engines.values())
         return (
             f"AsyncLocalBus(dispatch={self.dispatch!r}, engines={attached}, "
-            f"loop={self._loop!r})"
+            f"loop={self.loop!r})"
         )
 
 
@@ -257,7 +303,7 @@ class _Futures(deque):
         self.notify(len(self))
 
 
-class AsyncEventStream(StreamCore):
+class AsyncEventStream(_AsyncScoped, StreamCore):
     """Pull-style consumption over the ASYNC binding: ``async for``-able.
 
     The same :class:`~repro.core.subscriptions.StreamCore` contract -- and
@@ -299,7 +345,7 @@ class AsyncEventStream(StreamCore):
     async def _pump(self) -> None:
         async with self._pump_mutex:
             for event, generation in self._pulled():
-                await self._enqueue(event, generation)
+                await self._wait_for_room(event, generation)
 
     def _replay(self) -> None:
         # StreamCore.__init__ is synchronous; pull the backlog as a task on
@@ -316,7 +362,16 @@ class AsyncEventStream(StreamCore):
             self._routing.add(task)
             task.add_done_callback(self._routing.discard)
 
-    async def _enqueue(self, event: Any, generation: int) -> None:
+    def _enqueue(self, event: Any, generation: int) -> Optional[Awaitable[None]]:
+        # The first try runs on the publishing task in either dispatch mode,
+        # so the re-entrant only-consumer refusal sees that task; only a
+        # full "block" buffer hands the row something to await.
+        with self._lock:
+            if self._room_locked(event, generation):
+                return None
+        return self._wait_for_room(event, generation)
+
+    async def _wait_for_room(self, event: Any, generation: int) -> None:
         while True:
             with self._lock:
                 if self._room_locked(event, generation):
@@ -387,14 +442,8 @@ class AsyncEventStream(StreamCore):
             self._prefill.cancel()
         super().close()
 
-    async def __aenter__(self) -> "AsyncEventStream":
-        return self
 
-    async def __aexit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-class AsyncTPSEngine(LocalEngineCore):
+class AsyncTPSEngine(_AsyncScoped, LocalEngineCore):
     """The asyncio front-end of the TPS interface (the ``"ASYNC"`` binding).
 
     Shares the whole subscription surface --
@@ -495,12 +544,6 @@ class AsyncTPSEngine(LocalEngineCore):
         self._close_impl()
         return _Done()
 
-    async def __aenter__(self) -> "AsyncTPSEngine":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        self.close()
-
 
 # --------------------------------------------------------------------------
 # The registry spec: validated params and the per-loop shared-bus cache.
@@ -522,13 +565,14 @@ ASYNC_BINDING_PARAMS = (
 _SHARED_BUSES = SharedBusCache(AsyncLocalBus, {"dispatch": "serial"})
 
 
-def _request_bus(request: BindingRequest) -> AsyncLocalBus:
-    """The bus of an ASYNC request: explicit, or one per (loop, dispatch).
+def _async_binding(request: BindingRequest) -> AsyncTPSEngine:
+    """The ``"ASYNC"`` binding factory: an asyncio-native interface.
 
-    The cache scope is the running loop -- a bus cannot outlive loop
-    ownership -- so a parameter-less request shares the *owning loop's*
-    all-default bus, and interfaces on different loops never share one
-    (they could not talk safely anyway).
+    Its bus is the explicit one, or one per (loop, dispatch).  The cache
+    scope is the running loop -- a bus cannot outlive loop ownership -- so
+    a parameter-less request shares the *owning loop's* all-default bus,
+    and interfaces on different loops never share one (they could not talk
+    safely anyway).
     """
     try:
         loop = asyncio.get_running_loop()
@@ -538,19 +582,15 @@ def _request_bus(request: BindingRequest) -> AsyncLocalBus:
             "will own the interface ('the loop is the thread'); call it "
             "from a coroutine running on that loop"
         ) from None
-    return _SHARED_BUSES.resolve(
+    bus = _SHARED_BUSES.resolve(
         request,
         _SHARED_BUSES.described(request),
         lambda: AsyncLocalBus(dispatch=request.param("dispatch", "serial"), loop=loop),
         scope=loop,
     )
-
-
-def _async_binding(request: BindingRequest) -> AsyncTPSEngine:
-    """The ``"ASYNC"`` binding factory: an asyncio-native interface."""
     return AsyncTPSEngine(
         request.event_type,
-        bus=_request_bus(request),
+        bus=bus,
         criteria=request.criteria,
         codec=request.codec,
         **history_kwargs(request),

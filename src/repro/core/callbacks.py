@@ -46,8 +46,10 @@ class FunctionCallback(TPSCallBackInterface[EventT]):
     ``handle`` passes the callable's return value through.  Synchronous
     dispatch loops ignore it, but it is what lets a *coroutine function*
     subscribe through the ordinary adapter path: the ASYNC binding's
-    delivery loop receives the coroutine ``handle`` returned and awaits it
-    (:mod:`repro.core.async_engine`), with no async-specific adapter class.
+    delivery loop (:meth:`AsyncLocalBus.publish
+    <repro.core.async_engine.AsyncLocalBus.publish>`) tests the value
+    ``handle`` returned and awaits it only when it is awaitable, with no
+    async-specific adapter class and no coroutine for a plain callable.
     """
 
     def __init__(self, function: Callable[[EventT], Any]) -> None:

@@ -11,10 +11,10 @@ registered callbacks.
 
 Locking model: every mutation (``add``/``discard``/``remove``) serialises on
 the manager's private lock and ends by swapping in a freshly built, immutable
-``_handlers`` tuple.  Dispatch -- through :meth:`dispatch`, inlined in
-:meth:`repro.core.local_engine.LocalBus.publish`, or row by row through
-:func:`dispatch_row_awaiting` on the ASYNC bus -- reads that tuple with
-*no* lock: a single attribute load observes either the old or the new
+``_handlers`` tuple.  Dispatch -- through :meth:`dispatch`, or inlined in
+:meth:`repro.core.local_engine.LocalBus.publish` and in
+:meth:`repro.core.async_engine.AsyncLocalBus.publish` -- reads that tuple
+with *no* lock: a single attribute load observes either the old or the new
 snapshot, never a half-built one, so concurrent publishers are never slowed
 by subscription churn and a subscription mutated mid-dispatch takes effect
 from the next event on (the same isolation the seed's per-dispatch copy
@@ -23,7 +23,6 @@ provided, now also thread-safe).
 
 from __future__ import annotations
 
-import inspect
 import threading
 from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
@@ -219,37 +218,6 @@ class TPSSubscriberManager:
                 pass
 
 
-async def dispatch_row_awaiting(row: Tuple[Any, ...], event: Any) -> None:
-    """The awaiting variant of one :meth:`TPSSubscriberManager.dispatch` row.
-
-    Identical semantics to the sync row body: a rejected predicate skips the
-    row, a breaker in quarantine skips it, a raising predicate/callback
-    records the failure and routes to the exception handler.  A coroutine
-    callback (or coroutine error handler) is awaited; its exceptions surface
-    here exactly like a sync raise.
-    """
-    handle, handle_error, predicate, breaker = row
-    try:
-        if predicate is not None and not predicate(event):
-            return
-        if breaker is not None and not breaker.allow():
-            return
-        result = handle(event)
-        if inspect.isawaitable(result):
-            await result
-        if breaker is not None:
-            breaker.record_success()
-    except BaseException as error:  # noqa: BLE001 - routed to the handler
-        if breaker is not None:
-            breaker.record_failure()
-        try:
-            routed = handle_error(error)
-            if inspect.isawaitable(routed):
-                await routed
-        except BaseException:  # noqa: BLE001  # repro-lint: disable=RL005 - a broken error handler must not stop dispatch
-            pass
-
-
 class TPSPipeReader:
     """The wire input pipe listener: feeds received messages to the engine."""
 
@@ -261,4 +229,4 @@ class TPSPipeReader:
         self.engine._on_wire_message(message, source)
 
 
-__all__ = ["TPSPipeReader", "TPSSubscriberManager", "dispatch_row_awaiting"]
+__all__ = ["TPSPipeReader", "TPSSubscriberManager"]

@@ -475,7 +475,8 @@ class StreamCore:
     def _on_event(self, event: Any) -> Any:
         """The internal subscription's callback.  In cursor mode the pushed
         event is only a wake signal: pull what history holds past the
-        cursor.  The async flavour returns the awaitable its row awaits."""
+        cursor.  The async flavour returns an awaitable when its row must
+        wait (a cursor pull, or a full ``"block"`` buffer)."""
         if self._source is not None:
             return self._pump()
         return self._enqueue(event, self._generation)

@@ -20,14 +20,17 @@ ASYNC binding speaks the common TPS surface; this module covers what is
 from __future__ import annotations
 
 import asyncio
+import inspect
+import sys
 import threading
-from typing import Any, List
+from typing import Any, List, Optional
 
 import pytest
 
 from repro.apps.skirental.types import SkiRental
 from repro.core import TPSEngine
 from repro.core.async_engine import (
+    ASYNC_DISPATCH_MODES,
     AsyncEventStream,
     AsyncLocalBus,
     AsyncTPSEngine,
@@ -227,6 +230,172 @@ class TestCoroutineSubscribers:
         assert run("serial") == ["start-a", "end-a", "start-b", "end-b"]
         assert run("concurrent") == ["start-a", "start-b", "end-a", "end-b"]
 
+    def test_concurrent_plain_rows_run_inline_before_the_gather(self):
+        async def main():
+            engine = TPSEngine(SkiRental)
+            publisher, subscriber = _pair(engine, dispatch="concurrent")
+            log: List[str] = []
+
+            async def coro(event: Any) -> None:
+                log.append("coro-start")
+                await asyncio.sleep(0)
+                log.append("coro-end")
+
+            subscriber.subscribe(coro)
+            subscriber.subscribe(lambda event: log.append("plain"))
+            await publisher.publish(_offer())
+            engine.close()
+            return log
+
+        # The plain row settles during the row loop; the coroutine row's
+        # body first runs in the gather that follows it.
+        assert asyncio.run(main()) == ["plain", "coro-start", "coro-end"]
+
+
+class _Awaitable:
+    """A non-coroutine awaitable (``__await__`` only) that counts its awaits
+    and then returns, or raises ``error``."""
+
+    def __init__(self, error: Optional[BaseException] = None) -> None:
+        self.error = error
+        self.awaits = 0
+
+    def __await__(self):
+        self.awaits += 1
+        yield from ()
+        if self.error is not None:
+            raise self.error
+
+
+@pytest.mark.parametrize("dispatch", ASYNC_DISPATCH_MODES)
+class TestCallbackResultShapes:
+    """A row is decided by what its callback *returns*, in both modes."""
+
+    @staticmethod
+    def _deliver(dispatch: str, subscribe: Any, events: int = 1) -> None:
+        async def main():
+            engine = TPSEngine(SkiRental)
+            publisher, subscriber = _pair(engine, dispatch=dispatch)
+            subscribe(subscriber)
+            for index in range(events):
+                await publisher.publish(_offer(f"shop-{index}"))
+            engine.close()
+
+        asyncio.run(main())
+
+    def test_non_coroutine_awaitables_are_awaited_and_their_failures_routed(
+        self, dispatch
+    ):
+        fine = _Awaitable()
+        broken = _Awaitable(ValueError("awaitable failed"))
+        errors: List[str] = []
+
+        def failed_future(event: Any) -> asyncio.Future:
+            future = asyncio.get_running_loop().create_future()
+            future.set_exception(ValueError("future failed"))
+            return future
+
+        def subscribe(subscriber: Any) -> None:
+            subscriber.subscribe(lambda event: fine, lambda error: errors.append("fine"))
+            subscriber.subscribe(lambda event: broken, lambda error: errors.append(str(error)))
+            subscriber.subscribe(failed_future, lambda error: errors.append(str(error)))
+
+        self._deliver(dispatch, subscribe, events=2)
+        assert (fine.awaits, broken.awaits) == (2, 2)
+        assert errors == ["awaitable failed", "future failed"] * 2
+
+    def test_plain_non_none_result_counts_as_a_success(self, dispatch):
+        calls: List[str] = []
+        errors: List[BaseException] = []
+
+        def returns_an_int(event: Any) -> int:
+            calls.append(event.shop)
+            return 42
+
+        def subscribe(subscriber: Any) -> None:
+            # One failure would open this breaker and skip later events.
+            subscriber.set_breaker_policy(1, 60.0)
+            subscriber.subscribe(returns_an_int, errors.append)
+
+        self._deliver(dispatch, subscribe, events=3)
+        assert calls == ["shop-0", "shop-1", "shop-2"]
+        assert errors == []
+
+    def test_coroutine_failures_trip_the_breaker(self, dispatch):
+        calls: List[str] = []
+
+        async def flaky(event: Any) -> None:
+            calls.append(event.shop)
+            await asyncio.sleep(0)
+            raise RuntimeError("async subscriber crash")
+
+        def subscribe(subscriber: Any) -> None:
+            subscriber.set_breaker_policy(2, 60.0)
+            subscriber.subscribe(flaky, lambda error: None)
+
+        self._deliver(dispatch, subscribe, events=3)
+        assert calls == ["shop-0", "shop-1"]
+
+    def test_coroutine_error_handler_is_awaited_for_every_failure(self, dispatch):
+        routed: List[str] = []
+
+        async def handler(error: BaseException) -> None:
+            await asyncio.sleep(0)
+            routed.append(str(error))
+
+        def broken_predicate(event: Any) -> bool:
+            raise ValueError("predicate")
+
+        def broken_callback(event: Any) -> None:
+            raise ValueError("callback")
+
+        async def broken_coroutine(event: Any) -> None:
+            await asyncio.sleep(0)
+            raise ValueError("coroutine")
+
+        def subscribe(subscriber: Any) -> None:
+            subscriber.subscription(lambda event: None).where(broken_predicate).on_error(
+                handler
+            ).start()
+            subscriber.subscribe(broken_callback, handler)
+            subscriber.subscribe(broken_coroutine, handler)
+
+        self._deliver(dispatch, subscribe)
+        assert routed == ["predicate", "callback", "coroutine"]
+
+
+class TestPlainRowsOpenNoCoroutine:
+    """Structural pin: a row opens a coroutine only when its callback returns
+    an awaitable, so the coroutine frames one publish starts do not grow
+    with the number of plain subscribers."""
+
+    @pytest.mark.parametrize("dispatch", ASYNC_DISPATCH_MODES)
+    def test_coroutine_frames_per_publish_do_not_grow_with_plain_rows(self, dispatch):
+        def coroutine_calls(rows: int) -> int:
+            async def main() -> int:
+                engine = TPSEngine(SkiRental)
+                publisher, subscriber = _pair(engine, dispatch=dispatch)
+                for _ in range(rows):
+                    subscriber.subscribe(lambda event: None)
+                await publisher.publish(_offer("warm-up"))
+                calls = [0]
+
+                def profile(frame: Any, event: str, arg: Any) -> None:
+                    if event == "call" and frame.f_code.co_flags & inspect.CO_COROUTINE:
+                        calls[0] += 1
+
+                sys.setprofile(profile)
+                try:
+                    await publisher.publish(_offer())
+                finally:
+                    sys.setprofile(None)
+                engine.close()
+                return calls[0]
+
+            return asyncio.run(main())
+
+        assert coroutine_calls(1) == coroutine_calls(50) > 0
+
 
 class TestAsyncStreams:
     def test_async_for_consumes_until_close(self):
@@ -252,10 +421,11 @@ class TestAsyncStreams:
 
         assert asyncio.run(main()) == ["a", "b", "c"]
 
-    def test_block_policy_backpressure_suspends_publisher(self):
+    @pytest.mark.parametrize("dispatch", ASYNC_DISPATCH_MODES)
+    def test_block_policy_backpressure_suspends_publisher(self, dispatch):
         async def main():
             engine = TPSEngine(SkiRental)
-            publisher, subscriber = _pair(engine)
+            publisher, subscriber = _pair(engine, dispatch=dispatch)
             consumed: List[str] = []
             async with subscriber.stream(maxsize=1, policy="block") as stream:
 
@@ -294,14 +464,19 @@ class TestAsyncStreams:
         assert kept == ["s3", "s4"]
         assert dropped == 3
 
-    def test_reentrant_only_consumer_raises_instead_of_deadlocking(self):
+    @pytest.mark.parametrize("dispatch", ASYNC_DISPATCH_MODES)
+    def test_reentrant_only_consumer_raises_instead_of_deadlocking(self, dispatch):
         """The async analogue of the threaded deadlock heuristic: if the
         publishing *task* is the stream's only consumer, a full ``"block"``
-        wait could never be woken -- raise into the error route instead."""
+        wait could never be woken -- raise into the error route instead.
+
+        In ``"concurrent"`` mode the wait itself would run in a gathered
+        task, so the refusal must be decided on the publishing task, before
+        anything is gathered; a watchdog closes the stream if it is not."""
 
         async def main():
             engine = TPSEngine(SkiRental)
-            publisher, subscriber = _pair(engine)
+            publisher, subscriber = _pair(engine, dispatch=dispatch)
             errors: List[BaseException] = []
             stream = (
                 subscriber.subscription()
@@ -310,7 +485,9 @@ class TestAsyncStreams:
             )
             stream.drain()  # registers this task as a consumer
             await publisher.publish(_offer("fits"))
+            watchdog = asyncio.get_running_loop().call_later(5.0, stream.close)
             await publisher.publish(_offer("overflows"))
+            watchdog.cancel()
             engine.close()
             return errors
 

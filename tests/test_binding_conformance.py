@@ -56,6 +56,7 @@ import pytest
 
 from repro.apps.skirental.types import SkiRental
 from repro.core import TPSConfig, TPSEngine
+from repro.core.async_engine import AsyncLocalBus
 from repro.core.exceptions import PSException
 from repro.core.interface import TPSInterface, TPSInterfaceCore
 from repro.core.local_engine import LocalBus
@@ -285,7 +286,9 @@ class BindingHarness:
     #: Settle rounds after a publish; generous so slow discovery converges.
     PUMP_ROUNDS = 10
 
-    def __init__(self, binding: str) -> None:
+    def __init__(self, binding: str, *, dispatch: Optional[str] = None) -> None:
+        """``dispatch`` (ASYNC only) puts the pair on an explicit
+        ``AsyncLocalBus(dispatch=...)`` instead of the registry's bus."""
         self.reshard = binding.endswith(RESHARD_SUFFIX)
         if self.reshard:
             binding = binding[: -len(RESHARD_SUFFIX)]
@@ -310,6 +313,8 @@ class BindingHarness:
             # per-loop shared bus, so interfaces built on this loop pair up
             # exactly like the in-process bindings sharing self.local_bus.
             self.loop = asyncio.new_event_loop()
+            if dispatch is not None:
+                self.local_bus = AsyncLocalBus(dispatch=dispatch, loop=self.loop)
         else:
             self.builder = JxtaNetworkBuilder(seed=20020713)
             self.builder.add_rendezvous("rdv-0")
@@ -345,7 +350,7 @@ class BindingHarness:
                 event_type, peer=peer or self.publisher_peer, config=config
             )
         elif self.loop is not None:
-            engine = TPSEngine(event_type)
+            engine = TPSEngine(event_type, local_bus=self.local_bus)
             self.engines.append(engine)
             # new_interface must run on the owning loop ('the loop is the
             # thread'); the driver keeps marshaling every later call there.
@@ -531,9 +536,11 @@ class TestRowSemanticsConformance:
 
     The row body exists three times -- inlined in ``LocalBus.publish`` (kept
     there for speed, see docs/CONCURRENCY.md), in
-    ``TPSSubscriberManager.dispatch`` on the wire path and as the awaiting
-    ``dispatch_row_awaiting`` on the ASYNC bus.  Each case below is one body
-    run against every binding, so the three stay in lockstep.
+    ``TPSSubscriberManager.dispatch`` on the wire path and inlined in
+    ``AsyncLocalBus.publish``, which adds only an ``await`` on an awaitable
+    result.  Each case below is one body run against every binding (and,
+    in :class:`TestConcurrentAsyncRows`, on a ``"concurrent"`` ASYNC bus),
+    so the three stay in lockstep.
     """
 
     def test_raising_callback_reaches_only_its_paired_handler(self, harness):
@@ -733,6 +740,27 @@ class TestBreakerConformance:
         assert calls == ["a", "b", "d"]
         # The healthy subscription on the same interface never skipped.
         assert healthy == ["a", "b", "c", "d", "e"]
+
+
+@pytest.mark.asyncio
+class TestConcurrentAsyncRows(
+    TestRowSemanticsConformance, TestWherePredicateConformance, TestBreakerConformance
+):
+    """The row rules, predicates and breakers once more on an explicit
+    ``AsyncLocalBus(dispatch="concurrent")``.
+
+    ``BINDINGS``' ASYNC entry is the serial default bus; in concurrent mode
+    a plain row runs inline before the per-event gather, and a row whose
+    callback returns an awaitable settles in a gathered continuation.  Only
+    the row semantics differ between the two modes, so only these classes
+    run again -- not a tenth ``BINDINGS`` entry.
+    """
+
+    @pytest.fixture
+    def harness(self):
+        built = BindingHarness("ASYNC", dispatch="concurrent")
+        yield built
+        built.finish()
 
 
 class TestBreakerClocks:

@@ -224,7 +224,7 @@ class TestResumableStreams:
 
     @pytest.mark.asyncio
     def test_async_resume_discards_a_pump_suspended_on_a_full_buffer(self):
-        """The asyncio twin: a pump suspended in ``_enqueue`` must not
+        """The asyncio twin: a pump suspended in ``_wait_for_room`` must not
         deliver its pre-resume entry after ``await stream.resume``."""
 
         async def main():

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md (Section 5).
+"""Ablation benches for the design choices behind the paper's evaluation (Section 5).
 
 Each ablation flips one mechanism and measures its effect on the headline
 quantities, documenting *why* the system is built the way it is:

@@ -9,8 +9,8 @@ described in the paper by Baehni, Eugster and Guerraoui:
 * :mod:`repro.serialization` -- XML and binary object codecs used for
   advertisements and application events.
 * :mod:`repro.jxta` -- a JXTA-like peer-to-peer substrate: IDs, peers, peer
-  groups, pipes, advertisements, messages, the six JXTA protocols
-  (PDP, PRP, PIP, PMP, PBP, ERP) and the many-to-many WIRE service.
+  groups, pipes, advertisements, messages, the four JXTA protocols TPS
+  relies on (PDP, PRP, PBP, ERP) and the many-to-many WIRE service.
 * :mod:`repro.core` -- the paper's contribution: a Type-based
   Publish/Subscribe (TPS) layer built on top of the JXTA substrate.
 * :mod:`repro.apps` -- the ski-rental testbed application written three ways

@@ -123,8 +123,8 @@ def main(argv=None) -> int:
         help="also write the repro-bench/v1 JSON document to PATH",
     )
     bench.add_argument(
-        "--profile", choices=["full", "quick", "smoke"], default="full",
-        help="iteration counts: full (BENCH_*.json), quick, or smoke (tests)",
+        "--profile", choices=["full", "smoke"], default="full",
+        help="iteration counts: full (BENCH_*.json) or smoke (tests)",
     )
     bench.set_defaults(func=_cmd_bench)
 

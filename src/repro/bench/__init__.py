@@ -12,17 +12,17 @@
 * :mod:`repro.bench.micro` -- micro-benchmark helpers for the real
   (wall-clock) cost of the TPS layer's Python work.
 * :mod:`repro.bench.perf` -- the persistent hot-path perf harness
-  (``python -m repro bench --json BENCH_N.json``): baseline-vs-fast
-  comparisons of the codec, XML and local-bus fan-out hot paths plus the
-  wall-clock cost of the Figure 19/20 scenarios, recorded as a
-  ``repro-bench/v1`` JSON trajectory file per perf-touching PR.
+  (``python -m repro bench --json BENCH_N.json``): same-process
+  baseline-vs-fast pairs of the codec, XML, subscription-churn and
+  intra-hierarchy sharding paths plus the wall-clock cost of the Figure
+  19/20 scenarios, recorded as a ``repro-bench/v1`` JSON trajectory file per
+  perf-touching PR.  Import it directly; this package does not load it.
 * :mod:`repro.bench.reporting` -- plain-text tables for all of the above.
 """
 
 from __future__ import annotations
 
 from repro.bench.code_size import CodeSizeReport, measure_code_size
-from repro.bench.perf import format_suite, run_perf_suite, validate_document, write_suite
 from repro.bench.figures import (
     Figure18Result,
     Figure19Result,
@@ -56,15 +56,11 @@ __all__ = [
     "ScenarioConfig",
     "VARIANTS",
     "build_scenario",
-    "format_suite",
     "measure_code_size",
     "run_figure18",
     "run_figure19",
     "run_figure20",
     "run_invocation_time",
-    "run_perf_suite",
     "run_publisher_throughput",
     "run_subscriber_throughput",
-    "validate_document",
-    "write_suite",
 ]

@@ -6,7 +6,7 @@ lookups, subtype matching, duplicate filtering and callback dispatch.  The
 simulated figures charge calibrated virtual-time costs for that work; the
 micro-benchmarks in ``benchmarks/test_micro_overheads.py`` measure the
 *actual* Python cost of each step with pytest-benchmark, documenting where
-the layer's overhead comes from (experiment E5 in DESIGN.md).
+the layer's overhead comes from.
 
 This module provides ready-made fixtures for those benchmarks so they stay
 one-liners.

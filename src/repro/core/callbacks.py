@@ -91,9 +91,7 @@ class FilteringCallback(TPSCallBackInterface[EventT]):
     before the predicate rejects it.  New code should push the predicate down
     with ``tps.subscription(cb).where(pred).start()`` instead, which skips
     rejected events in the dispatch rows themselves; this class remains as
-    the explicit, named form of the post-dispatch pattern (the
-    ``filtered_fanout`` benchmark baselines the equivalent plain-callable
-    idiom).
+    the explicit, named form of the post-dispatch pattern.
     """
 
     def __init__(

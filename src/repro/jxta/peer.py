@@ -79,7 +79,6 @@ class Peer:
         self.cost_model = cost_model
         self.noise = noise or NoiseSource()
         self.metrics: MetricsRegistry = node.metrics
-        self.started_at = simulator.now
         #: Sequence behind every id this peer mints (see :meth:`next_id`).
         self._id_sequence = itertools.count(1)
         self.endpoint = EndpointService(self)
@@ -150,10 +149,6 @@ class Peer:
             self._joined_groups.append(group)
 
     # ------------------------------------------------------------- lifecycle
-
-    def uptime(self) -> float:
-        """Seconds of virtual time since the peer started (used by the PIP)."""
-        return self.now - self.started_at
 
     def restart_at_address(self, new_address: str) -> None:
         """Simulate the peer coming back online at a different network address.

@@ -1,18 +1,16 @@
 """Metric collection for simulated experiments.
 
-The benchmark harness reproduces the paper's figures by sampling counters and
-time series exactly the way the paper describes (per-event invocation times,
-per-epoch publisher throughput, per-second subscriber receive counts).  The
-classes here are deliberately small and dependency-free so the substrate can
-record metrics without caring who reads them.
+Every simulated node owns a :class:`MetricsRegistry`.  The substrate and the
+TPS layer count what happened on it (packets, envelopes, retries, deliveries)
+and the Figure 20 scenario reads the virtual receive times of the
+``wire_received`` series.  The classes here are deliberately small and
+dependency-free so the substrate can record metrics without caring who reads
+them.
 """
 
 from __future__ import annotations
 
-import math
-import statistics
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List
 
 
 class Counter:
@@ -25,12 +23,8 @@ class Counter:
     def increment(self, amount: int = 1) -> None:
         """Add ``amount`` (default 1) to the counter."""
         if amount < 0:
-            raise ValueError("counters only increase; use a Gauge-style TimeSeries instead")
+            raise ValueError("counters only increase; use a Gauge for a level")
         self.value += amount
-
-    def reset(self) -> None:
-        """Reset to zero (used between benchmark epochs)."""
-        self.value = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name}={self.value})"
@@ -40,8 +34,7 @@ class Gauge:
     """A named value that can move both ways (unlike a :class:`Counter`).
 
     Added for the membership layer: "alive members right now" is a level,
-    not an accumulation, and resetting a counter to fake decrements would
-    wreck the monotonicity the bench harness relies on.
+    not an accumulation.
     """
 
     def __init__(self, name: str) -> None:
@@ -52,20 +45,12 @@ class Gauge:
         """Set the current level."""
         self.value = value
 
-    def increment(self, amount: float = 1.0) -> None:
-        """Move the level up by ``amount``."""
-        self.value += amount
-
-    def decrement(self, amount: float = 1.0) -> None:
-        """Move the level down by ``amount``."""
-        self.value -= amount
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Gauge({self.name}={self.value})"
 
 
 class Timer:
-    """Accumulates observed durations and exposes simple statistics."""
+    """Accumulates observed durations."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -77,127 +62,29 @@ class Timer:
             raise ValueError(f"negative duration recorded on timer {self.name!r}: {duration}")
         self.samples.append(duration)
 
-    @property
-    def count(self) -> int:
-        """Number of recorded samples."""
-        return len(self.samples)
-
-    @property
-    def total(self) -> float:
-        """Sum of all samples."""
-        return sum(self.samples)
-
-    @property
-    def mean(self) -> float:
-        """Mean of recorded samples (0.0 when empty)."""
-        return statistics.fmean(self.samples) if self.samples else 0.0
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation (0.0 with fewer than two samples)."""
-        return statistics.stdev(self.samples) if len(self.samples) > 1 else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Return the ``q``-quantile (0 <= q <= 1) of the samples."""
-        if not self.samples:
-            return 0.0
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be within [0, 1], got {q}")
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[index]
-
-    def reset(self) -> None:
-        """Discard all samples."""
-        self.samples.clear()
-
-
-@dataclass
-class Sample:
-    """One timestamped observation in a :class:`TimeSeries`."""
-
-    time: float
-    value: float
-
 
 class TimeSeries:
-    """An append-only series of (virtual time, value) samples.
+    """An append-only series of virtual-time stamps.
 
-    Provides the bucketing helpers the figure harness needs: events per epoch
-    (Figure 19) and events per second (Figure 20).
+    Stamps are usually recorded in time order, but out-of-order stamps are
+    accepted (e.g. send completions computed ahead of time); :attr:`times`
+    keeps insertion order.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._samples: List[Sample] = []
+        self.times: List[float] = []
 
-    def record(self, time: float, value: float = 1.0) -> None:
-        """Append a sample at the given virtual time.
-
-        Samples are usually recorded in time order, but out-of-order samples
-        are accepted (e.g. send completions computed ahead of time); the
-        bucketing helpers do not depend on insertion order.
-        """
-        self._samples.append(Sample(time, value))
+    def record(self, time: float) -> None:
+        """Append a stamp at the given virtual time."""
+        self.times.append(time)
 
     def __len__(self) -> int:
-        return len(self._samples)
-
-    def __iter__(self) -> Iterator[Sample]:
-        return iter(self._samples)
-
-    @property
-    def values(self) -> List[float]:
-        """All sample values in insertion order."""
-        return [s.value for s in self._samples]
-
-    @property
-    def times(self) -> List[float]:
-        """All sample timestamps in insertion order."""
-        return [s.time for s in self._samples]
-
-    def counts_per_bucket(
-        self,
-        bucket_width: float,
-        *,
-        start: float = 0.0,
-        end: Optional[float] = None,
-    ) -> List[int]:
-        """Return the number of samples falling in each ``bucket_width``-wide bucket.
-
-        Buckets start at ``start`` and extend to ``end`` (defaults to the last
-        sample's time).  Used for "events received per second" style series.
-        """
-        if bucket_width <= 0:
-            raise ValueError("bucket width must be positive")
-        if end is None:
-            end = self._samples[-1].time if self._samples else start
-        n_buckets = max(1, math.ceil((end - start) / bucket_width))
-        counts = [0] * n_buckets
-        for sample in self._samples:
-            if sample.time < start or sample.time >= start + n_buckets * bucket_width:
-                continue
-            index = int((sample.time - start) / bucket_width)
-            counts[index] += 1
-        return counts
-
-    def rate_per_bucket(
-        self,
-        bucket_width: float,
-        *,
-        start: float = 0.0,
-        end: Optional[float] = None,
-    ) -> List[float]:
-        """Like :meth:`counts_per_bucket` but normalised to events/second."""
-        return [c / bucket_width for c in self.counts_per_bucket(bucket_width, start=start, end=end)]
-
-    def reset(self) -> None:
-        """Discard all samples."""
-        self._samples.clear()
+        return len(self.times)
 
 
 class MetricsRegistry:
-    """A flat namespace of counters, timers and time series.
+    """A flat namespace of counters, gauges, timers and time series.
 
     Every simulated node owns a registry; the benchmark harness aggregates the
     registries of the peers participating in an experiment.
@@ -250,37 +137,11 @@ class MetricsRegistry:
         """All time series, keyed by name."""
         return dict(self._series)
 
-    def reset(self) -> None:
-        """Reset every metric in the registry."""
-        for counter in self._counters.values():
-            counter.reset()
-        for timer in self._timers.values():
-            timer.reset()
-        for series in self._series.values():
-            series.reset()
-        for gauge in self._gauges.values():
-            gauge.set(0.0)
-
-
-def summarize(samples: Iterable[float]) -> Tuple[float, float, float, float]:
-    """Return (mean, stdev, min, max) of an iterable of samples.
-
-    Empty input yields all zeros.  Used by the reporting layer.
-    """
-    data = list(samples)
-    if not data:
-        return (0.0, 0.0, 0.0, 0.0)
-    mean = statistics.fmean(data)
-    stdev = statistics.stdev(data) if len(data) > 1 else 0.0
-    return (mean, stdev, min(data), max(data))
-
 
 __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
-    "Sample",
     "TimeSeries",
     "Timer",
-    "summarize",
 ]

@@ -136,7 +136,7 @@ def test_inline_pragma_count_only_goes_down():
 #: ROADMAP's tracked code size, as it measures it: ``count_code_lines``
 #: summed over ``src/repro/**/*.py``.  A ratchet: lower it when code goes,
 #: never raise it to make room for new code -- delete something first.
-SRC_CEILING = 11720
+SRC_CEILING = 11221
 
 
 def test_source_code_lines_only_go_down():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.metrics import Counter, MetricsRegistry, TimeSeries, Timer, summarize
+from repro.net.metrics import Counter, MetricsRegistry, TimeSeries, Timer
 
 
 class TestCounter:
@@ -20,94 +20,47 @@ class TestCounter:
         with pytest.raises(ValueError):
             counter.increment(-1)
 
-    def test_reset(self):
-        counter = Counter("c")
-        counter.increment(3)
-        counter.reset()
-        assert counter.value == 0
-
 
 class TestTimer:
     def test_statistics(self):
+        """A timer's statistics are its raw samples, in observation order;
+        readers reduce them (percentiles, sums) themselves."""
         timer = Timer("t")
         for value in (1.0, 2.0, 3.0):
             timer.observe(value)
-        assert timer.count == 3
-        assert timer.total == pytest.approx(6.0)
-        assert timer.mean == pytest.approx(2.0)
-        assert timer.stdev == pytest.approx(1.0)
-
-    def test_empty_timer_statistics_are_zero(self):
-        timer = Timer("t")
-        assert timer.mean == 0.0
-        assert timer.stdev == 0.0
-        assert timer.percentile(0.5) == 0.0
+        assert timer.samples == [1.0, 2.0, 3.0]
 
     def test_negative_duration_rejected(self):
         timer = Timer("t")
         with pytest.raises(ValueError):
             timer.observe(-1.0)
+        assert timer.samples == []
 
-    def test_percentile(self):
+    def test_zero_duration_accepted(self):
         timer = Timer("t")
-        for value in range(1, 11):
-            timer.observe(float(value))
-        assert timer.percentile(0.5) == pytest.approx(5.0)
-        assert timer.percentile(1.0) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            timer.percentile(1.5)
-
-    def test_reset(self):
-        timer = Timer("t")
-        timer.observe(1.0)
-        timer.reset()
-        assert timer.count == 0
+        timer.observe(0.0)
+        assert timer.samples == [0.0]
 
 
 class TestTimeSeries:
     def test_record_and_values(self):
+        """The values a series holds are its recorded stamps."""
         series = TimeSeries("s")
         series.record(0.5)
-        series.record(1.5, value=2.0)
+        series.record(1.5)
         assert len(series) == 2
-        assert series.values == [1.0, 2.0]
         assert series.times == [0.5, 1.5]
 
-    def test_counts_per_bucket(self):
+    def test_empty_series(self):
         series = TimeSeries("s")
-        for timestamp in (0.1, 0.2, 1.5, 2.9, 3.1):
-            series.record(timestamp)
-        counts = series.counts_per_bucket(1.0, start=0.0, end=4.0)
-        assert counts == [2, 1, 1, 1]
-
-    def test_counts_per_bucket_ignores_out_of_range_samples(self):
-        series = TimeSeries("s")
-        series.record(0.5)
-        series.record(9.5)
-        counts = series.counts_per_bucket(1.0, start=0.0, end=2.0)
-        assert counts == [1, 0]
-
-    def test_rate_per_bucket_normalises(self):
-        series = TimeSeries("s")
-        for timestamp in (0.1, 0.2, 0.3, 0.4):
-            series.record(timestamp)
-        rates = series.rate_per_bucket(0.5, start=0.0, end=0.5)
-        assert rates == [8.0]
-
-    def test_bucket_width_must_be_positive(self):
-        series = TimeSeries("s")
-        with pytest.raises(ValueError):
-            series.counts_per_bucket(0.0)
-
-    def test_empty_series_buckets(self):
-        series = TimeSeries("s")
-        assert series.counts_per_bucket(1.0) == [0]
+        assert len(series) == 0
+        assert series.times == []
 
     def test_out_of_order_samples_accepted(self):
         series = TimeSeries("s")
         series.record(2.0)
         series.record(1.0)
-        assert series.counts_per_bucket(1.0, start=0.0, end=3.0) == [0, 1, 1]
+        assert series.times == [2.0, 1.0]
 
 
 class TestMetricsRegistry:
@@ -123,33 +76,30 @@ class TestMetricsRegistry:
         registry.counter("b").increment()
         assert registry.counters() == {"a": 2, "b": 1}
 
-    def test_reset_clears_everything(self):
+    def test_counters_snapshot_is_a_sorted_copy(self):
         registry = MetricsRegistry()
+        registry.counter("b").increment()
         registry.counter("a").increment()
-        registry.timer("t").observe(1.0)
-        registry.series("s").record(0.1)
-        registry.reset()
-        assert registry.counters() == {"a": 0}
-        assert registry.timer("t").count == 0
-        assert len(registry.series("s")) == 0
+        snapshot = registry.counters()
+        assert list(snapshot) == ["a", "b"]
+        snapshot["a"] = 99
+        assert registry.counter("a").value == 1
 
-    def test_gauges_snapshot_and_reset(self):
+    def test_gauges_snapshot(self):
         registry = MetricsRegistry()
         assert registry.gauge("depth") is registry.gauge("depth")
         registry.gauge("membership_alive").set(3)
-        registry.gauge("depth").increment(2)
-        registry.gauge("depth").decrement()
-        assert registry.gauges() == {"depth": 1.0, "membership_alive": 3}
-        registry.reset()
-        assert registry.gauges() == {"depth": 0.0, "membership_alive": 0.0}
+        registry.gauge("depth").set(1.0)
+        registry.gauge("depth").set(0.5)  # a level moves both ways
+        assert registry.gauges() == {"depth": 0.5, "membership_alive": 3}
 
-
-def test_summarize():
-    mean, stdev, low, high = summarize([1.0, 2.0, 3.0])
-    assert mean == pytest.approx(2.0)
-    assert stdev == pytest.approx(1.0)
-    assert (low, high) == (1.0, 3.0)
-
-
-def test_summarize_empty():
-    assert summarize([]) == (0.0, 0.0, 0.0, 0.0)
+    def test_timers_and_series_views(self):
+        """The views the benchmark sums its retained-sample count over."""
+        registry = MetricsRegistry()
+        assert registry.timers() == {} and registry.all_series() == {}
+        registry.timer("t").observe(0.25)
+        registry.series("s").record(1.0)
+        assert registry.timers() == {"t": registry.timer("t")}
+        assert registry.all_series() == {"s": registry.series("s")}
+        registry.timers().clear()  # a copy: the registry keeps its metrics
+        assert list(registry.timers()) == ["t"]

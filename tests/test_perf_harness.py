@@ -15,7 +15,6 @@ import pytest
 
 from repro.bench.perf import (
     COMPARISON_NAMES,
-    FROZEN_BASELINES_US,
     PROFILES,
     SCENARIO_NAMES,
     SCHEMA,
@@ -53,40 +52,6 @@ class TestPerfSuite:
             assert entry["baseline_per_op_us"] > 0
             assert entry["fast_per_op_us"] > 0
             assert entry["speedup"] > 0
-
-    def test_frozen_rows_report_the_committed_table(self, smoke_document):
-        """The five comparisons whose baseline design is gone from the repo
-        report the frozen constants (so speedup is a pure function of the
-        measured fast path); every live pair carries no such marker."""
-        assert set(FROZEN_BASELINES_US) == {
-            "fanout_1", "fanout_10", "fanout_100", "mt_fanout", "async_fanout",
-        }
-        for entry in smoke_document["comparisons"]:
-            if entry["name"] in FROZEN_BASELINES_US:
-                assert entry["baseline_source"] == "frozen"
-                assert entry["baseline_per_op_us"] == FROZEN_BASELINES_US[entry["name"]]
-                assert entry["speedup"] == pytest.approx(
-                    entry["baseline_per_op_us"] / entry["fast_per_op_us"], abs=1e-3
-                )
-            else:
-                assert "baseline_source" not in entry
-
-    def test_frozen_table_is_the_bench_11_values(self):
-        import os
-
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_11.json")
-        with open(path, encoding="utf-8") as handle:
-            recorded = {
-                entry["name"]: entry["baseline_per_op_us"]
-                for entry in json.load(handle)["comparisons"]
-            }
-        assert FROZEN_BASELINES_US == {name: recorded[name] for name in FROZEN_BASELINES_US}
-
-    def test_format_suite_marks_frozen_rows(self, smoke_document):
-        lines = format_suite(smoke_document).splitlines()
-        marked = {line.split()[0] for line in lines if line.endswith("x*")}
-        assert marked == set(FROZEN_BASELINES_US)
-        assert any(line.startswith("* ") and "BENCH_11" in line for line in lines)
 
     def test_harness_touches_no_private_state(self):
         """perf.py measures the product through its public surface: no
@@ -127,6 +92,34 @@ class TestPerfSuite:
         for name in COMPARISON_NAMES:
             assert name in text
 
+    def test_format_suite_reports_every_scenario_wall_clock(self, smoke_document):
+        lines = format_suite(smoke_document).splitlines()
+        for entry in smoke_document["scenarios"]:
+            assert f"{entry['name']:<18} wall-clock {entry['wall_clock_s']:.3f}s" in lines
+
+    def test_speedup_of_a_zero_fast_path_is_zero(self):
+        from repro.bench.perf import Comparison
+
+        assert Comparison("x", 2.0, 0.5, 1, 1).speedup == 4.0
+        assert Comparison("x", 2.0, 0.0, 1, 1).speedup == 0.0
+
+    def test_importing_the_bench_package_does_not_load_the_harness(self):
+        """``repro.bench`` serves the figures; the perf harness is imported
+        on its own (``python -m repro bench`` or ``repro.bench.perf``)."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = "import sys, repro.bench; print('repro.bench.perf' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.stdout.strip() == "False"
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
             run_perf_suite("bogus")
@@ -138,19 +131,14 @@ class TestPerfSuite:
     def test_profiles_are_complete(self):
         keys = {
             "repeats", "codec_iterations", "xml_iterations",
-            "fanout_iterations", "churn_iterations", "churn_resident",
-            "filtered_iterations", "filtered_subscribers",
-            "mt_publishers", "mt_events", "mt_subscribers", "mt_io_s",
-            "async_publishers", "async_events", "async_subscribers",
-            "async_io_s",
+            "churn_iterations", "churn_resident",
             "intra_shards", "intra_keys", "intra_events",
             "intra_subscribers", "intra_io_s",
             "figure19_events", "figure20_duration", "figure20_events",
-            "lossy_events",
-            "reshard_shards", "reshard_keys", "reshard_events",
         }
+        assert set(PROFILES) == {"full", "smoke"}
         for name, profile in PROFILES.items():
-            assert keys <= set(profile), f"profile {name} missing keys"
+            assert set(profile) == keys, f"profile {name} keys drifted"
 
     def test_schema_covers_the_parse_sections(self):
         """The PR-2 sections are part of the repro-bench/v1 contract: a
@@ -166,28 +154,15 @@ class TestPerfSuite:
         assert any("xml_roundtrip" in problem for problem in problems)
 
     def test_schema_covers_the_subscription_sections(self):
-        """The PR-3 sections (v2 subscription API) are part of the contract:
-        a document missing them must fail validation."""
+        """The PR-3 section (v2 subscription API) is part of the contract:
+        a document missing it must fail validation."""
         assert "subscribe_churn" in COMPARISON_NAMES
-        assert "filtered_fanout" in COMPARISON_NAMES
         document = {
             "schema": SCHEMA, "version": "x", "unix_time": 1.0,
             "profile": "full", "comparisons": [], "scenarios": [],
         }
         problems = validate_document(document)
         assert any("subscribe_churn" in problem for problem in problems)
-        assert any("filtered_fanout" in problem for problem in problems)
-
-    def test_schema_covers_the_concurrency_section(self):
-        """The PR-4 section (concurrent sharded fan-out) is part of the
-        contract: a document missing it must fail validation."""
-        assert "mt_fanout" in COMPARISON_NAMES
-        document = {
-            "schema": SCHEMA, "version": "x", "unix_time": 1.0,
-            "profile": "full", "comparisons": [], "scenarios": [],
-        }
-        problems = validate_document(document)
-        assert any("mt_fanout" in problem for problem in problems)
 
     def test_schema_covers_the_intra_shard_section(self):
         """The PR-5 section (content-keyed intra-hierarchy sharding) is part
@@ -200,16 +175,15 @@ class TestPerfSuite:
         problems = validate_document(document)
         assert any("intra_shard_fanout" in problem for problem in problems)
 
-    def test_schema_covers_the_async_section(self):
-        """The PR-9 section (coroutine fan-out over the ASYNC binding) is
-        part of the contract: a document missing it must fail validation."""
-        assert "async_fanout" in COMPARISON_NAMES
+    def test_schema_covers_the_figure_scenarios(self):
+        """The two paper scenarios are part of the contract for every
+        document, historical or current: one missing them must fail."""
         document = {
             "schema": SCHEMA, "version": "x", "unix_time": 1.0,
             "profile": "full", "comparisons": [], "scenarios": [],
         }
-        problems = validate_document(document)
-        assert any("async_fanout" in problem for problem in problems)
+        problems = validate_document(document, required_comparisons=())
+        assert problems == [f"missing scenario {name!r}" for name in SCENARIO_NAMES]
 
     def test_intra_shard_keys_cover_every_shard(self):
         """The benchmark's key corpus must actually reach all content
@@ -236,30 +210,15 @@ class TestPerfSuite:
                 index: profile["intra_keys"] // shards for index in range(shards)
             }
 
-    def test_mt_fanout_event_types_cover_distinct_shards(self):
-        """The greedy hierarchy selection must place each benchmark
-        publisher on its own shard for the committed profiles."""
-        from repro.bench.perf import PROFILES, _mt_types
-        from repro.core.sharded_engine import ShardedLocalBus
-        from repro.core.type_registry import type_name
-
-        for profile in PROFILES.values():
-            publishers = profile["mt_publishers"]
-            probe = ShardedLocalBus(shards=publishers)
-            types = _mt_types(publishers)
-            assert len(types) == publishers
-            # One hierarchy per shard: an equal share (of one) each.
-            shards = sorted(probe.shard_index(type_name(cls)) for cls in types)
-            assert shards == list(range(publishers))
-
     def test_committed_trajectory_files_validate(self):
         """Every committed BENCH_*.json must validate: historical points
-        against the baseline comparison/scenario sets they were generated
-        under, the newest point against the full current schema."""
+        against the baseline comparison set every one of them carries, the
+        newest point against exactly the current rows -- a deleted row may
+        not linger in it and a new one may not be missing."""
         import glob
         import os
 
-        from repro.bench.perf import BASELINE_COMPARISON_NAMES, BASELINE_SCENARIO_NAMES
+        from repro.bench.perf import BASELINE_COMPARISON_NAMES
 
         root = os.path.join(os.path.dirname(__file__), os.pardir)
         paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
@@ -269,47 +228,61 @@ class TestPerfSuite:
             with open(path, encoding="utf-8") as handle:
                 document = json.load(handle)
             comparisons = COMPARISON_NAMES if path == newest else BASELINE_COMPARISON_NAMES
-            scenarios = SCENARIO_NAMES if path == newest else BASELINE_SCENARIO_NAMES
-            assert validate_document(
-                document,
-                required_comparisons=comparisons,
-                required_scenarios=scenarios,
-            ) == [], path
+            assert validate_document(document, required_comparisons=comparisons) == [], path
         with open(newest, encoding="utf-8") as handle:
             document = json.load(handle)
         by_name = {entry["name"]: entry for entry in document["comparisons"]}
+        assert list(by_name) == list(COMPARISON_NAMES)
+        assert [entry["name"] for entry in document["scenarios"]] == list(SCENARIO_NAMES)
         # Trajectory pins: the scanning parser stays >= 2x the legacy parser
-        # (PR 2), filtered fan-out with v2 predicate push-down beats
-        # post-dispatch filtering (PR 3), and per-shard concurrency beats the
-        # locked single bus by >= 1.5x at 4 publisher threads (PR 4).
+        # (PR 2), the v2 handle's identity cancel beats the unsubscribe scan
+        # (PR 3), and content-keyed intra-hierarchy sharding beats the
+        # 1-shard baseline on the single hot hierarchy (PR 5).
         assert by_name["xml_parse"]["speedup"] >= 2.0
-        assert by_name["filtered_fanout"]["speedup"] > 1.0
         assert by_name["subscribe_churn"]["speedup"] > 1.0
-        assert by_name["mt_fanout"]["speedup"] >= 1.5
-        # PR 5: content-keyed intra-hierarchy sharding beats the 1-shard
-        # baseline on the single hot hierarchy.
         assert by_name["intra_shard_fanout"]["speedup"] > 1.0
-        # PR 6: reliable delivery under loss stays complete -- every rate in
-        # the lossy_publish sweep delivers all published events with zero
-        # terminal failures, and the lossy rates actually exercise retries.
-        lossy = next(
-            entry for entry in document["scenarios"] if entry["name"] == "lossy_publish"
-        )
-        for rate in lossy["rates"]:
-            assert rate["delivered"] == rate["published"], rate
-            assert rate["delivery_failures"] == 0, rate
-        assert sum(rate["retries"] for rate in lossy["rates"][1:]) > 0
 
-    def test_schema_covers_the_lossy_scenario(self):
-        """The PR-6 scenario (reliable publish over lossy links) is part of
-        the contract: a document missing it must fail validation."""
-        assert "lossy_publish" in SCENARIO_NAMES
-        document = {
-            "schema": SCHEMA, "version": "x", "unix_time": 1.0,
-            "profile": "full", "comparisons": [], "scenarios": [],
-        }
-        problems = validate_document(document)
-        assert any("lossy_publish" in problem for problem in problems)
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), True, 0, -1, "1"], ids=repr
+    )
+    def test_comparison_timings_must_be_finite_positive_numbers(
+        self, smoke_document, value
+    ):
+        document = json.loads(json.dumps(smoke_document))
+        document["comparisons"][0]["fast_per_op_us"] = value
+        # Through JSON text: ``json.load`` reads the non-standard ``NaN`` /
+        # ``Infinity`` literals back as floats, so a corrupt BENCH_*.json
+        # reaches the validator exactly like this.
+        problems = validate_document(json.loads(json.dumps(document)))
+        assert problems == [
+            f"comparison 'codec_encode': bad fast_per_op_us={value!r}"
+        ]
+
+    @pytest.mark.parametrize(
+        "key", ["baseline_per_op_us", "fast_per_op_us", "speedup", "iterations", "repeats"]
+    )
+    def test_every_comparison_field_rejects_nan(self, smoke_document, key):
+        document = json.loads(json.dumps(smoke_document))
+        document["comparisons"][-1][key] = float("nan")
+        problems = validate_document(json.loads(json.dumps(document)))
+        assert problems == [f"comparison 'intra_shard_fanout': bad {key}=nan"]
+
+    def test_zero_scenario_wall_clock_is_valid(self, smoke_document):
+        # wall_clock_s is rounded to 0.1 ms, so a very fast run records 0.
+        document = json.loads(json.dumps(smoke_document))
+        document["scenarios"][1]["wall_clock_s"] = 0
+        assert validate_document(document) == []
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), True, -1, "1"], ids=repr
+    )
+    def test_scenario_wall_clock_must_be_a_finite_number(self, smoke_document, value):
+        document = json.loads(json.dumps(smoke_document))
+        document["scenarios"][0]["wall_clock_s"] = value
+        problems = validate_document(json.loads(json.dumps(document)))
+        assert problems == [
+            f"scenario 'figure19_sr_tps': bad wall_clock_s={value!r}"
+        ]
 
 
 class TestPerfCli:
@@ -322,6 +295,16 @@ class TestPerfCli:
         assert "perf suite (smoke)" in output
         with open(path, encoding="utf-8") as handle:
             assert validate_document(json.load(handle)) == []
+
+    def test_quick_profile_is_gone(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "BENCH_quick.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--profile", "quick", "--json", str(path)])
+        assert exit_info.value.code != 0
+        assert "invalid choice: 'quick'" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestBoundedIdSet:

@@ -57,12 +57,6 @@ class TestCreatePeer:
         assert any(endpoint.startswith("tcp://") for endpoint in advertisement.endpoints)
         assert advertisement.peer_id == peer.peer_id
 
-    def test_uptime_advances_with_virtual_time(self):
-        network = Network(Simulator())
-        peer = create_peer(network, "p")
-        network.simulator.run_until(42.0)
-        assert peer.uptime() == pytest.approx(42.0)
-
     def test_world_group_access_before_boot_fails(self):
         from repro.jxta.peer import Peer, PeerConfig
         from repro.net.node import Node

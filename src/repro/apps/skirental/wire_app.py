@@ -124,7 +124,7 @@ class WireSubscriber:
 
     def close(self) -> None:
         """Close the input pipe."""
-        self.wire.close_input_pipe(self.input_pipe)
+        self.input_pipe.close()
 
 
 __all__ = ["WirePublisher", "WireSubscriber", "shared_wire_advertisement"]

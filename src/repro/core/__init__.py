@@ -84,11 +84,11 @@ from repro.core.interface import (
     TPSInterface,
     TPSInterfaceCore,
 )
-from repro.core.jxta_engine import JxtaTPSEngine, TPSAttachment, TPSConfig
+from repro.core.jxta_engine import JxtaTPSEngine, TPSConfig
 from repro.core.local_engine import LocalBus, LocalTPSEngine
 from repro.core.reply import Reply, ReplyEndpoint, Replyable, reply
 from repro.core.sharded_engine import DEFAULT_SHARD_COUNT, ShardedLocalBus
-from repro.core.subscriber import TPSPipeReader, TPSSubscriberManager
+from repro.core.subscriber import TPSSubscriberManager
 from repro.core.subscriptions import (
     EventStream,
     StreamCore,
@@ -102,12 +102,7 @@ from repro.core.type_registry import (
     hierarchy_root,
     type_name,
 )
-from repro.core.wire_finder import (
-    TPSMyInputPipe,
-    TPSMyOutputPipe,
-    TPSWireServiceFinder,
-    WireServiceFinderException,
-)
+from repro.core.wire_finder import TPSWireServiceFinder, WireServiceFinderException
 from repro.core.xml_types import (
     DynamicEvent,
     XmlEventCodec,
@@ -155,7 +150,6 @@ __all__ = [
     "SubscriptionHandle",
     "TPSAdvertisementsCreator",
     "TPSAdvertisementsFinder",
-    "TPSAttachment",
     "TPSBinding",
     "TPSCallBackInterface",
     "TPSConfig",
@@ -163,9 +157,6 @@ __all__ = [
     "TPSExceptionHandler",
     "TPSInterface",
     "TPSInterfaceCore",
-    "TPSMyInputPipe",
-    "TPSMyOutputPipe",
-    "TPSPipeReader",
     "TPSSubscriberManager",
     "TPSWireServiceFinder",
     "TypeMismatchError",

@@ -172,10 +172,7 @@ class ShardedJxtaTPSEngine(JxtaTPSEngine):
         if monitor is None:
             return
         for attachment in self.manager.attachments:
-            output_pipe = attachment.output_pipe
-            if output_pipe is None:
-                continue
-            for peer_id in output_pipe.pipe.resolved_peers():
+            for peer_id in attachment.output_pipe.resolved_peers():
                 monitor.watch(peer_id)
 
     def _on_membership_event(self, event: str, urn: str) -> None:
@@ -206,9 +203,7 @@ class ShardedJxtaTPSEngine(JxtaTPSEngine):
         if event != "confirm":
             return
         for attachment in self.manager.attachments:
-            wire_service = attachment.finder.wire_service
-            if wire_service is None:
-                continue
+            wire_service = attachment.wire_service
             wire_service.fail_target(urn)
             wire_service.group.pipe_service.forget_peer(urn)
 

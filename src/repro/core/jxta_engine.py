@@ -13,8 +13,9 @@ This module assembles the four building blocks of the paper's architecture
   :class:`~repro.core.subscriber.TPSSubscriberManager`;
 * **Connections** -- one
   :class:`~repro.core.wire_finder.TPSWireServiceFinder` per attached
-  advertisement, with its input/output wire pipes and
-  :class:`~repro.core.subscriber.TPSPipeReader` readers.
+  advertisement, holding that advertisement's wire output pipe and, while
+  somebody is subscribed, its wire input pipe; the reader on each input
+  pipe is the engine's own :meth:`JxtaTPSEngine._on_wire_message`.
 
 The engine provides the three functional guarantees the paper lists for the
 SR layers (Section 4.4, footnote 1): (1) it minimises the number of
@@ -41,14 +42,13 @@ from repro.core.bindings import BindingParam, BindingRequest, not_bool, register
 from repro.core.exceptions import DeliveryFailedError, NotInitializedError, PSException
 from repro.core.history import DEFAULT_HISTORY_SIZE
 from repro.core.interface import PublishReceipt, TPSInterface
-from repro.core.subscriber import TPSPipeReader
 from repro.core.type_registry import Criteria, type_name
-from repro.core.wire_finder import TPSMyInputPipe, TPSMyOutputPipe, TPSWireServiceFinder
+from repro.core.wire_finder import TPSWireServiceFinder
 from repro.jxta.advertisement import PeerGroupAdvertisement
 from repro.jxta.ids import BoundedIdSet, PeerID
 from repro.jxta.message import Message
 from repro.jxta.peer import Peer
-from repro.jxta.wire import DeliveryFailure
+from repro.jxta.wire import DeliveryFailure, WireOutputPipe
 from repro.serialization.object_codec import ObjectCodec
 
 #: How many recently seen application-level message ids the duplicate filter
@@ -131,23 +131,13 @@ class TPSConfig:
     serve_history: bool = False
 
 
-@dataclass
-class TPSAttachment:
-    """One advertisement the engine is attached to, with its pipes."""
-
-    advertisement: PeerGroupAdvertisement
-    finder: TPSWireServiceFinder
-    output_pipe: Optional[TPSMyOutputPipe] = None
-    input_pipe: Optional[TPSMyInputPipe] = None
-
-    @property
-    def group_id(self):
-        """The attached advertisement's group ID."""
-        return self.advertisement.get_gid()
-
-
 class TPSAdvertisementsManager:
-    """Finds/creates the type's advertisements and manages the attachments."""
+    """Finds/creates the type's advertisements and manages the attachments.
+
+    An attachment is the :class:`TPSWireServiceFinder` of one advertisement;
+    it joins ``attachments`` only once its output pipe is open, so every
+    attachment can publish.
+    """
 
     def __init__(self, engine: "JxtaTPSEngine") -> None:
         self.engine = engine
@@ -156,7 +146,7 @@ class TPSAdvertisementsManager:
         self.finder = TPSAdvertisementsFinder(
             group, PS_PREFIX + engine.registry.advertised_name
         )
-        self.attachments: List[TPSAttachment] = []
+        self.attachments: List[TPSWireServiceFinder] = []
         self.created_own = False
         self._started = False
 
@@ -179,11 +169,9 @@ class TPSAdvertisementsManager:
     def stop(self) -> None:
         """Stop searching and close every pipe."""
         self.finder.stop()
+        self.close_readers()
         for attachment in self.attachments:
-            if attachment.input_pipe is not None:
-                attachment.input_pipe.close()
-            if attachment.output_pipe is not None:
-                attachment.output_pipe.close()
+            attachment.output_pipe.close()
 
     def _create_if_needed(self) -> None:
         if self.attachments or not self.engine.config.create_if_missing:
@@ -203,19 +191,16 @@ class TPSAdvertisementsManager:
         if criteria is not None and not criteria.matches_advertisement(advertisement):
             return
         gid = advertisement.get_gid()
-        if any(attachment.group_id == gid for attachment in self.attachments):
+        if any(a.pg_advertisement.get_gid() == gid for a in self.attachments):
             return
-        finder = TPSWireServiceFinder(self.engine.peer.world_group, advertisement)
-        finder.lookup_wire_service()
-        output_pipe = finder.create_output_pipe(
+        attachment = TPSWireServiceFinder(self.engine.peer.world_group, advertisement)
+        attachment.lookup_wire_service()
+        output_pipe = attachment.create_output_pipe(
             extra_send_cost=self.engine.send_overhead,
             reliable=self.engine.config.reliable_delivery,
         )
         if self.engine.config.reliable_delivery:
             output_pipe.add_failure_listener(self.engine._on_delivery_failure)
-        attachment = TPSAttachment(
-            advertisement=advertisement, finder=finder, output_pipe=output_pipe
-        )
         self.attachments.append(attachment)
         # serve_history keeps a reader open even with no subscriptions, so a
         # publisher-only engine can still hear (and answer) catch-up
@@ -246,11 +231,19 @@ class TPSAdvertisementsManager:
                 attachment.input_pipe.close()
                 attachment.input_pipe = None
 
-    def _open_reader(self, attachment: TPSAttachment) -> None:
-        reader = TPSPipeReader(self.engine)
-        attachment.input_pipe = attachment.finder.create_input_pipe(
-            reader, processing_cost=self.engine.receive_overhead
+    def _open_reader(self, attachment: TPSWireServiceFinder) -> None:
+        attachment.create_input_pipe(
+            self.engine._on_wire_message, processing_cost=self.engine.receive_overhead
         )
+
+    def output_pipes(self, operation: str) -> List[WireOutputPipe]:
+        """Every attachment's output pipe, refusing ``operation`` before the first."""
+        if not self.attachments:
+            raise NotInitializedError(
+                f"the TPS interface for {self.engine.registry.interface_name} has no "
+                f"attached advertisement yet; run the network (settle) before {operation}"
+            )
+        return [attachment.output_pipe for attachment in self.attachments]
 
 
 class JxtaTPSEngine(TPSInterface):
@@ -360,7 +353,7 @@ class JxtaTPSEngine(TPSInterface):
     @property
     def ready(self) -> bool:
         """Whether at least one advertisement is attached (publishing will work)."""
-        return any(a.output_pipe is not None for a in self.manager.attachments)
+        return bool(self.manager.attachments)
 
     @property
     def attachment_count(self) -> int:
@@ -374,19 +367,14 @@ class JxtaTPSEngine(TPSInterface):
         self._check_open()
         self._check_affinity("publish")
         self.registry.check_publishable(event)
-        attachments = [a for a in self.manager.attachments if a.output_pipe is not None]
-        if not attachments:
-            raise NotInitializedError(
-                f"the TPS interface for {self.registry.interface_name} has no attached "
-                "advertisement yet; run the network (settle) to let initialisation finish"
-            )
+        output_pipes = self.manager.output_pipes("publishing")
         message_id = self.peer.next_id("t")
         # Record before sending so the stamped offset matches the store: a
         # catch-up replay of ``sent.since(offset)`` re-produces exactly the
         # messages (same ids, same offsets) that went on the wire.
         sent_offset = self._sent.append(event, meta=message_id)
         message = self._event_message(event, message_id, sent_offset)
-        receipts = [attachment.output_pipe.send(message) for attachment in attachments]
+        receipts = [output_pipe.send(message) for output_pipe in output_pipes]
         self.peer.metrics.counter("tps_published").increment()
         cpu_time = sum(receipt.cpu_time for receipt in receipts)
         completion = max(receipt.completion_time for receipt in receipts)
@@ -455,13 +443,7 @@ class JxtaTPSEngine(TPSInterface):
         """
         self._check_open()
         self._check_affinity("request_history")
-        attachments = [a for a in self.manager.attachments if a.output_pipe is not None]
-        if not attachments:
-            raise NotInitializedError(
-                f"the TPS interface for {self.registry.interface_name} has no "
-                "attached advertisement yet; run the network (settle) before "
-                "requesting history"
-            )
+        output_pipes = self.manager.output_pipes("requesting history")
         if since is None:
             lines = [
                 f"{urn} {offset + 1}"
@@ -475,10 +457,10 @@ class JxtaTPSEngine(TPSInterface):
             lines = [f"* {max(0, since)}"]
         message = Message()
         message.add(TPS_HISTORY_REQUEST_ELEMENT, "\n".join(lines))
-        for attachment in attachments:
-            attachment.output_pipe.send(message)
+        for output_pipe in output_pipes:
+            output_pipe.send(message)
         self.peer.metrics.counter("tps_history_requests").increment()
-        return len(attachments)
+        return len(output_pipes)
 
     def _serve_history_request(self, text: str, source: Optional[PeerID]) -> None:
         """Replay retained sent history to answer a peer's catch-up request."""
@@ -502,16 +484,15 @@ class JxtaTPSEngine(TPSInterface):
                 since = offset
         if since is None:
             return  # the request names other sources only
-        attachments = [a for a in self.manager.attachments if a.output_pipe is not None]
-        if not attachments:
-            return
+        # A request arrives on a reader, and a reader opens only on an attachment.
+        output_pipes = self.manager.output_pipes("serving history")
         replayed = 0
         for offset, event, meta in self._sent.since(max(0, since)):
             if not (isinstance(meta, str) and meta):
                 continue  # no recorded message id: cannot replay exactly-once
             message = self._event_message(event, meta, offset)
-            for attachment in attachments:
-                attachment.output_pipe.send(message)
+            for output_pipe in output_pipes:
+                output_pipe.send(message)
             replayed += 1
         if replayed:
             self.peer.metrics.counter("tps_history_replays").increment()
@@ -695,7 +676,6 @@ __all__ = [
     "JxtaTPSEngine",
     "resolve_jxta_config",
     "TPSAdvertisementsManager",
-    "TPSAttachment",
     "TPSConfig",
     "TPS_EVENT_ELEMENT",
     "TPS_HISTORY_REQUEST_ELEMENT",

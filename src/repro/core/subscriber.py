@@ -3,11 +3,12 @@
 "This block stores all the call-back interfaces and exception handlers.  It
 also starts and stops the subscriptions."  (paper, Section 3.4)
 
-:class:`TPSSubscriberManager` is the interface repository;
-:class:`TPSPipeReader` is the reader the paper attaches to each wire input
-pipe "in order to receive the events" -- it hands raw wire messages to the
-engine, which decodes, type-checks, de-duplicates and dispatches them to the
-registered callbacks.
+:class:`TPSSubscriberManager` is the interface repository.  The reader the
+paper attaches to each wire input pipe "in order to receive the events" is
+the engine's :meth:`~repro.core.jxta_engine.JxtaTPSEngine._on_wire_message`
+itself, registered as the pipe's listener: it decodes, type-checks and
+de-duplicates each raw wire message, then hands the event to
+:meth:`TPSSubscriberManager.dispatch`.
 
 Locking model: every mutation (``add``/``discard``/``remove``) serialises on
 the manager's private lock and ends by swapping in a freshly built, immutable
@@ -27,12 +28,9 @@ import threading
 from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.subscriptions import CircuitBreaker
-from repro.jxta.ids import PeerID
-from repro.jxta.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.interface import Subscription
-    from repro.core.jxta_engine import JxtaTPSEngine
 
 
 class TPSSubscriberManager:
@@ -218,15 +216,4 @@ class TPSSubscriberManager:
                 pass
 
 
-class TPSPipeReader:
-    """The wire input pipe listener: feeds received messages to the engine."""
-
-    def __init__(self, engine: "JxtaTPSEngine") -> None:
-        self.engine = engine
-
-    def __call__(self, message: Message, source: PeerID) -> None:
-        """Wire pipe listener entry point."""
-        self.engine._on_wire_message(message, source)
-
-
-__all__ = ["TPSPipeReader", "TPSSubscriberManager"]
+__all__ = ["TPSSubscriberManager"]

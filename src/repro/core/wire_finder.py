@@ -7,8 +7,12 @@ JXTA-WIRE service."  (paper, Section 3.4)
 Mirroring the paper's ``WireServiceFinder`` (Figure 17), a
 :class:`TPSWireServiceFinder` takes a peer-group advertisement that hosts the
 WIRE service, instantiates the group locally, looks the wire service up and
-hands out :class:`TPSMyInputPipe` / :class:`TPSMyOutputPipe` wrappers around
-the wire pipes.
+opens the wire pipes on it.  The finder *is* the engine's attachment to that
+advertisement: it keeps the :class:`~repro.jxta.wire.WireOutputPipe` it
+publishes on and, while somebody is subscribed, the
+:class:`~repro.jxta.wire.WireInputPipe` whose listener is the engine's
+reader.  Closing a wire input pipe is its own business (it leaves the wire
+service's delivery table and its PBP binding), so nothing here wraps it.
 """
 
 from __future__ import annotations
@@ -18,84 +22,13 @@ from typing import Optional
 from repro.core.exceptions import PSException
 from repro.jxta.advertisement import PeerGroupAdvertisement, PipeAdvertisement
 from repro.jxta.errors import JxtaError
-from repro.jxta.message import Message
 from repro.jxta.peergroup import PeerGroup
 from repro.jxta.pipes import PipeMessageListener
-from repro.jxta.wire import SendReceipt, WireInputPipe, WireOutputPipe, WireService
+from repro.jxta.wire import WireInputPipe, WireOutputPipe, WireService
 
 
 class WireServiceFinderException(PSException):
     """Raised when the wire service (or its pipe) cannot be found or created."""
-
-
-class TPSMyInputPipe:
-    """TPS-side wrapper around a wire input pipe plus its source advertisement."""
-
-    def __init__(
-        self,
-        pipe: WireInputPipe,
-        advertisement: PeerGroupAdvertisement,
-        wire_service: Optional[WireService] = None,
-    ) -> None:
-        self.pipe = pipe
-        self.advertisement = advertisement
-        self._wire_service = wire_service
-
-    @property
-    def pipe_id(self):
-        """The underlying pipe's ID."""
-        return self.pipe.pipe_id
-
-    @property
-    def received_count(self) -> int:
-        """Number of messages delivered to this pipe."""
-        return self.pipe.received_count
-
-    def add_listener(self, listener: PipeMessageListener) -> None:
-        """Register a message listener on the underlying pipe."""
-        self.pipe.add_listener(listener)
-
-    def close(self) -> None:
-        """Close the underlying pipe, deregistering it from the wire service.
-
-        Routing the close through :meth:`WireService.close_input_pipe` (when
-        the service is known) removes the pipe from the service's delivery
-        table, so late messages count as ``wire_unbound_deliveries`` instead
-        of being silently eaten by a closed ``InputPipe.receive``.
-        """
-        if self._wire_service is not None:
-            self._wire_service.close_input_pipe(self.pipe)
-        else:
-            self.pipe.close()
-
-
-class TPSMyOutputPipe:
-    """TPS-side wrapper around a wire output pipe plus its source advertisement."""
-
-    def __init__(self, pipe: WireOutputPipe, advertisement: PeerGroupAdvertisement) -> None:
-        self.pipe = pipe
-        self.advertisement = advertisement
-
-    @property
-    def pipe_id(self):
-        """The underlying pipe's ID."""
-        return self.pipe.pipe_id
-
-    def send(self, message: Message) -> SendReceipt:
-        """Send a message on the underlying wire pipe (``msg.dup()`` is handled there)."""
-        return self.pipe.send(message)
-
-    def add_failure_listener(self, listener) -> None:
-        """Register a terminal-delivery-failure listener on the wire pipe."""
-        self.pipe.add_failure_listener(listener)
-
-    def resolved_targets(self) -> int:
-        """Number of remote peers currently resolved for this pipe."""
-        return len(self.pipe.resolved_peers())
-
-    def close(self) -> None:
-        """Close the underlying pipe."""
-        self.pipe.close()
 
 
 class TPSWireServiceFinder:
@@ -105,8 +38,8 @@ class TPSWireServiceFinder:
 
         finder = TPSWireServiceFinder(world_group, pg_advertisement)
         finder.lookup_wire_service()
-        input_pipe = finder.create_input_pipe(listener)
-        output_pipe = finder.create_output_pipe()
+        finder.create_input_pipe(listener)   # -> finder.input_pipe
+        finder.create_output_pipe()          # -> finder.output_pipe
     """
 
     def __init__(self, peer_group: PeerGroup, pg_advertisement: PeerGroupAdvertisement) -> None:
@@ -114,8 +47,8 @@ class TPSWireServiceFinder:
         self.pg_advertisement = pg_advertisement
         self.wire_group: Optional[PeerGroup] = None
         self.wire_service: Optional[WireService] = None
-        self.my_input_pipe: Optional[TPSMyInputPipe] = None
-        self.my_output_pipe: Optional[TPSMyOutputPipe] = None
+        self.input_pipe: Optional[WireInputPipe] = None
+        self.output_pipe: Optional[WireOutputPipe] = None
 
     # ---------------------------------------------------------------- lookup
 
@@ -146,42 +79,34 @@ class TPSWireServiceFinder:
         listener: Optional[PipeMessageListener] = None,
         *,
         processing_cost: float = 0.0,
-    ) -> TPSMyInputPipe:
-        """Create the wire input pipe used to receive events for this type."""
+    ) -> WireInputPipe:
+        """Open the wire input pipe used to receive events for this type."""
         wire = self._require_wire()
         pipe_advertisement = self.get_pipe_advertisement()
         try:
-            pipe = wire.create_input_pipe(
+            self.input_pipe = wire.create_input_pipe(
                 pipe_advertisement, listener, processing_cost=processing_cost
             )
         except JxtaError as exc:
             raise WireServiceFinderException("Unable to create the input pipe.") from exc
-        self.my_input_pipe = TPSMyInputPipe(pipe, self.pg_advertisement, wire)
-        return self.my_input_pipe
+        return self.input_pipe
 
     def create_output_pipe(
         self,
         *,
         extra_send_cost: float = 0.0,
         reliable: bool = False,
-    ) -> TPSMyOutputPipe:
-        """Create the wire output pipe used to publish events for this type."""
+    ) -> WireOutputPipe:
+        """Open the wire output pipe used to publish events for this type."""
         wire = self._require_wire()
         pipe_advertisement = self.get_pipe_advertisement()
         try:
-            pipe = wire.create_output_pipe(
+            self.output_pipe = wire.create_output_pipe(
                 pipe_advertisement, extra_send_cost=extra_send_cost, reliable=reliable
             )
         except JxtaError as exc:
             raise WireServiceFinderException("Unable to create the output pipe.") from exc
-        self.my_output_pipe = TPSMyOutputPipe(pipe, self.pg_advertisement)
-        return self.my_output_pipe
-
-    def publish(self, message: Message) -> SendReceipt:
-        """Send a message on the output pipe (Figure 17's ``publish``)."""
-        if self.my_output_pipe is None:
-            raise WireServiceFinderException("no output pipe has been created")
-        return self.my_output_pipe.send(message.dup())
+        return self.output_pipe
 
     def _require_wire(self) -> WireService:
         if self.wire_service is None:
@@ -190,9 +115,4 @@ class TPSWireServiceFinder:
         return self.wire_service
 
 
-__all__ = [
-    "TPSMyInputPipe",
-    "TPSMyOutputPipe",
-    "TPSWireServiceFinder",
-    "WireServiceFinderException",
-]
+__all__ = ["TPSWireServiceFinder", "WireServiceFinderException"]

@@ -325,15 +325,8 @@ class EndpointService:
             return True
         return self._relay_through_router(envelope)
 
-    def _packet(self, destination: str, kind: TransportKind, payload: bytes, ttl: int) -> Packet:
-        return Packet(
-            source=self.node.address,
-            destination=destination,
-            payload=payload,
-            protocol="jxta",
-            transport=kind.value,
-            ttl=ttl,
-        )
+    def _packet(self, destination: str, kind: TransportKind, payload: bytes) -> Packet:
+        return Packet(self.node.address, destination, payload, transport=kind.value)
 
     def _send_packet(self, address: str, envelope: EndpointEnvelope) -> bool:
         """Send directly to ``address`` over TCP, then HTTP.
@@ -345,7 +338,7 @@ class EndpointService:
         payload = envelope.to_bytes()
         for kind in (TransportKind.TCP, TransportKind.HTTP):
             try:
-                self.node.send(self._packet(address, kind, payload, envelope.ttl))
+                self.node.send(self._packet(address, kind, payload))
             except NetworkError:
                 continue
             self.metrics.counter("endpoint_sent").increment()
@@ -384,7 +377,7 @@ class EndpointService:
         # 1. IP multicast on the local segment (if we have the interface).
         if self.node.supports(TransportKind.MULTICAST):
             packet = self._packet(
-                Packet.MULTICAST_ADDRESS, TransportKind.MULTICAST, envelope.to_bytes(), envelope.ttl
+                Packet.MULTICAST_ADDRESS, TransportKind.MULTICAST, envelope.to_bytes()
             )
             try:
                 self.node.send(packet)

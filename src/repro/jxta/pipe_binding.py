@@ -73,16 +73,19 @@ class PipeBindingService:
         )
         urn = advertisement.pipe_id.to_urn()
         if urn not in self._local:
-            self._local[urn] = []
             # First local input pipe for this pipe: listen for data envelopes.
             self.peer.endpoint.register_listener(
                 self.DATA_SERVICE_NAME, urn, self._on_data_envelope
             )
-        self._local[urn].append(pipe)
         self.peer.metrics.counter("pipes_input_created").increment()
-        if announce:
-            self._announce(advertisement.pipe_id, bind=True)
+        self.bind(pipe, announce=announce)
         return pipe
+
+    def bind(self, pipe: InputPipe, *, announce: bool = True) -> None:
+        """Record ``pipe`` as a local binding and announce it (``PipeBind``)."""
+        self._local.setdefault(pipe.pipe_id.to_urn(), []).append(pipe)
+        if announce:
+            self._announce(pipe.pipe_id, bind=True)
 
     def unbind(self, pipe: InputPipe) -> None:
         """Remove a local binding (called by :meth:`InputPipe.close`)."""

@@ -82,7 +82,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.jxta.advertisement import PipeAdvertisement
 from repro.jxta.endpoint import EndpointEnvelope
@@ -226,7 +226,32 @@ class SendReceipt:
 
 
 class WireInputPipe(InputPipe):
-    """A wire (many-to-many) input pipe; deliveries arrive via the wire service."""
+    """A wire (many-to-many) input pipe; deliveries arrive via the wire service.
+
+    :meth:`close` is the one close path: the pipe leaves the wire service's
+    delivery table (the last pipe of an id also drops the endpoint listener),
+    so its ``processing_cost`` stops being charged and late traffic for the
+    id is refused (``endpoint_unhandled``, or ``wire_unbound_deliveries`` at
+    the service) instead of queued for a closed pipe; then, like any input
+    pipe, it removes its PBP binding.
+    """
+
+    def __init__(
+        self, advertisement: PipeAdvertisement, wire_service: "WireService", **options: Any
+    ) -> None:
+        super().__init__(advertisement, wire_service.group.pipe_service, **options)
+        self._wire = wire_service
+
+    def close(self) -> None:
+        """Leave the wire service's delivery table, then unbind.  Idempotent."""
+        urn = self.pipe_id.to_urn()
+        inputs = self._wire._inputs
+        if self in inputs.get(urn, ()):
+            inputs[urn].remove(self)
+            if not inputs[urn]:
+                del inputs[urn]
+                self._wire.peer.endpoint.unregister_listener(WireService.WireName, urn)
+        super().close()
 
 
 class WireOutputPipe:
@@ -375,23 +400,15 @@ class WireService:
         (its output pipe's ``reliable``); an input pipe serves both kinds.
         """
         pipe = WireInputPipe(
-            advertisement,
-            self.group.pipe_service,
-            listener=listener,
-            processing_cost=processing_cost,
+            advertisement, self, listener=listener, processing_cost=processing_cost
         )
         urn = advertisement.pipe_id.to_urn()
         if urn not in self._inputs:
             self._inputs[urn] = []
             self.peer.endpoint.register_listener(self.WireName, urn, self._on_wire_envelope)
         self._inputs[urn].append(pipe)
-        # Register the binding with the PBP so remote output pipes resolve us,
-        # and announce it.
-        binding_service = self.group.pipe_service
-        binding_service._local.setdefault(urn, [])
-        if pipe not in binding_service._local[urn]:
-            binding_service._local[urn].append(pipe)
-        binding_service._announce(advertisement.pipe_id, bind=True)
+        # Bind with the PBP (and announce it) so remote output pipes resolve us.
+        self.group.pipe_service.bind(pipe)
         self.peer.metrics.counter("wire_input_pipes").increment()
         return pipe
 
@@ -418,17 +435,6 @@ class WireService:
             self.group.pipe_service.resolve(advertisement.pipe_id)
         self.peer.metrics.counter("wire_output_pipes").increment()
         return pipe
-
-    def close_input_pipe(self, pipe: WireInputPipe) -> None:
-        """Close a wire input pipe and drop its binding."""
-        urn = pipe.pipe_id.to_urn()
-        pipes = self._inputs.get(urn, [])
-        if pipe in pipes:
-            pipes.remove(pipe)
-        if not pipes and urn in self._inputs:
-            del self._inputs[urn]
-            self.peer.endpoint.unregister_listener(self.WireName, urn)
-        pipe.close()
 
     def input_pipes(self, pipe_id: PipeID) -> List[WireInputPipe]:
         """Wire input pipes this peer has open for ``pipe_id``."""

@@ -286,7 +286,6 @@ class Network:
         ``packets_blocked`` when a firewall refused it), never in
         ``packets_offered``.
         """
-        packet.created_at = self.simulator.now
         if packet.is_multicast:
             self._transmit_multicast(sender, packet)
         else:

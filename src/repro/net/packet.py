@@ -8,16 +8,16 @@ and firewalls need.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional
-
-_packet_counter = itertools.count(1)
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(eq=False)
 class Packet:
     """A single datagram travelling through the simulated network.
+
+    A packet is its own identity (``eq=False``): two packets with the same
+    fields are still two datagrams.  Relay hops and their TTL live in the
+    JXTA endpoint envelope inside ``payload``, not here.
 
     Attributes
     ----------
@@ -32,14 +32,6 @@ class Packet:
         firewalls to apply protocol-specific rules.
     transport:
         Transport kind used for this hop (``"tcp"``, ``"http"``, ``"multicast"``).
-    ttl:
-        Remaining relay hops before the packet is dropped.
-    relay_path:
-        Addresses of relays the packet has traversed, in order.
-    packet_id:
-        Monotonically increasing identifier, unique per process.
-    created_at:
-        Virtual time at which the packet was created (set by the sender).
     """
 
     source: str
@@ -47,10 +39,6 @@ class Packet:
     payload: bytes
     protocol: str = "jxta"
     transport: str = "tcp"
-    ttl: int = 8
-    relay_path: list[str] = field(default_factory=list)
-    packet_id: int = field(default_factory=lambda: next(_packet_counter))
-    created_at: float = 0.0
 
     MULTICAST_ADDRESS = "*"
 
@@ -64,25 +52,6 @@ class Packet:
         """True when the packet targets every reachable node."""
         return self.destination == self.MULTICAST_ADDRESS
 
-    def with_relay(self, relay_address: str) -> "Packet":
-        """Return a copy of the packet after passing through ``relay_address``.
-
-        The copy has its TTL decremented and the relay appended to
-        ``relay_path``.  The original packet is left untouched so that metrics
-        can still inspect it.
-        """
-        return Packet(
-            source=self.source,
-            destination=self.destination,
-            payload=self.payload,
-            protocol=self.protocol,
-            transport=self.transport,
-            ttl=self.ttl - 1,
-            relay_path=[*self.relay_path, relay_address],
-            packet_id=self.packet_id,
-            created_at=self.created_at,
-        )
-
     def retargeted(self, destination: str) -> "Packet":
         """Return a copy of the packet addressed to ``destination``.
 
@@ -94,15 +63,11 @@ class Packet:
             payload=self.payload,
             protocol=self.protocol,
             transport=self.transport,
-            ttl=self.ttl,
-            relay_path=list(self.relay_path),
-            packet_id=self.packet_id,
-            created_at=self.created_at,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Packet(#{self.packet_id} {self.source}->{self.destination} "
+            f"Packet({self.source}->{self.destination} "
             f"{self.size}B via {self.transport})"
         )
 

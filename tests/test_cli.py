@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.__main__ import main
 
 
@@ -37,3 +42,17 @@ def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+def test_setup_py_declares_the_src_package():
+    """``setup.py`` names the package and reads its version from the source."""
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.split() == ["repro", repro.__version__]

@@ -56,7 +56,7 @@ class TestInitialization:
         assert interface.ready
         assert interface.manager.created_own
         # The advertisement is named PS$ + the hierarchy root's type name.
-        advertisement = interface.manager.attachments[0].advertisement
+        advertisement = interface.manager.attachments[0].pg_advertisement
         assert advertisement.name.startswith(PS_PREFIX)
         assert type_name(SkiRental).split(".")[-1] not in ("",)
         assert "RentalOffer" in advertisement.name
@@ -213,6 +213,35 @@ class TestPublishSubscribe:
         assert (
             subscriber.peer.metrics.counters().get("tps_duplicates_filtered", 0) >= 1
         )
+
+    def test_resubscribe_churn_leaves_one_reader_per_attachment(self, lan):
+        """50 unsubscribe/resubscribe cycles close every reader they open:
+        each attachment ends with one open wire input pipe, one PBP binding
+        and one endpoint listener for its pipe, and delivery is still once."""
+        builder = lan
+        config = TPSConfig(search_timeout=2.0)
+        publisher = _interface(builder.peer_named("peer-0"), config=config)
+        subscriber = _interface(builder.peer_named("peer-1"), config=config)
+        inbox = []
+        subscriber.subscribe(inbox.append)
+        builder.settle(rounds=16)
+        assert subscriber.attachment_count == 2
+        for _ in range(50):
+            subscriber.unsubscribe()
+            subscriber.subscribe(inbox.append)
+        builder.settle(rounds=4)
+        listeners = subscriber.peer.endpoint._listeners
+        for attachment in subscriber.manager.attachments:
+            reader = attachment.input_pipe
+            assert reader is not None and not reader.closed
+            wire = attachment.wire_service
+            assert wire.input_pipes(reader.pipe_id) == [reader]
+            assert wire.group.pipe_service.local_pipes(reader.pipe_id) == [reader]
+            urn = reader.pipe_id.to_urn()
+            assert [key for key in listeners if key[1] == urn] == [(wire.WireName, urn)]
+        publisher.publish(SkiRental("s", 1.0, "b", 1))
+        builder.settle(rounds=8)
+        assert len(inbox) == 1
 
     def test_invocation_cost_includes_layer_overheads(self, lan):
         builder = lan

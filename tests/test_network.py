@@ -255,19 +255,12 @@ class TestFirewallIntegration:
 
 
 class TestPacket:
-    def test_with_relay_decrements_ttl_and_records_path(self):
-        packet = Packet(source="a", destination="b", payload=b"x", ttl=3)
-        relayed = packet.with_relay("relay-1")
-        assert relayed.ttl == 2
-        assert relayed.relay_path == ["relay-1"]
-        assert packet.ttl == 3  # original untouched
-        assert relayed.packet_id == packet.packet_id
-
     def test_retargeted_keeps_identity(self):
-        packet = Packet(source="a", destination="*", payload=b"x")
+        packet = Packet(source="a", destination="*", payload=b"x", transport="multicast")
         copy = packet.retargeted("c")
         assert copy.destination == "c"
-        assert copy.packet_id == packet.packet_id
+        assert copy.payload is packet.payload
+        assert (copy.source, copy.transport) == ("a", "multicast")
         assert packet.destination == "*"
 
     def test_size_and_multicast_flag(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.jxta.advertisement import PipeAdvertisement
+from repro.jxta.endpoint import EndpointEnvelope
 from repro.jxta.errors import PipeError
 from repro.jxta.ids import PeerID, PipeID
 from repro.jxta.message import Message
@@ -480,7 +481,7 @@ class TestWireService:
         builder.settle(rounds=2)
         output.send(_message("first"))
         builder.settle(rounds=4)
-        beta.world_group.wire.close_input_pipe(pipe)
+        pipe.close()
         builder.settle(rounds=2)
         output.send(_message("second"))
         builder.settle(rounds=4)
@@ -572,12 +573,55 @@ class TestWireService:
         first = wire.create_input_pipe(advertisement)
         second = wire.create_input_pipe(advertisement)
         assert wire.input_pipes(advertisement.pipe_id) == [first, second]
-        wire.close_input_pipe(first)
+        first.close()
         assert wire.input_pipes(advertisement.pipe_id) == [second]
         assert beta.world_group.pipe_service.has_local_binding(advertisement.pipe_id)
-        wire.close_input_pipe(second)
+        second.close()
         assert wire.input_pipes(advertisement.pipe_id) == []
         assert not beta.world_group.pipe_service.has_local_binding(advertisement.pipe_id)
+
+    def test_close_leaves_the_wire_delivery_table(self, two_peers):
+        """``pipe.close()`` alone takes a wire input pipe out of the wire
+        service: it is no longer listed (so no longer charged its
+        ``processing_cost``) nor listened for, and late traffic for its id
+        is refused and counted instead of being queued for a closed pipe."""
+        alpha, beta, builder = two_peers
+        wire = beta.world_group.wire
+        advertisement = _pipe_adv(kind=PipeKind.WIRE)
+        urn = advertisement.pipe_id.to_urn()
+        inbox = []
+        pipe = wire.create_input_pipe(advertisement, lambda m, s: inbox.append(m))
+        builder.settle(rounds=2)
+        output = alpha.world_group.wire.create_output_pipe(advertisement)
+        builder.settle(rounds=2)
+        pipe.close()
+        assert wire.input_pipes(advertisement.pipe_id) == []
+        assert (WireService.WireName, urn) not in beta.endpoint._listeners
+        builder.settle(rounds=2)
+        unhandled = beta.metrics.counters().get("endpoint_unhandled", 0)
+        output.send(_message("over the network"))
+        builder.settle(rounds=4)
+        # A message reaching the wire service for the closed id anyway.
+        late = _message("late")
+        late.add(WIRE_SRC_ELEMENT, alpha.peer_id.to_urn())
+        envelope = EndpointEnvelope(
+            src_peer=alpha.peer_id.to_urn(),
+            src_address=alpha.node.address,
+            dst_peer=beta.peer_id.to_urn(),
+            service=WireService.WireName,
+            param=urn,
+            envelope_id="late",
+            ttl=1,
+            propagate=False,
+            body=late.to_bytes(),
+        )
+        wire._on_wire_envelope(envelope, late)
+        builder.settle(rounds=4)
+        counters = beta.metrics.counters()
+        assert inbox == []
+        assert counters["endpoint_unhandled"] == unhandled + 1
+        assert counters.get("wire_unbound_deliveries", 0) == 1
+        assert counters.get("wire_closed_pipe_drops", 0) == 0
 
 
 class TestReliableWire:

@@ -161,28 +161,24 @@ class TestWireServiceFinder:
         sub_finder = TPSWireServiceFinder(beta.world_group, advertisement)
         sub_finder.lookup_wire_service()
         received = []
-        sub_finder.create_input_pipe(lambda message, source: received.append(message))
+        input_pipe = sub_finder.create_input_pipe(
+            lambda message, source: received.append(message)
+        )
+        assert sub_finder.input_pipe is input_pipe
         builder.settle(rounds=2)
         # Publisher side (alpha): output pipe.
         pub_finder = TPSWireServiceFinder(alpha.world_group, advertisement)
         assert isinstance(pub_finder.lookup_wire_service(), WireService)
         output = pub_finder.create_output_pipe()
+        assert pub_finder.output_pipe is output
         builder.settle(rounds=2)
-        assert output.resolved_targets() == 1
+        assert output.resolved_peers() == [beta.peer_id]
         message = Message()
         message.add("payload", "through the finder")
-        pub_finder.publish(message)
+        output.send(message)
         builder.settle(rounds=4)
         assert len(received) == 1
         assert received[0].get_text("payload") == "through the finder"
-
-    def test_publish_without_output_pipe_raises(self, two_peers):
-        alpha, _beta, _builder = two_peers
-        advertisement = self._advertisement(alpha.world_group)
-        finder = TPSWireServiceFinder(alpha.world_group, advertisement)
-        finder.lookup_wire_service()
-        with pytest.raises(WireServiceFinderException):
-            finder.publish(Message())
 
     def test_advertisement_without_wire_service_rejected(self, two_peers):
         alpha, _beta, _builder = two_peers

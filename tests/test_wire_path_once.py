@@ -80,7 +80,7 @@ class _CountingFirewall(Firewall):
         self.asked = []
 
     def permits(self, packet, direction):
-        self.asked.append((packet.packet_id, direction))
+        self.asked.append((id(packet), direction))
         return super().permits(packet, direction)
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lint demo: the concurrency rules catching a buggy engine patch.
 
-The snippet below is the kind of change the ``repro.analysis`` lint engine
+The snippet below is the kind of change the ``repro.analysis`` lint
 exists to reject: it takes the subscriber manager's lock with a bare
 ``acquire()`` (RL001), calls the subscriber callback while still holding it
 (RL002), mutates the ``_handlers`` snapshot in place (RL003), reads the
@@ -22,7 +22,7 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.analysis import DEFAULT_PROFILE, LintEngine, count_by_rule
+from repro.analysis import RULES, count_by_rule, lint_source
 
 BUGGY_PATCH = '''\
 import time
@@ -65,10 +65,8 @@ class Dispatcher:
 
 
 def main() -> None:
-    engine = LintEngine(DEFAULT_PROFILE)
-
     print("linting the buggy patch (as if it were repro/core/dispatcher.py):\n")
-    run = engine.lint_source(
+    run = lint_source(
         BUGGY_PATCH, path="repro/core/dispatcher.py", module="repro.core.dispatcher"
     )
     for finding in run.findings:
@@ -76,10 +74,10 @@ def main() -> None:
     counts = count_by_rule(run.findings)
     print(f"\ncaught {len(run.findings)} violation(s): "
           + ", ".join(f"{rule} x{count}" for rule, count in counts.items()))
-    print(f"distinct rules fired: {len(counts)} of {len(engine.rule_ids)}")
+    print(f"distinct rules fired: {len(counts)} of {len(RULES)}")
 
     print("\nlinting the idiomatic fix:\n")
-    fixed = engine.lint_source(
+    fixed = lint_source(
         FIXED_PATCH, path="repro/core/dispatcher.py", module="repro.core.dispatcher"
     )
     print(f"findings on the fixed version: {len(fixed.findings)}")

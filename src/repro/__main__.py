@@ -89,7 +89,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import run
+    from repro.analysis.runner import run
 
     return run(args)
 
@@ -146,24 +146,12 @@ def main(argv=None) -> int:
         help="emit the repro-lint/v1 JSON document instead of the text report",
     )
     lint.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline of grandfathered findings (default: lint-baseline.json if present)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    lint.add_argument(
         "--rules", action="append", metavar="IDS", default=None,
         help="comma-separated rule ids to run (repeatable; default: all)",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
-        help="list the registered rules and their scopes, then exit",
+        help="list the rules and their scopes, then exit",
     )
     lint.set_defaults(func=_cmd_lint)
 

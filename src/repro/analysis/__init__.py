@@ -1,70 +1,46 @@
-"""repro.analysis: the AST lint engine that machine-checks the locking model.
+"""repro.analysis: the AST lint that machine-checks the locking model.
 
 The concurrency conventions this repo runs on -- locks held only via
 ``with``, no user-code call-outs under a lock, immutable dispatch snapshots,
-simclock-only time on simulated paths -- were previously enforced by review
-alone.  This package turns them into executable rules:
+simclock-only time on simulated paths -- are executable rules:
 
-* :mod:`repro.analysis.engine` -- file walker + per-rule dispatch,
-* :mod:`repro.analysis.registry` -- the rule registry (mirrors
-  :mod:`repro.core.bindings`),
-* :mod:`repro.analysis.rules` -- the built-in pack RL001..RL005 and the
-  declarative per-package :data:`~repro.analysis.rules.DEFAULT_PROFILE`,
-* :mod:`repro.analysis.suppress` -- ``# repro-lint: disable=...`` pragmas,
-* :mod:`repro.analysis.baseline` -- the committed grandfather file,
-* :mod:`repro.analysis.cli` -- ``python -m repro lint``.
+* :mod:`repro.analysis.rules` -- the five rule classes RL001..RL005 and the
+  :data:`~repro.analysis.rules.RULES` tuple,
+* :mod:`repro.analysis.runner` -- file walker, inline pragmas, the one
+  :data:`~repro.analysis.runner.EXEMPTION`, the text and ``repro-lint/v1``
+  JSON reports, and ``python -m repro lint``.
 
 The invariants themselves are documented in ``docs/CONCURRENCY.md``; the
 tier-1 gate test (``tests/test_lint_gate.py``) keeps the tree clean.
 """
 
-from repro.analysis.baseline import BASELINE_SCHEMA, Baseline, BaselineEntry
-from repro.analysis.engine import LintEngine, RuleScope, collect_files, module_name
-from repro.analysis.findings import (
-    Finding,
+from repro.analysis.findings import Finding
+from repro.analysis.rules import RULES, Rule
+from repro.analysis.runner import (
+    EXEMPTION,
     LintRun,
     PARSE_ERROR_RULE,
     SCHEMA,
-    build_document,
     count_by_rule,
-    format_report,
-    validate_document,
+    is_exempt,
+    lint_paths,
+    lint_source,
+    module_name,
+    select_rules,
 )
-from repro.analysis.registry import (
-    LintConfigError,
-    LintContext,
-    LintRule,
-    get_rule,
-    register_rule,
-    registered_rules,
-    rule_titles,
-    unregister_rule,
-)
-from repro.analysis.rules import DEFAULT_PROFILE
 
 __all__ = [
-    "BASELINE_SCHEMA",
-    "Baseline",
-    "BaselineEntry",
-    "DEFAULT_PROFILE",
+    "EXEMPTION",
     "Finding",
-    "LintConfigError",
-    "LintContext",
-    "LintEngine",
-    "LintRule",
     "LintRun",
     "PARSE_ERROR_RULE",
-    "RuleScope",
+    "RULES",
+    "Rule",
     "SCHEMA",
-    "build_document",
-    "collect_files",
     "count_by_rule",
-    "format_report",
-    "get_rule",
+    "is_exempt",
+    "lint_paths",
+    "lint_source",
     "module_name",
-    "register_rule",
-    "registered_rules",
-    "rule_titles",
-    "unregister_rule",
-    "validate_document",
+    "select_rules",
 ]

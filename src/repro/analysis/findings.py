@@ -1,29 +1,17 @@
-"""Finding objects and the ``repro-lint/v1`` JSON document.
+"""The :class:`Finding`: one rule violation at one source location.
 
-A :class:`Finding` is one rule violation: rule id, ``file:line:column``
-anchor, a one-line message and a *fix hint* pointing at the invariant's
-documentation (``docs/CONCURRENCY.md``).  The ``snippet`` field carries the
-stripped source line the finding anchors to -- that, not the line number, is
-what the baseline matches on, so a baselined exception survives unrelated
-edits above it.
-
-:func:`build_document` renders a lint run as the ``repro-lint/v1`` JSON
-document (the analysis counterpart of ``repro-bench/v1`` in
-:mod:`repro.bench.perf`), and :func:`validate_document` checks one the same
-way ``tests/test_perf_harness.py`` checks bench documents.
+A finding carries the rule id, the ``file:line:column`` anchor, a one-line
+message and a *fix hint* pointing at the invariant's documentation
+(``docs/CONCURRENCY.md``).  The ``snippet`` field carries the stripped
+source line the finding anchors to -- that, not the line number, is what the
+one exemption (:data:`repro.analysis.runner.EXEMPTION`) matches on, so it
+survives unrelated edits above it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
-
-#: The JSON document schema identifier emitted by ``python -m repro lint --json``.
-SCHEMA = "repro-lint/v1"
-
-#: Rule id reserved for files the engine cannot parse (not a registered
-#: rule: a syntax error precedes every other invariant).
-PARSE_ERROR_RULE = "RL000"
+from dataclasses import dataclass
+from typing import Any, Dict
 
 
 @dataclass(frozen=True)
@@ -37,17 +25,12 @@ class Finding:
     message: str
     #: How to fix it (or where the invariant is documented).
     hint: str = ""
-    #: The stripped source line the finding anchors to; the baseline key.
+    #: The stripped source line the finding anchors to; the exemption key.
     snippet: str = ""
 
     @property
-    def key(self) -> Tuple[str, str, str]:
-        """The identity the baseline matches on: (rule, path, snippet).
-
-        Deliberately line-number-free, so grandfathered findings survive
-        edits elsewhere in the file.
-        """
-        return (self.rule, _posix(self.path), self.snippet)
+    def posix_path(self) -> str:
+        return self.path.replace("\\", "/")
 
     def format(self) -> str:
         """``path:line:col: RULE message  [hint]`` -- the text-report line."""
@@ -60,7 +43,7 @@ class Finding:
     def to_json(self) -> Dict[str, Any]:
         return {
             "rule": self.rule,
-            "path": _posix(self.path),
+            "path": self.posix_path,
             "line": self.line,
             "column": self.column,
             "message": self.message,
@@ -69,115 +52,4 @@ class Finding:
         }
 
 
-def _posix(path: str) -> str:
-    return path.replace("\\", "/")
-
-
-@dataclass
-class LintRun:
-    """Everything one engine run produced, before baseline filtering."""
-
-    findings: List[Finding] = field(default_factory=list)
-    #: Findings silenced by inline ``# repro-lint: disable=...`` pragmas.
-    suppressed: int = 0
-    #: Python files actually linted.
-    files: int = 0
-
-
-def build_document(
-    findings: Sequence[Finding],
-    *,
-    paths: Sequence[str],
-    rules: Sequence[str],
-    files: int,
-    suppressed: int,
-    baselined: int,
-) -> Dict[str, Any]:
-    """Render a lint run as the ``repro-lint/v1`` JSON document."""
-    from repro._version import __version__
-
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "paths": [_posix(path) for path in paths],
-        "rules": list(rules),
-        "files": files,
-        "findings": [finding.to_json() for finding in findings],
-        "counts": dict(sorted(counts.items())),
-        "suppressed": suppressed,
-        "baselined": baselined,
-    }
-
-
-def validate_document(document: Any) -> List[str]:
-    """Why ``document`` is not a well-formed ``repro-lint/v1`` document.
-
-    Returns a list of problem strings (empty when the document is valid),
-    mirroring :func:`repro.bench.perf.validate_document`.
-    """
-    problems: List[str] = []
-    if not isinstance(document, dict):
-        return [f"document must be a mapping, got {type(document).__name__}"]
-    if document.get("schema") != SCHEMA:
-        problems.append(f"schema must be {SCHEMA!r}, got {document.get('schema')!r}")
-    for key, kind in (
-        ("version", str),
-        ("paths", list),
-        ("rules", list),
-        ("files", int),
-        ("findings", list),
-        ("counts", dict),
-        ("suppressed", int),
-        ("baselined", int),
-    ):
-        if not isinstance(document.get(key), kind):
-            problems.append(f"{key} must be a {kind.__name__}")
-    for index, entry in enumerate(document.get("findings") or ()):
-        if not isinstance(entry, dict):
-            problems.append(f"findings[{index}] must be a mapping")
-            continue
-        for key in ("rule", "path", "line", "column", "message", "hint", "snippet"):
-            if key not in entry:
-                problems.append(f"findings[{index}] missing {key!r}")
-    return problems
-
-
-def format_report(
-    findings: Sequence[Finding],
-    *,
-    files: int,
-    suppressed: int,
-    baselined: int,
-) -> str:
-    """The human-readable lint report."""
-    lines = [finding.format() for finding in findings]
-    summary = (
-        f"{len(findings)} finding(s) in {files} file(s)"
-        f" ({suppressed} suppressed inline, {baselined} baselined)"
-    )
-    if lines:
-        return "\n".join(lines) + "\n\n" + summary
-    return summary
-
-
-def count_by_rule(findings: Iterable[Finding]) -> Dict[str, int]:
-    """Finding counts keyed by rule id, sorted by rule id."""
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-__all__ = [
-    "Finding",
-    "LintRun",
-    "PARSE_ERROR_RULE",
-    "SCHEMA",
-    "build_document",
-    "count_by_rule",
-    "format_report",
-    "validate_document",
-]
+__all__ = ["Finding"]

@@ -28,27 +28,45 @@ there.
   ``pass``/``continue``/constant ``return``): on dispatch paths this hides
   subscriber bugs the error-handler routing exists to surface.
 
-:data:`DEFAULT_PROFILE` is the declarative per-package configuration table:
-which packages each rule runs over and the option overrides (e.g. the RL003
-snapshot-attribute set).  New subsystems opt in by extending the scopes
-here, mirroring how new bindings register in :mod:`repro.core.bindings`.
+Each rule is a :class:`Rule` subclass that carries its own scope
+(``packages``) and tables (the RL003 snapshot attributes, the RL004 banned
+names) as class constants; :data:`RULES` is the pack.  A new subsystem opts
+in to RL004 by adding its package to ``Determinism.packages``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Iterator, Optional, Type
-
-from repro.analysis.engine import RuleScope
-from repro.analysis.registry import LintContext, LintRule, register_rule
+from typing import Any, Iterator, List, Optional, Tuple
 
 #: Where the invariants are documented; every hint points here.
 DOC = "docs/CONCURRENCY.md"
 
+#: What ``Rule.check`` yields: the node to anchor at, the message, the hint.
+Violation = Tuple[ast.AST, str, str]
 
-def _builtin(rule_class: Type[LintRule]) -> Type[LintRule]:
-    """Register a built-in rule; ``replace=True`` keeps module reloads safe."""
-    return register_rule(rule_class, replace=True)
+
+class Rule:
+    """One invariant: ``check`` yields a :data:`Violation` per breach.
+
+    ``packages`` is the rule's scope: dotted package prefixes
+    (``"repro.net"``) it runs over; empty means every linted file.
+    """
+
+    rule_id = ""
+    title = ""
+    rationale = ""
+    packages: Tuple[str, ...] = ()
+
+    @classmethod
+    def applies_to(cls, module: str) -> bool:
+        return not cls.packages or any(
+            module == package or module.startswith(package + ".")
+            for package in cls.packages
+        )
+
+    def check(self, tree: ast.Module, module: str) -> Iterator[Violation]:
+        raise NotImplementedError
 
 
 def _terminal_name(node: ast.AST) -> Optional[str]:
@@ -75,8 +93,7 @@ def _dotted(node: ast.AST) -> str:
     return "<expr>"
 
 
-@_builtin
-class NoRawAcquire(LintRule):
+class NoRawAcquire(Rule):
     """RL001: locks are held via ``with``, never bare acquire()/release()."""
 
     rule_id = "RL001"
@@ -86,7 +103,7 @@ class NoRawAcquire(LintRule):
         "between them; 'with lock:' cannot"
     )
 
-    def check(self, tree: ast.Module, context: LintContext) -> Iterator[Any]:
+    def check(self, tree: ast.Module, module: str) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
@@ -94,16 +111,15 @@ class NoRawAcquire(LintRule):
                 and node.func.attr in ("acquire", "release")
             ):
                 receiver = _dotted(node.func.value)
-                yield context.finding(
+                yield (
                     node,
                     f"raw {node.func.attr}() on {receiver}: hold locks with a "
                     f"'with' statement",
-                    hint=f"rewrite as 'with {receiver}:' ({DOC}#rl001)",
+                    f"rewrite as 'with {receiver}:' ({DOC}#rl001)",
                 )
 
 
-@_builtin
-class NoCallOutUnderLock(LintRule):
+class NoCallOutUnderLock(Rule):
     """RL002: no user-code call-outs while holding an internal lock."""
 
     rule_id = "RL002"
@@ -124,8 +140,8 @@ class NoCallOutUnderLock(LintRule):
     #: event loop's readiness -- the ASYNC binding's loop-confined state
     #: must never wait on thread locks, so the hand-off happens after
     #: release, like any other call-out.
-    default_options = {
-        "call_outs": (
+    call_outs = frozenset(
+        (
             "handle",
             "handle_error",
             "dispatch",
@@ -142,12 +158,11 @@ class NoCallOutUnderLock(LintRule):
             "call_soon_threadsafe",
             "create_task",
             "ensure_future",
-        ),
-    }
+        )
+    )
 
-    def check(self, tree: ast.Module, context: LintContext) -> Iterator[Any]:
-        call_outs = frozenset(context.options["call_outs"])
-        findings = []
+    def check(self, tree: ast.Module, module: str) -> Iterator[Violation]:
+        findings: List[Violation] = []
 
         def visit(node: ast.AST, lock_depth: int) -> None:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -164,16 +179,14 @@ class NoCallOutUnderLock(LintRule):
                     return
             elif isinstance(node, ast.Call) and lock_depth > 0:
                 name = _terminal_name(node.func)
-                if name in call_outs:
+                if name in self.call_outs:
                     findings.append(
-                        context.finding(
+                        (
                             node,
                             f"call to {_dotted(node.func)}() inside a "
                             f"'with <lock>:' body",
-                            hint=(
-                                "snapshot under the lock, call out after "
-                                f"releasing it ({DOC}#rl002)"
-                            ),
+                            "snapshot under the lock, call out after "
+                            f"releasing it ({DOC}#rl002)",
                         )
                     )
             for child in ast.iter_child_nodes(node):
@@ -203,8 +216,7 @@ _MUTATORS = frozenset(
 )
 
 
-@_builtin
-class SnapshotMutation(LintRule):
+class SnapshotMutation(Rule):
     """RL003: snapshot attributes are rebound to tuples, never mutated."""
 
     rule_id = "RL003"
@@ -214,16 +226,18 @@ class SnapshotMutation(LintRule):
         "mutation lets them observe a half-built value"
     )
     #: Attribute names documented as immutable dispatch snapshots.
-    default_options = {
-        "snapshot_attrs": ("_handlers",),
-    }
+    #: ``_handlers``: the TPSSubscriberManager dispatch snapshot.
+    #: ``_topology``: ShardedLocalBus's (epoch number, Placement) pair, read
+    #: lock-free once per batch; ``shards``/``placement``/``shard_ids`` are
+    #: its public views and the ring's id tuple.
+    snapshot_attrs = frozenset(
+        ("_handlers", "_topology", "shards", "placement", "shard_ids")
+    )
 
-    def check(self, tree: ast.Module, context: LintContext) -> Iterator[Any]:
-        attrs = frozenset(context.options["snapshot_attrs"])
-
+    def check(self, tree: ast.Module, module: str) -> Iterator[Violation]:
         def names_snapshot(node: ast.AST) -> bool:
             name = _terminal_name(node)
-            return name in attrs
+            return name in self.snapshot_attrs
 
         hint = f"swap in a freshly built tuple under the lock instead ({DOC}#rl003)"
         for node in ast.walk(tree):
@@ -233,31 +247,31 @@ class SnapshotMutation(LintRule):
                 and node.func.attr in _MUTATORS
                 and names_snapshot(node.func.value)
             ):
-                yield context.finding(
+                yield (
                     node,
                     f"in-place {node.func.attr}() on snapshot attribute "
                     f"{_dotted(node.func.value)}",
-                    hint=hint,
+                    hint,
                 )
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript) and names_snapshot(target.value):
-                        yield context.finding(
+                        yield (
                             node,
                             f"item assignment into snapshot attribute "
                             f"{_dotted(target.value)}",
-                            hint=hint,
+                            hint,
                         )
                     elif (
                         isinstance(target, ast.Attribute)
-                        and target.attr in attrs
+                        and target.attr in self.snapshot_attrs
                         and _rebinds_to_list(node.value)
                     ):
-                        yield context.finding(
+                        yield (
                             node,
                             f"snapshot attribute {_dotted(target)} rebound to a "
                             f"list; snapshots must be immutable tuples",
-                            hint=hint,
+                            hint,
                         )
             elif isinstance(node, ast.AugAssign) and (
                 names_snapshot(node.target)
@@ -266,20 +280,20 @@ class SnapshotMutation(LintRule):
                     and names_snapshot(node.target.value)
                 )
             ):
-                yield context.finding(
+                yield (
                     node,
                     "augmented assignment on snapshot attribute "
                     f"{_dotted(node.target if not isinstance(node.target, ast.Subscript) else node.target.value)}",
-                    hint=hint,
+                    hint,
                 )
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript) and names_snapshot(target.value):
-                        yield context.finding(
+                        yield (
                             node,
                             f"item deletion from snapshot attribute "
                             f"{_dotted(target.value)}",
-                            hint=hint,
+                            hint,
                         )
 
 
@@ -296,8 +310,7 @@ def _rebinds_to_list(value: ast.AST) -> bool:
     )
 
 
-@_builtin
-class Determinism(LintRule):
+class Determinism(Rule):
     """RL004: simclock time and injected seeded RNGs only on sim paths."""
 
     rule_id = "RL004"
@@ -306,32 +319,36 @@ class Determinism(LintRule):
         "wall-clock reads and the process-global RNG make simulated runs "
         "unreproducible; use simclock and repro.net.entropy"
     )
-    default_options = {
-        #: Modules whose import alone is a violation in scoped packages.
-        "banned_modules": ("time", "random", "datetime"),
-        #: module -> attributes flagged when referenced (``uuid`` stays
-        #: importable for its deterministic constructors; only the
-        #: entropy-reading calls are banned).
-        "banned_attrs": {
-            "uuid": ("uuid1", "uuid4", "getnode"),
-            "datetime": ("now", "utcnow", "today"),
-        },
+    # The simulated substrate and the engine core; bench/ and apps/ measure
+    # and demo against the real world and are out of scope by construction.
+    # ``repro.core`` includes the asyncio binding (``repro.core.async_engine``):
+    # it runs on real loops, so it must not smuggle in wall-clock/RNG imports
+    # either -- its one clock read goes through the owning loop's
+    # ``loop.time()``.  ``repro.storage`` is the durable history store: file
+    # I/O is in scope too -- no wall-clock record timestamps; anything
+    # time-like must come from an injected clock so log replay stays
+    # deterministic.  ``repro.testing`` checks that simulated runs replay, so
+    # it must not read a wall clock or the global RNG itself.
+    packages = ("repro.net", "repro.jxta", "repro.core", "repro.storage", "repro.testing")
+    #: Modules whose import alone is a violation in scoped packages.
+    banned_modules = frozenset(("time", "random", "datetime"))
+    #: module -> attributes flagged when referenced (``uuid`` stays
+    #: importable for its deterministic constructors; only the
+    #: entropy-reading calls are banned).
+    banned_attrs = {
+        "uuid": frozenset(("uuid1", "uuid4", "getnode")),
+        "datetime": frozenset(("now", "utcnow", "today")),
     }
 
-    def check(self, tree: ast.Module, context: LintContext) -> Iterator[Any]:
-        banned_modules = frozenset(context.options["banned_modules"])
-        banned_attrs = {
-            module: frozenset(attrs)
-            for module, attrs in dict(context.options["banned_attrs"]).items()
-        }
+    def check(self, tree: ast.Module, module: str) -> Iterator[Violation]:
         hint = (
             "inject a seeded RNG / virtual clock, or route through the "
             f"audited helpers in repro/net/entropy.py ({DOC}#rl004)"
         )
-        findings = []
+        findings: List[Violation] = []
 
         def flag(node: ast.AST, message: str) -> None:
-            findings.append(context.finding(node, message, hint=hint))
+            findings.append((node, message, hint))
 
         def visit(node: ast.AST) -> None:
             # Typing-only code never executes: skip ``if TYPE_CHECKING:``
@@ -359,25 +376,25 @@ class Determinism(LintRule):
                 return
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name.split(".")[0] in banned_modules:
+                    if alias.name.split(".")[0] in self.banned_modules:
                         flag(
                             node,
                             f"import of nondeterministic module {alias.name!r} "
-                            f"in {context.module}",
+                            f"in {module}",
                         )
             elif isinstance(node, ast.ImportFrom):
                 root = (node.module or "").split(".")[0]
-                if node.level == 0 and root in banned_modules:
+                if node.level == 0 and root in self.banned_modules:
                     flag(
                         node,
                         f"import from nondeterministic module {node.module!r} "
-                        f"in {context.module}",
+                        f"in {module}",
                     )
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 base = node.value.id
-                if base in banned_modules and base not in banned_attrs:
+                if base in self.banned_modules and base not in self.banned_attrs:
                     flag(node, f"use of {base}.{node.attr} on a deterministic path")
-                elif node.attr in banned_attrs.get(base, ()):
+                elif node.attr in self.banned_attrs.get(base, ()):
                     flag(node, f"use of {base}.{node.attr} on a deterministic path")
             for child in ast.iter_child_nodes(node):
                 visit(child)
@@ -390,8 +407,7 @@ class Determinism(LintRule):
 _BROAD = frozenset(("Exception", "BaseException"))
 
 
-@_builtin
-class BareExceptSwallow(LintRule):
+class BareExceptSwallow(Rule):
     """RL005: no bare excepts; broad catches must not silently swallow."""
 
     rule_id = "RL005"
@@ -401,28 +417,24 @@ class BareExceptSwallow(LintRule):
         "error-handler routing exists to surface"
     )
 
-    def check(self, tree: ast.Module, context: LintContext) -> Iterator[Any]:
+    def check(self, tree: ast.Module, module: str) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
-                yield context.finding(
+                yield (
                     node,
                     "bare 'except:' clause",
-                    hint=(
-                        "name the exception type; route dispatch errors to "
-                        f"the paired handler ({DOC}#rl005)"
-                    ),
+                    "name the exception type; route dispatch errors to "
+                    f"the paired handler ({DOC}#rl005)",
                 )
             elif _catches_broad(node.type) and _swallows(node.body):
-                yield context.finding(
+                yield (
                     node,
                     f"broad 'except {_dotted(node.type)}:' silently swallows "
                     "the error",
-                    hint=(
-                        "count it, log it, or route it to the error handler "
-                        f"({DOC}#rl005)"
-                    ),
+                    "count it, log it, or route it to the error handler "
+                    f"({DOC}#rl005)",
                 )
 
 
@@ -445,52 +457,17 @@ def _swallows(body: Any) -> bool:
     return True
 
 
-#: The declarative per-package configuration table: which packages each rule
-#: runs over, and the rule-option overrides.  This is the single place a new
-#: subsystem opts in -- mirroring how bindings register in
-#: ``repro/core/bindings.py`` rather than each module hard-coding policy.
-DEFAULT_PROFILE = {
-    # Locking invariants hold repo-wide (empty scope = every linted file).
-    "RL001": RuleScope(),
-    "RL002": RuleScope(),
-    "RL003": RuleScope(
-        options={
-            # ``_handlers``: the TPSSubscriberManager dispatch snapshot.
-            # ``_topology``: ShardedLocalBus's (epoch number, Placement)
-            # pair, read lock-free once per batch; ``shards``/``placement``/
-            # ``shard_ids`` are its public views and the ring's id tuple.
-            "snapshot_attrs": (
-                "_handlers",
-                "_topology",
-                "shards",
-                "placement",
-                "shard_ids",
-            ),
-        }
-    ),
-    # Determinism applies to the simulated substrate and the engine core;
-    # bench/ and apps/ measure and demo against the real world and are out
-    # of scope by construction.  ``repro.core`` includes the asyncio
-    # binding (``repro.core.async_engine``): it runs on real loops, so it
-    # must not smuggle in wall-clock/RNG imports either -- its one clock
-    # read goes through the owning loop's ``loop.time()``.
-    # ``repro.storage`` is the durable history store: file I/O is in scope
-    # too -- no wall-clock record timestamps; anything time-like must come
-    # from an injected clock so log replay stays deterministic.
-    # ``repro.testing`` checks that simulated runs replay, so it must not
-    # read a wall clock or the global RNG itself.
-    "RL004": RuleScope(
-        packages=("repro.net", "repro.jxta", "repro.core", "repro.storage", "repro.testing")
-    ),
-    "RL005": RuleScope(),
-}
+#: The rule pack, in rule-id order: ``python -m repro lint`` runs these.
+RULES = (NoRawAcquire, NoCallOutUnderLock, SnapshotMutation, Determinism, BareExceptSwallow)
 
 
 __all__ = [
     "BareExceptSwallow",
-    "DEFAULT_PROFILE",
     "Determinism",
     "NoCallOutUnderLock",
     "NoRawAcquire",
+    "RULES",
+    "Rule",
     "SnapshotMutation",
+    "Violation",
 ]

@@ -151,21 +151,6 @@ class PublishReceipt:
         """Total retransmissions performed (so far) for this publish."""
         return sum(tracker.retries for tracker in self.delivery_trackers)
 
-    @property
-    def acked_targets(self) -> int:
-        """Targets that acknowledged delivery (so far)."""
-        return sum(len(tracker.acked) for tracker in self.delivery_trackers)
-
-    @property
-    def failed_targets(self) -> int:
-        """Targets for which delivery terminally failed."""
-        return sum(len(tracker.failed) for tracker in self.delivery_trackers)
-
-    @property
-    def delivery_settled(self) -> bool:
-        """Whether every tracked target reached a terminal state (True when untracked)."""
-        return all(tracker.settled for tracker in self.delivery_trackers)
-
 
 class TPSInterfaceCore(abc.ABC, Generic[EventT]):
     """The front-end-agnostic half of the TPS interface.

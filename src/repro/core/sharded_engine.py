@@ -330,7 +330,7 @@ class ShardedLocalBus(LocalBus):
                 # _executor_lock so shutdown() cannot retire the executor
                 # between its creation above and the submits; run_lane is
                 # our own worker shim, not user code.
-                executor.submit(run_lane, positions)  # repro-lint: disable=RL002
+                executor.submit(run_lane, positions)  # repro-lint: disable=RL002 - run_lane is our worker shim, not user code
                 for positions in grouped[1:]
             ]
         # The caller works one lane instead of idling in result(); it is

@@ -79,10 +79,6 @@ class Firewall:
         #: Packets this firewall refused (see :meth:`permits`).
         self.blocked_count = 0
 
-    def add_rule(self, rule: FirewallRule) -> None:
-        """Append a rule (evaluated after all existing rules)."""
-        self.rules.append(rule)
-
     def allows(self, transport: str, protocol: str, direction: Direction) -> bool:
         """The policy's answer for one kind of traffic: a query, counts nothing."""
         for rule in self.rules:

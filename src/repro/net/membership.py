@@ -168,10 +168,6 @@ class MembershipMonitor:
         """URNs currently considered ``ALIVE``."""
         return [urn for urn, m in self._members.items() if m.state == ALIVE]
 
-    def suspects(self) -> List[str]:
-        """URNs currently ``SUSPECT`` (not yet confirmed dead)."""
-        return [urn for urn, m in self._members.items() if m.state == SUSPECT]
-
     # ------------------------------------------------------------- listeners
 
     def add_listener(self, listener: MembershipListener) -> None:

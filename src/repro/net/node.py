@@ -93,20 +93,6 @@ class Node:
         interface = self.interfaces.get(kind)
         return interface is not None and interface.enabled
 
-    def enable_interface(self, kind: TransportKind | str, enabled: bool = True) -> None:
-        """Enable or disable one of the node's interfaces."""
-        if isinstance(kind, str):
-            kind = TransportKind(kind)
-        if kind not in self.interfaces:
-            self.interfaces[kind] = NetworkInterface(transport=transport_for(kind), enabled=enabled)
-        else:
-            self.interfaces[kind].enabled = enabled
-
-    def shared_transports(self, other: "Node") -> List[TransportKind]:
-        """Transport kinds both nodes expose, preferring TCP over HTTP over multicast."""
-        order = [TransportKind.TCP, TransportKind.HTTP, TransportKind.MULTICAST]
-        return [k for k in order if self.supports(k) and other.supports(k)]
-
     # ------------------------------------------------------------- lifecycle
 
     def go_offline(self) -> None:
@@ -122,10 +108,6 @@ class Node:
     def add_handler(self, handler: PacketHandler) -> None:
         """Register a callback invoked for every delivered packet."""
         self._handlers = self._handlers + (handler,)
-
-    def remove_handler(self, handler: PacketHandler) -> None:
-        """Unregister a previously added callback (missing handlers are ignored)."""
-        self._handlers = tuple(h for h in self._handlers if h != handler)
 
     # ----------------------------------------------------------------- I/O
 

@@ -5,7 +5,7 @@
   equal digests, in one process and across interpreters.
 
 The package is in the lint's determinism scope (RL004, see
-:data:`repro.analysis.rules.DEFAULT_PROFILE`): a harness that checks replay
+``repro.analysis.rules.Determinism.packages``): a harness that checks replay
 must not read wall clocks or the global RNG itself.
 """
 

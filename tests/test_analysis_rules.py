@@ -1,10 +1,10 @@
-"""Fixture-pair tests for the repro.analysis rule pack and engine plumbing.
+"""Fixture-pair tests for the repro.analysis rule pack and its runner.
 
 Every rule gets at least one *bad* fixture (the rule must fire: a proven
 true positive) and one *good* fixture (the idiomatic version of the same
-code; the rule must stay silent: a proven true negative).  Then the engine
-seams: inline suppressions, the baseline round-trip, scoping, the registry,
-and the CLI exit-code contract.
+code; the rule must stay silent: a proven true negative).  Then the runner
+seams: inline suppressions, the one exemption, scoping, the rule pack, and
+the CLI exit-code contract.
 """
 
 from __future__ import annotations
@@ -15,30 +15,29 @@ import textwrap
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineEntry,
-    DEFAULT_PROFILE,
-    LintConfigError,
-    LintEngine,
-    LintRule,
+    EXEMPTION,
+    Finding,
     PARSE_ERROR_RULE,
-    RuleScope,
-    get_rule,
+    RULES,
+    is_exempt,
+    lint_source,
     module_name,
-    register_rule,
-    registered_rules,
-    unregister_rule,
-    validate_document,
+    select_rules,
 )
+from repro.analysis.rules import Determinism, NoRawAcquire
 from repro.__main__ import main
 
-
-ENGINE = LintEngine(DEFAULT_PROFILE)
+#: The ``repro-lint/v1`` document's keys, and each finding's.
+DOCUMENT_KEYS = {
+    "schema", "version", "paths", "rules", "files", "findings", "counts",
+    "suppressed", "baselined",
+}
+FINDING_KEYS = {"rule", "path", "line", "column", "message", "hint", "snippet"}
 
 
 def findings_for(source: str, module: str = "repro.net.fixture"):
     """Lint a dedented fixture as if it lived at ``module``."""
-    run = ENGINE.lint_source(textwrap.dedent(source), module=module)
+    run = lint_source(textwrap.dedent(source), module=module)
     return run.findings
 
 
@@ -347,7 +346,7 @@ def test_rl005_silent_when_error_is_routed_or_counted():
 
 
 def test_line_pragma_silences_one_rule():
-    run = ENGINE.lint_source(
+    run = lint_source(
         textwrap.dedent(
             """
             def deliver(self, event):
@@ -364,7 +363,7 @@ def test_line_pragma_silences_one_rule():
 
 
 def test_line_pragma_only_covers_its_own_line():
-    run = ENGINE.lint_source(
+    run = lint_source(
         textwrap.dedent(
             """
             import time  # repro-lint: disable=RL004
@@ -380,7 +379,7 @@ def test_line_pragma_only_covers_its_own_line():
 
 
 def test_file_pragma_silences_whole_module():
-    run = ENGINE.lint_source(
+    run = lint_source(
         textwrap.dedent(
             """
             # repro-lint: disable-file=RL004 - audited entropy module
@@ -398,7 +397,7 @@ def test_file_pragma_silences_whole_module():
 
 
 def test_pragma_inside_string_literal_does_not_count():
-    run = ENGINE.lint_source(
+    run = lint_source(
         textwrap.dedent(
             '''
             DOC = "# repro-lint: disable-file=all"
@@ -411,7 +410,7 @@ def test_pragma_inside_string_literal_does_not_count():
 
 
 def test_disable_all_wildcard():
-    run = ENGINE.lint_source(
+    run = lint_source(
         "self._lock.acquire()  # repro-lint: disable=all\n",
         module="repro.net.fixture",
     )
@@ -419,61 +418,56 @@ def test_disable_all_wildcard():
     assert run.suppressed == 1
 
 
-# ------------------------------------------------------------- baseline
+# ------------------------------------------------------------ exemption
+
+PROTECTED_PATH = "src/repro/apps/skirental/jxta_app.py"
+PROTECTED_SOURCE = f"""\
+try:
+    deliver()
+{EXEMPTION[2]}
+    pass
+"""
 
 
-def test_baseline_round_trip(tmp_path):
-    findings = findings_for(
-        """
-        def publish(self, event):
-            self._lock.acquire()
-        """
-    )
-    assert findings
-    baseline = Baseline.from_findings(findings, note="grandfathered for the test")
-    path = tmp_path / "baseline.json"
-    baseline.write(str(path))
-    loaded = Baseline.load(str(path))
-    kept, baselined = loaded.filter(findings)
-    assert kept == []
-    assert baselined == len(findings)
-
-
-def test_baseline_survives_unrelated_edits_but_not_snippet_changes():
-    entry = BaselineEntry(
-        rule="RL001",
-        path="pkg/mod.py",
-        snippet="self._lock.acquire()",
-        note="test",
-    )
-    baseline = Baseline([entry])
-    engine = LintEngine(DEFAULT_PROFILE, rules=["RL001"])
+def test_exemption_covers_the_protected_line_wherever_it_moves():
+    findings = lint_source(PROTECTED_SOURCE, path=PROTECTED_PATH).findings
+    assert [(f.rule, f.line) for f in findings] == [("RL005", 3)]
+    assert is_exempt(findings[0])
     # Same offending line, different line number (a comment inserted above).
-    moved = engine.lint_source(
-        "# an unrelated new comment\nself._lock.acquire()\n", path="pkg/mod.py"
+    moved = lint_source(
+        "# an unrelated new comment\n" + PROTECTED_SOURCE, path=PROTECTED_PATH
     ).findings
-    kept, baselined = baseline.filter(moved)
-    assert kept == [] and baselined == 1
-    # The line itself changed: the entry no longer covers it.
-    changed = engine.lint_source(
-        "self._other_lock.acquire()\n", path="pkg/mod.py"
+    assert [(f.rule, f.line) for f in moved] == [("RL005", 4)]
+    assert is_exempt(moved[0])
+
+
+def test_exemption_is_one_rule_one_file_one_snippet():
+    # The line itself changed: the exemption no longer covers it.
+    changed = lint_source(
+        PROTECTED_SOURCE.replace("broad catch", "catch"), path=PROTECTED_PATH
     ).findings
-    kept, baselined = baseline.filter(changed)
-    assert len(kept) == 1 and baselined == 0
+    assert len(changed) == 1 and not is_exempt(changed[0])
+    # The same snippet in another file, or one whose name only ends alike.
+    for path in (
+        "src/repro/apps/skirental/tps_app.py",
+        "src/repro/apps/skirental/my_jxta_app.py",
+        "src/notrepro/apps/skirental/jxta_app.py",
+    ):
+        elsewhere = lint_source(PROTECTED_SOURCE, path=path).findings
+        assert len(elsewhere) == 1 and not is_exempt(elsewhere[0]), path
+    # The same snippet and file under another rule.
+    rule, _, snippet = EXEMPTION
+    other = Finding(
+        rule="RL001", path=PROTECTED_PATH, line=3, column=0, message="", snippet=snippet
+    )
+    assert rule == "RL005" and not is_exempt(other)
 
 
-def test_baseline_rejects_malformed_file(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"schema": "something-else/v1", "entries": []}')
-    with pytest.raises(LintConfigError):
-        Baseline.load(str(path))
-
-
-# ------------------------------------------------------ engine plumbing
+# ------------------------------------------------------ runner plumbing
 
 
 def test_parse_error_yields_rl000():
-    run = ENGINE.lint_source("def broken(:\n", path="pkg/broken.py")
+    run = lint_source("def broken(:\n", path="pkg/broken.py")
     assert [f.rule for f in run.findings] == [PARSE_ERROR_RULE]
 
 
@@ -484,41 +478,23 @@ def test_module_name_anchors_at_repro():
 
 
 def test_rule_scope_prefix_matching():
-    scope = RuleScope(packages=("repro.net",))
-    assert scope.applies_to("repro.net.faults")
-    assert scope.applies_to("repro.net")
-    assert not scope.applies_to("repro.network")  # prefix is package-wise
-    assert RuleScope().applies_to("anything")
+    assert "repro.net" in Determinism.packages
+    assert Determinism.applies_to("repro.net.faults")
+    assert Determinism.applies_to("repro.net")
+    assert not Determinism.applies_to("repro.network")  # prefix is package-wise
+    assert NoRawAcquire.packages == () and NoRawAcquire.applies_to("anything")
 
 
-def test_engine_rejects_unknown_rule():
-    with pytest.raises(LintConfigError):
-        LintEngine(DEFAULT_PROFILE, rules=["RL999"])
+def test_select_rules_rejects_unknown_rule():
+    with pytest.raises(ValueError):
+        select_rules(["RL999"])
+    assert select_rules(["rl005", " RL001"]) == (RULES[0], RULES[4])
 
 
-def test_registry_round_trip_and_conflict():
-    class DemoRule(LintRule):
-        rule_id = "RLTEST"
-        title = "demo"
-        rationale = "test only"
-
-        def check(self, tree, context):
-            return iter(())
-
-    try:
-        register_rule(DemoRule)
-        assert get_rule("rltest") is DemoRule
-        assert "RLTEST" in registered_rules()
-        with pytest.raises(LintConfigError):
-            register_rule(DemoRule)  # without replace=True
-        register_rule(DemoRule, replace=True)
-    finally:
-        assert unregister_rule("RLTEST")
-
-
-def test_builtin_rules_all_registered():
-    assert set(DEFAULT_PROFILE) <= set(registered_rules())
-    assert set(DEFAULT_PROFILE) == {"RL001", "RL002", "RL003", "RL004", "RL005"}
+def test_rule_pack_is_rl001_to_rl005_in_order():
+    assert [rule.rule_id for rule in RULES] == ["RL001", "RL002", "RL003", "RL004", "RL005"]
+    for rule in RULES:
+        assert rule.title and rule.rationale, rule.rule_id
 
 
 # ------------------------------------------------------------------ CLI
@@ -539,10 +515,10 @@ def test_cli_exit_zero_and_json_schema_on_clean_file(tmp_path, capsys):
                 self._pending = self._pending + (event,)
         """,
     )
-    assert main(["lint", "--json", "--no-baseline", path]) == 0
+    assert main(["lint", "--json", path]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["schema"] == "repro-lint/v1"
-    assert validate_document(document) == []
+    assert set(document) == DOCUMENT_KEYS
     assert document["findings"] == [] and document["files"] == 1
 
 
@@ -554,31 +530,14 @@ def test_cli_exit_one_on_findings(tmp_path, capsys):
             self._lock.acquire()
         """,
     )
-    assert main(["lint", "--no-baseline", path]) == 1
+    assert main(["lint", path]) == 1
     output = capsys.readouterr().out
     assert "RL001" in output and "hint:" in output
 
 
 def test_cli_exit_two_on_usage_errors(tmp_path, capsys):
-    assert main(["lint", "--no-baseline", str(tmp_path / "missing.py")]) == 2
-    assert main(["lint", "--rules", "RL999", "--no-baseline", "."]) == 2
-
-
-def test_cli_write_then_apply_baseline(tmp_path, capsys, monkeypatch):
-    path = _write_fixture(
-        tmp_path,
-        """
-        def publish(self, event):
-            self._lock.acquire()
-        """,
-    )
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", "--baseline", str(baseline), "--write-baseline", path]) == 0
-    capsys.readouterr()
-    assert main(["lint", "--baseline", str(baseline), path]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-    # Without the baseline the finding is live again.
-    assert main(["lint", "--no-baseline", path]) == 1
+    assert main(["lint", str(tmp_path / "missing.py")]) == 2
+    assert main(["lint", "--rules", "RL999", "."]) == 2
 
 
 def test_cli_rules_filter(tmp_path, capsys):
@@ -593,10 +552,11 @@ def test_cli_rules_filter(tmp_path, capsys):
                 pass
         """,
     )
-    assert main(["lint", "--rules", "RL005", "--no-baseline", "--json", path]) == 1
+    assert main(["lint", "--rules", "RL005", "--json", path]) == 1
     document = json.loads(capsys.readouterr().out)
     assert document["rules"] == ["RL005"]
     assert {f["rule"] for f in document["findings"]} == {"RL005"}
+    assert all(set(finding) == FINDING_KEYS for finding in document["findings"])
 
 
 def test_cli_list_rules(capsys):

@@ -24,7 +24,7 @@ import io
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List
+from typing import Dict
 
 import repro.apps.skirental.jxta_app as _jxta_app
 import repro.apps.skirental.tps_app as _tps_app

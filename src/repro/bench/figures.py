@@ -27,9 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bench.scenario import (
-    JXTA_WIRE,
-    SR_JXTA,
-    SR_TPS,
     VARIANTS,
     Scenario,
     ScenarioConfig,

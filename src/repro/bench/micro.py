@@ -15,13 +15,12 @@ one-liners.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List
+from typing import Callable, List
 
-from repro.apps.skirental.types import PremiumSkiRental, RentalOffer, SkiRental
+from repro.apps.skirental.types import PremiumSkiRental, SkiRental
 from repro.core.local_engine import LocalBus, LocalTPSEngine
 from repro.core.type_registry import TypeRegistry
 from repro.jxta.message import Message
-from repro.serialization.object_codec import ObjectCodec
 
 
 def sample_offer(index: int = 0) -> SkiRental:

@@ -15,7 +15,7 @@ paper measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.apps.skirental.jxta_app import SkiRentalJxtaPublisher, SkiRentalJxtaSubscriber

@@ -102,7 +102,7 @@ from repro.core.type_registry import (
     hierarchy_root,
     type_name,
 )
-from repro.core.wire_finder import TPSWireServiceFinder, WireServiceFinderException
+from repro.core.wire_finder import TPSWireServiceFinder
 from repro.core.xml_types import (
     DynamicEvent,
     XmlEventCodec,

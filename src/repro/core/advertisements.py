@@ -120,6 +120,16 @@ class TPSAdvertisementsFinder:
     advertisement (new group ID) to the registered listeners.  Instead of a
     Java thread with ``sleep``, the periodic work is scheduled on the
     simulation clock.
+
+    Unlike Figure 16's fixed ``sleep(SLEEPING_TIME)``, the rounds back off
+    while discovery is quiet (Trickle's rule).  ``SLEEPING_TIME`` is the base
+    and the first delay after :meth:`start`.  After a round that learned
+    nothing -- no new advertisement pulled by it or pushed by a discovery
+    event since the round before -- the delay doubles, up to
+    ``MAX_BACKOFF`` times the base; after a round that learned one, it is
+    the base again.  Advertisements a peer publishes are also pushed to its
+    neighbours, so a backed-off finder still hears a new type's publisher
+    at once, and otherwise within one capped delay.
     """
 
     #: How many advertisements we accept per responding peer.
@@ -127,6 +137,8 @@ class TPSAdvertisementsFinder:
     #: Default re-query interval (seconds of virtual time), the Java thread's
     #: ``SLEEPING_TIME``.
     SLEEPING_TIME = 5.0
+    #: Quiet rounds double the delay up to this multiple of the base interval.
+    MAX_BACKOFF = 8
 
     def __init__(
         self,
@@ -153,7 +165,8 @@ class TPSAdvertisementsFinder:
     # ------------------------------------------------------------ lifecycle
 
     def start(self, *, flush: bool = True, interval: Optional[float] = None) -> None:
-        """Begin searching: flush stale caches, query now and then periodically."""
+        """Begin searching: flush stale caches, query now, then again after
+        ``interval`` (default ``SLEEPING_TIME``), backing off while quiet."""
         if self._running:
             return
         self._running = True
@@ -168,10 +181,11 @@ class TPSAdvertisementsFinder:
             self.discovery.cache.flush(DiscoveryKind.GROUP, remote_only=True)
         self.discovery.add_discovery_listener(self._on_discovery_event)
         self._poll()
+        self._interval = interval or self.SLEEPING_TIME
+        # -1: the first round counts as news, so the next is one base later.
+        self._known = -1
         self._task = self.group.peer.simulator.schedule_periodic(
-            interval or self.SLEEPING_TIME,
-            self._poll,
-            label=f"tps-finder:{self.prefix}",
+            self._interval, self._poll, label=f"tps-finder:{self.prefix}", jitter=self._backoff
         )
 
     def stop(self) -> None:
@@ -203,6 +217,13 @@ class TPSAdvertisementsFinder:
             self.kind, "Name", self.prefix + "*"
         ):
             self._handle_new_advertisement(advertisement)
+
+    def _backoff(self) -> float:
+        """The next round's delay beyond the base interval (the task's jitter)."""
+        quiet = len(self.advertisements) == self._known
+        self._known = len(self.advertisements)
+        self._factor = min(2 * self._factor, self.MAX_BACKOFF) if quiet else 1
+        return (self._factor - 1) * self._interval
 
     def _on_discovery_event(self, event: DiscoveryEvent) -> None:
         if event.kind != self.kind:

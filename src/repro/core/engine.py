@@ -51,8 +51,8 @@ from typing import Any, Generic, Optional, Sequence, Type, TypeVar
 from repro.core.bindings import BindingRequest, get_binding
 from repro.core.exceptions import PSException
 from repro.core.interface import TPSInterface
-from repro.core.jxta_engine import JxtaTPSEngine, TPSConfig
-from repro.core.local_engine import LocalBus, LocalTPSEngine
+from repro.core.jxta_engine import TPSConfig
+from repro.core.local_engine import LocalBus
 from repro.core.type_registry import Criteria, type_name, validate_event_type
 from repro.jxta.peer import Peer
 from repro.serialization.object_codec import ObjectCodec

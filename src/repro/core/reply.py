@@ -17,7 +17,7 @@ publish/subscribe flow, exactly as the paper suggests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.exceptions import PSException

@@ -22,7 +22,7 @@ itself and derives everything from it:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Type
+from typing import Any, Callable, List, Optional, Set, Type
 
 from repro.core.exceptions import PSException
 from repro.serialization.object_codec import ObjectCodec

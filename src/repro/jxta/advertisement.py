@@ -18,7 +18,7 @@ Every advertisement serialises to and parses from XML through the codec in
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Type
+from typing import Any, ClassVar, Dict, List, Optional, Type
 
 from repro.jxta.errors import AdvertisementError
 from repro.jxta.ids import JxtaID, ModuleID, PeerGroupID, PeerID, PipeID

@@ -18,12 +18,12 @@ code transliterated from the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.jxta.advertisement import PeerGroupAdvertisement
 from repro.jxta.cache import DiscoveryKind
 from repro.jxta.errors import JxtaError
-from repro.jxta.ids import PeerGroupID, PeerID, WORLD_GROUP_ID
+from repro.jxta.ids import PeerID, WORLD_GROUP_ID
 from repro.jxta.peer import Peer, PeerConfig
 from repro.jxta.peergroup import PeerGroup
 from repro.net.cost import CostModel, NoiseSource, PAPER_TESTBED

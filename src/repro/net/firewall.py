@@ -14,7 +14,7 @@ inbound TCP, which is exactly the default rule set provided by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.net.packet import Packet

@@ -32,7 +32,7 @@ decision asked as a question -- it builds no packet and counts nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.cost import CostModel, NoiseSource, PAPER_TESTBED
@@ -373,7 +373,7 @@ class Network:
             self.simulator.schedule(
                 delay + extra,
                 lambda: receiver.deliver(packet),
-                label=f"deliver:{sender.address}->{receiver.address}",
+                label="deliver",
             )
 
     # ------------------------------------------------------------------ misc

@@ -10,7 +10,7 @@ latency, bandwidth and loss and schedules delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.firewall import Firewall

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 
 class SimulationError(RuntimeError):
@@ -163,10 +163,6 @@ class Simulator:
         event = _ScheduledEvent(time=time, seq=next(self._seq), callback=callback, label=label)
         heapq.heappush(self._queue, event)
         return EventHandle(event)
-
-    def call_soon(self, callback: Callable[[], None], *, label: str = "") -> EventHandle:
-        """Schedule ``callback`` at the current instant (after already-queued events)."""
-        return self.schedule(0.0, callback, label=label)
 
     def schedule_periodic(
         self,

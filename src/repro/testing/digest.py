@@ -2,18 +2,20 @@
 
 :func:`run_digest` plays one script on a fresh simulated network -- a
 rendez-vous, one publisher peer and :data:`SUBSCRIBERS` subscriber peers,
-each with one interface of the given binding -- and hashes the ordered
-trace of what happened:
+each with one interface of the given binding -- and hashes what happened,
+as two digests:
 
-* one entry per delivery: the virtual time, the receiving peer, the
-  subscriber and the TPS message id;
+* the delivery trace: one entry per delivery, in order -- the virtual
+  time, the receiving peer, the subscriber and the TPS message id;
 * the final counter snapshot of every peer.
 
 Two runs with the same seed and binding must hash alike: in one process,
 and across fresh interpreters whatever their ``PYTHONHASHSEED``.  A
 difference is an order or identity dependence (set or dict iteration,
 ``id()``, a process-global counter) that the static RL004 rule cannot see;
-the fix belongs at its root, never in this hash.
+the fix belongs at its root, never in this hash.  A change that moves a
+delivery moves the trace digest; one that only adds or renames a counter
+moves the counters digest alone.
 
 The script has the shape of tpsbench's ``wire_lossy`` workload: 1910-byte
 messages, reliable delivery, :meth:`FaultPlan.chaos
@@ -59,10 +61,10 @@ def _recorder(trace: List[Tuple[Any, ...]], tps: Any, name: str) -> Callable[[An
     return record
 
 
-def run_digest(seed: int, binding: str = "JXTA") -> str:
-    """The SHA-256 hex digest of one scripted wire run (see module docs) on
-    ``binding``: ``"JXTA"`` or ``"SHARDED+JXTA"`` (publishing
-    single-threaded)."""
+def run_digest(seed: int, binding: str = "JXTA") -> Tuple[str, str]:
+    """The SHA-256 hex digests of the delivery trace and of the counters of
+    one scripted wire run (see module docs) on ``binding``: ``"JXTA"`` or
+    ``"SHARDED+JXTA"`` (publishing single-threaded)."""
     seed_ids(seed)
     builder = JxtaNetworkBuilder(seed=seed)
     engines: List[TPSEngine] = []
@@ -98,7 +100,7 @@ def run_digest(seed: int, binding: str = "JXTA") -> str:
         for engine in engines:
             engine.close()
         seed_ids(None)
-    return hashlib.sha256(repr((trace, counters)).encode()).hexdigest()
+    return tuple(hashlib.sha256(repr(part).encode()).hexdigest() for part in (trace, counters))
 
 
 __all__ = ["run_digest"]

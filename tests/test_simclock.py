@@ -119,15 +119,6 @@ def test_events_scheduled_during_run_are_processed():
     assert sim.now == 2.0
 
 
-def test_call_soon_runs_at_current_time():
-    sim = Simulator()
-    times = []
-    sim.run_until(4.0)
-    sim.call_soon(lambda: times.append(sim.now))
-    sim.run()
-    assert times == [4.0]
-
-
 def test_periodic_task_fires_repeatedly_and_stops():
     sim = Simulator()
     fired = []

@@ -10,6 +10,10 @@ mention counts, a docstring's included, so the scan under-counts.
 :data:`UNREFERENCED` is a ratchet: the test fails when a new unreferenced
 name appears, and also when a listed name is gone or has gained a
 reference -- so the list can only shrink.  Each entry says why it stays.
+
+A second check holds imports to zero waste: every name a ``src/repro``
+module imports is used in it, as a name or a word in one of its strings
+(which covers ``__all__`` re-exports).
 """
 
 from __future__ import annotations
@@ -136,3 +140,28 @@ def test_unreferenced_definitions_only_shrink():
         "allowlisted names that are deleted or now referenced -- drop them "
         "from UNREFERENCED:\n" + "\n".join(f"  repro.{name}" for name in gone)
     )
+
+
+def unused_imports() -> List[str]:
+    """``path:line name`` for each name a ``src/repro`` module imports and
+    never mentions again."""
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        imported: Dict[str, int] = {}
+        used = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(_WORD.findall(node.value))
+        relative = path.relative_to(REPO_ROOT)
+        found += [f"{relative}:{line} {name}" for name, line in imported.items() if name not in used]
+    return found
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

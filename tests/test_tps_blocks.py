@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.skirental.types import SkiRental
+from repro.core import TPSConfig, TPSEngine
 from repro.core.advertisements import (
     PS_PREFIX,
     TPSAdvertisementsCreator,
@@ -147,6 +149,114 @@ class TestAdvertisementsFinder:
         builder.settle(rounds=2)
         finder.stop()
         finder.stop()
+
+
+def _query_times(finder, simulator):
+    """Record the virtual time of each remote query round ``finder`` sends."""
+    times = []
+    query = finder.discovery.get_remote_advertisements
+
+    def recording(*args, **kwargs):
+        times.append(simulator.now)
+        return query(*args, **kwargs)
+
+    finder.discovery.get_remote_advertisements = recording
+    return times
+
+
+def _relative(times, start):
+    return [round(time - start, 6) for time in times]
+
+
+class TestFinderBackoff:
+    """Rounds double their delay while they learn nothing, up to the cap."""
+
+    def test_idle_rounds_double_up_to_the_cap(self, two_peers):
+        alpha, _beta, builder = two_peers
+        finder = TPSAdvertisementsFinder(alpha.world_group, PS_PREFIX + "Idle")
+        times = _query_times(finder, builder.simulator)
+        start = builder.simulator.now
+        finder.start()
+        builder.settle(rounds=200)
+        # A fixed SLEEPING_TIME loop sends 41 query rounds in these 200 s.
+        assert len(times) <= 10
+        assert _relative(times, start) == [0.0, 5.0, 15.0, 35.0, 75.0, 115.0, 155.0, 195.0]
+        finder.stop()
+
+    def test_pulled_advertisement_resets_the_delay(self, two_peers):
+        alpha, _beta, builder = two_peers
+        finder = TPSAdvertisementsFinder(alpha.world_group, PS_PREFIX + "Pulled")
+        times = _query_times(finder, builder.simulator)
+        start = builder.simulator.now
+        finder.start()
+        builder.settle(rounds=40)
+        # Published on this peer only: no discovery event, so the next
+        # round's local harvest is what pulls it in.
+        creator = TPSAdvertisementsCreator(alpha.world_group)
+        creator.discovery.publish(
+            creator.create_peer_group_advertisement("Pulled"), DiscoveryKind.GROUP
+        )
+        builder.settle(rounds=60)
+        assert len(finder.advertisements) == 1
+        assert _relative(times, start) == [0.0, 5.0, 15.0, 35.0, 75.0, 80.0, 90.0]
+        finder.stop()
+
+    def test_pushed_advertisement_resets_the_delay(self, two_peers):
+        alpha, beta, builder = two_peers
+        finder = TPSAdvertisementsFinder(alpha.world_group, PS_PREFIX + "Pushed")
+        found = []
+        finder.add_advertisements_listener(lambda advertisement: found.append(builder.simulator.now))
+        times = _query_times(finder, builder.simulator)
+        start = builder.simulator.now
+        finder.start()
+        builder.settle(rounds=40)
+        creator = TPSAdvertisementsCreator(beta.world_group)
+        creator.publish_advertisement(creator.create_peer_group_advertisement("Pushed"))
+        builder.settle(rounds=60)
+        # Heard between the rounds at 35 and 75, without a round of its own.
+        assert len(found) == 1 and 40.0 <= found[0] - start < 75.0
+        assert _relative(times, start) == [0.0, 5.0, 15.0, 35.0, 75.0, 80.0, 90.0]
+        finder.stop()
+
+    def test_stop_cancels_the_pending_round_and_start_begins_at_the_base(self, two_peers):
+        alpha, _beta, builder = two_peers
+        finder = TPSAdvertisementsFinder(alpha.world_group, PS_PREFIX + "Restart")
+        times = _query_times(finder, builder.simulator)
+        start = builder.simulator.now
+        finder.start()
+        builder.settle(rounds=20)
+        finder.stop()
+        builder.settle(rounds=100)
+        assert _relative(times, start) == [0.0, 5.0, 15.0]
+        del times[:]
+        restart = builder.simulator.now
+        finder.start()
+        builder.settle(rounds=20)
+        assert _relative(times, restart) == [0.0, 5.0, 15.0]
+        finder.stop()
+
+    def test_backed_off_subscriber_attaches_to_a_late_publisher(self, lan):
+        builder = lan
+        subscriber = TPSEngine(
+            SkiRental, peer=builder.peer_named("peer-0"), config=TPSConfig(create_if_missing=False)
+        ).new_interface("JXTA")
+        received = []
+        subscriber.subscribe(received.append)
+        builder.settle(rounds=120)
+        # Backed off to the cap: the last rounds are a capped delay apart.
+        assert subscriber.manager.finder._factor == TPSAdvertisementsFinder.MAX_BACKOFF
+        created = builder.simulator.now
+        publisher = TPSEngine(
+            SkiRental, peer=builder.peer_named("peer-1"), config=TPSConfig(search_timeout=2.0)
+        ).new_interface("JXTA")
+        cap = TPSAdvertisementsFinder.MAX_BACKOFF * TPSAdvertisementsFinder.SLEEPING_TIME
+        while not subscriber.ready and builder.simulator.now - created < cap:
+            builder.settle(rounds=1)
+        assert subscriber.ready
+        builder.settle(rounds=4)
+        publisher.publish(SkiRental("shop", 1.0, "brand", 1))
+        builder.settle(rounds=4)
+        assert len(received) == 1
 
 
 class TestWireServiceFinder:

@@ -42,7 +42,12 @@ Quickstart
 
 from __future__ import annotations
 
-from repro._version import __version__
-from repro.testbed import TPSNetwork, tps_network
+from repro._exports import lazy_exports
 
-__all__ = ["__version__", "TPSNetwork", "tps_network"]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "_version": ("__version__",),
+        "testbed": ("TPSNetwork", "tps_network"),
+    },
+)

@@ -14,8 +14,11 @@ The public API mirrors the paper's Section 3:
 * :class:`Criteria` -- advertisement and content filtering.
 * :class:`PSException` / :class:`CallBackException` -- the API's exceptions.
 
-Five bindings self-register with the binding registry
-(:mod:`repro.core.bindings`): ``"JXTA"`` (over the simulated JXTA substrate,
+Five built-in bindings register with the binding registry
+(:mod:`repro.core.bindings`) on first use -- the registry imports a
+binding's module the first time its name is asked for, and this package
+resolves its names lazily, so a LOCAL program never imports the JXTA
+substrate, the simulator or asyncio: ``"JXTA"`` (over the simulated JXTA substrate,
 :class:`JxtaTPSEngine`), ``"LOCAL"`` (in-process, :class:`LocalTPSEngine`),
 ``"SHARDED"`` (in-process over an N-shard bus, :class:`ShardedLocalBus`;
 root- or content-keyed partitioning), ``"SHARDED+JXTA"`` (one JXTA engine
@@ -38,136 +41,77 @@ context managers with idempotent ``close()``.
 
 from __future__ import annotations
 
-from repro.core.advertisements import (
-    PS_PREFIX,
-    TPSAdvertisementsCreator,
-    TPSAdvertisementsFinder,
-)
-from repro.core.async_engine import (
-    AsyncEventStream,
-    AsyncLocalBus,
-    AsyncTPSEngine,
-)
-from repro.core.bindings import (
-    BindingParam,
-    BindingRequest,
-    BindingSpec,
-    TPSBinding,
-    binding_capabilities,
-    binding_params,
-    get_binding,
-    register_binding,
-    registered_bindings,
-    unregister_binding,
-)
-from repro.core.callbacks import (
-    CollectingCallback,
-    CollectingExceptionHandler,
-    FilteringCallback,
-    FunctionCallback,
-    FunctionExceptionHandler,
-    PrintingExceptionHandler,
-    TPSCallBackInterface,
-    TPSExceptionHandler,
-)
-from repro.core.composite_engine import ShardedJxtaTPSEngine
-from repro.core.engine import TPSEngine
-from repro.core.exceptions import (
-    CallBackException,
-    NotInitializedError,
-    PSException,
-    TypeMismatchError,
-)
-from repro.core.interface import (
-    PublishReceipt,
-    Subscription,
-    TPSInterface,
-    TPSInterfaceCore,
-)
-from repro.core.jxta_engine import JxtaTPSEngine, TPSConfig
-from repro.core.local_engine import LocalBus, LocalTPSEngine
-from repro.core.reply import Reply, ReplyEndpoint, Replyable, reply
-from repro.core.sharded_engine import DEFAULT_SHARD_COUNT, ShardedLocalBus
-from repro.core.subscriber import TPSSubscriberManager
-from repro.core.subscriptions import (
-    EventStream,
-    StreamCore,
-    SubscriptionBuilder,
-    SubscriptionHandle,
-)
-from repro.core.type_registry import (
-    Criteria,
-    TypeRegistry,
-    all_subtypes,
-    hierarchy_root,
-    type_name,
-)
-from repro.core.wire_finder import TPSWireServiceFinder
-from repro.core.xml_types import (
-    DynamicEvent,
-    XmlEventCodec,
-    XmlTypeDescription,
-    describe_type,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AsyncEventStream",
-    "AsyncLocalBus",
-    "AsyncTPSEngine",
-    "BindingParam",
-    "BindingRequest",
-    "BindingSpec",
-    "DEFAULT_SHARD_COUNT",
-    "DynamicEvent",
-    "EventStream",
-    "FilteringCallback",
-    "Reply",
-    "ReplyEndpoint",
-    "Replyable",
-    "XmlEventCodec",
-    "XmlTypeDescription",
-    "describe_type",
-    "reply",
-    "CallBackException",
-    "CollectingCallback",
-    "CollectingExceptionHandler",
-    "Criteria",
-    "FunctionCallback",
-    "FunctionExceptionHandler",
-    "JxtaTPSEngine",
-    "LocalBus",
-    "LocalTPSEngine",
-    "NotInitializedError",
-    "PSException",
-    "PS_PREFIX",
-    "PrintingExceptionHandler",
-    "PublishReceipt",
-    "ShardedJxtaTPSEngine",
-    "ShardedLocalBus",
-    "StreamCore",
-    "Subscription",
-    "SubscriptionBuilder",
-    "SubscriptionHandle",
-    "TPSAdvertisementsCreator",
-    "TPSAdvertisementsFinder",
-    "TPSBinding",
-    "TPSCallBackInterface",
-    "TPSConfig",
-    "TPSEngine",
-    "TPSExceptionHandler",
-    "TPSInterface",
-    "TPSInterfaceCore",
-    "TPSSubscriberManager",
-    "TPSWireServiceFinder",
-    "TypeMismatchError",
-    "TypeRegistry",
-    "all_subtypes",
-    "binding_capabilities",
-    "binding_params",
-    "get_binding",
-    "hierarchy_root",
-    "register_binding",
-    "registered_bindings",
-    "type_name",
-    "unregister_binding",
-]
+# Eager on purpose: importing the submodule repro.core.reply binds the
+# *module* to this package's ``reply`` attribute, which a lazy export would
+# then never replace; binding the function here first keeps it.
+from repro.core.reply import reply
+
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "advertisements": (
+            "PS_PREFIX",
+            "TPSAdvertisementsCreator",
+            "TPSAdvertisementsFinder",
+        ),
+        "async_engine": ("AsyncEventStream", "AsyncLocalBus", "AsyncTPSEngine"),
+        "bindings": (
+            "BindingParam",
+            "BindingRequest",
+            "BindingSpec",
+            "TPSBinding",
+            "binding_capabilities",
+            "binding_params",
+            "get_binding",
+            "register_binding",
+            "registered_bindings",
+            "unregister_binding",
+        ),
+        "callbacks": (
+            "CollectingCallback",
+            "CollectingExceptionHandler",
+            "FilteringCallback",
+            "FunctionCallback",
+            "FunctionExceptionHandler",
+            "PrintingExceptionHandler",
+            "TPSCallBackInterface",
+            "TPSExceptionHandler",
+        ),
+        "composite_engine": ("ShardedJxtaTPSEngine",),
+        "engine": ("TPSEngine",),
+        "exceptions": (
+            "CallBackException",
+            "NotInitializedError",
+            "PSException",
+            "TypeMismatchError",
+        ),
+        "interface": ("PublishReceipt", "Subscription", "TPSInterface", "TPSInterfaceCore"),
+        "jxta_engine": ("JxtaTPSEngine", "TPSConfig"),
+        "local_engine": ("LocalBus", "LocalTPSEngine"),
+        "reply": ("Reply", "ReplyEndpoint", "Replyable", "reply"),
+        "sharded_engine": ("DEFAULT_SHARD_COUNT", "ShardedLocalBus"),
+        "subscriber": ("TPSSubscriberManager",),
+        "subscriptions": (
+            "EventStream",
+            "StreamCore",
+            "SubscriptionBuilder",
+            "SubscriptionHandle",
+        ),
+        "type_registry": (
+            "Criteria",
+            "TypeRegistry",
+            "all_subtypes",
+            "hierarchy_root",
+            "type_name",
+        ),
+        "wire_finder": ("TPSWireServiceFinder",),
+        "xml_types": (
+            "DynamicEvent",
+            "XmlEventCodec",
+            "XmlTypeDescription",
+            "describe_type",
+        ),
+    },
+)

@@ -164,28 +164,26 @@ class TPSAdvertisementsFinder:
 
     # ------------------------------------------------------------ lifecycle
 
-    def start(self, *, flush: bool = True, interval: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Begin searching: flush stale caches, query now, then again after
-        ``interval`` (default ``SLEEPING_TIME``), backing off while quiet."""
+        ``SLEEPING_TIME``, backing off while quiet."""
         if self._running:
             return
         self._running = True
-        if flush:
-            # The paper's finder flushes the whole cache at startup (Figure 16,
-            # lines 9-11).  We flush only remotely learned advertisements:
-            # locally published ones (our own peer advertisement, or another
-            # engine's type advertisement on the same peer) must stay so this
-            # peer keeps answering discovery queries for them.
-            self.discovery.cache.flush(DiscoveryKind.ADV, remote_only=True)
-            self.discovery.cache.flush(DiscoveryKind.PEER, remote_only=True)
-            self.discovery.cache.flush(DiscoveryKind.GROUP, remote_only=True)
+        # The paper's finder flushes the whole cache at startup (Figure 16,
+        # lines 9-11).  We flush only remotely learned advertisements:
+        # locally published ones (our own peer advertisement, or another
+        # engine's type advertisement on the same peer) must stay so this
+        # peer keeps answering discovery queries for them.
+        self.discovery.cache.flush(DiscoveryKind.ADV, remote_only=True)
+        self.discovery.cache.flush(DiscoveryKind.PEER, remote_only=True)
+        self.discovery.cache.flush(DiscoveryKind.GROUP, remote_only=True)
         self.discovery.add_discovery_listener(self._on_discovery_event)
         self._poll()
-        self._interval = interval or self.SLEEPING_TIME
         # -1: the first round counts as news, so the next is one base later.
         self._known = -1
         self._task = self.group.peer.simulator.schedule_periodic(
-            self._interval, self._poll, label=f"tps-finder:{self.prefix}", jitter=self._backoff
+            self.SLEEPING_TIME, self._poll, label=f"tps-finder:{self.prefix}", jitter=self._backoff
         )
 
     def stop(self) -> None:
@@ -223,7 +221,7 @@ class TPSAdvertisementsFinder:
         quiet = len(self.advertisements) == self._known
         self._known = len(self.advertisements)
         self._factor = min(2 * self._factor, self.MAX_BACKOFF) if quiet else 1
-        return (self._factor - 1) * self._interval
+        return (self._factor - 1) * self.SLEEPING_TIME
 
     def _on_discovery_event(self, event: DiscoveryEvent) -> None:
         if event.kind != self.kind:

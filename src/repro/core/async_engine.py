@@ -140,9 +140,11 @@ class AsyncLocalBus(LocalBus):
 
     The route table is :class:`~repro.core.local_engine.LocalBus`'s own:
     engines attach under their hierarchy root, publishing resolves a
-    type-indexed route row -- ``(engine, manager, criteria, record)`` tuples
-    -- and dispatches against the subscriber manager's immutable
-    ``_handlers`` snapshot.  What differs is the exclusion mechanism and the
+    type-indexed route row -- ``(engine, manager, criteria, record)`` tuples,
+    ``record`` being a ring's C-level list ``append`` -- and dispatches
+    against the subscriber manager's immutable ``_handlers`` snapshot; the
+    inherited ``_sweep`` keeps the attached rings within their resident
+    bound, a share of them per publish.  What differs is the exclusion mechanism and the
     publish: this bus is *loop-confined* -- construction captures the
     running loop, every mutating or delivering call checks it is running on
     that loop (:meth:`check_loop`), and single-threaded loop execution makes
@@ -229,9 +231,9 @@ class AsyncLocalBus(LocalBus):
         """Deliver ``event`` to every conforming engine except the publisher.
 
         Returns the number of engines delivered to.  The loop is
-        ``LocalBus.publish``'s, row body included (skip publisher/closed/
-        empty, criteria, record; per row predicate, breaker, callback, error
-        route).  The async difference is decided on the callback's *result*,
+        ``LocalBus.publish``'s, ring sweep and row body included (skip
+        publisher/closed/empty, criteria, record; per row predicate, breaker,
+        callback, error route).  The async difference is decided on the callback's *result*,
         not on the row: a plain callback's row settles inline and opens no
         coroutine, while an awaitable result -- a coroutine callback, or a
         ``"block"``-policy stream applying backpressure -- suspends *this
@@ -243,6 +245,7 @@ class AsyncLocalBus(LocalBus):
         in both modes (in ``"concurrent"`` mode: before the gather).
         """
         self.check_loop("publish")
+        self._sweep()
         targets = self._route(publisher.registry.advertised_name, type(event))
         gathered = [] if self.dispatch == "concurrent" else None
         delivered = 0

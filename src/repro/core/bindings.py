@@ -29,13 +29,16 @@ This module is that plug point:
   the built-in schemas share, and :class:`SharedBusCache` -- the
   registry-built shared-bus cache behind SHARDED, SHARDED+JXTA and ASYNC.
 
-The built-in bindings self-register when their modules are imported:
-``"LOCAL"`` (:mod:`repro.core.local_engine`, no parameters), ``"JXTA"``
+The built-in bindings self-register when their modules are imported, and
+the registry imports a built-in's module the first time the binding is
+asked for, so a program pays only for the bindings it uses: ``"LOCAL"``
+(:mod:`repro.core.local_engine`, no parameters), ``"JXTA"``
 (:mod:`repro.core.jxta_engine`, per-interface :class:`TPSConfig` field
 overrides such as ``search_timeout``), ``"SHARDED"``
-(:mod:`repro.core.sharded_engine`, ``shards``/``partition``/``content_key``)
-and ``"SHARDED+JXTA"`` (:mod:`repro.core.composite_engine`, the sharded
-in-process bus fanned out over the JXTA wire).  ``TPSEngine.new_interface``
+(:mod:`repro.core.sharded_engine`, ``shards``/``partition``/``content_key``),
+``"SHARDED+JXTA"`` (:mod:`repro.core.composite_engine`, the sharded
+in-process bus fanned out over the JXTA wire) and ``"ASYNC"``
+(:mod:`repro.core.async_engine`).  ``TPSEngine.new_interface``
 resolves purely through :func:`get_binding`, so third-party bindings
 registered by application code are first-class citizens -- parameters
 included.
@@ -43,6 +46,7 @@ included.
 
 from __future__ import annotations
 
+import importlib
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -347,6 +351,34 @@ class SharedBusCache:
 
 _REGISTRY: Dict[str, BindingSpec] = {}
 
+#: The built-in bindings and the modules that register them when imported.
+_BUILTINS = {
+    "ASYNC": "repro.core.async_engine",
+    "JXTA": "repro.core.jxta_engine",
+    "LOCAL": "repro.core.local_engine",
+    "SHARDED": "repro.core.sharded_engine",
+    "SHARDED+JXTA": "repro.core.composite_engine",
+}
+
+#: Built-ins whose module the registry has not imported yet.
+_UNLOADED = set(_BUILTINS)
+
+
+def _load(key: str) -> None:
+    """Import the built-in binding ``key``'s module if it is still unloaded.
+
+    Every registry operation on a name goes through here first, so a
+    built-in that was never imported behaves exactly as if it had been
+    registered at ``import repro.core``: an application's own
+    ``register_binding`` or ``unregister_binding`` acts on the registered
+    built-in, and a later first use cannot bring it back.  The name leaves
+    the unloaded set only after the import, so a concurrent first use waits
+    on the import lock instead of finding the registry empty.
+    """
+    if key in _UNLOADED:
+        importlib.import_module(_BUILTINS[key])
+        _UNLOADED.discard(key)
+
 
 def _normalize(name: str) -> str:
     if not isinstance(name, str) or not name.strip():
@@ -398,6 +430,7 @@ def register_binding(
     register with ``replace=True`` so module reloads stay safe).
     """
     key = _normalize(name)
+    _load(key)
     if not callable(factory):
         raise PSException(f"binding factory for {key!r} must be callable, got {factory!r}")
     if on_unregister is not None and not callable(on_unregister):
@@ -430,7 +463,9 @@ def unregister_binding(name: str) -> bool:
     already created keep the bus they resolved to; only the *cache* is
     reset.
     """
-    spec = _REGISTRY.pop(_normalize(name), None)
+    key = _normalize(name)
+    _load(key)
+    spec = _REGISTRY.pop(key, None)
     if spec is None:
         return False
     if spec.on_unregister is not None:
@@ -441,6 +476,7 @@ def unregister_binding(name: str) -> bool:
 def get_binding(name: str) -> BindingSpec:
     """Look up a registered binding, or raise listing what *is* registered."""
     key = _normalize(name)
+    _load(key)
     spec = _REGISTRY.get(key)
     if spec is None:
         registered = ", ".join(repr(known) for known in registered_bindings())
@@ -455,8 +491,11 @@ def registered_bindings(with_params: bool = False):
 
     With ``with_params=True`` returns a sorted mapping of binding name to
     its declared parameter names, so callers can discover what each binding
-    accepts without resolving the spec themselves.
+    accepts without resolving the spec themselves.  Lists the built-ins too,
+    importing the ones not used yet.
     """
+    for key in _BUILTINS:
+        _load(key)
     if with_params:
         return {name: _REGISTRY[name].param_names for name in sorted(_REGISTRY)}
     return tuple(sorted(_REGISTRY))

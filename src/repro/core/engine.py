@@ -46,16 +46,21 @@ teardown run.
 from __future__ import annotations
 
 import threading
-from typing import Any, Generic, Optional, Sequence, Type, TypeVar
+from typing import TYPE_CHECKING, Any, Generic, Optional, Sequence, Type, TypeVar
 
 from repro.core.bindings import BindingRequest, get_binding
 from repro.core.exceptions import PSException
 from repro.core.interface import TPSInterface
-from repro.core.jxta_engine import TPSConfig
-from repro.core.local_engine import LocalBus
 from repro.core.type_registry import Criteria, type_name, validate_event_type
-from repro.jxta.peer import Peer
 from repro.serialization.object_codec import ObjectCodec
+
+if TYPE_CHECKING:
+    # Annotations only: a binding's modules load when the binding is first
+    # asked for (repro.core.bindings), so a LOCAL program never imports the
+    # JXTA substrate.
+    from repro.core.jxta_engine import TPSConfig
+    from repro.core.local_engine import LocalBus
+    from repro.jxta.peer import Peer
 
 EventT = TypeVar("EventT")
 

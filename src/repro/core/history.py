@@ -23,17 +23,20 @@ Every binding accepts the same three parameters (``history=``,
 :class:`~repro.core.jxta_engine.TPSConfig` fields) and builds its pair of
 stores through :func:`make_history_pair`.
 
-Thread safety: ``append`` is called from the :class:`LocalBus` delivery loop
-on arbitrary publisher threads, once per delivery (the route rows cache the
-bound ``RingHistory.append``), so it takes **no lock** and allocates nothing
-the collector tracks: its one shared-state operation is a GIL-atomic
-``list.append`` of the event reference, and offsets are positional
-(``base + index``) rather than stored.  Everything else -- the amortised
-trim, ``clear()`` and every read -- holds the store's one small lock, which
-is also the only place ``base`` moves; reads copy a slice under it and build
-their result after releasing it.  No store method ever calls out into user
-code under its lock.  The price is a *resident* bound of ``2 * capacity``
-references between trims behind an *observable* bound of ``capacity``
+Thread safety: the :class:`LocalBus` delivery loops record on arbitrary
+publisher threads, once per delivery, through a ring's :attr:`RingHistory.record`
+-- the entries list's own bound ``append``, so a delivery runs no Python frame
+for it, takes **no lock** and allocates nothing the collector tracks: its one
+shared-state operation is a GIL-atomic ``list.append`` of the event reference,
+and offsets are positional (``base + index``) rather than stored.  Everything
+else -- the trims, ``clear()`` and every read -- holds the store's one small
+lock, which is also the only place ``base`` moves; reads copy a slice under it
+and build their result after releasing it.  No store method ever calls out
+into user code under its lock.  ``record`` never trims: the bus checks a share
+of its attached rings on each publish (:meth:`RingHistory.trim`), and
+``RingHistory.append`` trims for itself.  The price is a *resident* bound of
+``capacity + slack`` references (:func:`ring_slack`; ``2 * capacity`` for
+rings of up to 64 slots) behind an *observable* bound of ``capacity``
 (``docs/DURABILITY.md``, ``docs/CONCURRENCY.md``).
 """
 
@@ -57,6 +60,16 @@ DEFAULT_HISTORY_SIZE = 4096
 HISTORY_KINDS = ("ring", "log")
 
 
+def ring_slack(capacity: int) -> int:
+    """How many references past ``capacity`` a ring may hold between trims.
+
+    The whole capacity for rings of up to 64 slots (a ``2 * capacity``
+    resident bound), 1/32 of it -- but at least 64 -- beyond: a 4 096-slot
+    ring holds at most 4 224 references.  A constant policy, not an option.
+    """
+    return min(capacity, max(64, capacity // 32))
+
+
 class HistoryStore(abc.ABC):
     """One direction (received or sent) of an interface's event history.
 
@@ -75,6 +88,11 @@ class HistoryStore(abc.ABC):
     def append(self, event: Any, meta: Any = None) -> int:
         """Retain ``event`` (with optional codec-encodable ``meta``); returns
         the offset assigned to it."""
+
+    @property
+    def record(self) -> Callable[[Any], Any]:
+        """The one-argument recorder the delivery loops cache in route rows."""
+        return self.append
 
     @abc.abstractmethod
     def snapshot(self) -> List[Any]:
@@ -133,33 +151,51 @@ class RingHistory(HistoryStore):
     Offsets are *positional*: the entry at ``_entries[i]`` has offset
     ``_base + i``, so nothing is stored per entry beyond the event reference
     (or one :class:`_WithMeta` pair when ``meta`` is given).  The list is
-    trimmed back to ``capacity`` only once it has grown past ``2 * capacity``
-    -- an amortised O(1) step per append -- so up to ``2 * capacity``
-    references may be *resident* while every read observes at most the
-    ``capacity`` newest.
+    trimmed back to ``capacity`` only once it has grown past ``capacity +
+    slack`` (:func:`ring_slack`) -- an amortised O(1) step per append -- so
+    up to ``capacity + slack`` references may be *resident* while every read
+    observes at most the ``capacity`` newest.
+
+    :attr:`record` is the entries list's bound ``append`` (a C call, no
+    trim); whoever records through it keeps the bound by calling
+    :meth:`trim` at least once per :attr:`slack` records, as the
+    :class:`~repro.core.local_engine.LocalBus` sweep does.
     """
 
     kind = "ring"
 
-    __slots__ = ("capacity", "_entries", "_base", "_trim_at", "_lock")
+    __slots__ = (
+        "capacity",
+        "record",
+        "slack",
+        "_entries",
+        "_base",
+        "_trim_at",
+        "_lock",
+    )
 
     def __init__(self, capacity: int = DEFAULT_HISTORY_SIZE) -> None:
         if isinstance(capacity, bool) or not isinstance(capacity, int):
             raise PSException(f"history_size must be an int, got {capacity!r}")
         self.capacity = capacity
         self._entries: List[Any] = []
+        #: The C-level recorder; stays valid because trims and ``clear()``
+        #: delete a prefix in place and never replace the list.
+        self.record = self._entries.append
         #: Offset of ``_entries[0]``; only ever changed under ``_lock``.
         self._base = 0
-        self._trim_at = 2 * capacity if capacity > 0 else sys.maxsize
+        #: References allowed past ``capacity`` (0: unbounded, never swept).
+        self.slack = ring_slack(capacity) if capacity > 0 else 0
+        self._trim_at = capacity + self.slack if capacity > 0 else sys.maxsize
         self._lock = threading.Lock()
 
     def append(self, event: Any, meta: Any = None) -> int:
         """Retain ``event``; lock-free (one GIL-atomic ``list.append``).
 
         The returned offset is exact unless another thread appends to (or
-        trims) this store at the same moment; the delivery loops discard it,
-        and the one caller that keeps it (the JXTA engine's ``_sent``) runs
-        on the single simulator thread.
+        trims) this store at the same moment; the delivery loops record
+        through :attr:`record` instead, and the one caller that keeps it
+        (the JXTA engine's ``_sent``) runs on the single simulator thread.
         """
         entries = self._entries
         entries.append(event if meta is None else _WithMeta((event, meta)))
@@ -168,6 +204,16 @@ class RingHistory(HistoryStore):
         if size > self._trim_at:
             self._drop_prefix(keep=self.capacity)
         return offset
+
+    def trim(self) -> None:
+        """Trim back to ``capacity`` (a no-op on an unbounded ring).
+
+        Called at least once per :attr:`slack` records, this keeps the
+        resident list within ``capacity + slack``; a call that finds nothing
+        evicted costs one length check.
+        """
+        if 0 < self.capacity < len(self._entries):
+            self._drop_prefix(keep=self.capacity)
 
     def _drop_prefix(self, keep: int) -> None:
         """Forget all but the ``keep`` newest entries.
@@ -348,4 +394,5 @@ __all__ = [
     "history_kwargs",
     "make_history",
     "make_history_pair",
+    "ring_slack",
 ]

@@ -26,11 +26,12 @@ delivery loop itself, which skips rows whose engine reports closed.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.core.bindings import BindingRequest, register_binding
-from repro.core.history import HISTORY_BINDING_PARAMS, history_kwargs
+from repro.core.history import HISTORY_BINDING_PARAMS, RingHistory, history_kwargs
 from repro.core.interface import PublishReceipt, TPSInterface, TPSInterfaceCore
 from repro.core.type_registry import type_name
 
@@ -67,15 +68,52 @@ class LocalBus:
         self._lock = threading.Lock()
         self._engines: Dict[str, Tuple["LocalTPSEngine", ...]] = {}
         #: root name -> {concrete event class -> delivery rows}.  Each row is
-        #: (engine, subscriber manager, criteria, received.append): everything
+        #: (engine, subscriber manager, criteria, received.record): everything
         #: the delivery loop needs, resolved once per (root, class) so the
         #: per-subscriber work is free of attribute lookups.  Criteria and
         #: the history store are fixed at engine construction, which is what
-        #: makes caching them (and the store's bound ``append``) here safe.
+        #: makes caching them (and the store's recorder -- for a ring, its
+        #: entries list's C ``append``) here safe.
         #: Rows are installed and invalidated
         #: only under ``_lock`` (double-checked on miss), so a row can never
         #: be built from a half-applied attachment change.
         self._routes: Dict[str, Dict[Type[Any], Tuple[Tuple[Any, ...], ...]]] = {}
+        #: (attached bounded rings, rings checked per publish), rebound
+        #: under ``_lock`` on attach/detach and read lock-free by
+        #: :meth:`_sweep`; ``_tick`` numbers the publishes (``next()`` on an
+        #: ``itertools.count`` is GIL-atomic, so concurrent lanes need no lock).
+        self._sweep_plan: Tuple[Tuple[RingHistory, ...], int] = ((), 0)
+        self._tick = itertools.count()
+
+    def _plan_sweep(self) -> None:
+        """Rebuild the sweep plan from the attachment snapshot (under ``_lock``).
+
+        Every attached bounded ring must be checked at least once per
+        ``slack`` publishes (the smallest ring's decides), so each publish
+        checks ``ceil(rings / slack)`` of them, round-robin: each check
+        trims, and the trims spread evenly over the publishes.
+        """
+        rings = tuple(
+            engine._received
+            for engines in self._engines.values()
+            for engine in engines
+            if isinstance(engine._received, RingHistory) and engine._received.slack
+        )
+        every = min((ring.slack for ring in rings), default=1)
+        self._sweep_plan = (rings, -(-len(rings) // every))
+
+    def _sweep(self) -> None:
+        """Check this publish's share of the attached rings (see ``_plan_sweep``).
+
+        The route rows record through each ring's C-level ``record``, which
+        never trims; this step bounds their memory instead, staggered so no
+        publish trims every ring at once.
+        """
+        rings, share = self._sweep_plan
+        if share:
+            first = next(self._tick) * share
+            for index in range(first, first + share):
+                rings[index % len(rings)].trim()
 
     def attach(self, engine: "LocalTPSEngine") -> None:
         """Attach an engine to its hierarchy's topic."""
@@ -83,6 +121,7 @@ class LocalBus:
         with self._lock:
             self._engines[root] = self._engines.get(root, ()) + (engine,)
             self._routes.pop(root, None)
+            self._plan_sweep()
 
     def detach(self, engine: "LocalTPSEngine") -> None:
         """Detach an engine (missing engines are ignored)."""
@@ -92,6 +131,7 @@ class LocalBus:
             if engine in engines:
                 self._engines[root] = tuple(e for e in engines if e is not engine)
                 self._routes.pop(root, None)
+                self._plan_sweep()
 
     def engines_for(self, root: Type[Any]) -> Tuple["LocalTPSEngine", ...]:
         """Every engine attached to the hierarchy rooted at ``root``.
@@ -121,7 +161,7 @@ class LocalBus:
             targets = routes.get(event_class)
             if targets is None:
                 targets = routes[event_class] = tuple(
-                    (engine, engine.subscriber_manager, engine.criteria, engine._received.append)
+                    (engine, engine.subscriber_manager, engine.criteria, engine._received.record)
                     for engine in self._engines.get(root, ())
                     if issubclass(event_class, engine.registry.event_type)
                 )
@@ -135,7 +175,8 @@ class LocalBus:
         This loop is the single home of local delivery semantics: skip the
         publisher, skip closed engines, skip engines with no subscriptions,
         apply content criteria, record the event, dispatch to the bound
-        handlers (errors routed to the paired exception handler).  The
+        handlers (errors routed to the paired exception handler); first,
+        :meth:`_sweep` checks this publish's share of the rings.  The
         subtype check lives in the routing row, and dispatch is inlined
         rather than delegated to the engine/manager because at high fan-out
         the two extra Python calls per subscriber were the largest remaining
@@ -149,6 +190,7 @@ class LocalBus:
         engine stops receiving even from rows resolved before it left the
         routing table.
         """
+        self._sweep()
         targets = self._route(publisher.registry.advertised_name, type(event))
         delivered = 0
         for engine, manager, criteria, record in targets:

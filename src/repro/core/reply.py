@@ -18,16 +18,19 @@ publish/subscribe flow, exactly as the paper suggests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.exceptions import PSException
-from repro.jxta.advertisement import PipeAdvertisement
-from repro.jxta.errors import AdvertisementError
-from repro.jxta.ids import PeerID, PipeID
-from repro.jxta.message import Message
-from repro.jxta.peer import Peer
-from repro.jxta.pipes import PipeKind
 from repro.serialization.object_codec import ObjectCodec
+
+if TYPE_CHECKING:
+    from repro.jxta.ids import PeerID
+    from repro.jxta.message import Message
+    from repro.jxta.peer import Peer
+
+# The JXTA substrate is imported where a pipe is opened or a reply sent, not
+# here: ``repro.core`` exports ``reply`` eagerly, and the in-process bindings
+# must not pay for the wire stack at import.
 
 #: Message element names used on the reply pipe.
 _REPLY_BODY = "TPSReplyBody"
@@ -64,6 +67,10 @@ class ReplyEndpoint:
     """A publisher-side unicast pipe collecting replies to published events."""
 
     def __init__(self, peer: Peer, *, name: Optional[str] = None) -> None:
+        from repro.jxta.advertisement import PipeAdvertisement
+        from repro.jxta.ids import PipeID
+        from repro.jxta.pipes import PipeKind
+
         self.peer = peer
         self.name = name or f"reply:{peer.name}"
         self._codec = ObjectCodec(strict=False)
@@ -94,6 +101,8 @@ class ReplyEndpoint:
     # ------------------------------------------------------------- receiving
 
     def _on_message(self, message: Message, source: PeerID) -> None:
+        from repro.jxta.ids import PeerID
+
         try:
             body = self._codec.decode(message.get_bytes(_REPLY_BODY))
             responder = PeerID.from_urn(message.get_text(_REPLY_SENDER))
@@ -130,6 +139,10 @@ def reply(peer: Peer, event: Replyable, body: Any) -> bool:
     :class:`PSException` when the event carries no reply address, or one
     whose ``peer`` or ``pipe`` is missing or not a URN of that kind.
     """
+    from repro.jxta.errors import AdvertisementError
+    from repro.jxta.ids import PeerID, PipeID
+    from repro.jxta.message import Message
+
     if not isinstance(event, Replyable) or not event.accepts_replies():
         raise PSException("this event does not accept replies (no reply address attached)")
     address = event.reply_address

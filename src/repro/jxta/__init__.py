@@ -29,54 +29,27 @@ all standard services) on top of a :class:`repro.net.Node`.
 
 from __future__ import annotations
 
-from repro.jxta.advertisement import (
-    Advertisement,
-    AdvertisementFactory,
-    ModuleAdvertisement,
-    PeerAdvertisement,
-    PeerGroupAdvertisement,
-    PipeAdvertisement,
-    ServiceAdvertisement,
-)
-from repro.jxta.errors import (
-    JxtaError,
-    PipeError,
-    ResolverError,
-    ServiceNotFoundError,
-)
-from repro.jxta.ids import JxtaID, ModuleID, PeerGroupID, PeerID, PipeID
-from repro.jxta.message import Message, MessageElement
-from repro.jxta.peer import Peer, PeerConfig
-from repro.jxta.peergroup import PeerGroup
-from repro.jxta.pipes import InputPipe, PipeKind
-from repro.jxta.platform import JxtaNetworkBuilder, create_peer
-from repro.jxta.wire import WireService
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Advertisement",
-    "AdvertisementFactory",
-    "InputPipe",
-    "JxtaError",
-    "JxtaID",
-    "JxtaNetworkBuilder",
-    "Message",
-    "MessageElement",
-    "ModuleAdvertisement",
-    "ModuleID",
-    "Peer",
-    "PeerAdvertisement",
-    "PeerConfig",
-    "PeerGroup",
-    "PeerGroupAdvertisement",
-    "PeerGroupID",
-    "PeerID",
-    "PipeAdvertisement",
-    "PipeError",
-    "PipeID",
-    "PipeKind",
-    "ResolverError",
-    "ServiceAdvertisement",
-    "ServiceNotFoundError",
-    "WireService",
-    "create_peer",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "advertisement": (
+            "Advertisement",
+            "AdvertisementFactory",
+            "ModuleAdvertisement",
+            "PeerAdvertisement",
+            "PeerGroupAdvertisement",
+            "PipeAdvertisement",
+            "ServiceAdvertisement",
+        ),
+        "errors": ("JxtaError", "PipeError", "ResolverError", "ServiceNotFoundError"),
+        "ids": ("JxtaID", "ModuleID", "PeerGroupID", "PeerID", "PipeID"),
+        "message": ("Message", "MessageElement"),
+        "peer": ("Peer", "PeerConfig"),
+        "peergroup": ("PeerGroup",),
+        "pipes": ("InputPipe", "PipeKind"),
+        "platform": ("JxtaNetworkBuilder", "create_peer"),
+        "wire": ("WireService",),
+    },
+)

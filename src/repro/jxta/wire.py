@@ -184,11 +184,6 @@ class DeliveryTracker:
         """Targets for which delivery terminally failed."""
         return self._in_state("failed")
 
-    @property
-    def settled(self) -> bool:
-        """Whether every target reached a terminal state."""
-        return not self.pending
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"DeliveryTracker({self.wire_message_id}, acked={len(self.acked)}, "

@@ -24,47 +24,25 @@ simulated.
 
 from __future__ import annotations
 
-from repro.net.cost import CostModel, PAPER_TESTBED
-from repro.net.faults import FaultPlan, LinkFaults
-from repro.net.firewall import Firewall, FirewallRule
-from repro.net.metrics import Counter, MetricsRegistry, TimeSeries, Timer
-from repro.net.network import Link, LinkSpec, Network, NetworkError, NoRouteError
-from repro.net.node import NetworkInterface, Node
-from repro.net.packet import Packet
-from repro.net.simclock import EventHandle, SimClock, Simulator
-from repro.net.transport import (
-    HttpTransport,
-    MulticastTransport,
-    TcpTransport,
-    Transport,
-    TransportKind,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "Counter",
-    "EventHandle",
-    "FaultPlan",
-    "Firewall",
-    "FirewallRule",
-    "HttpTransport",
-    "Link",
-    "LinkFaults",
-    "LinkSpec",
-    "MetricsRegistry",
-    "MulticastTransport",
-    "Network",
-    "NetworkError",
-    "NetworkInterface",
-    "NoRouteError",
-    "Node",
-    "Packet",
-    "PAPER_TESTBED",
-    "SimClock",
-    "Simulator",
-    "TcpTransport",
-    "TimeSeries",
-    "Timer",
-    "Transport",
-    "TransportKind",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "cost": ("CostModel", "PAPER_TESTBED"),
+        "faults": ("FaultPlan", "LinkFaults"),
+        "firewall": ("Firewall", "FirewallRule"),
+        "metrics": ("Counter", "MetricsRegistry", "TimeSeries", "Timer"),
+        "network": ("Link", "LinkSpec", "Network", "NetworkError", "NoRouteError"),
+        "node": ("NetworkInterface", "Node"),
+        "packet": ("Packet",),
+        "simclock": ("EventHandle", "SimClock", "Simulator"),
+        "transport": (
+            "HttpTransport",
+            "MulticastTransport",
+            "TcpTransport",
+            "Transport",
+            "TransportKind",
+        ),
+    },
+)

@@ -18,30 +18,20 @@ system:
 
 from __future__ import annotations
 
-from repro.serialization.object_codec import (
-    ObjectCodec,
-    SerializationError,
-    UnregisteredTypeError,
-)
-from repro.serialization.xml_codec import (
-    XmlElement,
-    XmlParseError,
-    escape_element_text,
-    escape_text,
-    parse_xml,
-    to_xml,
-    unescape_text,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ObjectCodec",
-    "SerializationError",
-    "UnregisteredTypeError",
-    "XmlElement",
-    "XmlParseError",
-    "escape_element_text",
-    "escape_text",
-    "parse_xml",
-    "to_xml",
-    "unescape_text",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "object_codec": ("ObjectCodec", "SerializationError", "UnregisteredTypeError"),
+        "xml_codec": (
+            "XmlElement",
+            "XmlParseError",
+            "escape_element_text",
+            "escape_text",
+            "parse_xml",
+            "to_xml",
+            "unescape_text",
+        ),
+    },
+)

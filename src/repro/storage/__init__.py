@@ -9,6 +9,6 @@ must not read wall clocks or ambient randomness -- records carry offsets,
 never timestamps.
 """
 
-from repro.storage.log import LogHistory
+from repro._exports import lazy_exports
 
-__all__ = ["LogHistory"]
+__all__, __getattr__ = lazy_exports(__name__, {"log": ("LogHistory",)})

@@ -99,7 +99,7 @@ class TestAdvertisementsFinder:
         finder = TPSAdvertisementsFinder(alpha.world_group, PS_PREFIX + "Dup")
         found = []
         finder.add_advertisements_listener(found.append)
-        finder.start(interval=2.0)
+        finder.start()
         # Several polling rounds pass; the advertisement is reported once.
         builder.settle(rounds=10)
         assert len(found) == 1
@@ -123,7 +123,7 @@ class TestAdvertisementsFinder:
         finder = TPSAdvertisementsFinder(alpha.world_group, PS_PREFIX + "Late")
         found = []
         finder.add_advertisements_listener(found.append)
-        finder.start(interval=2.0)
+        finder.start()
         builder.settle(rounds=3)
         assert found == []
         creator = TPSAdvertisementsCreator(beta.world_group)

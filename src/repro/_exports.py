@@ -15,12 +15,13 @@ from typing import Any, Callable, Dict, List, Tuple
 
 def lazy_exports(
     package: str, exports: Dict[str, Tuple[str, ...]]
-) -> Tuple[List[str], Callable[[str], Any]]:
-    """``(__all__, __getattr__)`` of ``package`` from its export map.
+) -> Tuple[List[str], Callable[[str], Any], Callable[[], List[str]]]:
+    """``(__all__, __getattr__, __dir__)`` of ``package`` from its export map.
 
     ``exports`` maps a submodule name relative to ``package`` (``"engine"``)
     to the public names it defines.  A resolved name is cached on the
-    package, so ``__getattr__`` runs once per name.
+    package, so ``__getattr__`` runs once per name; ``__dir__`` lists the
+    exports before they are first read.
     """
     home = {name: module for module, names in exports.items() for name in names}
 
@@ -32,4 +33,7 @@ def lazy_exports(
         setattr(sys.modules[package], name, value)
         return value
 
-    return list(home), __getattr__
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return list(home), __getattr__, __dir__

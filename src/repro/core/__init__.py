@@ -48,7 +48,7 @@ from repro._exports import lazy_exports
 # then never replace; binding the function here first keeps it.
 from repro.core.reply import reply
 
-__all__, __getattr__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "advertisements": (

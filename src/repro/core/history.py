@@ -158,21 +158,15 @@ class RingHistory(HistoryStore):
 
     :attr:`record` is the entries list's bound ``append`` (a C call, no
     trim); whoever records through it keeps the bound by calling
-    :meth:`trim` at least once per :attr:`slack` records, as the
-    :class:`~repro.core.local_engine.LocalBus` sweep does.
+    :meth:`trim` at least once per :attr:`sweep_every` records, as the
+    :class:`~repro.core.local_engine.LocalBus` sweep does.  :meth:`trim`
+    only acts past the ring's own mark, so a ring trims about once per
+    ``slack // 2`` of its records however often it is checked.
     """
 
     kind = "ring"
 
-    __slots__ = (
-        "capacity",
-        "record",
-        "slack",
-        "_entries",
-        "_base",
-        "_trim_at",
-        "_lock",
-    )
+    __slots__ = ("capacity", "record", "sweep_every", "_entries", "_base", "_trim_at", "_lock")
 
     def __init__(self, capacity: int = DEFAULT_HISTORY_SIZE) -> None:
         if isinstance(capacity, bool) or not isinstance(capacity, int):
@@ -184,9 +178,11 @@ class RingHistory(HistoryStore):
         self.record = self._entries.append
         #: Offset of ``_entries[0]``; only ever changed under ``_lock``.
         self._base = 0
-        #: References allowed past ``capacity`` (0: unbounded, never swept).
-        self.slack = ring_slack(capacity) if capacity > 0 else 0
-        self._trim_at = capacity + self.slack if capacity > 0 else sys.maxsize
+        slack = ring_slack(capacity) if capacity > 0 else 0
+        #: Records allowed between two :meth:`trim` calls (0: unbounded ring,
+        #: never swept).
+        self.sweep_every = max(1, slack // 2) if slack else 0
+        self._trim_at = capacity + slack if slack else sys.maxsize
         self._lock = threading.Lock()
 
     def append(self, event: Any, meta: Any = None) -> int:
@@ -206,13 +202,15 @@ class RingHistory(HistoryStore):
         return offset
 
     def trim(self) -> None:
-        """Trim back to ``capacity`` (a no-op on an unbounded ring).
+        """Trim back to ``capacity`` once past ``capacity + slack - sweep_every``.
 
-        Called at least once per :attr:`slack` records, this keeps the
-        resident list within ``capacity + slack``; a call that finds nothing
-        evicted costs one length check.
+        Called at least once per :attr:`sweep_every` records, this keeps the
+        resident list within ``capacity + slack``; a call that finds the ring
+        below the mark costs one length check, and an unbounded ring is never
+        past it.
         """
-        if 0 < self.capacity < len(self._entries):
+        # Past this mark, ``sweep_every`` more records would leave the bound.
+        if len(self._entries) > self._trim_at - self.sweep_every:
             self._drop_prefix(keep=self.capacity)
 
     def _drop_prefix(self, keep: int) -> None:

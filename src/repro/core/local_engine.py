@@ -78,42 +78,51 @@ class LocalBus:
         #: only under ``_lock`` (double-checked on miss), so a row can never
         #: be built from a half-applied attachment change.
         self._routes: Dict[str, Dict[Type[Any], Tuple[Tuple[Any, ...], ...]]] = {}
-        #: (attached bounded rings, rings checked per publish), rebound
-        #: under ``_lock`` on attach/detach and read lock-free by
+        #: ((attached bounded rings, rings checked per publish), ...), one
+        #: pair per :attr:`~repro.core.history.RingHistory.sweep_every`;
+        #: rebound under ``_lock`` on attach/detach and read lock-free by
         #: :meth:`_sweep`; ``_tick`` numbers the publishes (``next()`` on an
         #: ``itertools.count`` is GIL-atomic, so concurrent lanes need no lock).
-        self._sweep_plan: Tuple[Tuple[RingHistory, ...], int] = ((), 0)
+        self._sweep_plan: Tuple[Tuple[Tuple[RingHistory, ...], int], ...] = ()
         self._tick = itertools.count()
 
     def _plan_sweep(self) -> None:
         """Rebuild the sweep plan from the attachment snapshot (under ``_lock``).
 
-        Every attached bounded ring must be checked at least once per
-        ``slack`` publishes (the smallest ring's decides), so each publish
-        checks ``ceil(rings / slack)`` of them, round-robin: each check
-        trims, and the trims spread evenly over the publishes.
+        Rings are grouped by ``sweep_every``, and each publish checks
+        ``ceil(group / sweep_every)`` rings of every group, round-robin, so a
+        ring is checked at least once per its own ``sweep_every`` publishes
+        and the checks spread evenly over the publishes.  A rebuild moves
+        rings to new positions against the tick, so it first trims every
+        ring past its mark: each one then has ``sweep_every`` records of room
+        until its first check under the new plan.
         """
-        rings = tuple(
-            engine._received
-            for engines in self._engines.values()
-            for engine in engines
-            if isinstance(engine._received, RingHistory) and engine._received.slack
+        groups: Dict[int, List[RingHistory]] = {}
+        for engines in self._engines.values():
+            for engine in engines:
+                ring = engine._received
+                if isinstance(ring, RingHistory) and ring.sweep_every:
+                    ring.trim()
+                    groups.setdefault(ring.sweep_every, []).append(ring)
+        self._sweep_plan = tuple(
+            (tuple(rings), -(-len(rings) // every)) for every, rings in groups.items()
         )
-        every = min((ring.slack for ring in rings), default=1)
-        self._sweep_plan = (rings, -(-len(rings) // every))
 
     def _sweep(self) -> None:
         """Check this publish's share of the attached rings (see ``_plan_sweep``).
 
         The route rows record through each ring's C-level ``record``, which
-        never trims; this step bounds their memory instead, staggered so no
-        publish trims every ring at once.
+        never trims; this step bounds their memory instead.  A checked ring
+        trims only once past its own mark, so no publish trims more than its
+        share and each ring trims about once per ``slack // 2`` records.
         """
-        rings, share = self._sweep_plan
-        if share:
-            first = next(self._tick) * share
-            for index in range(first, first + share):
-                rings[index % len(rings)].trim()
+        plan = self._sweep_plan
+        if plan:
+            tick = next(self._tick)
+            for rings, share in plan:
+                first = tick * share
+                for index in range(first, first + share):
+                    rings[index % len(rings)].trim()
 
     def attach(self, engine: "LocalTPSEngine") -> None:
         """Attach an engine to its hierarchy's topic."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro._exports import lazy_exports
 
-__all__, __getattr__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "object_codec": ("ObjectCodec", "SerializationError", "UnregisteredTypeError"),

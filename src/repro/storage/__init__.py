@@ -11,4 +11,4 @@ never timestamps.
 
 from repro._exports import lazy_exports
 
-__all__, __getattr__ = lazy_exports(__name__, {"log": ("LogHistory",)})
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {"log": ("LogHistory",)})

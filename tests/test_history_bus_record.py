@@ -5,12 +5,13 @@ A route row caches the received store's ``record`` -- for a
 ``append`` -- so recording a delivery runs no Python frame and never trims.
 The bus keeps the resident bound instead: each publish checks a round-robin
 share of the attached rings (``LocalBus._sweep``), so every ring is checked
-at least once per ``slack = ring_slack(capacity)`` publishes and stays
-within ``capacity + slack`` references, and no publish trims more than its
-share.
-These tests pin that bound on LOCAL, ASYNC and SHARDED (worker lanes), the
-stagger, the observable equivalence with the reference model of
-``tests/test_history.py`` across the sweeps, and the row's recorder type.
+at least once per ``sweep_every = max(1, ring_slack(capacity) // 2)``
+publishes, trims only once past its own mark and stays within
+``capacity + slack`` references; no publish trims more than its share.
+These tests pin that bound on LOCAL, ASYNC and SHARDED (worker lanes) and
+under attach/detach churn, the stagger, the per-ring trim rate, the
+observable equivalence with the reference model of ``tests/test_history.py``
+across the sweeps, and the row's recorder type.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class TestSlackPolicy:
 
     def test_the_default_ring_holds_at_most_4224_references(self):
         assert _bound(DEFAULT_HISTORY_SIZE) == 4224
-        assert RingHistory(DEFAULT_HISTORY_SIZE).slack == 128
-        assert RingHistory(0).slack == 0
+        assert RingHistory(DEFAULT_HISTORY_SIZE).sweep_every == 64
+        assert RingHistory(1).sweep_every == 1
+        assert RingHistory(0).sweep_every == 0
 
     def test_unbounded_rings_and_logs_are_never_swept(self, tmp_path):
         bus = LocalBus()
@@ -78,12 +80,11 @@ class TestSlackPolicy:
         logged = LocalTPSEngine(
             Tick, bus=bus, history="log", history_path=str(tmp_path / "log")
         )
-        rings, share = bus._sweep_plan
-        assert rings == (bounded._received,) and share == 1
+        assert bus._sweep_plan == (((bounded._received,), 1),)
         logged.close()
         unbounded.close()
         bounded.close()
-        assert bus._sweep_plan == ((), 0)
+        assert bus._sweep_plan == ()
 
 
 class TestResidentBound:
@@ -168,6 +169,38 @@ class TestResidentBound:
             bus.shutdown()
 
 
+    def test_attach_detach_churn_between_publishes(self):
+        # Each step attaches an engine under a root ordered before the
+        # subscriber's and closes one ordered after it: the subscriber's
+        # position in the sweep plan moves in step with the tick, so without
+        # the trim at each plan rebuild it would never be checked again.
+        capacity = 256
+        bus = LocalBus()
+        earlier = [LocalTPSEngine(Alpha, bus=bus, history_size=capacity)]
+        publisher = LocalTPSEngine(Tick, bus=bus, history_size=capacity)
+        subscriber = LocalTPSEngine(Tick, bus=bus, history_size=capacity)
+        subscriber.subscribe(lambda event: None)
+        store = subscriber._received
+        later = [
+            LocalTPSEngine(Delta, bus=bus, history_size=capacity)
+            for _ in range(store.sweep_every - 4)
+        ]
+        assert [share for _, share in bus._sweep_plan] == [1]
+        serial = 0
+        while len(store._entries) < capacity + ring_slack(capacity) // 2 + 8:
+            publisher.publish(Tick(serial))
+            serial += 1
+        for engine in later:
+            earlier.append(LocalTPSEngine(Alpha, bus=bus, history_size=capacity))
+            engine.close()
+            publisher.publish(Tick(serial))
+            serial += 1
+            assert len(store._entries) <= _bound(capacity)
+        assert subscriber.history_offset == serial
+        for engine in (*earlier, publisher, subscriber):
+            engine.close()
+
+
 class TestStaggeredSweep:
     def test_no_publish_trims_more_than_its_share(self, monkeypatch):
         bus = LocalBus()
@@ -199,6 +232,65 @@ class TestStaggeredSweep:
             assert len(engine._received._entries) <= _bound(DEFAULT_HISTORY_SIZE)
             engine.close()
         publisher.close()
+
+    def test_a_ring_trims_once_per_half_slack_of_its_records(self, monkeypatch):
+        # A 1:1 pair: two rings, so each is checked every other publish, but
+        # trims only past its mark -- not at every check.
+        bus = LocalBus()
+        publisher = LocalTPSEngine(Tick, bus=bus)
+        subscriber = LocalTPSEngine(Tick, bus=bus)
+        subscriber.subscribe(lambda event: None)
+        store = subscriber._received
+        trims = []
+        drop_prefix = RingHistory._drop_prefix
+
+        def counting(self, keep):
+            if self is store:
+                trims.append(len(self._entries) - keep)
+            drop_prefix(self, keep)
+
+        monkeypatch.setattr(RingHistory, "_drop_prefix", counting)
+        publishes = 3 * DEFAULT_HISTORY_SIZE
+        for serial in range(publishes):
+            publisher.publish(Tick(serial))
+        excess = publishes - DEFAULT_HISTORY_SIZE
+        assert 0 < len(trims) <= excess // (store.sweep_every + 1) + 1
+        assert min(trims) > store.sweep_every
+        publisher.close()
+        subscriber.close()
+
+    def test_a_small_ring_does_not_speed_up_the_default_rings(self, monkeypatch):
+        bus = LocalBus()
+        publisher = LocalTPSEngine(Tick, bus=bus)
+        subscribers = [LocalTPSEngine(Tick, bus=bus) for _ in range(100)]
+        small = LocalTPSEngine(Tick, bus=bus, history_size=1)
+        for subscriber in (*subscribers, small):
+            subscriber.subscribe(lambda event: None)
+        default = {id(engine._received) for engine in [publisher, *subscribers]}
+        assert sorted(share for _, share in bus._sweep_plan) == [1, 2]
+        checks, trims = [], []
+        trim, drop_prefix = RingHistory.trim, RingHistory._drop_prefix
+
+        def counting_trim(self):
+            if id(self) in default:
+                checks.append(1)
+            trim(self)
+
+        def counting_drop(self, keep):
+            if id(self) in default:
+                trims.append(1)
+            drop_prefix(self, keep)
+
+        monkeypatch.setattr(RingHistory, "trim", counting_trim)
+        monkeypatch.setattr(RingHistory, "_drop_prefix", counting_drop)
+        for serial in range(3 * DEFAULT_HISTORY_SIZE):
+            checks.clear()
+            trims.clear()
+            publisher.publish(Tick(serial))
+            assert len(checks) <= 2 and len(trims) <= 2
+            assert len(small._received._entries) <= 2
+        for engine in (publisher, *subscribers, small):
+            engine.close()
 
 
 def _check_against_model(subscriber: LocalTPSEngine, model: _ModelRing, full: bool) -> None:

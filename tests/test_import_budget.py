@@ -147,8 +147,11 @@ class TestPublicSurface:
             surface = {}
             for package in %r:
                 module = importlib.import_module(package)
+                listed = set(module.__all__) <= set(dir(module))
                 missing = [name for name in module.__all__ if not hasattr(module, name)]
-                surface[package] = {"all": list(module.__all__), "missing": missing}
+                surface[package] = {
+                    "all": list(module.__all__), "listed": listed, "missing": missing
+                }
             print(json.dumps(surface))
             """
             % (sorted(PUBLIC_NAMES),)
@@ -158,6 +161,7 @@ class TestPublicSurface:
             assert sorted(exported) == sorted(names), package
             assert len(set(exported)) == len(exported), package
             assert result[package]["missing"] == [], package
+            assert result[package]["listed"], package  # dir() before first use
 
     def test_unknown_names_still_raise_attribute_error(self):
         import repro.core

@@ -12,8 +12,8 @@ End-to-end delivery through each binding (fan-out, filtering, the asyncio
 bus, the reliable wire under loss, the durable log) is measured by the
 ``tpsbench`` harness at the repository root, which gates every change.
 This module keeps only what that harness cannot express: a *live* pair,
-where the baseline is a product path that still ships (a codec flag, the
-legacy parser, ``unsubscribe(cb)``, the 1-shard bus) and both sides are
+where the baseline is a product path that still ships (a codec flag,
+``unsubscribe(cb)``, the 1-shard bus) and both sides are
 timed in the same process in alternating repeats, so host noise hits them
 equally and the ratio is a same-host pair.
 
@@ -22,10 +22,6 @@ The comparisons:
 * ``codec_encode`` / ``codec_decode`` -- the compiled per-type codec plans of
   :class:`~repro.serialization.object_codec.ObjectCodec` versus the generic
   recursive codec (``compiled=False``), on a representative event;
-* ``xml_parse`` -- the scanning XML parser (``parse_xml``) versus the legacy
-  character-at-a-time parser (``parse_xml(..., fast=False)``), over a corpus
-  of representative wire documents (an encoded event, a peer advertisement,
-  a discovery response with embedded advertisements);
 * ``xml_roundtrip`` -- :class:`~repro.core.xml_types.XmlEventCodec` with
   cached type-description fragments and the cached-document decode fast path
   versus the tree-building encoder + tree-parsing decoder;
@@ -78,7 +74,6 @@ SCHEMA = "repro-bench/v1"
 COMPARISON_NAMES = (
     "codec_encode",
     "codec_decode",
-    "xml_parse",
     "xml_roundtrip",
     "subscribe_churn",
     "intra_shard_fanout",
@@ -209,52 +204,6 @@ def _bench_codec(profile: Dict[str, Any]) -> List[Comparison]:
         Comparison("codec_encode", encode_baseline, encode_fast, iterations, repeats),
         Comparison("codec_decode", decode_baseline, decode_fast, iterations, repeats),
     ]
-
-
-def _parse_corpus() -> List[str]:
-    """Representative wire documents for the parser benchmark.
-
-    One encoded XML event (the TPS hot path), one peer advertisement
-    (discovery/publish traffic) and one discovery response embedding three
-    advertisement documents as text (the largest documents the stack
-    routinely parses).
-    """
-    from repro.jxta.advertisement import PeerAdvertisement
-    from repro.serialization.xml_codec import XmlElement, to_xml
-
-    event_doc = XmlEventCodec().encode(_sample_event()).decode("utf-8")
-    advertisement = PeerAdvertisement(
-        name="bench-peer",
-        endpoints=["tcp://host-0", "http://host-0"],
-        is_rendezvous=True,
-    )
-    adv_doc = advertisement.to_document()
-    response = XmlElement("DiscoveryResponse")
-    response.add("Kind", "2")
-    for _ in range(3):
-        response.add("Adv", adv_doc)
-    return [event_doc, adv_doc, to_xml(response, declaration=False)]
-
-
-def _bench_xml_parse(profile: Dict[str, Any]) -> Comparison:
-    from repro.serialization.xml_codec import parse_xml
-
-    iterations = profile["xml_iterations"]
-    repeats = profile["repeats"]
-    corpus = _parse_corpus()
-    for document in corpus:  # tree-equality sanity before timing
-        assert parse_xml(document) == parse_xml(document, fast=False)
-
-    def run_fast() -> None:
-        for document in corpus:
-            parse_xml(document)
-
-    def run_legacy() -> None:
-        for document in corpus:
-            parse_xml(document, fast=False)
-
-    baseline_us, fast_us = _time_pair(run_legacy, run_fast, iterations, repeats)
-    return Comparison("xml_parse", baseline_us, fast_us, iterations, repeats)
 
 
 def _bench_xml(profile: Dict[str, Any]) -> Comparison:
@@ -450,7 +399,6 @@ def run_perf_suite(profile: str = "full") -> Dict[str, Any]:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
     settings = PROFILES[profile]
     comparisons = _bench_codec(settings)
-    comparisons.append(_bench_xml_parse(settings))
     comparisons.append(_bench_xml(settings))
     comparisons.append(_bench_subscribe_churn(settings))
     comparisons.append(_bench_intra_shard_fanout(settings))

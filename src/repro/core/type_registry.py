@@ -109,9 +109,15 @@ class TypeRegistry:
     # ------------------------------------------------------------- registry
 
     def refresh(self) -> None:
-        """(Re)register the root type and every currently known subtype."""
+        """(Re)register the root type and every currently known subtype.
+
+        A subclass whose first base leads to another root (``class C(A, B)``
+        seen from ``B``'s registry) belongs to ``A``'s hierarchy, where ``B``
+        is a mixin: it is skipped here, and :meth:`register` refuses it.
+        """
         for cls in all_subtypes(self.root):
-            self.register(cls)
+            if hierarchy_root(cls) is self.root:
+                self.register(cls)
 
     def register(self, cls: Type[Any]) -> Type[Any]:
         """Register one type of the hierarchy with the codec."""

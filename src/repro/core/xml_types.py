@@ -30,18 +30,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Type
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.core.exceptions import PSException
 from repro.core.type_registry import type_name
-from repro.serialization.xml_codec import (
-    XmlElement,
-    escape_element_text,
-    escape_text,
-    parse_xml,
-    to_xml,
-    unescape_text,
-)
+from repro.serialization.xml_codec import XmlElement, escape_text, parse_xml, to_xml
 
 #: Field kinds the XML representation distinguishes.
 _KINDS = ("str", "int", "float", "bool", "null")
@@ -202,19 +195,23 @@ class DynamicEvent(Mapping[str, Any]):
 
 #: Shape-match for the canonical documents :meth:`XmlEventCodec.encode`
 #: produces: the ``<TypeDescription>`` fragment, then a flat run of ``Value``
-#: elements.  Anything else (foreign writers, declarations, pretty-printing,
-#: reordered attributes) falls back to the full tree decode.
+#: elements holding no reference and no character an XML parser would
+#: rewrite, so the raw strings are the values.  Anything else (escaped
+#: specials, foreign writers, declarations, reordered attributes) falls back
+#: to the full tree decode.
 _CANONICAL_DOC = re.compile(
     r"\A<XmlEvent>"
     r"(<TypeDescription>.*?</TypeDescription>)"
-    r'(?:<Values/>|<Values>((?:<Value name="[^"]*" kind="[^"]*"(?:/>|>[^<]*</Value>))*)</Values>)'
+    r"(?:<Values/>|<Values>("
+    r'(?:<Value name="[^"&<\t\n\r]*" kind="[^"&<\t\n\r]*"(?:/>|>[^<&>\r]*</Value>))*'
+    r")</Values>)"
     r"</XmlEvent>\Z",
     re.DOTALL,
 ).match
 #: One ``Value`` element out of a canonical document's ``Values`` run.
 _CANONICAL_VALUE = re.compile(
     r'<Value name="([^"]*)" kind="([^"]*)"(?:/>|>([^<]*)</Value>)'
-).finditer
+).findall
 
 #: Upper bounds on cached decode plans.  Plans are keyed on the raw
 #: ``<TypeDescription>`` fragment of *received* documents, so without a cap a
@@ -262,8 +259,9 @@ class XmlEventCodec:
         self._known: Dict[str, Type[Any]] = dict(known_types or {})
         self.cache_descriptions = cache_descriptions
         self.cache_documents = cache_documents
-        #: (class, ((field, kind), ...)) -> pre-rendered TypeDescription XML.
-        self._description_fragments: Dict[Any, str] = {}
+        #: (class, ((field, kind), ...)) -> pre-rendered TypeDescription XML and
+        #: one ``<Value`` open tag per field.
+        self._description_fragments: Dict[Any, Tuple[str, List[str]]] = {}
         #: Raw TypeDescription fragment -> parsed description (decode plans).
         self._decode_plans: Dict[str, XmlTypeDescription] = {}
 
@@ -281,32 +279,41 @@ class XmlEventCodec:
     # ------------------------------------------------------------- encoding
 
     def encode(self, event: Any) -> bytes:
-        """Serialise an event (scalar fields only) to XML bytes."""
-        if not self.cache_descriptions:
-            return self._encode_tree(event)
+        """Serialise an event (scalar fields only) to XML bytes.
+
+        Raises :class:`PSException` for a field XML cannot carry: a
+        non-scalar value, or a string holding a character outside XML 1.0.
+        """
+        try:
+            if not self.cache_descriptions:
+                return self._encode_tree(event)
+            return self._encode_cached(event)
+        except ValueError as error:
+            raise PSException(f"cannot write {type_name(type(event))} as XML: {error}") from None
+
+    def _encode_cached(self, event: Any) -> bytes:
         cls = type(event)
         state = vars(event)
         # _kind_of also validates that every field is scalar, exactly like
         # describe_type does first on the uncached path.
-        pairs = [(field_name, _kind_of(value)) for field_name, value in state.items()]
-        cache_key = (cls, tuple(pairs))
-        fragment = self._description_fragments.get(cache_key)
-        if fragment is None:
-            fragment = describe_type(cls, sample=event).to_xml_element().to_string()
-            self._description_fragments[cache_key] = fragment
+        pairs = tuple((field_name, _kind_of(value)) for field_name, value in state.items())
+        cache_key = (cls, pairs)
+        entry = self._description_fragments.get(cache_key)
+        if entry is None:
+            # The fragment, and each field's ``<Value ...`` open tag, rendered
+            # once by the tree writer (so with its attribute escapes).
+            entry = (
+                describe_type(cls, sample=event).to_xml_element().to_string(),
+                [XmlElement("Value", {"name": n, "kind": k}).to_string()[:-2] for n, k in pairs],
+            )
+            self._description_fragments[cache_key] = entry
+        fragment, open_tags = entry
         parts = ["<XmlEvent>", fragment]
         if pairs:
             parts.append("<Values>")
-            for (field_name, kind), value in zip(pairs, state.values()):
-                text = "" if value is None else _render(value)
-                name_attr = escape_text(field_name)
-                if text:
-                    parts.append(
-                        f'<Value name="{name_attr}" kind="{kind}">'
-                        f"{escape_element_text(text)}</Value>"
-                    )
-                else:
-                    parts.append(f'<Value name="{name_attr}" kind="{kind}"/>')
+            for open_tag, value in zip(open_tags, state.values()):
+                text = "" if value is None else escape_text(_render(value))
+                parts.append(f"{open_tag}>{text}</Value>" if text else f"{open_tag}/>")
             parts.append("</Values>")
         else:
             parts.append("<Values/>")
@@ -338,9 +345,7 @@ class XmlEventCodec:
 
         The parsed ``<TypeDescription>`` is cached per raw fragment (one per
         event type in steady state); the per-event work is one regex sweep
-        over the ``Value`` run.  Field semantics replicate the tree path
-        exactly: attribute values are unescaped, value text is stripped of
-        raw boundary whitespace before unescaping.
+        over the ``Value`` run, whose raw strings are the field values.
         """
         fragment = match.group(1)
         description = self._decode_plans.get(fragment)
@@ -356,12 +361,8 @@ class XmlEventCodec:
         values: Dict[str, Any] = {}
         body = match.group(2)
         if body:
-            for value_match in _CANONICAL_VALUE(body):
-                raw = value_match.group(3)
-                values[unescape_text(value_match.group(1))] = _parse_value(
-                    unescape_text(value_match.group(2)),
-                    unescape_text(raw.strip()) if raw else "",
-                )
+            for name, kind, raw in _CANONICAL_VALUE(body):
+                values[name] = _parse_value(kind, raw)
         return self._build_event(description, values)
 
     def _decode_tree(self, document: str) -> Any:

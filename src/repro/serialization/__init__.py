@@ -3,11 +3,13 @@
 Two codecs are provided, mirroring the two representations in the paper's
 system:
 
-* :mod:`repro.serialization.xml_codec` -- a small XML document model with a
-  writer and a scanning recursive-descent parser (regex tokenizer and bulk
-  span jumps; the legacy character-at-a-time parser stays reachable via
-  ``parse_xml(..., fast=False)``).  JXTA advertisements are XML documents,
-  and JXTA messages carry XML elements.
+* :mod:`repro.serialization.xml_codec` -- a small XML document model:
+  elements, attributes and verbatim text.  The writer emits XML 1.0 and
+  rejects characters outside its ``Char`` production; the parser is the
+  stdlib's expat, without namespace processing (``jxta:PA`` is one name),
+  skipping comments and processing instructions and rejecting any
+  ``DOCTYPE``.  JXTA advertisements are XML documents, and JXTA messages
+  carry XML elements.
 * :mod:`repro.serialization.object_codec` -- a compact, deterministic binary
   codec for application-defined event objects, standing in for the Java
   object serialisation the paper relies on (``SkiRental implements
@@ -27,11 +29,9 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "xml_codec": (
             "XmlElement",
             "XmlParseError",
-            "escape_element_text",
             "escape_text",
             "parse_xml",
             "to_xml",
-            "unescape_text",
         ),
     },
 )

@@ -85,6 +85,24 @@ _unpack_f64 = _F64.unpack_from
 _DEFAULT_GETSTATE = getattr(object, "__getstate__", None)
 
 
+def _has_slots(cls: Type[Any]) -> bool:
+    return any("__slots__" in vars(base) for base in cls.__mro__ if base is not object)
+
+
+def _set_attributes(instance: Any, state: Dict[str, Any]) -> None:
+    """Restore a ``__slots__`` instance: a slot cannot live in ``__dict__``."""
+    for key, value in state.items():
+        object.__setattr__(instance, key, value)
+
+
+def _state_setter(cls: Type[Any]) -> Optional[Callable[[Any, Any], None]]:
+    """How a decoded instance of ``cls`` takes its state; None: ``__dict__.update``."""
+    setstate = getattr(cls, "__setstate__", None)
+    if setstate is None and _has_slots(cls):
+        return _set_attributes
+    return setstate
+
+
 # --------------------------------------------------------------- fast scalars
 #
 # Encode handlers keyed by *exact* type: subclasses of builtins fall through
@@ -289,6 +307,13 @@ class ObjectCodec:
             state = getstate()
             if isinstance(state, dict):
                 return state
+            if getattr(type(value), "__getstate__", None) is _DEFAULT_GETSTATE:
+                # object.__getstate__ gives None for an empty instance, and
+                # (__dict__ or None, {slot: value}) for a __slots__ class.
+                if state is None:
+                    return {}
+                instance_dict, slots = state
+                return {**(instance_dict or {}), **slots}
         if hasattr(value, "__dict__"):
             return dict(vars(value))
         raise SerializationError(
@@ -305,7 +330,7 @@ class ObjectCodec:
         getstate = getattr(cls, "__getstate__", None)
         if getstate is not None and getstate is not _DEFAULT_GETSTATE:
             return None
-        if any("__slots__" in vars(base) for base in cls.__mro__ if base is not object):
+        if _has_slots(cls):
             return None
         name_bytes = name.encode("utf-8")
         return _EncodePlan(_T_OBJECT + _pack_u32(len(name_bytes)) + name_bytes)
@@ -376,11 +401,21 @@ class ObjectCodec:
     # ------------------------------------------------------------- decoding
 
     def decode(self, data: bytes) -> Any:
-        """Decode bytes produced by :meth:`encode` back into a value."""
-        if self.compiled:
-            value, offset = self._decode_fast(data, 0)
-        else:
-            value, offset = self._decode_value(data, 0)
+        """Decode bytes produced by :meth:`encode` back into a value.
+
+        Corrupt bytes raise :class:`SerializationError`, whichever decoder
+        step they break: a bad UTF-8 or integer literal, an unhashable key, a
+        state of the wrong shape, or nesting deeper than the stack.
+        """
+        try:
+            if self.compiled:
+                value, offset = self._decode_fast(data, 0)
+            else:
+                value, offset = self._decode_value(data, 0)
+        except (ValueError, TypeError, LookupError, AttributeError, RecursionError) as error:
+            if isinstance(error, SerializationError):
+                raise
+            raise SerializationError(f"corrupt payload: {error!r}") from error
         if offset != len(data):
             raise SerializationError(
                 f"trailing bytes after decoded value ({len(data) - offset} left)"
@@ -476,10 +511,10 @@ class ObjectCodec:
                 raise UnregisteredTypeError(
                     f"cannot decode object of unregistered type {name!r}"
                 )
-            plan = _DecodePlan(cls, getattr(cls, "__setstate__", None))
+            plan = _DecodePlan(cls, _state_setter(cls))
             self._decode_plans[bytes(name_bytes)] = plan
         if plan.setstate is not None or offset >= size or data[offset] != 77:
-            # Custom __setstate__ or a non-dict state: decode generically.
+            # Custom __setstate__, __slots__ or a non-dict state: decode generically.
             state, offset = self._decode_fast(data, offset)
             instance = object.__new__(plan.cls)
             if plan.setstate is not None:
@@ -579,9 +614,9 @@ class ObjectCodec:
                     f"cannot decode object of unregistered type {name!r}"
                 )
             instance = object.__new__(cls)
-            setstate = getattr(instance, "__setstate__", None)
-            if callable(setstate):
-                setstate(state)
+            setstate = _state_setter(cls)
+            if setstate is not None:
+                setstate(instance, state)
             else:
                 instance.__dict__.update(state)
             return instance, offset

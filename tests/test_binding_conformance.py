@@ -434,6 +434,45 @@ class BindingHarness:
             engine.close()
 
 
+class MixinOffer:
+    """A hierarchy root that another hierarchy also uses as a mixin."""
+
+    def __init__(self, label: str = "") -> None:
+        self.label = label
+
+
+class _PrimaryOffer:
+    pass
+
+
+class _MixedOffer(_PrimaryOffer, MixinOffer):
+    """First base ``_PrimaryOffer``: its hierarchy, not ``MixinOffer``'s."""
+
+
+class TestMixinHierarchies:
+    @pytest.mark.parametrize("binding", ["LOCAL", "SHARDED", "JXTA", "SHARDED+JXTA"])
+    def test_a_mixin_root_gets_an_engine_and_delivers(self, binding):
+        """``TPSEngine(MixinOffer).new_interface(...)`` used to raise
+        because the registry tried to register ``_MixedOffer``."""
+        harness = BindingHarness(binding)
+        try:
+            publisher = harness.interface(event_type=MixinOffer)
+            harness.pump()
+            subscriber = harness.interface(
+                peer=harness.subscriber_peer if harness.wire else None,
+                create=False,
+                event_type=MixinOffer,
+            )
+            harness.pump()
+            inbox: List[Any] = []
+            subscriber.subscribe(inbox.append)
+            harness.pump()
+            harness.publish(publisher, MixinOffer("plain"))
+            assert [event.label for event in inbox] == ["plain"]
+        finally:
+            harness.finish()
+
+
 @pytest.fixture(params=BINDINGS)
 def harness(request):
     built = BindingHarness(request.param)

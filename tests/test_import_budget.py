@@ -74,8 +74,7 @@ PUBLIC_NAMES = {
     ],
     "repro.serialization": [
         "ObjectCodec", "SerializationError", "UnregisteredTypeError", "XmlElement",
-        "XmlParseError", "escape_element_text", "escape_text", "parse_xml", "to_xml",
-        "unescape_text",
+        "XmlParseError", "escape_text", "parse_xml", "to_xml",
     ],
     "repro.storage": ["LogHistory"],
 }

@@ -397,3 +397,48 @@ class TestEngineWideErrorRouting:
         assert len(errors.errors) == 1
         assert interface.peer.metrics.counter("tps_decode_errors").value == 1
         assert interface.objects_received() == []
+
+
+class TestReceiveDropCounters:
+    """The two receive-side drops are counted, and reach no callback and no
+    exception handler."""
+
+    def _subscribed(self, builder):
+        interface = _interface(
+            builder.peer_named("peer-0"), config=TPSConfig(search_timeout=2.0)
+        )
+        builder.settle(rounds=6)
+        inbox, errors = [], CollectingExceptionHandler()
+        interface.subscribe(inbox.append, errors)
+        return interface, inbox, errors
+
+    @staticmethod
+    def _message(interface, *, with_event=True):
+        from repro.core.jxta_engine import TPS_EVENT_ELEMENT, TPS_MSG_ID_ELEMENT
+        from repro.jxta.message import Message
+
+        message = Message()
+        message.add(TPS_MSG_ID_ELEMENT, "urn:jxta:remote/t1")
+        if with_event:
+            message.add(TPS_EVENT_ELEMENT, interface.registry.encode(SkiRental("s", 1.0, "b", 2)))
+        return message
+
+    def test_message_after_close_is_counted_and_dropped(self, lan):
+        interface, inbox, errors = self._subscribed(lan)
+        message = self._message(interface)
+        interface.close()
+        interface._on_wire_message(message, lan.peer_named("peer-1").peer_id)
+        counters = interface.peer.metrics.counters()
+        assert counters.get("tps_closed_engine_drops") == 1
+        assert "tps_delivered" not in counters
+        assert inbox == [] and errors.errors == []
+
+    def test_message_without_event_is_counted_as_malformed(self, lan):
+        interface, inbox, errors = self._subscribed(lan)
+        message = self._message(interface, with_event=False)
+        interface._on_wire_message(message, lan.peer_named("peer-1").peer_id)
+        counters = interface.peer.metrics.counters()
+        assert counters.get("tps_malformed") == 1
+        assert "tps_delivered" not in counters
+        assert inbox == [] and errors.errors == []
+        assert interface.objects_received() == []

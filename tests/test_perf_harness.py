@@ -140,17 +140,15 @@ class TestPerfSuite:
         for name, profile in PROFILES.items():
             assert set(profile) == keys, f"profile {name} keys drifted"
 
-    def test_schema_covers_the_parse_sections(self):
-        """The PR-2 sections are part of the repro-bench/v1 contract: a
-        document missing them must fail validation."""
-        assert "xml_parse" in COMPARISON_NAMES
+    def test_schema_covers_the_xml_section(self):
+        """The XML codec pair is part of the repro-bench/v1 contract: a
+        document missing it must fail validation."""
         assert "xml_roundtrip" in COMPARISON_NAMES
         document = {
             "schema": SCHEMA, "version": "x", "unix_time": 1.0,
             "profile": "full", "comparisons": [], "scenarios": [],
         }
         problems = validate_document(document)
-        assert any("xml_parse" in problem for problem in problems)
         assert any("xml_roundtrip" in problem for problem in problems)
 
     def test_schema_covers_the_subscription_sections(self):
@@ -234,11 +232,9 @@ class TestPerfSuite:
         by_name = {entry["name"]: entry for entry in document["comparisons"]}
         assert list(by_name) == list(COMPARISON_NAMES)
         assert [entry["name"] for entry in document["scenarios"]] == list(SCENARIO_NAMES)
-        # Trajectory pins: the scanning parser stays >= 2x the legacy parser
-        # (PR 2), the v2 handle's identity cancel beats the unsubscribe scan
-        # (PR 3), and content-keyed intra-hierarchy sharding beats the
-        # 1-shard baseline on the single hot hierarchy (PR 5).
-        assert by_name["xml_parse"]["speedup"] >= 2.0
+        # Trajectory pins: the v2 handle's identity cancel beats the
+        # unsubscribe scan, and content-keyed intra-hierarchy sharding beats
+        # the 1-shard baseline on the single hot hierarchy.
         assert by_name["subscribe_churn"]["speedup"] > 1.0
         assert by_name["intra_shard_fanout"]["speedup"] > 1.0
 

@@ -75,6 +75,16 @@ class TestHierarchyHelpers:
 
 
 class TestTypeRegistry:
+    def test_a_mixin_root_gets_a_registry(self):
+        """While ``MixedSafe(Base, Mixin)`` exists, ``Mixin`` is still a
+        hierarchy of its own: its registry skips ``MixedSafe`` (which belongs
+        to ``Base``'s hierarchy) instead of raising."""
+        registry = TypeRegistry(Mixin)
+        assert registry.registered_types() == [Mixin]
+        with pytest.raises(PSException, match="does not belong"):
+            registry.register(MixedSafe)
+        assert MixedSafe in TypeRegistry(Base).registered_types()
+
     def test_registers_whole_hierarchy(self):
         registry = TypeRegistry(SkiRental)
         names = {type_name(cls) for cls in registry.registered_types()}

@@ -28,7 +28,6 @@ trade-off the paper discusses.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
@@ -193,36 +192,6 @@ class DynamicEvent(Mapping[str, Any]):
         return f"DynamicEvent<{short}>({self._values!r})"
 
 
-#: Shape-match for the canonical documents :meth:`XmlEventCodec.encode`
-#: produces: the ``<TypeDescription>`` fragment, then a flat run of ``Value``
-#: elements holding no reference and no character an XML parser would
-#: rewrite, so the raw strings are the values.  Anything else (escaped
-#: specials, foreign writers, declarations, reordered attributes) falls back
-#: to the full tree decode.
-_CANONICAL_DOC = re.compile(
-    r"\A<XmlEvent>"
-    r"(<TypeDescription>.*?</TypeDescription>)"
-    r"(?:<Values/>|<Values>("
-    r'(?:<Value name="[^"&<\t\n\r]*" kind="[^"&<\t\n\r]*"(?:/>|>[^<&>\r]*</Value>))*'
-    r")</Values>)"
-    r"</XmlEvent>\Z",
-    re.DOTALL,
-).match
-#: One ``Value`` element out of a canonical document's ``Values`` run.
-_CANONICAL_VALUE = re.compile(
-    r'<Value name="([^"]*)" kind="([^"]*)"(?:/>|>([^<]*)</Value>)'
-).findall
-
-#: Upper bounds on cached decode plans.  Plans are keyed on the raw
-#: ``<TypeDescription>`` fragment of *received* documents, so without a cap a
-#: remote producer churning type descriptions could grow the cache without
-#: limit (the same concern ``BoundedIdSet`` addresses for duplicate ids).
-#: Oversized fragments are decoded but never cached, so the cache is bounded
-#: in bytes as well as entries.
-_DECODE_PLAN_CAPACITY = 256
-_DECODE_PLAN_MAX_FRAGMENT_BYTES = 16 * 1024
-
-
 class XmlEventCodec:
     """Serialises events as self-describing XML documents.
 
@@ -237,16 +206,9 @@ class XmlEventCodec:
     the class and re-rendering an element tree on every publish.  Pass
     ``cache_descriptions=False`` to force the original tree-building path;
     both produce byte-identical documents (enforced by the property tests in
-    ``tests/test_codec_fastpath_properties.py``).
-
-    ``decode`` has the mirror-image fast path: documents matching the
-    canonical shape the encoder emits are decoded with one regex match plus a
-    per-``<TypeDescription>``-fragment plan cache, so repeated events of one
-    type skip full tree construction entirely.  Pass ``cache_documents=False``
-    to force the original parse-tree path; both decode every document
-    identically (same property suite).  Cached
-    :class:`XmlTypeDescription` objects are shared across decoded events and
-    must be treated as immutable.
+    ``tests/test_codec_fastpath_properties.py``).  ``decode`` always parses
+    the whole document, so this codec's documents and a foreign writer's
+    are read by the one XML parser.
     """
 
     def __init__(
@@ -254,16 +216,12 @@ class XmlEventCodec:
         known_types: Optional[Dict[str, Type[Any]]] = None,
         *,
         cache_descriptions: bool = True,
-        cache_documents: bool = True,
     ) -> None:
         self._known: Dict[str, Type[Any]] = dict(known_types or {})
         self.cache_descriptions = cache_descriptions
-        self.cache_documents = cache_documents
         #: (class, ((field, kind), ...)) -> pre-rendered TypeDescription XML and
         #: one ``<Value`` open tag per field.
         self._description_fragments: Dict[Any, Tuple[str, List[str]]] = {}
-        #: Raw TypeDescription fragment -> parsed description (decode plans).
-        self._decode_plans: Dict[str, XmlTypeDescription] = {}
 
     # ------------------------------------------------------------- registry
 
@@ -333,41 +291,7 @@ class XmlEventCodec:
 
     def decode(self, payload: bytes) -> Any:
         """Rebuild a typed instance (if the class is known) or a :class:`DynamicEvent`."""
-        document = payload.decode("utf-8")
-        if self.cache_documents:
-            match = _CANONICAL_DOC(document)
-            if match is not None:
-                return self._decode_canonical(match)
-        return self._decode_tree(document)
-
-    def _decode_canonical(self, match: "re.Match[str]") -> Any:
-        """Decode a shape-matched canonical document without building a tree.
-
-        The parsed ``<TypeDescription>`` is cached per raw fragment (one per
-        event type in steady state); the per-event work is one regex sweep
-        over the ``Value`` run, whose raw strings are the field values.
-        """
-        fragment = match.group(1)
-        description = self._decode_plans.get(fragment)
-        if description is None:
-            description = XmlTypeDescription.from_xml_element(parse_xml(fragment))
-            if len(fragment) <= _DECODE_PLAN_MAX_FRAGMENT_BYTES:
-                if len(self._decode_plans) >= _DECODE_PLAN_CAPACITY:
-                    # FIFO eviction: steady state is a handful of event
-                    # types, so reaching the cap at all means fragment
-                    # churn, not reuse.
-                    del self._decode_plans[next(iter(self._decode_plans))]
-                self._decode_plans[fragment] = description
-        values: Dict[str, Any] = {}
-        body = match.group(2)
-        if body:
-            for name, kind, raw in _CANONICAL_VALUE(body):
-                values[name] = _parse_value(kind, raw)
-        return self._build_event(description, values)
-
-    def _decode_tree(self, document: str) -> Any:
-        """The original decoder: parse the full document into an element tree."""
-        root = parse_xml(document)
+        root = parse_xml(payload.decode("utf-8"))
         description_el = root.find("TypeDescription")
         if description_el is None:
             raise PSException("not an XML event: missing TypeDescription")

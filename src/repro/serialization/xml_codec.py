@@ -18,8 +18,9 @@ XML, and this module states exactly which part:
   U+FFFF) cannot be written at all: the writer raises :class:`ValueError`,
   the error :class:`XmlElement` raises for a bad name.
 * **Parser.** :func:`parse_xml` is the stdlib's expat.  It raises
-  :class:`XmlParseError` on every malformed document, and on any ``DOCTYPE``,
-  so a remote document cannot declare entities.
+  :class:`XmlParseError` on every malformed document (a character reference
+  outside XML 1.0, such as ``&#1;`` or the uppercase ``&#X41;``, included),
+  and on any ``DOCTYPE``, so a remote document cannot declare entities.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pyexpat import ExpatError, ErrorString, ParserCreate
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 #: The characters XML 1.0's ``Char`` production excludes, as a regex class body.
 _NOT_CHAR = r"\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
@@ -167,6 +168,10 @@ def parse_xml(document: str) -> XmlElement:
     """Parse an XML document into an element tree (see the module docstring)."""
     top: List[XmlElement] = []
     stack: List[XmlElement] = []
+    #: id -> (element, runs) for elements with more than one run of character
+    #: data (mixed content, or text past expat's buffer); joined once at the
+    #: end, so k runs cost O(total) rather than O(k * total).
+    mixed: Dict[int, Tuple[XmlElement, List[str]]] = {}
 
     def start(name: str, attributes: Dict[str, str]) -> None:
         element = _new_element(name, attributes)
@@ -174,7 +179,13 @@ def parse_xml(document: str) -> XmlElement:
         stack.append(element)
 
     def text(data: str) -> None:
-        stack[-1].text += data
+        element = stack[-1]
+        if not element.text:
+            element.text = data
+        elif id(element) in mixed:
+            mixed[id(element)][1].append(data)
+        else:
+            mixed[id(element)] = (element, [element.text, data])
 
     def doctype(*_: object) -> None:
         position = _char_index(document, parser.CurrentByteIndex)
@@ -196,6 +207,8 @@ def parse_xml(document: str) -> XmlElement:
         raise XmlParseError(ErrorString(error.code), position) from None
     except UnicodeEncodeError as error:
         raise XmlParseError("lone surrogate is not an XML character", error.start) from None
+    for element, runs in mixed.values():
+        element.text = "".join(runs)
     return top[0]
 
 

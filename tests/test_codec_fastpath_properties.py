@@ -11,9 +11,8 @@ that equivalence down:
   each must decode the other's output;
 * ``XmlEventCodec(cache_descriptions=True)`` must produce byte-identical
   documents to the tree-building encoder and round-trip identically;
-* ``XmlEventCodec(cache_documents=True)`` (the decode-side mirror) must
-  decode every document -- canonical or foreign -- exactly like the
-  tree-parsing decoder;
+* ``XmlEventCodec.decode`` must read back every event the encoder writes,
+  and a foreign writer's documents too;
 * the escape fast path and the parser must stay inverses on arbitrary text.
 """
 
@@ -32,9 +31,10 @@ from repro.apps.skirental.types import (
 )
 from repro.core.exceptions import PSException
 from repro.core.local_engine import LocalBus, LocalTPSEngine
+from repro.core.type_registry import type_name
 from repro.core.xml_types import XmlEventCodec
 from repro.serialization.object_codec import ObjectCodec
-from repro.serialization.xml_codec import escape_text, parse_xml
+from repro.serialization.xml_codec import XmlParseError, escape_text, parse_xml
 
 
 #: Characters XML 1.0 cannot carry (its ``Char`` production excludes them).
@@ -223,7 +223,7 @@ class TestXmlCodecCacheEquivalence:
     )
     def test_cached_round_trip_matches_uncached(self, shop, price):
         cached = XmlEventCodec()
-        uncached = XmlEventCodec(cache_descriptions=False, cache_documents=False)
+        uncached = XmlEventCodec(cache_descriptions=False)
         for codec in (cached, uncached):
             codec.register(SkiRental)
         event = SkiRental(shop, price, "Atomic", 5)
@@ -251,8 +251,8 @@ class TestXmlCodecCacheEquivalence:
             assert cached.encode(event) == uncached.encode(event)
 
 
-class TestXmlDecodeDocumentCache:
-    """The decode-side mirror: cached-document decode == tree decode."""
+class TestXmlDecode:
+    """``decode`` reads every document through the one XML parser."""
 
     @settings(max_examples=80, deadline=None)
     @given(event=st.builds(
@@ -262,18 +262,14 @@ class TestXmlDecodeDocumentCache:
         brand=st.text(max_size=20),
         number_of_days=st.floats(allow_nan=False, allow_infinity=False),
     ))
-    def test_cached_decode_matches_tree_decode_for_known_types(self, event):
-        fast = XmlEventCodec()
-        tree = XmlEventCodec(cache_documents=False)
-        for codec in (fast, tree):
-            codec.register(SkiRental)
-        if not _writable(event, fast, tree):
+    def test_known_types_round_trip(self, event):
+        codec = XmlEventCodec()
+        codec.register(SkiRental)
+        if not _writable(event, codec):
             return
-        payload = fast.encode(event)
-        from_fast = fast.decode(payload)
-        from_tree = tree.decode(payload)
-        assert type(from_fast) is type(from_tree) is SkiRental
-        assert vars(from_fast) == vars(from_tree) == vars(event)
+        decoded = codec.decode(codec.encode(event))
+        assert type(decoded) is SkiRental
+        assert vars(decoded) == vars(event)
 
     @settings(max_examples=60, deadline=None)
     @given(fields=st.dictionaries(
@@ -284,77 +280,54 @@ class TestXmlDecodeDocumentCache:
         ),
         max_size=5,
     ))
-    def test_unknown_types_decode_to_identical_dynamic_events(self, fields):
-        fast = XmlEventCodec()
-        tree = XmlEventCodec(cache_documents=False)
+    def test_unknown_types_decode_to_dynamic_events(self, fields):
+        codec = XmlEventCodec()
         event = Holder(**{f"f_{i}": v for i, v in enumerate(fields.values())})
-        if not _writable(event, fast, tree):
+        if not _writable(event, codec):
             return
-        payload = fast.encode(event)
-        from_fast = fast.decode(payload)
-        from_tree = tree.decode(payload)
-        assert dict(from_fast) == dict(from_tree)
-        assert from_fast.type_name == from_tree.type_name
-        assert from_fast.description.lineage() == from_tree.description.lineage()
+        decoded = codec.decode(codec.encode(event))
+        assert dict(decoded) == vars(event)
+        assert decoded.type_name == type_name(Holder)
+        assert decoded.description.lineage() == [type_name(Holder)]
 
-    def test_repeated_decodes_share_one_plan(self):
+    def test_register_after_decoding_is_picked_up(self):
         codec = XmlEventCodec()
-        codec.register(SkiRental)
-        payload = codec.encode(SkiRental("s", 1.0, "b", 2))
-        codec.decode(payload)
-        codec.decode(codec.encode(SkiRental("other", 9.0, "c", 4)))
-        assert len(codec._decode_plans) == 1  # one shape -> one cached plan
-
-    def test_plan_cache_is_bounded_against_fragment_churn(self):
-        """A remote producer churning type descriptions must not grow the
-        plan cache without limit."""
-        from repro.core.xml_types import _DECODE_PLAN_CAPACITY
-
-        codec = XmlEventCodec()
-        producer = XmlEventCodec()
-        for index in range(_DECODE_PLAN_CAPACITY + 50):
-            churned = type(f"Churn{index}", (), {})
-            event = churned()
-            event.x = index
-            codec.decode(producer.encode(event))
-        assert len(codec._decode_plans) <= _DECODE_PLAN_CAPACITY
-
-    def test_register_after_caching_is_picked_up(self):
-        """The plan caches the description, not the class: registering a
-        type after documents of its shape were decoded must take effect."""
-        codec = XmlEventCodec()
-        producer = XmlEventCodec()
-        payload = producer.encode(SkiRental("s", 1.0, "b", 2))
+        payload = XmlEventCodec().encode(SkiRental("s", 1.0, "b", 2))
         first = codec.decode(payload)
         assert type(first).__name__ == "DynamicEvent"
         codec.register(SkiRental)
         second = codec.decode(payload)
         assert type(second) is SkiRental
 
-    def test_foreign_documents_fall_back_to_tree_decode(self):
-        """Declarations, pretty-printing and reordered attributes do not
-        match the canonical shape; both paths must still agree."""
-        producer = XmlEventCodec()
-        canonical = producer.encode(SkiRental("shop", 2.5, "brand", 3)).decode("utf-8")
+    def test_foreign_documents_decode(self):
+        """Declarations, pretty-printing and reordered attributes are read
+        like the codec's own documents."""
+        event = SkiRental("shop", 2.5, "brand", 3)
+        canonical = XmlEventCodec().encode(event).decode("utf-8")
         foreign_docs = [
             '<?xml version="1.0" encoding="UTF-8"?>' + canonical,
             canonical.replace("><", ">\n  <"),  # indented between tags
             canonical.replace('name="shop" kind="str"', 'kind="str" name="shop"'),
         ]
-        fast = XmlEventCodec()
-        tree = XmlEventCodec(cache_documents=False)
-        for codec in (fast, tree):
-            codec.register(SkiRental)
+        codec = XmlEventCodec()
+        codec.register(SkiRental)
         for document in foreign_docs:
-            payload = document.encode("utf-8")
-            assert vars(fast.decode(payload)) == vars(tree.decode(payload))
+            assert vars(codec.decode(document.encode("utf-8"))) == vars(event)
 
-    def test_entity_heavy_field_values_decode_identically(self):
+    @pytest.mark.parametrize("char", ["\x01", "\x1f", "\ufffe", "\uffff"], ids=repr)
+    def test_non_xml_characters_in_a_foreign_document_raise(self, char):
+        """A peer may send raw characters this codec never writes; the
+        parser refuses them."""
+        canonical = XmlEventCodec().encode(Holder(a="x")).decode("utf-8")
+        foreign = canonical.replace(">x<", f">{char}<")
+        assert foreign != canonical
+        with pytest.raises(XmlParseError):
+            XmlEventCodec().decode(foreign.encode("utf-8"))
+
+    def test_entity_heavy_field_values_round_trip(self):
         event = Holder(tricky='a&b<c>"d"\'e\'', padded="  ws  ", empty="")
-        fast = XmlEventCodec()
-        tree = XmlEventCodec(cache_documents=False)
-        payload = fast.encode(event)
-        assert dict(fast.decode(payload)) == dict(tree.decode(payload)) == vars(event)
+        codec = XmlEventCodec()
+        assert dict(codec.decode(codec.encode(event))) == vars(event)
 
 
 class TestEscapeFastPaths:

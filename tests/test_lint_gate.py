@@ -151,7 +151,7 @@ def test_every_pragma_states_a_reason():
 #: ROADMAP's tracked code size, as it measures it: ``count_code_lines``
 #: summed over ``src/repro/**/*.py``.  A ratchet: lower it when code goes,
 #: never raise it to make room for new code -- delete something first.
-SRC_CEILING = 10277
+SRC_CEILING = 10252
 
 
 def test_source_code_lines_only_go_down():

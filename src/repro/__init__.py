@@ -17,6 +17,8 @@ described in the paper by Baehni, Eugster and Guerraoui:
   (SR-TPS, SR-JXTA, raw JXTA-WIRE), as in the paper's Sections 4 and 5.
 * :mod:`repro.bench` -- the benchmark harness that regenerates the paper's
   Figures 18, 19 and 20 and the Section 4.4 programming-effort comparison.
+  Wall-clock numbers for the reproduction itself come from the ``tpsbench``
+  harness at the repository root.
 
 Quickstart
 ----------

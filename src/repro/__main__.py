@@ -4,12 +4,14 @@ Subcommands:
 
 * ``figures`` -- regenerate the paper's evaluation (same as
   ``examples/reproduce_figures.py``);
-* ``bench`` -- run the hot-path micro-benchmark suite and optionally write
-  the ``repro-bench/v1`` JSON trajectory file (``--json BENCH_N.json``);
 * ``demo`` -- run the quickstart scenario and print what happened;
 * ``lint`` -- run the concurrency/determinism lint rules (``repro.analysis``)
   over the tree; exit 0 clean, 1 findings, 2 usage error;
 * ``info`` -- print the package version and the calibrated cost model.
+
+Wall-clock performance is measured by the ``tpsbench`` harness at the
+repository root, not by this CLI: ``python3 -m tpsbench --seed 2002 --trace
+--out BENCH_N.json`` writes a trajectory file.
 """
 
 from __future__ import annotations
@@ -39,32 +41,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         print(format_figure20(run_figure20()), end="\n\n")
     if which in ("code-size", "all"):
         print(format_code_size(measure_code_size()), end="\n\n")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.perf import format_suite, run_perf_suite, write_suite
-
-    if args.json:
-        # Fail before the (long) suite runs, not after, on an unwritable
-        # path -- without touching the target, so an interrupted run leaves
-        # no stray empty file behind.
-        import os
-
-        directory = os.path.dirname(os.path.abspath(args.json))
-        writable = (
-            os.path.isdir(directory)
-            and os.access(directory, os.W_OK)
-            and (not os.path.exists(args.json) or os.access(args.json, os.W_OK))
-        )
-        if not writable:
-            print(f"error: cannot write {args.json}", file=sys.stderr)
-            return 2
-    document = run_perf_suite(args.profile)
-    print(format_suite(document))
-    if args.json:
-        write_suite(args.json, document)
-        print(f"\nwrote {args.json}")
     return 0
 
 
@@ -114,19 +90,6 @@ def main(argv=None) -> int:
         "--figure", choices=["18", "19", "20", "code-size", "all"], default="all"
     )
     figures.set_defaults(func=_cmd_figures)
-
-    bench = subparsers.add_parser(
-        "bench", help="run the hot-path micro-benchmarks (perf trajectory)"
-    )
-    bench.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the repro-bench/v1 JSON document to PATH",
-    )
-    bench.add_argument(
-        "--profile", choices=["full", "smoke"], default="full",
-        help="iteration counts: full (BENCH_*.json) or smoke (tests)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     demo = subparsers.add_parser("demo", help="run a small ski-rental scenario")
     demo.add_argument("--subscribers", type=int, default=2)

@@ -11,13 +11,12 @@
   comparison (lines of application code, TPS vs direct JXTA).
 * :mod:`repro.bench.micro` -- micro-benchmark helpers for the real
   (wall-clock) cost of the TPS layer's Python work.
-* :mod:`repro.bench.perf` -- the persistent hot-path perf harness
-  (``python -m repro bench --json BENCH_N.json``): same-process
-  baseline-vs-fast pairs of the codec, XML, subscription-churn and
-  intra-hierarchy sharding paths plus the wall-clock cost of the Figure
-  19/20 scenarios, recorded as a ``repro-bench/v1`` JSON trajectory file per
-  perf-touching PR.  Import it directly; this package does not load it.
 * :mod:`repro.bench.reporting` -- plain-text tables for all of the above.
+
+Real (wall-clock) end-to-end and per-layer numbers for every binding come
+from the ``tpsbench`` harness at the repository root; each committed
+``BENCH_N.json`` from N = 23 on is its result document
+(``python3 -m tpsbench --seed 2002 --trace --out BENCH_N.json``).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ recovery.  This module replaces the lists with a small storage abstraction:
   and ``since(offset)`` is the replay primitive consumed by resumable
   streams (``tps.stream(from_offset=...)``) and the wire catch-up protocol.
 * :class:`RingHistory` -- the paper-faithful default: a bounded in-memory
-  ring (``history_size`` events per direction).  Eviction advances
-  ``start_offset``; offsets already handed out never change.
+  ring (``history_size`` events per direction).  Eviction drops the oldest
+  offsets; offsets already handed out never change.
 * :class:`~repro.storage.log.LogHistory` -- the durable flavour
   (``history="log"``): an append-only file of length-prefixed codec records
   with crash-safe truncated-tail recovery, living in :mod:`repro.storage`.
@@ -78,7 +78,7 @@ class HistoryStore(abc.ABC):
     retained entries at or after ``offset``, so a consumer that remembers
     the last offset it processed can resume exactly where it stopped
     (entries evicted from a bounded store are simply absent -- bounded
-    retention is part of the contract, see ``start_offset``).
+    retention is part of the contract).
     """
 
     #: The ``history=`` kind this store implements (``"ring"`` or ``"log"``).
@@ -111,16 +111,6 @@ class HistoryStore(abc.ABC):
     def next_offset(self) -> int:
         """The offset the next ``append`` will assign."""
 
-    @property
-    @abc.abstractmethod
-    def start_offset(self) -> int:
-        """The oldest retained offset (== ``next_offset`` when empty).
-
-        ``since(offset)`` with ``offset < start_offset`` cannot return the
-        evicted entries; resuming consumers observe the gap as silently
-        skipped offsets.
-        """
-
     @abc.abstractmethod
     def clear(self) -> None:
         """Drop every retained event (bench/test housekeeping)."""
@@ -144,9 +134,10 @@ class RingHistory(HistoryStore):
     """Bounded in-memory history: the ``capacity`` newest events.
 
     ``capacity <= 0`` means unbounded (the seed's behaviour, kept reachable
-    for tests that inspect complete histories).  Eviction advances
-    :attr:`start_offset`; :meth:`clear` empties the store but keeps the offset
-    counter monotone, so offsets never repeat within one engine's life.
+    for tests that inspect complete histories).  Eviction advances the
+    oldest retained offset; :meth:`clear` empties the store but keeps the
+    offset counter monotone, so offsets never repeat within one engine's
+    life.
 
     Offsets are *positional*: the entry at ``_entries[i]`` has offset
     ``_base + i``, so nothing is stored per entry beyond the event reference
@@ -263,11 +254,6 @@ class RingHistory(HistoryStore):
     def next_offset(self) -> int:
         with self._lock:
             return self._base + len(self._entries)
-
-    @property
-    def start_offset(self) -> int:
-        with self._lock:
-            return self._base + self._hidden(len(self._entries))
 
     def clear(self) -> None:
         self._drop_prefix(keep=0)

@@ -125,32 +125,14 @@ class PublishReceipt:
     receipts from the wire service.
 
     When the binding publishes over the reliable wire protocol, the wire
-    receipts carry live :class:`~repro.jxta.wire.DeliveryTracker` objects;
-    the ``delivery_*``/``retry_count`` helpers aggregate them (and stay
-    zero/empty for bindings without trackers, e.g. LOCAL or the composite's
-    local-delivery count entry).
+    receipts carry live :class:`~repro.jxta.wire.DeliveryTracker` objects
+    (bindings without trackers, e.g. LOCAL, carry none).
     """
 
     cpu_time: float
     completion_time: float
     pipes: int
     wire_receipts: List[Any] = field(default_factory=list)
-
-    @property
-    def delivery_trackers(self) -> List[Any]:
-        """The per-send reliable-delivery trackers (empty without reliability)."""
-        trackers = []
-        for receipt in self.wire_receipts:
-            tracker = getattr(receipt, "tracker", None)
-            if tracker is not None:
-                trackers.append(tracker)
-        return trackers
-
-    @property
-    def retry_count(self) -> int:
-        """Total retransmissions performed (so far) for this publish."""
-        return sum(tracker.retries for tracker in self.delivery_trackers)
-
 
 class TPSInterfaceCore(abc.ABC, Generic[EventT]):
     """The front-end-agnostic half of the TPS interface.
@@ -520,8 +502,8 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
         evicted, first-in first-out) so a long-running engine's memory stays
         constant; with ``history="log"`` the full history is retained on
         disk and this call materialises all of it.  Use
-        :meth:`history_since` with an offset cursor to consume the history
-        incrementally instead of re-reading the whole Vector.
+        ``stream(from_offset=...)`` to consume the history incrementally
+        instead of re-reading the whole Vector.
         """
         return self._received.snapshot()
 
@@ -547,21 +529,6 @@ class TPSInterfaceCore(abc.ABC, Generic[EventT]):
     def sent_offset(self) -> int:
         """The offset the next published event will get in the sent history."""
         return self._sent.next_offset
-
-    def history_since(self, offset: int) -> List[Any]:
-        """Retained delivered events at or after ``offset``, as
-        ``(offset, event)`` pairs.
-
-        The replay primitive behind resumable streams and peer catch-up:
-        offsets are dense and monotone, so a consumer that remembers the
-        last offset it processed calls ``history_since(last + 1)`` to get
-        exactly what it missed (minus anything a bounded store evicted).
-        """
-        return [(entry_offset, event) for entry_offset, event, _ in self._received.since(offset)]
-
-    def sent_history_since(self, offset: int) -> List[Any]:
-        """Retained published events at or after ``offset`` (``(offset, event)``)."""
-        return [(entry_offset, event) for entry_offset, event, _ in self._sent.since(offset)]
 
     # Aliases matching the paper's method names.
     def objectsReceived(self) -> List[EventT]:  # noqa: N802 - paper-compatible alias

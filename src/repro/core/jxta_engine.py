@@ -541,8 +541,10 @@ class JxtaTPSEngine(TPSInterface):
         """Handle one raw wire message: decode, filter, dispatch."""
         self._check_affinity("wire receive")
         if self._tps_closed:
-            # A message can arrive between close() and the settle that drains
-            # in-flight deliveries; count it instead of losing it silently.
+            # Through the network this never fires: close() unregisters the
+            # wire input pipe, so a message still in flight is counted by
+            # the peer as ``endpoint_unhandled``.  Only a direct call (a
+            # listener reference kept past close) lands here; count it.
             self.peer.metrics.counter("tps_closed_engine_drops").increment()
             return
         if message.has(TPS_HISTORY_REQUEST_ELEMENT):

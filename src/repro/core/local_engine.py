@@ -33,7 +33,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 from repro.core.bindings import BindingRequest, register_binding
 from repro.core.history import HISTORY_BINDING_PARAMS, RingHistory, history_kwargs
 from repro.core.interface import PublishReceipt, TPSInterface, TPSInterfaceCore
-from repro.core.type_registry import type_name
 
 
 class LocalBus:
@@ -141,13 +140,6 @@ class LocalBus:
                 self._engines[root] = tuple(e for e in engines if e is not engine)
                 self._routes.pop(root, None)
                 self._plan_sweep()
-
-    def engines_for(self, root: Type[Any]) -> Tuple["LocalTPSEngine", ...]:
-        """Every engine attached to the hierarchy rooted at ``root``.
-
-        Returns the immutable attachment snapshot itself -- no per-call copy.
-        """
-        return self._engines.get(type_name(root), ())
 
     def _route(self, root: str, event_class: Type[Any]) -> Tuple[Tuple[Any, ...], ...]:
         """The delivery rows a ``root``-hierarchy event of ``event_class`` reaches.

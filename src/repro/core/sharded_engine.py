@@ -52,7 +52,7 @@ the other.
 
 :class:`~repro.core.local_engine.LocalTPSEngine` runs over the sharded bus
 unchanged -- the bus *is* a ``LocalBus``
-(``attach``/``detach``/``engines_for`` and the delivery loop are inherited)
+(``attach``/``detach`` and the delivery loop are inherited)
 -- which is the point of the exercise: a binding built purely from public
 pieces.
 
@@ -115,7 +115,7 @@ class ShardedLocalBus(LocalBus):
     placement, resizable while publishing
     (:meth:`add_shard`/:meth:`remove_shard`).
 
-    The route table, ``attach``/``detach``/``engines_for`` and the delivery
+    The route table, ``attach``/``detach`` and the delivery
     loop are ``LocalBus``'s; this class adds the topology snapshot, the
     partition key function and :meth:`publish_all`'s per-shard lanes.  See
     the module docstring for the partition contract and the reshard model.

@@ -595,11 +595,6 @@ class StreamCore:
     # ------------------------------------------------------------- resuming
 
     @property
-    def resumable(self) -> bool:
-        """Whether this stream was created with ``from_offset`` (cursor mode)."""
-        return self._source is not None
-
-    @property
     def offset(self) -> int:
         """The next history offset a cursor-mode stream will pull (0 when live)."""
         return self._cursor

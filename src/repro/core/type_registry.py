@@ -18,6 +18,25 @@ itself and derives everything from it:
   be reconstructed as real instances on the subscriber side (the "common Java
   type model" assumption of the paper becomes "both peers import the same
   Python classes").
+
+The type model, the same on every binding:
+
+* **Subtypes.** A subscriber of ``T`` receives every published instance of
+  ``T`` and of its subtypes (Figure 7); a hierarchy has one advertisement,
+  named after its root.
+* **Late subtypes.** A subclass defined after an engine exists is delivered
+  too.  The publishing registry registers it when it first encodes one; a
+  receiving registry that meets its name on the wire runs :meth:`refresh`
+  once and decodes again.  A name still unknown after that refresh (a type
+  this process never defined) reaches the subscription's exception handler
+  as :class:`~repro.serialization.object_codec.UnregisteredTypeError`.
+* **Mixins.** With ``class C(A, B)`` the first base decides: ``C`` belongs
+  to ``A``'s hierarchy only, and ``B`` is a mixin.  ``TPSEngine(B)`` works
+  while ``C`` exists (``B``'s registry skips it), and publishing a ``C`` on
+  ``B``'s interface raises :class:`~repro.core.exceptions.PSException`:
+  the instance passes ``B``'s ``isinstance`` check, but ``B``'s registry
+  refuses to register a type of another hierarchy, so ``B`` subscribers
+  never see a ``C``.
 """
 
 from __future__ import annotations
@@ -25,7 +44,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Set, Type
 
 from repro.core.exceptions import PSException
-from repro.serialization.object_codec import ObjectCodec
+from repro.serialization.object_codec import ObjectCodec, UnregisteredTypeError
 
 
 def type_name(cls: Type[Any]) -> str:
@@ -94,8 +113,8 @@ class TypeRegistry:
 
     The registry owns the :class:`ObjectCodec` used to serialise events, and
     registers the root type plus every currently known subclass with it.
-    Types defined after the engine was created can be added explicitly with
-    :meth:`register`.
+    Types defined after the engine was created are registered on first
+    encode or decode (see the module docstring's type model).
     """
 
     def __init__(self, event_type: Type[Any], *, codec: Optional[ObjectCodec] = None) -> None:
@@ -172,8 +191,13 @@ class TypeRegistry:
         return self.codec.encode(event)
 
     def decode(self, payload: bytes) -> Any:
-        """Reconstruct a typed event from its serialised form."""
-        return self.codec.decode(payload)
+        """Reconstruct a typed event from its serialised form; a subtype
+        defined since the last :meth:`refresh` costs one refresh and a retry."""
+        try:
+            return self.codec.decode(payload)
+        except UnregisteredTypeError:
+            self.refresh()
+            return self.codec.decode(payload)
 
     @property
     def advertised_name(self) -> str:

@@ -129,13 +129,6 @@ class CacheManager:
             for k in kinds
         )
 
-    def expire(self) -> int:
-        """Drop every entry whose age exceeds its lifetime; return how many were dropped."""
-        now = self._clock.now
-        return sum(
-            self._drop(table, lambda entry: entry.expired(now)) for table in self._entries.values()
-        )
-
     @staticmethod
     def _drop(table: Dict[str, CacheEntry], doomed: Callable[[CacheEntry], bool]) -> int:
         keys = [key for key, entry in table.items() if doomed(entry)]
@@ -179,12 +172,6 @@ class CacheManager:
     ) -> List[Advertisement]:
         """The advertisements of :meth:`matching`'s entries."""
         return [entry.advertisement for entry in self.matching(kind, attribute, value, limit=limit)]
-
-    def contains(self, advertisement: Advertisement, kind: int) -> bool:
-        """Whether an (unexpired) entry with the same unique key exists."""
-        DiscoveryKind.validate(kind)
-        entry = self._entries[kind].get(advertisement.unique_key())
-        return entry is not None and not entry.expired(self._clock.now)
 
     def count(self, kind: Optional[int] = None) -> int:
         """Number of cached entries (of one kind, or overall)."""

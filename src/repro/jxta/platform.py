@@ -10,9 +10,9 @@ workstations, multi-segment setups with firewalls and routers) with a few
 calls; the TPS test-bed helper in :mod:`repro.testbed` and the benchmark
 harness build on it.
 
-:class:`PeerGroupFactory` mirrors the JXTA API used in the paper's Figure 17
-(``PeerGroupFactory.newPeerGroup()`` followed by ``init(parent, adv)``) for
-code transliterated from the paper.
+The paper's Figure 17 creates a group in two steps,
+``PeerGroupFactory.newPeerGroup()`` then ``init(parent, adv)``; here that is
+the one call :meth:`~repro.jxta.peergroup.PeerGroup.new_group`.
 """
 
 from __future__ import annotations
@@ -98,33 +98,6 @@ def create_peer(
     for rdv_address in rendezvous_addresses:
         world.rendezvous.connect(rdv_address)
     return peer
-
-
-class PeerGroupFactory:
-    """JXTA-style two-step group instantiation (Figure 17, lines 10-11)."""
-
-    @staticmethod
-    def new_peer_group() -> "UninitializedPeerGroup":
-        """Return an uninitialised group; call :meth:`UninitializedPeerGroup.init`."""
-        return UninitializedPeerGroup()
-
-
-class UninitializedPeerGroup:
-    """Placeholder returned by :meth:`PeerGroupFactory.new_peer_group`."""
-
-    def __init__(self) -> None:
-        self._group: Optional[PeerGroup] = None
-
-    def init(self, parent: PeerGroup, advertisement: PeerGroupAdvertisement) -> PeerGroup:
-        """Initialise the group from its advertisement inside ``parent``."""
-        self._group = parent.new_group(advertisement)
-        return self._group
-
-    def lookup_service(self, name: str):
-        """Delegate to the initialised group (raises if :meth:`init` was not called)."""
-        if self._group is None:
-            raise JxtaError("peer group used before init(parent, advertisement)")
-        return self._group.lookup_service(name)
 
 
 @dataclass
@@ -213,32 +186,9 @@ class JxtaNetworkBuilder:
         raise JxtaError(f"no peer named {name!r} was built")
 
 
-def lan_of(
-    count: int,
-    *,
-    seed: int = 2002,
-    with_rendezvous: bool = True,
-    cost_model: CostModel = PAPER_TESTBED,
-) -> JxtaNetworkBuilder:
-    """Convenience: a LAN of ``count`` peers (plus an optional rendez-vous).
-
-    Peers are named ``peer-0`` ... ``peer-N``; the rendez-vous (if any) is
-    ``rdv-0``.  The builder is returned so callers can keep adding topology.
-    """
-    builder = JxtaNetworkBuilder(seed=seed, cost_model=cost_model)
-    if with_rendezvous:
-        builder.add_rendezvous("rdv-0")
-    for index in range(count):
-        builder.add_peer(f"peer-{index}")
-    return builder
-
-
 __all__ = [
     "JxtaNetworkBuilder",
-    "PeerGroupFactory",
-    "UninitializedPeerGroup",
     "WORLD_GROUP_NAME",
     "create_peer",
-    "lan_of",
     "world_group_advertisement",
 ]

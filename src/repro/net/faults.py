@@ -13,9 +13,6 @@ the :class:`~repro.net.network.Network` consults once per scheduled delivery:
   drop / duplicate / reorder / delay probabilities, resolved per directed
   pair with wildcard fallbacks (``(src, dst)`` > ``(src, "*")`` >
   ``("*", dst)`` > plan default);
-* **scripted one-shot faults**: "drop the next N packets from A to B"
-  (:meth:`FaultPlan.drop_next`), consumed before any random draw so tests
-  can stage exact loss sequences;
 * **determinism**: the plan owns its *own* ``random.Random(seed)``, separate
   from the network's :class:`~repro.net.cost.NoiseSource`, so installing a
   plan never perturbs the jitter/loss sequences of existing seeded
@@ -29,8 +26,8 @@ Duplication schedules a second, independently delayed delivery of the same
 packet.
 
 The network surfaces what the plan did through its metrics registry
-(``faults_dropped``, ``faults_duplicated``, ``faults_delayed``,
-``faults_scripted``), alongside the routing counters
+(``faults_dropped``, ``faults_duplicated``, ``faults_delayed``),
+alongside the routing counters
 (``packets_no_route``, ``packets_blocked``).
 """
 
@@ -91,17 +88,14 @@ class FaultDecision:
 
     ``deliveries`` holds one extra-delay value per copy to deliver (empty
     when the packet is dropped; two entries when it is duplicated).
-    ``scripted`` marks decisions taken by a scripted one-shot fault rather
-    than a random draw.
     """
 
     drop: bool
-    scripted: bool
     deliveries: Tuple[float, ...]
 
 
 #: The decision taken for an unfaulted packet: one copy, no extra delay.
-CLEAN_DECISION = FaultDecision(drop=False, scripted=False, deliveries=(0.0,))
+CLEAN_DECISION = FaultDecision(drop=False, deliveries=(0.0,))
 
 
 class FaultPlan:
@@ -131,14 +125,11 @@ class FaultPlan:
         self._rules: Dict[Tuple[str, str], LinkFaults] = {}
         #: Plan-wide fallback applied when no rule matches.
         self.default = default
-        #: Directed (source, destination) -> packets still to drop (scripted).
-        self._scripted_drops: Dict[Tuple[str, str], int] = {}
         #: Decisions taken, for observability and determinism tests.
         self.decisions = 0
         self.dropped = 0
         self.duplicated = 0
         self.delayed = 0
-        self.scripted = 0
 
     @classmethod
     def chaos(
@@ -200,44 +191,18 @@ class FaultPlan:
                 return rule
         return self.default
 
-    def drop_next(self, source: str, destination: str, count: int = 1) -> "FaultPlan":
-        """Script: drop the next ``count`` packets from ``source`` to ``destination``.
-
-        Scripted drops are consumed before any probabilistic draw, so they
-        fire deterministically regardless of the plan's seed.  Returns the
-        plan for chaining.
-        """
-        if count < 0:
-            raise ValueError(f"scripted drop count must be >= 0, got {count}")
-        key = (source, destination)
-        self._scripted_drops[key] = self._scripted_drops.get(key, 0) + count
-        return self
-
-    def pending_scripted_drops(self, source: str, destination: str) -> int:
-        """How many scripted drops remain armed for the directed pair."""
-        return self._scripted_drops.get((source, destination), 0)
-
     # --------------------------------------------------------------- decision
 
     def decide(self, source: str, destination: str) -> FaultDecision:
         """Decide the fate of one packet travelling ``source`` -> ``destination``."""
         self.decisions += 1
-        remaining = self._scripted_drops.get((source, destination), 0)
-        if remaining > 0:
-            if remaining == 1:
-                del self._scripted_drops[(source, destination)]
-            else:
-                self._scripted_drops[(source, destination)] = remaining - 1
-            self.dropped += 1
-            self.scripted += 1
-            return FaultDecision(drop=True, scripted=True, deliveries=())
         faults = self.faults_for(source, destination)
         if faults is None or not faults.active:
             return CLEAN_DECISION
         rng = self._rng
         if faults.drop > 0 and rng.random() < faults.drop:
             self.dropped += 1
-            return FaultDecision(drop=True, scripted=False, deliveries=())
+            return FaultDecision(drop=True, deliveries=())
         extra = 0.0
         if faults.reorder > 0 and rng.random() < faults.reorder:
             # Hold the packet back past at least half the window so packets
@@ -255,7 +220,7 @@ class FaultPlan:
             deliveries = (extra,)
         if extra > 0.0:
             self.delayed += 1
-        return FaultDecision(drop=False, scripted=False, deliveries=deliveries)
+        return FaultDecision(drop=False, deliveries=deliveries)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

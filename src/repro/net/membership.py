@@ -164,10 +164,6 @@ class MembershipMonitor:
         member = self._members.get(self._to_urn(target))
         return member.state if member else None
 
-    def alive(self) -> List[str]:
-        """URNs currently considered ``ALIVE``."""
-        return [urn for urn, m in self._members.items() if m.state == ALIVE]
-
     # ------------------------------------------------------------- listeners
 
     def add_listener(self, listener: MembershipListener) -> None:

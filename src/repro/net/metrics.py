@@ -125,10 +125,6 @@ class MetricsRegistry:
         """Snapshot of all counter values."""
         return {name: c.value for name, c in sorted(self._counters.items())}
 
-    def gauges(self) -> Dict[str, float]:
-        """Snapshot of all gauge levels."""
-        return {name: g.value for name, g in sorted(self._gauges.items())}
-
     def timers(self) -> Dict[str, Timer]:
         """All timers, keyed by name."""
         return dict(self._timers)

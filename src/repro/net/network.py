@@ -18,7 +18,7 @@ including ones on nominally "reliable" transports, since the point is to
 exercise the retry/ack/dedup layers above -- is then subject to the plan's
 seeded drop/duplicate/reorder/delay decisions.  Injected faults are counted
 in the network metrics (``faults_dropped``, ``faults_duplicated``,
-``faults_delayed``, ``faults_scripted``), as are routing failures
+``faults_delayed``), as are routing failures
 (``packets_no_route`` for unreachable unicast destinations and
 ``packets_blocked`` for firewall rejections), so no packet ever vanishes
 without a counter.
@@ -212,10 +212,6 @@ class Network:
         """Cut all communication between two nodes (fault injection)."""
         self._partitions.add(frozenset((a, b)))
 
-    def heal(self, a: str, b: str) -> None:
-        """Undo a previous :meth:`partition` between two nodes."""
-        self._partitions.discard(frozenset((a, b)))
-
     def partitioned(self, a: str, b: str) -> bool:
         """Whether a partition currently separates the two addresses."""
         return frozenset((a, b)) in self._partitions
@@ -351,8 +347,6 @@ class Network:
         plan = self.fault_plan
         if plan is not None:
             decision = plan.decide(sender.address, receiver.address)
-            if decision.scripted:
-                self.metrics.counter("faults_scripted").increment()
             if decision.drop:
                 self.metrics.counter("faults_dropped").increment()
                 self.metrics.counter("packets_lost").increment()

@@ -42,8 +42,7 @@ plans do not cover) falls back to the generic recursive codec.  The compiled
 output is byte-for-byte identical to the generic path -- property tests in
 ``tests/test_codec_fastpath_properties.py`` enforce this -- so peers running
 either path interoperate.  Pass ``compiled=False`` to force the generic path
-(used by those tests and by the perf harness as the pre-optimisation
-baseline).
+(those tests' oracle).
 """
 
 from __future__ import annotations
@@ -204,7 +203,7 @@ class ObjectCodec:
         When True (the default), use compiled per-type encode/decode plans on
         the hot path.  When False, always run the generic recursive codec --
         the two produce byte-identical output; the flag exists for the
-        property tests and the perf-harness baseline.
+        property tests, whose oracle the generic path is.
     """
 
     def __init__(self, *, strict: bool = True, compiled: bool = True) -> None:

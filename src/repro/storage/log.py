@@ -6,7 +6,7 @@ File format (one flat segment file per store direction)::
     payload := codec.encode((event, meta))
 
 Offsets are the record's index in the file, so they are dense, start at 0
-and -- unlike the bounded ring -- never evict: ``start_offset`` stays 0 and
+and -- unlike the bounded ring -- never evict: ``since(0)`` starts at offset 0 and
 ``since(offset)`` can replay the complete history of the engine across
 process restarts.
 
@@ -228,10 +228,6 @@ class LogHistory(HistoryStore):
     def next_offset(self) -> int:
         with self._lock:
             return self._next
-
-    @property
-    def start_offset(self) -> int:
-        return 0
 
     # ------------------------------------------------------------ lifecycle
 

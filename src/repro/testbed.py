@@ -51,10 +51,6 @@ class TPSNetwork:
         """The ``index``-th ordinary peer."""
         return self.peers[index]
 
-    def peer_named(self, name: str) -> Peer:
-        """Look up any built peer (including the rendez-vous) by name."""
-        return self._builder.peer_named(name)
-
     def __len__(self) -> int:
         return len(self.peers)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.jxta.platform import JxtaNetworkBuilder
+from repro.net.faults import FaultDecision, FaultPlan
 
 
 @pytest.fixture
@@ -106,3 +107,24 @@ def check_frame_fuzz():
         return [candidate for candidate, _ in damaged]
 
     return check
+
+
+class DropFirst(FaultPlan):
+    """A fault plan that drops the first ``count`` packets from ``source`` to
+    ``destination`` and is fault-free otherwise."""
+
+    def __init__(self, source, destination, count):
+        super().__init__(seed=5)
+        self.link, self.remaining = (source, destination), count
+
+    def decide(self, source, destination):
+        if (source, destination) == self.link and self.remaining:
+            self.remaining -= 1
+            return FaultDecision(drop=True, deliveries=())
+        return super().decide(source, destination)
+
+
+@pytest.fixture
+def drop_first():
+    """Build a :class:`DropFirst` plan: ``drop_first(source, destination, count)``."""
+    return DropFirst

@@ -144,7 +144,7 @@ class TestShardedBinding:
         publisher = TPSEngine(SkiRental, local_bus=sharded).new_interface("SHARDED")
         subscriber = TPSEngine(SkiRental, local_bus=sharded).new_interface("SHARDED")
         root = publisher.registry.advertised_name
-        assert sharded.engines_for(publisher.registry.root) == (publisher, subscriber)
+        assert sharded._engines[root] == (publisher, subscriber)
         # Root partitioning: every event of the hierarchy shares its shard.
         assert sharded.partition_index(root, _offer()) == sharded.shard_index(root)
 
@@ -177,7 +177,7 @@ class TestShardedBinding:
             assert isinstance(interface.bus, ShardedLocalBus)
             assert len(interface.bus.shards) == DEFAULT_SHARD_COUNT
             assert twin.bus is interface.bus
-            attached = interface.bus.engines_for(interface.registry.root)
+            attached = interface.bus._engines[interface.registry.advertised_name]
             assert interface in attached and twin in attached
         finally:
             interface.close()

@@ -673,6 +673,33 @@ class TestAsyncEngineDirect:
         assert asyncio.run(main()) == ["direct", "streamed"]
 
 
+    def test_unknown_dispatch_mode_is_refused(self):
+        async def main():
+            with pytest.raises(PSException) as raised:
+                AsyncLocalBus(dispatch="bogus")
+            return str(raised.value)
+
+        assert asyncio.run(main()) == (
+            f"unknown async dispatch mode 'bogus'; expected one of {ASYNC_DISPATCH_MODES}"
+        )
+
+    def test_a_bus_outside_a_running_loop_is_refused(self):
+        with pytest.raises(PSException) as raised:
+            AsyncLocalBus()
+        assert str(raised.value) == (
+            "an AsyncLocalBus is owned by the event loop that creates it ('the "
+            "loop is the thread'); construct it inside a running loop, e.g. "
+            "from a coroutine"
+        )
+
+    def test_a_non_async_bus_is_refused(self):
+        with pytest.raises(PSException) as raised:
+            AsyncTPSEngine(SkiRental, bus=LocalBus())
+        assert str(raised.value) == (
+            "the ASYNC binding needs an AsyncLocalBus (or no bus at all); got LocalBus"
+        )
+
+
 class TestLoopClockBreakers:
     """Satellite: ASYNC breakers tick on ``loop.time``, not wall time."""
 

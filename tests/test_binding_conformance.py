@@ -62,9 +62,11 @@ from repro.core.interface import TPSInterface, TPSInterfaceCore
 from repro.core.local_engine import LocalBus
 from repro.core.sharded_engine import ShardedLocalBus
 from repro.core.subscriber import TPSSubscriberManager
+from repro.core.type_registry import TypeRegistry
 from repro.jxta.platform import JxtaNetworkBuilder
 from repro.net.entropy import monotonic_clock
 from repro.net.faults import FaultPlan
+from repro.serialization.object_codec import UnregisteredTypeError
 
 #: Suffix selecting a fault-injected network with reliable delivery on.
 CHAOS_SUFFIX = "+CHAOS"
@@ -179,10 +181,6 @@ class AsyncStreamDriver(_LoopProxy):
     @property
     def offset(self) -> int:
         return self._stream.offset
-
-    @property
-    def resumable(self) -> bool:
-        return self._stream.resumable
 
     @property
     def closed(self) -> bool:
@@ -473,6 +471,74 @@ class TestMixinHierarchies:
             harness.finish()
 
 
+    @pytest.mark.parametrize("binding", ["LOCAL", "SHARDED", "JXTA", "SHARDED+JXTA"])
+    def test_publishing_a_mixed_type_on_the_mixin_interface_raises(self, binding):
+        """``_MixedOffer`` is a ``MixinOffer`` by ``isinstance`` but belongs to
+        ``_PrimaryOffer``'s hierarchy: the ``MixinOffer`` interface refuses
+        it with one ``PSException`` and its subscribers see nothing."""
+        harness = BindingHarness(binding)
+        try:
+            publisher = harness.interface(event_type=MixinOffer)
+            harness.pump()
+            subscriber = harness.interface(
+                peer=harness.subscriber_peer if harness.wire else None,
+                create=False,
+                event_type=MixinOffer,
+            )
+            harness.pump()
+            inbox: List[Any] = []
+            subscriber.subscribe(inbox.append)
+            harness.pump()
+            with pytest.raises(PSException, match="does not belong to the .*MixinOffer hierarchy"):
+                publisher.publish(_MixedOffer("mixed"))
+            harness.pump()
+            harness.publish(publisher, MixinOffer("plain"))
+            assert [type(event) for event in inbox] == [MixinOffer]
+        finally:
+            harness.finish()
+
+
+class TestLateSubtypes:
+    @pytest.mark.parametrize("binding", ["LOCAL", "SHARDED", "JXTA", "SHARDED+JXTA"])
+    def test_a_subtype_defined_after_the_engines_is_delivered(self, binding):
+        """The subscriber's registry was filled before ``LateOffer`` existed:
+        the first wire decode of one refreshes it once and delivers."""
+        harness = BindingHarness(binding)
+        try:
+            publisher, subscriber = harness.pair()
+            inbox: List[Any] = []
+            errors: List[BaseException] = []
+            subscriber.subscribe(inbox.append, errors.append)
+            harness.pump()
+
+            # One class per binding: a second live class under the same
+            # type name would be refused by the codec.
+            LateOffer = type(f"LateOffer_{binding.replace('+', '_')}", (SkiRental,), {})
+            harness.publish(publisher, LateOffer("late", 12.0, "Atomic", 3))
+            harness.publish(publisher, LateOffer("later", 13.0, "Atomic", 3))
+            assert [(type(event), event.shop) for event in inbox] == [
+                (LateOffer, "late"), (LateOffer, "later")
+            ]
+            assert errors == []
+        finally:
+            harness.finish()
+
+    def test_a_type_the_receiver_never_defined_still_raises(self):
+        """A name that one refresh cannot resolve is a foreign type: decode
+        raises ``UnregisteredTypeError`` and does not retry again."""
+        receiver = TypeRegistry(SkiRental)
+
+        class ForeignOffer(SkiRental):
+            pass
+
+        payload = TypeRegistry(SkiRental).encode(ForeignOffer("f", 1.0, "b", 1))
+        refreshes: List[int] = []
+        receiver.refresh = lambda: refreshes.append(1)  # never learns the type
+        with pytest.raises(UnregisteredTypeError, match="ForeignOffer"):
+            receiver.decode(payload)
+        assert refreshes == [1]
+
+
 @pytest.fixture(params=BINDINGS)
 def harness(request):
     built = BindingHarness(request.param)
@@ -692,7 +758,6 @@ class TestStreamConformance:
         for index in range(3):
             harness.publish(publisher, _offer(f"shop-{index}"))
         with subscriber.stream(from_offset=1) as stream:
-            assert stream.resumable
             assert [e.shop for e in stream.drain()] == ["shop-1", "shop-2"]
             harness.publish(publisher, _offer("shop-3"))
             assert [e.shop for e in stream.drain()] == ["shop-3"]
@@ -908,12 +973,12 @@ class TestCompositeSpecifics:
             assert [e.shop for e in subscriber.objects_received()] == [
                 e.shop for e in inbox
             ]
-            assert len(subscriber.history_since(0)) == 5
+            assert len(subscriber._received.since(0)) == 5
             # One sent store: each publish recorded once.
             assert [e.shop for e in local_publisher.objects_sent()] == [
                 "shop-0", "shop-2", "shop-3"
             ]
-            assert len(local_publisher.sent_history_since(0)) == 3
+            assert len(local_publisher._sent.since(0)) == 3
             if history == "log":
                 subscriber.close()
                 local_publisher.close()
@@ -947,7 +1012,7 @@ class TestCompositeSpecifics:
                 engine.new_interface("SHARDED+JXTA", **params)
             # The same (peer, default parameter set) bus a working request gets.
             survivor = harness.interface(create=True)
-            assert survivor.bus.engines_for(survivor.registry.root) == (survivor,)
+            assert survivor.bus._engines[survivor.registry.advertised_name] == (survivor,)
         finally:
             harness.finish()
 

@@ -28,7 +28,6 @@ def test_discovery_kind_validation():
 def test_publish_and_search(cache):
     advertisement = PeerGroupAdvertisement(name="PS$SkiRental")
     cache.publish(advertisement, DiscoveryKind.GROUP)
-    assert cache.contains(advertisement, DiscoveryKind.GROUP)
     assert cache.search(DiscoveryKind.GROUP, "Name", "PS$*") == [advertisement]
     assert cache.search(DiscoveryKind.GROUP, "Name", "Other*") == []
     assert cache.search(DiscoveryKind.PEER) == []
@@ -45,7 +44,7 @@ def test_publish_same_key_refreshes(cache, simulator):
     assert cache.count(DiscoveryKind.GROUP) == 1
 
 
-def test_expiry_is_lazy_and_explicit(cache, simulator):
+def test_expiry_is_lazy(cache, simulator):
     advertisement = Advertisement(name="short-lived")
     cache.publish(advertisement, DiscoveryKind.ADV, lifetime=5.0)
     simulator.run_until(10.0)
@@ -54,7 +53,7 @@ def test_expiry_is_lazy_and_explicit(cache, simulator):
     fresh = Advertisement(name="fresh")
     cache.publish(fresh, DiscoveryKind.ADV, lifetime=5.0)
     simulator.run_until(20.0)
-    assert cache.expire() == 1
+    assert cache.search(DiscoveryKind.ADV, "Name", "fresh") == []
     assert cache.count() == 0
 
 
@@ -96,7 +95,7 @@ def test_flush_remote_only(cache):
 def test_kinds_are_isolated(cache):
     advertisement = PeerGroupAdvertisement(name="g")
     cache.publish(advertisement, DiscoveryKind.GROUP)
-    assert not cache.contains(advertisement, DiscoveryKind.ADV)
+    assert cache.search(DiscoveryKind.ADV) == []
     assert cache.count(DiscoveryKind.ADV) == 0
 
 

@@ -198,3 +198,33 @@ class TestInterfaceSubscribeForms:
         publisher.publish(Event(6))
         assert len(subscriber.objectsReceived()) == 1
         assert len(publisher.objectsSent()) == 1
+
+
+class TestDispatchSnapshot:
+    def _subscription(self, sink):
+        return Subscription(
+            callback=as_callback(sink.append),
+            exception_handler=as_exception_handler(lambda error: None),
+        )
+
+    def test_dispatch_uses_snapshot_rebuilt_on_change(self):
+        manager = TPSSubscriberManager()
+        received: list = []
+        manager.add(self._subscription(received))
+        assert manager.dispatch("e1") == 1
+        snapshot = manager._handlers
+        assert manager.dispatch("e2") == 1
+        assert manager._handlers is snapshot  # unchanged between events
+        manager.add(self._subscription(received))
+        assert manager._handlers is not snapshot  # rebuilt on mutation
+        assert manager.dispatch("e3") == 2
+        assert received == ["e1", "e2", "e3", "e3"]
+
+    def test_remove_updates_snapshot(self):
+        manager = TPSSubscriberManager()
+        received: list = []
+        subscription = self._subscription(received)
+        manager.add(subscription)
+        assert manager.remove(subscription.callback) == 1
+        assert manager.dispatch("event") == 0
+        assert manager.empty and received == []

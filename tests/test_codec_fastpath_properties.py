@@ -392,10 +392,3 @@ class TestRoutingTableSemantics:
 
         publisher.publish(NightSkiRental("s", 2.0, "b", 1))
         assert [type(e).__name__ for e in events] == ["SkiRental", "NightSkiRental"]
-
-    def test_engines_for_returns_live_snapshot_without_copy(self):
-        bus = LocalBus()
-        engine = LocalTPSEngine(SkiRental, bus=bus)
-        snapshot = bus.engines_for(RentalOffer)
-        assert isinstance(snapshot, tuple) and engine in snapshot
-        assert bus.engines_for(RentalOffer) is snapshot  # no per-call copy

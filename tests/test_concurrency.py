@@ -39,6 +39,7 @@ from repro.core.exceptions import PSException
 from repro.core.history import RingHistory
 from repro.core.local_engine import LocalBus, LocalTPSEngine
 from repro.core.sharded_engine import ShardedLocalBus
+from repro.core.type_registry import Criteria, type_name
 
 #: The whole module is wall-clock stress testing: marked so a fast local
 #: loop can deselect it (``-m "not slow"``) while tier-1 runs everything.
@@ -279,6 +280,68 @@ class TestShardedBusConcurrency:
         assert sorted(event.value for event in inner_beta) == [0, 1, 1]
         bus.shutdown()
 
+    def _failing_batch(self, *, caller_fails: bool, worker_fails: bool):
+        """``publish_all`` over three lanes of three events each, the first
+        job's lane worked by the caller.  The caller lane's and the first
+        worker lane's subscriber criteria raise on request; the last lane
+        never fails but is slow.  Returns the raised message, what each
+        lane delivered, and how much of the slow lane had been delivered
+        when the batch raised."""
+        bus = ShardedLocalBus(shards=8)
+        by_shard = {}
+        for event_type in HIERARCHIES:
+            by_shard.setdefault(bus.shard_index(type_name(event_type)), event_type)
+        assert len(by_shard) >= 3  # three hierarchies on three shards
+        lanes = list(by_shard.values())[:3]
+        failing = {lanes[0]: caller_fails and "caller lane", lanes[1]: worker_fails and "worker lane"}
+        publishers, received = {}, {event_type: [] for event_type in lanes}
+
+        def criteria_for(event_type):
+            message = failing.get(event_type)
+            if not message:
+                return None
+
+            def predicate(event):
+                raise ValueError(message)
+
+            return Criteria(event_predicate=predicate)
+
+        def slow_append(event):
+            time.sleep(0.02)
+            received[lanes[2]].append(event)
+
+        for event_type in lanes:
+            publishers[event_type] = LocalTPSEngine(event_type, bus=bus)
+            subscriber = LocalTPSEngine(event_type, bus=bus, criteria=criteria_for(event_type))
+            subscriber.subscribe(slow_append if event_type is lanes[2] else received[event_type].append)
+        jobs = [(publishers[t], t(value)) for value in range(3) for t in lanes]
+        try:
+            with pytest.raises(ValueError) as raised:
+                bus.publish_all(jobs)
+            settled = len(received[lanes[2]])
+        finally:
+            bus.shutdown()
+        delivered = [[event.value for event in received[t]] for t in lanes]
+        return str(raised.value), delivered, settled
+
+    def test_a_caller_lane_error_is_raised_after_every_worker_lane(self):
+        message, delivered, settled = self._failing_batch(caller_fails=True, worker_fails=False)
+        assert message == "caller lane"
+        assert delivered == [[], [0, 1, 2], [0, 1, 2]]
+        assert settled == 3
+
+    def test_a_worker_lane_error_is_raised_after_the_batch(self):
+        message, delivered, settled = self._failing_batch(caller_fails=False, worker_fails=True)
+        assert message == "worker lane"
+        assert delivered == [[0, 1, 2], [], [0, 1, 2]]
+        assert settled == 3
+
+    def test_the_caller_error_wins_and_every_lane_is_awaited_first(self):
+        message, delivered, settled = self._failing_batch(caller_fails=True, worker_fails=True)
+        assert message == "caller lane"
+        assert delivered == [[], [], [0, 1, 2]]
+        assert settled == 3
+
     def test_publish_all_single_shard_runs_inline_without_executor(self):
         bus = ShardedLocalBus(shards=4)
         publisher = LocalTPSEngine(Offer, bus=bus)
@@ -395,12 +458,12 @@ class TestRingHistoryHammer:
                 assert head >= (reads[-1] if reads else 0)
                 reads.append(head)
                 cursor = max(0, head - 200)
-                entries = subscriber.history_since(cursor)
-                offsets = [offset for offset, _ in entries]
+                entries = subscriber._received.since(cursor)
+                offsets = [offset for offset, _, _ in entries]
                 _assert_dense(offsets)
                 if offsets:
                     assert offsets[0] >= cursor and offsets[-1] >= head - 1
-                for offset, event in entries:
+                for offset, event, _ in entries:
                     # An offset, once handed out, names one event for good.
                     assert at_offset.setdefault(offset, event) is event
                 snapshot = subscriber.objects_received()
@@ -414,10 +477,10 @@ class TestRingHistoryHammer:
         assert reads and reads[-1] == total
         assert len(delivered) == total
         assert subscriber.history_offset == total  # no offset lost to a trim
-        history = subscriber.history_since(0)
+        history = subscriber._received.since(0)
         retained = history_size or total  # unbounded: everything published
-        assert [offset for offset, _ in history] == list(range(total - retained, total))
-        events = [event for _, event in history]
+        assert [offset for offset, _, _ in history] == list(range(total - retained, total))
+        events = [event for _, event, _ in history]
         assert events == subscriber.objects_received()
         assert {id(event) for event in events} <= {id(event) for event in delivered}
         assert len({id(event) for event in events}) == retained  # none duplicated

@@ -10,7 +10,7 @@ flooded subscriber drops messages instead of falling over.
 The reliability scenarios drive the wire layer's at-least-once protocol over
 a fault-injected network (:class:`~repro.net.faults.FaultPlan`): duplicated
 packets deliver exactly once, reordered packets deliver in per-source
-publish order, scripted drops are healed by retries, a total-loss link ends
+publish order, dropped first transmissions are healed by retries, a total-loss link ends
 in a *reported* terminal failure (never silence), and a persistently-raising
 callback is quarantined -- and later rehabilitated -- by its circuit
 breaker.
@@ -33,6 +33,11 @@ from repro.jxta.wire import MAX_ATTEMPTS, WireService
 from repro.net.faults import FaultPlan, LinkFaults
 from repro.net.firewall import Firewall
 from repro.net.network import LinkSpec
+
+
+def _heal(network, a, b):
+    """Undo ``network.partition(a, b)`` (the network has no public heal)."""
+    network._partitions.discard(frozenset((a, b)))
 
 
 def _pub_sub(
@@ -87,8 +92,8 @@ class TestPartitions:
         _publish(builder, publisher, price=20.0)
         assert len(inbox) == 1
         # Healing restores delivery for subsequent events.
-        builder.network.heal(pub_peer.node.address, sub_peer.node.address)
-        builder.network.heal(pub_peer.node.address, "rdv-0")
+        _heal(builder.network, pub_peer.node.address, sub_peer.node.address)
+        _heal(builder.network, pub_peer.node.address, "rdv-0")
         _publish(builder, publisher, price=30.0)
         assert len(inbox) == 2
 
@@ -233,17 +238,16 @@ class TestReliableDeliveryUnderFaults:
         assert counters["wire_order_gaps_abandoned"] == 1
         assert counters["wire_out_of_order_held"] == WireService.HOLDBACK_LIMIT
 
-    def test_retries_heal_scripted_drops(self, builder):
+    def test_retries_heal_dropped_transmissions(self, builder, drop_first):
         builder.add_rendezvous("rdv-0")
         publisher, _subscriber, inbox, pub_peer, sub_peer = _reliable_pair(builder)
-        plan = FaultPlan(seed=5)
+        plan = drop_first(pub_peer.node.address, sub_peer.node.address, count=2)
         builder.network.fault_plan = plan
-        plan.drop_next(pub_peer.node.address, sub_peer.node.address, count=2)
         _publish(builder, publisher, price=55.0)
         builder.settle(rounds=8)
         assert [offer.price for offer in inbox] == [55.0]
         assert pub_peer.metrics.counters().get("wire_retries", 0) >= 1
-        assert plan.scripted == 2
+        assert plan.remaining == 0
 
     def test_total_loss_link_reports_terminal_failure(self, builder):
         builder.add_rendezvous("rdv-0")

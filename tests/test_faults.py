@@ -58,35 +58,6 @@ class TestLinkResolution:
         assert plan.faults_for("a", "b") is None
 
 
-class TestScriptedDrops:
-    def test_drop_next_consumes_exactly_count(self):
-        plan = FaultPlan()
-        plan.drop_next("a", "b", count=2)
-        assert plan.decide("a", "b").drop
-        assert plan.decide("a", "b").drop
-        decision = plan.decide("a", "b")
-        assert not decision.drop
-        assert plan.scripted == 2
-        assert plan.pending_scripted_drops("a", "b") == 0
-
-    def test_scripted_drops_are_per_link(self):
-        plan = FaultPlan()
-        plan.drop_next("a", "b")
-        assert not plan.decide("b", "a").drop
-        assert plan.decide("a", "b").drop
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan().drop_next("a", "b", count=-1)
-
-    def test_scripted_decisions_are_flagged(self):
-        plan = FaultPlan(default=LinkFaults(drop=1.0))
-        plan.drop_next("a", "b")
-        assert plan.decide("a", "b").scripted
-        # Probabilistic drops are not flagged as scripted.
-        assert not plan.decide("a", "b").scripted
-
-
 class TestDeterminism:
     @given(seed=st.integers(min_value=0, max_value=2**31), draws=st.integers(1, 200))
     @settings(max_examples=30, deadline=None)
@@ -97,18 +68,6 @@ class TestDeterminism:
             [plan.decide("a", "b") for _ in range(draws)] for plan in plans
         ]
         assert sequences[0] == sequences[1]
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31),
-        count=st.integers(0, 20),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_scripted_drops_fire_regardless_of_seed(self, seed, count):
-        plan = FaultPlan(seed=seed)
-        if count:
-            plan.drop_next("a", "b", count=count)
-        outcomes = [plan.decide("a", "b").drop for _ in range(count + 5)]
-        assert outcomes == [True] * count + [False] * 5
 
     def test_chaos_plans_with_same_seed_agree(self):
         left, right = FaultPlan.chaos(seed=7), FaultPlan.chaos(seed=7)
@@ -163,19 +122,6 @@ class TestNetworkFaultCounters:
         network.simulator.run()
         assert len(received) == 1
         assert network.metrics.counters()["faults_delayed"] == 1
-
-    def test_scripted_drop_counts_separately(self):
-        plan = FaultPlan()
-        network = self._network(plan)
-        sender, received = _two_nodes(network)
-        plan.drop_next("a", "b")
-        sender.send(Packet(source="a", destination="b", payload=b"x"))
-        sender.send(Packet(source="a", destination="b", payload=b"y"))
-        network.simulator.run()
-        assert len(received) == 1
-        counters = network.metrics.counters()
-        assert counters["faults_scripted"] == 1
-        assert counters["faults_dropped"] == 1
 
     def test_installing_a_plan_does_not_shift_existing_noise(self):
         # Same seed, same traffic: latencies (driven by the network's own

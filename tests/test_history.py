@@ -58,7 +58,7 @@ class TestRingHistory:
         offsets = [ring.append(_offer(i)) for i in range(5)]
         assert offsets == [0, 1, 2, 3, 4]
         assert ring.next_offset == 5
-        assert ring.start_offset == 0
+        assert ring.since(0)[0][0] == 0
         assert len(ring) == 5
 
     def test_eviction_advances_start_offset_but_never_reuses_offsets(self):
@@ -66,7 +66,6 @@ class TestRingHistory:
         for i in range(10):
             assert ring.append(i) == i
         assert len(ring) == 3
-        assert ring.start_offset == 7
         assert ring.next_offset == 10
         assert [entry[0] for entry in ring.since(0)] == [7, 8, 9]
         assert ring.snapshot() == [7, 8, 9]
@@ -85,7 +84,7 @@ class TestRingHistory:
             ring.append(i)
         ring.clear()
         assert len(ring) == 0
-        assert ring.start_offset == ring.next_offset == 4
+        assert ring.since(0) == [] and ring.next_offset == 4
         assert ring.append("next") == 4
 
     def test_unbounded_when_capacity_nonpositive(self):
@@ -93,7 +92,7 @@ class TestRingHistory:
         for i in range(5000):
             ring.append(i)
         assert len(ring) == 5000
-        assert ring.start_offset == 0
+        assert ring.since(0)[0][0] == 0
 
     def test_bool_capacity_rejected(self):
         with pytest.raises(PSException):
@@ -125,9 +124,6 @@ def _assert_matches_model(ring: RingHistory, model: _ModelRing) -> None:
     assert ring.snapshot() == [event for _, event, _ in model.entries]
     assert len(ring) == len(model.entries)
     assert ring.next_offset == model.next_offset
-    assert ring.start_offset == (
-        model.entries[0][0] if model.entries else model.next_offset
-    )
     if ring.capacity > 0:
         # The documented resident bound: trimmed back once past 2x.
         assert len(ring._entries) <= 2 * ring.capacity
@@ -250,7 +246,7 @@ class TestLogHistory:
         assert [meta for _, _, meta in entries] == ["id-3", "id-4", "id-5"]
         assert [event.shop for _, event, _ in entries] == ["shop-3", "shop-4", "shop-5"]
         assert len(log.snapshot()) == 6
-        assert log.start_offset == 0
+        assert log.since(0)[0][0] == 0
         log.close()
 
     def test_offsets_continue_across_reopen(self, tmp_path):
@@ -428,7 +424,7 @@ class TestEngineHistoryBounds:
                 assert len(store) <= size
         assert peak > size  # the trim is amortised, not per-append
         assert len(subscriber._received.snapshot()) == size
-        assert subscriber._received.start_offset == 9 * size
+        assert subscriber._received.since(0)[0][0] == 9 * size
         publisher.close()
         subscriber.close()
 

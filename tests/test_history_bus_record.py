@@ -296,20 +296,16 @@ class TestStaggeredSweep:
 def _check_against_model(subscriber: LocalTPSEngine, model: _ModelRing, full: bool) -> None:
     assert subscriber.history_offset == model.next_offset
     assert len(subscriber._received) == len(model.entries)
-    assert subscriber._received.start_offset == (
-        model.entries[0][0] if model.entries else model.next_offset
-    )
+    assert subscriber._received.since(0)[:1] == model.entries[:1]
     newest = model.next_offset - 2
-    assert subscriber.history_since(newest) == [
-        (offset, event) for offset, event, _ in model.entries[-2:] if offset >= newest
+    assert subscriber._received.since(newest) == [
+        entry for entry in model.entries[-2:] if entry[0] >= newest
     ]
     if full:
         assert subscriber.objects_received() == [event for _, event, _ in model.entries]
         middle = model.next_offset - max(1, model.capacity // 2)
         for offset in (0, middle):
-            assert subscriber.history_since(offset) == [
-                (at, event) for at, event, _ in model.since(offset)
-            ]
+            assert subscriber._received.since(offset) == model.since(offset)
 
 
 class TestObservableHistoryMatchesTheModel:

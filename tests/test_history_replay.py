@@ -10,7 +10,7 @@ Three layers of the durable-history story:
   and ``history="log"``.
 * **Catch-up** -- a killed-and-restarted peer with a ``LogHistory``-backed
   engine re-seeds its duplicate filter and per-source offsets from disk,
-  requests ``history_since(offset)`` over the wire, and observes exactly
+  requests the sent history since an offset over the wire, and observes exactly
   the missed events exactly once (the acceptance-criterion integration
   test); under :meth:`FaultPlan.chaos` the JXTA received history records
   exactly what the subscriber observed -- no duplicates, no phantom order.
@@ -52,7 +52,6 @@ class TestResumableStreams:
         for index in range(5):
             publisher.publish(_offer(index))
         stream = subscriber.stream(from_offset=2)
-        assert stream.resumable
         assert _shops(stream.drain()) == ["shop-2", "shop-3", "shop-4"]
         publisher.publish(_offer(5))
         assert _shops(stream.drain()) == ["shop-5"]
@@ -130,7 +129,6 @@ class TestResumableStreams:
     def test_live_streams_are_not_resumable(self):
         subscriber = LocalTPSEngine(SkiRental, bus=LocalBus())
         stream = subscriber.stream()
-        assert not stream.resumable
         with pytest.raises(PSException, match="from_offset"):
             stream.resume(0)
         subscriber.close()
@@ -202,7 +200,6 @@ class TestResumableStreams:
             for index in range(5):
                 await publisher.publish(_offer(index))
             stream = subscriber.stream(from_offset=2)
-            assert stream.resumable
             await asyncio.sleep(0)  # let the prefill task pump
             assert _shops(stream.drain()) == ["shop-2", "shop-3", "shop-4"]
             await publisher.publish(_offer(5))
@@ -393,10 +390,10 @@ class _HistoryReport:
         self.sent = _shops(publisher.objects_sent())
         self.received = _shops(subscriber.objects_received())
         self.sent_since = [
-            (offset, event.shop) for offset, event in publisher.sent_history_since(0)
+            (offset, event.shop) for offset, event, _ in publisher._sent.since(0)
         ]
         self.received_since = [
-            (offset, event.shop) for offset, event in subscriber.history_since(2)
+            (offset, event.shop) for offset, event, _ in subscriber._received.since(2)
         ]
         self.offsets = (publisher.sent_offset, subscriber.history_offset)
 
@@ -671,7 +668,7 @@ class TestWireCatchUp:
             "shop-3",
         ]
         assert [
-            event.shop for _, event in reborn.history_since(2)
+            event.shop for _, event, _ in reborn._received.since(2)
         ] == ["shop-2", "shop-3"]
         publisher.close()
         reborn.close()

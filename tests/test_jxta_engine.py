@@ -13,7 +13,7 @@ from repro.core import (
     TPSEngine,
 )
 from repro.core.exceptions import NotInitializedError, TypeMismatchError
-from repro.core.jxta_engine import JxtaTPSEngine
+from repro.core.jxta_engine import DUPLICATE_WINDOW, BoundedIdSet, JxtaTPSEngine
 from repro.core.type_registry import type_name
 from repro.jxta.cache import DiscoveryKind
 
@@ -442,3 +442,53 @@ class TestReceiveDropCounters:
         assert "tps_delivered" not in counters
         assert inbox == [] and errors.errors == []
         assert interface.objects_received() == []
+
+
+class TestBoundedIdSet:
+    def test_acts_as_a_set(self):
+        seen = BoundedIdSet(capacity=10)
+        assert "a" not in seen
+        seen.add("a")
+        assert "a" in seen and len(seen) == 1
+        seen.add("a")
+        assert len(seen) == 1
+
+    def test_evicts_oldest_beyond_capacity(self):
+        seen = BoundedIdSet(capacity=3)
+        for item in ("a", "b", "c", "d"):
+            seen.add(item)
+        assert len(seen) == 3
+        assert "a" not in seen
+        assert all(item in seen for item in ("b", "c", "d"))
+
+    def test_refreshing_an_id_protects_it_from_eviction(self):
+        seen = BoundedIdSet(capacity=3)
+        for item in ("a", "b", "c"):
+            seen.add(item)
+        seen.add("a")  # most recently seen again
+        seen.add("d")  # evicts "b", not "a"
+        assert "a" in seen and "b" not in seen
+
+    def test_seen_reports_duplicates_and_refreshes_recency(self):
+        """The engine's duplicate check is one seen() call: it must both
+        report the hit and protect the id from eviction (LRU, not FIFO)."""
+        seen = BoundedIdSet(capacity=3)
+        assert seen.seen("a") is False
+        assert seen.seen("b") is False
+        assert seen.seen("c") is False
+        assert seen.seen("a") is True  # duplicate hit refreshes "a"
+        assert seen.seen("d") is False  # evicts "b", the oldest
+        assert seen.seen("a") is True
+        assert seen.seen("b") is False  # "b" was evicted, not "a"
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_nonpositive_capacity_rejected(self, capacity):
+        # Nothing in a long-running engine may grow without bound.
+        with pytest.raises(ValueError):
+            BoundedIdSet(capacity)
+
+    def test_duplicate_window_is_wired_into_the_engine(self, two_peers):
+        peer, _, _ = two_peers
+        interface = TPSEngine(SkiRental, peer=peer).new_interface("JXTA")
+        assert interface._seen_message_ids.capacity == DUPLICATE_WINDOW > 0
+        interface.close()

@@ -45,6 +45,11 @@ from repro.net.membership import (
 )
 
 
+def _heal(network, a, b):
+    """Undo ``network.partition(a, b)`` (the network has no public heal)."""
+    network._partitions.discard(frozenset((a, b)))
+
+
 def _network(*names: str, seed: int = 20020713):
     builder = JxtaNetworkBuilder(seed=seed)
     builder.add_rendezvous("rdv-0")
@@ -111,8 +116,8 @@ class TestFailureDetector:
         assert a.state_of(bob) == DEAD
         assert alice.metrics.counter("membership_confirmed_dead").value == 1
         # Heal: the detector kept probing, so bob comes back by itself.
-        builder.network.heal("bob", "alice")
-        builder.network.heal("bob", "rdv-0")
+        _heal(builder.network, "bob", "alice")
+        _heal(builder.network, "bob", "rdv-0")
         builder.simulator.run_until(builder.simulator.now + 1.5)
         assert a.state_of(bob) == ALIVE
         bob_urn = bob.peer_id.to_urn()
@@ -236,8 +241,8 @@ class TestCompositeMembership:
         assert pub.metrics.counter("pbp_bindings_forgotten").value >= 1
 
         # Rejoin: heal, recover, and delivery works again.
-        builder.network.heal("sub", "pub")
-        builder.network.heal("sub", "rdv-0")
+        _heal(builder.network, "sub", "pub")
+        _heal(builder.network, "sub", "rdv-0")
         builder.simulator.run_until(builder.simulator.now + 3.0)
         assert monitor.state_of(sub.peer_id) == ALIVE
         publisher.publish(SkiRental("back", 40.0, "Volkl", 2))

@@ -1,383 +1,201 @@
-"""Smoke tests for the persistent perf harness (repro.bench.perf).
+"""The committed ``BENCH_N.json`` perf trajectory validates against its schema.
 
-Runs the whole suite at the tiny ``smoke`` profile and validates the
-``repro-bench/v1`` JSON schema, so the harness (and the CLI around it) cannot
-silently rot between perf-focused PRs.  Also covers the supporting hot-path
-structures: the bounded duplicate-filter set and the subscription dispatch
-snapshot.
+BENCH_1-22 are ``repro-bench/v1`` documents, written by a same-process pair
+harness that no longer exists; this module keeps a frozen copy of that
+schema's validator so the historical points stay checkable.  From N = 23 on
+each file is a ``tpsbench/v1`` result document
+(``python3 -m tpsbench --seed 2002 --trace --out BENCH_N.json``) and must
+load through the gate harness's own ``load_document`` with every workload
+present and correct.  The two live ratios the old harness pinned
+(``subscribe_churn``, ``intra_shard_fanout``) are asserted in
+``benchmarks/test_micro_overheads.py``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
+from pathlib import Path
+from typing import Any, Dict, List
 
 import pytest
 
-from repro.bench.perf import (
-    COMPARISON_NAMES,
-    PROFILES,
-    SCENARIO_NAMES,
-    SCHEMA,
-    format_suite,
-    run_perf_suite,
-    validate_document,
-    write_suite,
-)
-from repro.core.interface import Subscription
-from repro.apps.skirental.types import SkiRental
-from repro.core import TPSEngine
-from repro.core.jxta_engine import DUPLICATE_WINDOW, BoundedIdSet
-from repro.core.callbacks import as_callback, as_exception_handler
-from repro.core.subscriber import TPSSubscriberManager
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # tpsbench lives at the repository root
+    sys.path.insert(0, str(REPO_ROOT))
+
+#: The layout BENCH_1-22 were written in.
+REPRO_BENCH_SCHEMA = "repro-bench/v1"
+#: The first BENCH_N written by tpsbench.
+FIRST_TPSBENCH_N = 23
+#: The comparisons every repro-bench/v1 document contains.
+BASELINE_COMPARISON_NAMES = ("codec_encode", "codec_decode", "xml_roundtrip")
+#: The last repro-bench/v1 comparison set (BENCH_22).
+FINAL_COMPARISON_NAMES = BASELINE_COMPARISON_NAMES + ("subscribe_churn", "intra_shard_fanout")
+SCENARIO_NAMES = ("figure19_sr_tps", "figure20_sr_tps")
+COMPARISON_FIELDS = ("baseline_per_op_us", "fast_per_op_us", "speedup", "iterations", "repeats")
 
 
-@pytest.fixture(scope="module")
-def smoke_document():
-    return run_perf_suite("smoke")
+def _is_finite_number(value: Any) -> bool:
+    """A JSON number that is a real measurement: not a bool, NaN or infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
-class TestPerfSuite:
-    def test_document_passes_schema_validation(self, smoke_document):
-        assert validate_document(smoke_document) == []
+def validate_repro_bench(
+    document: Dict[str, Any],
+    required_comparisons: "tuple[str, ...]" = BASELINE_COMPARISON_NAMES,
+) -> List[str]:
+    """Every ``repro-bench/v1`` schema violation in ``document`` (empty = valid)."""
+    problems: List[str] = []
+    if document.get("schema") != REPRO_BENCH_SCHEMA:
+        problems.append(f"schema is {document.get('schema')!r}, expected {REPRO_BENCH_SCHEMA!r}")
+    for key in ("version", "unix_time", "profile", "comparisons", "scenarios"):
+        if key not in document:
+            problems.append(f"missing top-level key {key!r}")
+    names = [entry.get("name") for entry in document.get("comparisons", [])]
+    for expected in required_comparisons:
+        if expected not in names:
+            problems.append(f"missing comparison {expected!r}")
+    for entry in document.get("comparisons", []):
+        for key in COMPARISON_FIELDS:
+            value = entry.get(key)
+            if not _is_finite_number(value) or value <= 0:
+                problems.append(f"comparison {entry.get('name')!r}: bad {key}={value!r}")
+    scenario_names = [entry.get("name") for entry in document.get("scenarios", [])]
+    for expected in SCENARIO_NAMES:
+        if expected not in scenario_names:
+            problems.append(f"missing scenario {expected!r}")
+    for entry in document.get("scenarios", []):
+        wall = entry.get("wall_clock_s")
+        if not _is_finite_number(wall) or wall < 0:
+            problems.append(f"scenario {entry.get('name')!r}: bad wall_clock_s={wall!r}")
+    return problems
 
-    def test_schema_and_profile_recorded(self, smoke_document):
-        assert smoke_document["schema"] == SCHEMA
-        assert smoke_document["profile"] == "smoke"
-        assert smoke_document["unix_time"] > 0
 
-    def test_every_comparison_present_with_positive_timings(self, smoke_document):
-        by_name = {entry["name"]: entry for entry in smoke_document["comparisons"]}
-        assert set(by_name) == set(COMPARISON_NAMES)
-        for entry in by_name.values():
-            assert entry["baseline_per_op_us"] > 0
-            assert entry["fast_per_op_us"] > 0
-            assert entry["speedup"] > 0
+def _trajectory() -> Dict[int, Path]:
+    return {int(path.stem.split("_")[1]): path for path in REPO_ROOT.glob("BENCH_*.json")}
 
-    def test_harness_touches_no_private_state(self):
-        """perf.py measures the product through its public surface: no
-        attribute access whose name starts with an underscore, except on
-        ``self`` and on this module's own private helpers."""
-        import ast
-        import inspect
 
-        import repro.bench.perf as perf
+TRAJECTORY = _trajectory()
+REPRO_BENCH_FILES = sorted(n for n in TRAJECTORY if n < FIRST_TPSBENCH_N)
+TPSBENCH_FILES = sorted(n for n in TRAJECTORY if n >= FIRST_TPSBENCH_N)
 
-        tree = ast.parse(inspect.getsource(perf))
-        offenders = [
-            f"{ast.unparse(node)} (line {node.lineno})"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and node.attr.startswith("_")
-            and not node.attr.endswith("__")  # dunders are protocol, not private
-            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+
+def _load(n: int) -> Dict[str, Any]:
+    with open(TRAJECTORY[n], encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _valid_document() -> Dict[str, Any]:
+    """The newest repro-bench/v1 point: valid against the full final set."""
+    return _load(max(REPRO_BENCH_FILES))
+
+
+def test_trajectory_is_dense_and_split_at_the_switch():
+    assert sorted(TRAJECTORY) == list(range(1, max(TRAJECTORY) + 1))
+    assert REPRO_BENCH_FILES == list(range(1, FIRST_TPSBENCH_N))
+    assert TPSBENCH_FILES, "no tpsbench/v1 trajectory file committed"
+
+
+@pytest.mark.parametrize("n", REPRO_BENCH_FILES)
+def test_repro_bench_file_validates(n):
+    document = _load(n)
+    required = FINAL_COMPARISON_NAMES if n == max(REPRO_BENCH_FILES) else BASELINE_COMPARISON_NAMES
+    assert validate_repro_bench(document, required) == []
+
+
+@pytest.mark.parametrize("n", TPSBENCH_FILES)
+def test_tpsbench_file_loads_with_every_workload_correct(n):
+    from tpsbench.runner import load_document
+
+    with open(REPO_ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
+        workloads = {entry["name"] for entry in json.load(handle)["workloads"]}
+    document = load_document(str(TRAJECTORY[n]))
+    assert set(document["workloads"]) == workloads
+    for name, entry in document["workloads"].items():
+        assert entry["correct"] is True, name
+        assert entry["failed_share"] == 0, name
+        assert entry["per_layer"], f"{name}: BENCH_N files are written with --trace"
+
+
+def test_a_tpsbench_document_is_not_a_repro_bench_document(tmp_path):
+    from tpsbench.runner import load_document
+
+    path = tmp_path / "BENCH_old.json"
+    path.write_text(json.dumps(_valid_document()), encoding="utf-8")
+    with pytest.raises(ValueError, match="tpsbench/v1"):
+        load_document(str(path))
+
+
+class TestFrozenValidator:
+    def test_the_final_document_is_valid(self):
+        assert validate_repro_bench(_valid_document(), FINAL_COMPARISON_NAMES) == []
+
+    def test_an_empty_document_reports_the_schema(self):
+        assert any("schema" in problem for problem in validate_repro_bench({}))
+
+    @pytest.mark.parametrize("name", FINAL_COMPARISON_NAMES)
+    def test_a_missing_comparison_is_reported(self, name):
+        document = _valid_document()
+        document["comparisons"] = [
+            entry for entry in document["comparisons"] if entry["name"] != name
         ]
-        assert offenders == []
+        assert validate_repro_bench(document, FINAL_COMPARISON_NAMES) == [
+            f"missing comparison {name!r}"
+        ]
 
-    def test_every_scenario_present(self, smoke_document):
-        names = [entry["name"] for entry in smoke_document["scenarios"]]
-        assert names == list(SCENARIO_NAMES)
-
-    def test_document_is_json_serialisable(self, smoke_document):
-        round_tripped = json.loads(json.dumps(smoke_document))
-        assert validate_document(round_tripped) == []
-
-    def test_write_suite_round_trips(self, smoke_document, tmp_path):
-        path = tmp_path / "BENCH_smoke.json"
-        write_suite(str(path), smoke_document)
-        with open(path, encoding="utf-8") as handle:
-            assert validate_document(json.load(handle)) == []
-
-    def test_format_suite_mentions_every_comparison(self, smoke_document):
-        text = format_suite(smoke_document)
-        for name in COMPARISON_NAMES:
-            assert name in text
-
-    def test_format_suite_reports_every_scenario_wall_clock(self, smoke_document):
-        lines = format_suite(smoke_document).splitlines()
-        for entry in smoke_document["scenarios"]:
-            assert f"{entry['name']:<18} wall-clock {entry['wall_clock_s']:.3f}s" in lines
-
-    def test_speedup_of_a_zero_fast_path_is_zero(self):
-        from repro.bench.perf import Comparison
-
-        assert Comparison("x", 2.0, 0.5, 1, 1).speedup == 4.0
-        assert Comparison("x", 2.0, 0.0, 1, 1).speedup == 0.0
-
-    def test_importing_the_bench_package_does_not_load_the_harness(self):
-        """``repro.bench`` serves the figures; the perf harness is imported
-        on its own (``python -m repro bench`` or ``repro.bench.perf``)."""
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        code = "import sys, repro.bench; print('repro.bench.perf' in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert result.stdout.strip() == "False"
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError):
-            run_perf_suite("bogus")
-
-    def test_validate_document_reports_problems(self):
-        assert validate_document({}) != []
-        assert any("schema" in problem for problem in validate_document({}))
-
-    def test_profiles_are_complete(self):
-        keys = {
-            "repeats", "codec_iterations", "xml_iterations",
-            "churn_iterations", "churn_resident",
-            "intra_shards", "intra_keys", "intra_events",
-            "intra_subscribers", "intra_io_s",
-            "figure19_events", "figure20_duration", "figure20_events",
-        }
-        assert set(PROFILES) == {"full", "smoke"}
-        for name, profile in PROFILES.items():
-            assert set(profile) == keys, f"profile {name} keys drifted"
-
-    def test_schema_covers_the_xml_section(self):
-        """The XML codec pair is part of the repro-bench/v1 contract: a
-        document missing it must fail validation."""
-        assert "xml_roundtrip" in COMPARISON_NAMES
+    def test_the_figure_scenarios_are_required(self):
         document = {
-            "schema": SCHEMA, "version": "x", "unix_time": 1.0,
+            "schema": REPRO_BENCH_SCHEMA, "version": "x", "unix_time": 1.0,
             "profile": "full", "comparisons": [], "scenarios": [],
         }
-        problems = validate_document(document)
-        assert any("xml_roundtrip" in problem for problem in problems)
-
-    def test_schema_covers_the_subscription_sections(self):
-        """The PR-3 section (v2 subscription API) is part of the contract:
-        a document missing it must fail validation."""
-        assert "subscribe_churn" in COMPARISON_NAMES
-        document = {
-            "schema": SCHEMA, "version": "x", "unix_time": 1.0,
-            "profile": "full", "comparisons": [], "scenarios": [],
-        }
-        problems = validate_document(document)
-        assert any("subscribe_churn" in problem for problem in problems)
-
-    def test_schema_covers_the_intra_shard_section(self):
-        """The PR-5 section (content-keyed intra-hierarchy sharding) is part
-        of the contract: a document missing it must fail validation."""
-        assert "intra_shard_fanout" in COMPARISON_NAMES
-        document = {
-            "schema": SCHEMA, "version": "x", "unix_time": 1.0,
-            "profile": "full", "comparisons": [], "scenarios": [],
-        }
-        problems = validate_document(document)
-        assert any("intra_shard_fanout" in problem for problem in problems)
-
-    def test_schema_covers_the_figure_scenarios(self):
-        """The two paper scenarios are part of the contract for every
-        document, historical or current: one missing them must fail."""
-        document = {
-            "schema": SCHEMA, "version": "x", "unix_time": 1.0,
-            "profile": "full", "comparisons": [], "scenarios": [],
-        }
-        problems = validate_document(document, required_comparisons=())
+        problems = validate_repro_bench(document, required_comparisons=())
         assert problems == [f"missing scenario {name!r}" for name in SCENARIO_NAMES]
-
-    def test_intra_shard_keys_cover_every_shard(self):
-        """The benchmark's key corpus must actually reach all content
-        shards for the committed profiles, or the recorded speedup would
-        silently measure partial parallelism."""
-        from collections import Counter
-
-        from repro.bench.perf import PROFILES, _HotEvent, _intra_keys
-        from repro.core.sharded_engine import ShardedLocalBus
-        from repro.core.type_registry import type_name
-
-        root = type_name(_HotEvent)
-        for profile in PROFILES.values():
-            shards = profile["intra_shards"]
-            bus = ShardedLocalBus(shards=shards, partition="content", content_key="key")
-            corpus = _intra_keys(bus, profile["intra_keys"])
-            assert len(set(corpus)) == profile["intra_keys"]
-            share = Counter(
-                bus.partition_index(root, _HotEvent(key=key)) for key in corpus
-            )
-            # Every shard, and an equal share each: the speedup measures N
-            # evenly loaded shards.
-            assert share == {
-                index: profile["intra_keys"] // shards for index in range(shards)
-            }
-
-    def test_committed_trajectory_files_validate(self):
-        """Every committed BENCH_*.json must validate: historical points
-        against the baseline comparison set every one of them carries, the
-        newest point against exactly the current rows -- a deleted row may
-        not linger in it and a new one may not be missing."""
-        import glob
-        import os
-
-        from repro.bench.perf import BASELINE_COMPARISON_NAMES
-
-        root = os.path.join(os.path.dirname(__file__), os.pardir)
-        paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
-        assert paths, "no committed BENCH_*.json trajectory files found"
-        newest = max(paths, key=lambda p: int(p.rsplit("_", 1)[1].split(".")[0]))
-        for path in paths:
-            with open(path, encoding="utf-8") as handle:
-                document = json.load(handle)
-            comparisons = COMPARISON_NAMES if path == newest else BASELINE_COMPARISON_NAMES
-            assert validate_document(document, required_comparisons=comparisons) == [], path
-        with open(newest, encoding="utf-8") as handle:
-            document = json.load(handle)
-        by_name = {entry["name"]: entry for entry in document["comparisons"]}
-        assert list(by_name) == list(COMPARISON_NAMES)
-        assert [entry["name"] for entry in document["scenarios"]] == list(SCENARIO_NAMES)
-        # Trajectory pins: the v2 handle's identity cancel beats the
-        # unsubscribe scan, and content-keyed intra-hierarchy sharding beats
-        # the 1-shard baseline on the single hot hierarchy.
-        assert by_name["subscribe_churn"]["speedup"] > 1.0
-        assert by_name["intra_shard_fanout"]["speedup"] > 1.0
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), True, 0, -1, "1"], ids=repr
     )
-    def test_comparison_timings_must_be_finite_positive_numbers(
-        self, smoke_document, value
-    ):
-        document = json.loads(json.dumps(smoke_document))
+    def test_comparison_timings_must_be_finite_positive_numbers(self, value):
+        document = _valid_document()
         document["comparisons"][0]["fast_per_op_us"] = value
         # Through JSON text: ``json.load`` reads the non-standard ``NaN`` /
         # ``Infinity`` literals back as floats, so a corrupt BENCH_*.json
         # reaches the validator exactly like this.
-        problems = validate_document(json.loads(json.dumps(document)))
-        assert problems == [
-            f"comparison 'codec_encode': bad fast_per_op_us={value!r}"
-        ]
+        problems = validate_repro_bench(json.loads(json.dumps(document)))
+        assert problems == [f"comparison 'codec_encode': bad fast_per_op_us={value!r}"]
 
-    @pytest.mark.parametrize(
-        "key", ["baseline_per_op_us", "fast_per_op_us", "speedup", "iterations", "repeats"]
-    )
-    def test_every_comparison_field_rejects_nan(self, smoke_document, key):
-        document = json.loads(json.dumps(smoke_document))
+    @pytest.mark.parametrize("key", COMPARISON_FIELDS)
+    def test_every_comparison_field_rejects_nan(self, key):
+        document = _valid_document()
         document["comparisons"][-1][key] = float("nan")
-        problems = validate_document(json.loads(json.dumps(document)))
+        problems = validate_repro_bench(json.loads(json.dumps(document)))
         assert problems == [f"comparison 'intra_shard_fanout': bad {key}=nan"]
 
-    def test_zero_scenario_wall_clock_is_valid(self, smoke_document):
-        # wall_clock_s is rounded to 0.1 ms, so a very fast run records 0.
-        document = json.loads(json.dumps(smoke_document))
+    def test_zero_scenario_wall_clock_is_valid(self):
+        # wall_clock_s was rounded to 0.1 ms, so a very fast run recorded 0.
+        document = _valid_document()
         document["scenarios"][1]["wall_clock_s"] = 0
-        assert validate_document(document) == []
+        assert validate_repro_bench(document) == []
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), float("-inf"), True, -1, "1"], ids=repr
     )
-    def test_scenario_wall_clock_must_be_a_finite_number(self, smoke_document, value):
-        document = json.loads(json.dumps(smoke_document))
+    def test_scenario_wall_clock_must_be_a_finite_number(self, value):
+        document = _valid_document()
         document["scenarios"][0]["wall_clock_s"] = value
-        problems = validate_document(json.loads(json.dumps(document)))
-        assert problems == [
-            f"scenario 'figure19_sr_tps': bad wall_clock_s={value!r}"
-        ]
+        problems = validate_repro_bench(json.loads(json.dumps(document)))
+        assert problems == [f"scenario 'figure19_sr_tps': bad wall_clock_s={value!r}"]
 
 
-class TestPerfCli:
-    def test_bench_subcommand_writes_json(self, tmp_path, capsys):
-        from repro.__main__ import main
+def test_the_bench_subcommand_is_gone(capsys):
+    from repro.__main__ import main
 
-        path = tmp_path / "BENCH_cli.json"
-        assert main(["bench", "--profile", "smoke", "--json", str(path)]) == 0
-        output = capsys.readouterr().out
-        assert "perf suite (smoke)" in output
-        with open(path, encoding="utf-8") as handle:
-            assert validate_document(json.load(handle)) == []
-
-    def test_quick_profile_is_gone(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        path = tmp_path / "BENCH_quick.json"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bench", "--profile", "quick", "--json", str(path)])
-        assert exit_info.value.code != 0
-        assert "invalid choice: 'quick'" in capsys.readouterr().err
-        assert not path.exists()
-
-
-class TestBoundedIdSet:
-    def test_acts_as_a_set(self):
-        seen = BoundedIdSet(capacity=10)
-        assert "a" not in seen
-        seen.add("a")
-        assert "a" in seen and len(seen) == 1
-        seen.add("a")
-        assert len(seen) == 1
-
-    def test_evicts_oldest_beyond_capacity(self):
-        seen = BoundedIdSet(capacity=3)
-        for item in ("a", "b", "c", "d"):
-            seen.add(item)
-        assert len(seen) == 3
-        assert "a" not in seen
-        assert all(item in seen for item in ("b", "c", "d"))
-
-    def test_refreshing_an_id_protects_it_from_eviction(self):
-        seen = BoundedIdSet(capacity=3)
-        for item in ("a", "b", "c"):
-            seen.add(item)
-        seen.add("a")  # most recently seen again
-        seen.add("d")  # evicts "b", not "a"
-        assert "a" in seen and "b" not in seen
-
-    def test_seen_reports_duplicates_and_refreshes_recency(self):
-        """The engine's duplicate check is one seen() call: it must both
-        report the hit and protect the id from eviction (LRU, not FIFO)."""
-        seen = BoundedIdSet(capacity=3)
-        assert seen.seen("a") is False
-        assert seen.seen("b") is False
-        assert seen.seen("c") is False
-        assert seen.seen("a") is True  # duplicate hit refreshes "a"
-        assert seen.seen("d") is False  # evicts "b", the oldest
-        assert seen.seen("a") is True
-        assert seen.seen("b") is False  # "b" was evicted, not "a"
-
-    @pytest.mark.parametrize("capacity", [0, -1])
-    def test_nonpositive_capacity_rejected(self, capacity):
-        # Nothing in a long-running engine may grow without bound.
-        with pytest.raises(ValueError):
-            BoundedIdSet(capacity)
-
-    def test_duplicate_window_is_wired_into_the_engine(self, two_peers):
-        peer, _, _ = two_peers
-        interface = TPSEngine(SkiRental, peer=peer).new_interface("JXTA")
-        assert interface._seen_message_ids.capacity == DUPLICATE_WINDOW > 0
-        interface.close()
-
-
-class TestDispatchSnapshot:
-    def _subscription(self, sink):
-        return Subscription(
-            callback=as_callback(sink.append),
-            exception_handler=as_exception_handler(lambda error: None),
-        )
-
-    def test_dispatch_uses_snapshot_rebuilt_on_change(self):
-        manager = TPSSubscriberManager()
-        received: list = []
-        manager.add(self._subscription(received))
-        assert manager.dispatch("e1") == 1
-        snapshot = manager._handlers
-        assert manager.dispatch("e2") == 1
-        assert manager._handlers is snapshot  # unchanged between events
-        manager.add(self._subscription(received))
-        assert manager._handlers is not snapshot  # rebuilt on mutation
-        assert manager.dispatch("e3") == 2
-        assert received == ["e1", "e2", "e3", "e3"]
-
-    def test_remove_updates_snapshot(self):
-        manager = TPSSubscriberManager()
-        received: list = []
-        subscription = self._subscription(received)
-        manager.add(subscription)
-        assert manager.remove(subscription.callback) == 1
-        assert manager.dispatch("event") == 0
-        assert manager.empty and received == []
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--profile", "smoke"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -538,16 +538,14 @@ class TestWireService:
         assert len(bodies) == 2 and bodies[0] is bodies[1]
         assert all(inbox[0].get_text("body") == "event" for inbox in inboxes)
 
-    def test_reliable_retry_resends_the_same_frame(self, two_peers, monkeypatch):
+    def test_reliable_retry_resends_the_same_frame(self, two_peers, monkeypatch, drop_first):
         """A retransmission reuses the bytes of the first transmission."""
         alpha, beta, builder = two_peers
         advertisement, output, inboxes = self._wire_pair(
             builder, alpha, [beta], reliable=True
         )
         bodies = self._sent_bodies(alpha, advertisement, monkeypatch)
-        builder.network.fault_plan = FaultPlan(seed=5).drop_next(
-            alpha.node.address, beta.node.address, count=1
-        )
+        builder.network.fault_plan = drop_first(alpha.node.address, beta.node.address, count=1)
         output.send(_message("again"))
         builder.settle(rounds=8)
         assert alpha.metrics.counters().get("wire_retries", 0) == 1

@@ -10,12 +10,9 @@ from repro.jxta.ids import WORLD_GROUP_ID
 from repro.jxta.peergroup import PeerGroup
 from repro.jxta.platform import (
     JxtaNetworkBuilder,
-    PeerGroupFactory,
     create_peer,
-    lan_of,
     world_group_advertisement,
 )
-from repro.jxta.wire import WireService
 from repro.net.network import Network
 from repro.net.simclock import Simulator
 
@@ -78,16 +75,6 @@ class TestPeerGroups:
         assert child in alpha.joined_groups
         assert alpha.joined_groups[0] is alpha.world_group
 
-    def test_peer_group_factory_two_step_init(self, two_peers):
-        alpha, _beta, _builder = two_peers
-        uninitialised = PeerGroupFactory.new_peer_group()
-        with pytest.raises(JxtaError):
-            uninitialised.lookup_service(WireService.WireName)
-        advertisement = PeerGroupAdvertisement(name="wire-group")
-        group = uninitialised.init(alpha.world_group, advertisement)
-        assert isinstance(group.lookup_service(WireService.WireName), WireService)
-        assert uninitialised.lookup_service(WireService.WireName) is group.wire
-
     def test_service_names_listed(self, two_peers):
         alpha, _beta, _builder = two_peers
         names = alpha.world_group.service_names()
@@ -107,17 +94,16 @@ class TestPeerGroups:
 
 
 class TestBuilder:
-    def test_lan_of_builds_named_peers(self):
-        builder = lan_of(3, seed=5)
+    def test_peer_named_finds_built_peers(self):
+        builder = JxtaNetworkBuilder(seed=5)
+        builder.add_rendezvous("rdv-0")
+        for index in range(3):
+            builder.add_peer(f"peer-{index}")
         builder.settle(rounds=4)
         assert builder.peer_named("rdv-0").is_rendezvous
-        assert len(builder.peers) == 4
+        assert builder.peer_named("peer-2") is builder.peers[3]
         with pytest.raises(JxtaError):
             builder.peer_named("missing")
-
-    def test_lan_without_rendezvous(self):
-        builder = lan_of(2, seed=5, with_rendezvous=False)
-        assert all(not peer.is_rendezvous for peer in builder.peers)
 
     def test_same_seed_same_peer_ids(self):
         first = JxtaNetworkBuilder(seed=77)
@@ -134,7 +120,7 @@ class TestBuilder:
         assert len(net) == 2
         assert net.rendezvous is not None
         assert net.peer(0).name == "peer-0"
-        assert net.peer_named("rdv-0").is_rendezvous
+        assert net.rendezvous.is_rendezvous
         before = net.now
         net.run_for(5.0)
         assert net.now == pytest.approx(before + 5.0)

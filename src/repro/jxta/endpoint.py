@@ -57,6 +57,9 @@ ANY_PEER = "urn:jxta:any"
 #: Default number of rendez-vous re-propagation hops.
 DEFAULT_PROPAGATE_TTL = 4
 
+#: Wire names of the direct transports, in the order a unicast send tries them.
+_UNICAST_TRANSPORTS = (TransportKind.TCP.value, TransportKind.HTTP.value)
+
 
 @dataclass
 class EndpointEnvelope:
@@ -325,9 +328,6 @@ class EndpointService:
             return True
         return self._relay_through_router(envelope)
 
-    def _packet(self, destination: str, kind: TransportKind, payload: bytes) -> Packet:
-        return Packet(self.node.address, destination, payload, transport=kind.value)
-
     def _send_packet(self, address: str, envelope: EndpointEnvelope) -> bool:
         """Send directly to ``address`` over TCP, then HTTP.
 
@@ -335,10 +335,11 @@ class EndpointService:
         taken once, on the packet itself: a refused attempt raises and counts
         as sent nowhere (the network counts the refusal).
         """
+        node = self.node
         payload = envelope.to_bytes()
-        for kind in (TransportKind.TCP, TransportKind.HTTP):
+        for transport in _UNICAST_TRANSPORTS:
             try:
-                self.node.send(self._packet(address, kind, payload))
+                node.send(Packet(node.address, address, payload, transport=transport))
             except NetworkError:
                 continue
             self.metrics.counter("endpoint_sent").increment()
@@ -376,8 +377,11 @@ class EndpointService:
             return 0
         # 1. IP multicast on the local segment (if we have the interface).
         if self.node.supports(TransportKind.MULTICAST):
-            packet = self._packet(
-                Packet.MULTICAST_ADDRESS, TransportKind.MULTICAST, envelope.to_bytes()
+            packet = Packet(
+                self.node.address,
+                Packet.MULTICAST_ADDRESS,
+                envelope.to_bytes(),
+                transport=TransportKind.MULTICAST.value,
             )
             try:
                 self.node.send(packet)
@@ -403,7 +407,7 @@ class EndpointService:
             self.metrics.counter("endpoint_malformed").increment()
             return
         # Refresh the sender's address from live traffic.
-        self.learn_address(envelope.src_peer, envelope.src_address)
+        self._address_book[envelope.src_peer] = envelope.src_address
         if envelope.propagate:
             self._receive_propagated(envelope)
         else:

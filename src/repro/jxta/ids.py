@@ -15,6 +15,7 @@ tests are reproducible.
 
 from __future__ import annotations
 
+import functools
 import uuid
 from collections import OrderedDict
 from typing import ClassVar, Optional, Type
@@ -78,11 +79,15 @@ class JxtaID:
         return self._urn
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)
     def from_urn(cls, urn: str) -> "JxtaID":
         """Parse a URN back into the appropriate :class:`JxtaID` subclass.
 
         The subclass is chosen from the kind code; calling ``PeerID.from_urn``
-        on a pipe URN raises :class:`AdvertisementError`.
+        on a pipe URN raises :class:`AdvertisementError`.  IDs are immutable,
+        so the result is remembered per (class, URN): a known peer's URN,
+        read off every arrival, is parsed once.  A URN that does not parse
+        is not remembered and raises on every call.
         """
         if not urn.startswith(_URN_PREFIX):
             raise AdvertisementError(f"not a JXTA URN: {urn!r}")

@@ -20,7 +20,9 @@ name, namespace or MIME type is a header field, at most 65 535 bytes).
 produces -- a length that overruns the buffer, trailing bytes, an unknown
 kind or invalid UTF-8 raise :class:`ValueError`.  The frame is computed once
 per message and kept until the message is edited, so sending one message to
-many peers, and re-sending it, shares one ``bytes`` object.
+many peers, and re-sending it, shares one ``bytes`` object.  The content size
+is kept beside it (edits update it; a parsed frame reads it off the length
+headers), and lookups by name go through an index built on the first one.
 
 The serialised size is what the network and the cost model account, so padding
 a message (as the benchmarks do to reach the paper's 1910-byte message size)
@@ -29,16 +31,23 @@ genuinely affects simulated transmission and serialisation costs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 _COUNT = struct.Struct(">I")
 #: kind, then the byte lengths of name, namespace, MIME type and content.
 _ELEMENT = struct.Struct(">BHHHI")
 
 _message_counter = itertools.count(1)
+
+#: Distinct element headers (name, namespace, MIME type) whose conversion
+#: each direction remembers: frames repeat a few, so each is converted once.
+_HEADER_CACHE = 512
+
+_new_element = object.__new__
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,24 @@ class MessageElement:
         return len(self.as_bytes)
 
 
+@functools.lru_cache(maxsize=_HEADER_CACHE)
+def _encode_header(name: str, namespace: str, mime_type: str) -> Tuple[int, int, int, bytes]:
+    """The byte lengths of an element's name, namespace and MIME type, then
+    their UTF-8 encodings joined."""
+    name_raw, namespace_raw, mime_raw = name.encode(), namespace.encode(), mime_type.encode()
+    return len(name_raw), len(namespace_raw), len(mime_raw), name_raw + namespace_raw + mime_raw
+
+
+@functools.lru_cache(maxsize=_HEADER_CACHE)
+def _decode_header(n_name: int, n_namespace: int, raw: bytes) -> Dict[str, object]:
+    """The inverse of :func:`_encode_header`: a field dict in ``MessageElement``
+    field order, the content left to fill in.  Never mutated: copy it.  Bad
+    UTF-8 raises (ValueError) and is not remembered."""
+    end = n_name + n_namespace
+    name, namespace, mime_type = raw[:n_name].decode(), raw[n_name:end].decode(), raw[end:].decode()
+    return {"name": name, "content": None, "namespace": namespace, "mime_type": mime_type}
+
+
 class Message:
     """An ordered collection of :class:`MessageElement` objects.
 
@@ -100,6 +127,10 @@ class Message:
         self._elements: List[MessageElement] = list(elements or [])
         #: The frame of the current elements; every edit drops it.
         self._encoded: Optional[bytes] = None
+        #: Total content bytes, computed on demand and kept up to date by edits.
+        self._size: Optional[int] = None if self._elements else 0
+        #: (name, namespace) -> first such element, built on the first lookup.
+        self._index: Optional[Dict[Tuple[str, str], MessageElement]] = None
         self.message_number = next(_message_counter)
 
     # --------------------------------------------------------------- editing
@@ -107,7 +138,9 @@ class Message:
     def add_element(self, element: MessageElement) -> None:
         """Append an element to the message."""
         self._elements.append(element)
-        self._encoded = None
+        self._encoded = self._index = None
+        if self._size is not None:
+            self._size += element.size
 
     def add(
         self,
@@ -120,9 +153,11 @@ class Message:
         """Create, append and return an element."""
         if mime_type is None:
             mime_type = "text/plain" if isinstance(content, str) else "application/octet-stream"
-        element = MessageElement(
-            name=name, content=content, namespace=namespace, mime_type=mime_type
-        )
+        # The frozen __init__ sets each field through object.__setattr__;
+        # filling the instance dict in field order builds the same object.
+        element = _new_element(MessageElement)
+        fields = element.__dict__
+        fields.update(name=name, content=content, namespace=namespace, mime_type=mime_type)
         self.add_element(element)
         return element
 
@@ -131,7 +166,7 @@ class Message:
         for index, element in enumerate(self._elements):
             if element.name == name and element.namespace == namespace:
                 del self._elements[index]
-                self._encoded = None
+                self._encoded = self._index = self._size = None
                 return True
         return False
 
@@ -145,10 +180,12 @@ class Message:
 
     def element(self, name: str, *, namespace: str = "") -> Optional[MessageElement]:
         """Return the first element with the given name (and namespace), or None."""
-        for element in self._elements:
-            if element.name == name and element.namespace == namespace:
-                return element
-        return None
+        index = self._index
+        if index is None:
+            index = self._index = {
+                (element.name, element.namespace): element for element in reversed(self._elements)
+            }
+        return index.get((name, namespace))
 
     def elements(self, name: Optional[str] = None, *, namespace: str = "") -> List[MessageElement]:
         """Return every element, optionally filtered by name and namespace."""
@@ -173,7 +210,10 @@ class Message:
     @property
     def size(self) -> int:
         """Total content size of all elements, in bytes."""
-        return sum(element.size for element in self._elements)
+        size = self._size
+        if size is None:
+            size = self._size = sum(element.size for element in self._elements)
+        return size
 
     # ------------------------------------------------------------ duplication
 
@@ -183,7 +223,9 @@ class Message:
         Elements are immutable, so the copy shares them; it never shares the
         source's frame.
         """
-        return Message(self._elements)
+        copy = Message(self._elements)
+        copy._size = self._size
+        return copy
 
     # ----------------------------------------------------------- wire format
 
@@ -191,19 +233,17 @@ class Message:
         """The message's frame (element order is preserved); see the module docstring."""
         encoded = self._encoded
         if encoded is None:
+            pack = _ELEMENT.pack
             parts = [_COUNT.pack(len(self._elements))]
             for element in self._elements:
-                name = element.name.encode("utf-8")
-                namespace = element.namespace.encode("utf-8")
-                mime_type = element.mime_type.encode("utf-8")
-                content = element.as_bytes
-                parts.append(
-                    _ELEMENT.pack(
-                        isinstance(element.content, bytes),
-                        len(name), len(namespace), len(mime_type), len(content),
-                    )
+                content = element.content
+                kind = isinstance(content, bytes)
+                if not kind:
+                    content = content.encode("utf-8")
+                n_name, n_namespace, n_mime, raw = _encode_header(
+                    element.name, element.namespace, element.mime_type
                 )
-                parts += (name, namespace, mime_type, content)
+                parts += (pack(kind, n_name, n_namespace, n_mime, len(content)), raw, content)
             encoded = self._encoded = b"".join(parts)
         return encoded
 
@@ -211,33 +251,34 @@ class Message:
     def from_bytes(cls, data: bytes) -> "Message":
         """Reconstruct a message from a frame; raises ValueError on a malformed one."""
         size = len(data)
+        unpack = _ELEMENT.unpack_from
         try:
             (count,) = _COUNT.unpack_from(data, 0)
             offset = _COUNT.size
             elements = []
+            content_bytes = 0
             for _ in range(count):
-                kind, n_name, n_namespace, n_mime, n_content = _ELEMENT.unpack_from(data, offset)
+                kind, n_name, n_namespace, n_mime, n_content = unpack(data, offset)
+                content_bytes += n_content
                 name_at = offset + _ELEMENT.size
-                namespace_at = name_at + n_name
-                mime_at = namespace_at + n_namespace
-                content_at = mime_at + n_mime
+                content_at = name_at + n_name + n_namespace + n_mime
                 offset = content_at + n_content
                 if kind > 1 or offset > size:
                     raise ValueError(f"unknown element kind {kind} or a length overruns the frame")
+                header = _decode_header(n_name, n_namespace, data[name_at:content_at])
                 content = data[content_at:offset]
-                elements.append(
-                    MessageElement(
-                        data[name_at:namespace_at].decode(),
-                        content if kind else content.decode(),
-                        data[namespace_at:mime_at].decode(),
-                        data[mime_at:content_at].decode(),
-                    )
-                )
+                element = _new_element(MessageElement)  # as in add()
+                fields = element.__dict__
+                fields.update(header)
+                fields["content"] = content if kind else content.decode()
+                elements.append(element)
         except struct.error as error:
             raise ValueError(f"truncated message frame: {error}") from error
         if offset != size:
             raise ValueError(f"{size - offset} trailing bytes after the message frame")
-        return cls(elements)
+        message = cls(elements)
+        message._size = content_bytes
+        return message
 
     def pad_to(self, target_size: int, *, name: str = "padding") -> None:
         """Add a filler element so the serialised content reaches ``target_size`` bytes.

@@ -80,9 +80,9 @@ which the chaos matrix re-runs over a faulty network.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, DefaultDict, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.jxta.advertisement import PipeAdvertisement
 from repro.jxta.endpoint import EndpointEnvelope
@@ -368,7 +368,7 @@ class WireService:
         #: pipe URN -> wire input pipes opened locally.
         self._inputs: Dict[str, List[WireInputPipe]] = {}
         #: pipe URN -> set of source peer URNs seen (connected publishers).
-        self._sources: Dict[str, set] = {}
+        self._sources: DefaultDict[str, set] = defaultdict(set)
         self._queue: Deque[_Arrival] = deque()
         self._busy = False
         #: (wire id, target urn) -> in-flight reliable delivery.
@@ -376,7 +376,7 @@ class WireService:
         #: channel id -> the receiver window of that sender channel; only the
         #: ack/retry protocol filters duplicates here (the real JXTA-WIRE did
         #: not: the paper lists duplicate handling among what the SR layers add).
-        self._channels: Dict[str, _ChannelState] = {}
+        self._channels: DefaultDict[str, _ChannelState] = defaultdict(_ChannelState)
         #: ack params this service already listens on.
         self._ack_params: set[str] = set()
 
@@ -437,7 +437,7 @@ class WireService:
 
     def connected_publishers(self, pipe_id: PipeID) -> int:
         """Number of distinct remote publishers seen on ``pipe_id``."""
-        return len(self._sources.get(pipe_id.to_urn(), set()))
+        return len(self._sources.get(pipe_id.to_urn(), ()))
 
     # ----------------------------------------------------------------- send
 
@@ -498,7 +498,7 @@ class WireService:
                 # legacy unreliable path on the receiver.
                 self.peer.endpoint.propagate(wire_message, self.WireName, pipe_urn)
 
-        simulator.schedule(total_cost, _transmit, label=f"wire-send:{self.peer.name}")
+        simulator.schedule(total_cost, _transmit, label="wire-send")
         self.peer.metrics.counter("wire_messages_sent").increment()
         return SendReceipt(
             cpu_time=total_cost,
@@ -532,7 +532,7 @@ class WireService:
         pending.handle = self.peer.simulator.schedule(
             self.noise.jittered(delay, RETRY_JITTER),
             lambda: self._retry(pending),
-            label=f"wire-retry:{self.peer.name}",
+            label="wire-retry",
         )
 
     def _retry(self, pending: _PendingDelivery) -> None:
@@ -663,7 +663,7 @@ class WireService:
     def _accept(self, arrival: _Arrival, wire_id: str, channel: str, seq: int) -> None:
         """Put one reliable arrival to its channel's window: the single place
         that decides deliver / hold / duplicate, and so what is acked."""
-        state = self._channels.setdefault(channel, _ChannelState())
+        state = self._channels[channel]
         held = state.buffer
         if seq > state.next_seq and seq not in held and len(held) >= self.HOLDBACK_LIMIT:
             # No room to hold another: give up on the gap now.  That moves
@@ -706,7 +706,7 @@ class WireService:
         state.gap_handle = self.peer.simulator.schedule(
             GAP_TIMEOUT,
             lambda: self._on_gap_timeout(channel),
-            label=f"wire-gap:{self.peer.name}",
+            label="wire-gap",
         )
 
     def _on_gap_timeout(self, channel: str) -> None:
@@ -733,7 +733,7 @@ class WireService:
     def _enqueue(self, arrival: _Arrival) -> bool:
         """Admit one message into the bounded service queue; False when full."""
         pipe_urn, _message, source = arrival
-        self._sources.setdefault(pipe_urn, set()).add(source.to_urn())
+        self._sources[pipe_urn].add(source.to_urn())
         if len(self._queue) >= self.cost_model.receive_queue_limit:
             self.peer.metrics.counter("wire_messages_dropped").increment()
             return False
@@ -749,8 +749,8 @@ class WireService:
             return
         self._busy = True
         pipe_urn, message, source = self._queue.popleft()
-        pipes = self._inputs.get(pipe_urn, [])
-        connections = max(1, len(self._sources.get(pipe_urn, set())))
+        pipes = self._inputs.get(pipe_urn, ())
+        connections = max(1, len(self._sources.get(pipe_urn, ())))
         service_time = self.noise.jittered(
             self.cost_model.receive_cost(connections, message.size),
             self.cost_model.wire_jitter,
@@ -769,9 +769,7 @@ class WireService:
             self.peer.metrics.series("wire_received").record(self.peer.simulator.now)
             self._process_next()
 
-        self.peer.simulator.schedule(
-            service_time, _finish, label=f"wire-recv:{self.peer.name}"
-        )
+        self.peer.simulator.schedule(service_time, _finish, label="wire-recv")
 
 
 __all__ = [

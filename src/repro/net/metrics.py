@@ -99,9 +99,10 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Fetch (creating if needed) the counter with the given name."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def gauge(self, name: str) -> Gauge:
         """Fetch (creating if needed) the gauge with the given name."""

@@ -33,6 +33,7 @@ decision asked as a question -- it builds no packet and counts nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.cost import CostModel, NoiseSource, PAPER_TESTBED
@@ -42,7 +43,7 @@ from repro.net.metrics import MetricsRegistry
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.simclock import Simulator
-from repro.net.transport import TransportKind, transport_for
+from repro.net.transport import Transport, TransportKind, transport_for
 
 
 class NetworkError(RuntimeError):
@@ -214,7 +215,7 @@ class Network:
 
     def partitioned(self, a: str, b: str) -> bool:
         """Whether a partition currently separates the two addresses."""
-        return frozenset((a, b)) in self._partitions
+        return bool(self._partitions) and frozenset((a, b)) in self._partitions
 
     def _link_between(self, a: str, b: str) -> Optional[LinkSpec]:
         """The link spec to use between two attached addresses, or None if unlinked."""
@@ -290,12 +291,15 @@ class Network:
 
     def _transmit_unicast(self, sender: Node, packet: Packet) -> None:
         destination = packet.destination
-        kind = TransportKind(packet.transport)
+        transport = transport_for(packet.transport)
         route = self._route(
-            sender.address, destination, kind, lambda firewall, way: firewall.permits(packet, way)
+            sender.address,
+            destination,
+            transport.kind,
+            lambda firewall, way: firewall.permits(packet, way),
         )
         if isinstance(route, LinkSpec):
-            self._schedule_delivery(sender, self._nodes[destination], packet, route)
+            self._schedule_delivery(sender, self._nodes[destination], packet, route, transport)
             return
         # Discriminate firewall rejections (policy) from missing routes
         # (topology); either way the packet lands in a counter.
@@ -311,6 +315,7 @@ class Network:
     def _transmit_multicast(self, sender: Node, packet: Packet) -> None:
         segment = self.segment_of(sender.address)
         probe_kind = TransportKind.MULTICAST
+        transport = transport_for(packet.transport)
         if not sender.supports(probe_kind):
             raise NoRouteError(f"node {sender.address!r} has no multicast interface")
         outbound_ok = sender.firewall.permits(packet, Direction.OUTBOUND)
@@ -330,12 +335,11 @@ class Network:
                 self.metrics.counter("packets_blocked").increment()
                 continue
             spec = self._link_between(sender.address, address) or self.default_link
-            self._schedule_delivery(sender, receiver, copy, spec)
+            self._schedule_delivery(sender, receiver, copy, spec, transport)
 
     def _schedule_delivery(
-        self, sender: Node, receiver: Node, packet: Packet, spec: LinkSpec
+        self, sender: Node, receiver: Node, packet: Packet, spec: LinkSpec, transport: Transport
     ) -> None:
-        transport = transport_for(packet.transport)
         if not transport.reliable and self.noise.chance(spec.loss_rate):
             self.metrics.counter("packets_lost").increment()
             return
@@ -364,11 +368,7 @@ class Network:
         for extra in extra_delays:
             self.metrics.counter("packets_delivered").increment()
             self.metrics.counter("bytes_carried").increment(packet.size)
-            self.simulator.schedule(
-                delay + extra,
-                lambda: receiver.deliver(packet),
-                label="deliver",
-            )
+            self.simulator.schedule(delay + extra, partial(receiver.deliver, packet), label="deliver")
 
     # ------------------------------------------------------------------ misc
 

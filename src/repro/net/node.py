@@ -36,11 +36,6 @@ class NetworkInterface:
     transport: Transport
     enabled: bool = True
 
-    @property
-    def kind(self) -> TransportKind:
-        """The transport kind this interface speaks."""
-        return self.transport.kind
-
 
 class Node:
     """A machine attached to the simulated network.
@@ -88,7 +83,7 @@ class Node:
 
     def supports(self, kind: TransportKind | str) -> bool:
         """Whether the node has an enabled interface of the given kind."""
-        if isinstance(kind, str):
+        if not isinstance(kind, TransportKind):
             kind = TransportKind(kind)
         interface = self.interfaces.get(kind)
         return interface is not None and interface.enabled

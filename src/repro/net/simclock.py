@@ -13,51 +13,33 @@ Time is measured in (floating point) seconds of virtual time.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from heapq import heappop, heappush
+from typing import Callable, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is used incorrectly (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    """Internal heap entry: ordered by (time, sequence number)."""
-
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
-
-
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`, usable to cancel the event."""
+    """One scheduled event, returned by :meth:`Simulator.schedule`; usable to cancel it.
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    ``time`` is the virtual time at which the event fires (or would have
+    fired), ``label`` the human-readable label given at scheduling time.
+    """
 
-    @property
-    def time(self) -> float:
-        """The virtual time at which the event fires (or would have fired)."""
-        return self._event.time
+    __slots__ = ("time", "callback", "label", "cancelled")
 
-    @property
-    def label(self) -> str:
-        """Human-readable label given at scheduling time."""
-        return self._event.label
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
+    def __init__(self, time: float, callback: Callable[[], None], label: str) -> None:
+        self.time = time
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice is harmless."""
-        self._event.cancelled = True
+        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -79,20 +61,14 @@ class SimClock:
         """Current virtual time in seconds."""
         return self._now
 
-    def _advance_to(self, t: float) -> None:
-        if t < self._now:
-            raise SimulationError(
-                f"clock cannot move backwards (now={self._now}, requested={t})"
-            )
-        self._now = t
-
 
 class Simulator:
     """Discrete-event scheduler driving the simulated network and peers.
 
     The simulator owns a :class:`SimClock` and a priority queue of events.
     Events scheduled for the same instant fire in FIFO order, which makes runs
-    fully deterministic.
+    fully deterministic: the heap holds ``(time, seq, handle)`` tuples, so the
+    C tuple comparison orders them and never reaches the handle.
 
     Typical use::
 
@@ -103,10 +79,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._clock = SimClock()
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._processed = 0
-        self._running = False
 
     # ------------------------------------------------------------------ time
 
@@ -118,12 +93,12 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
-        return self._clock.now
+        return self._clock._now
 
     @property
     def pending(self) -> int:
-        """Number of events still waiting to fire (including cancelled ones)."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        """Number of events still waiting to fire (cancelled ones excluded)."""
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     @property
     def processed(self) -> int:
@@ -146,7 +121,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, label=label)
+        return self.schedule_at(self._clock._now + delay, callback, label=label)
 
     def schedule_at(
         self,
@@ -156,13 +131,13 @@ class Simulator:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``callback`` at the absolute virtual time ``time``."""
-        if time < self.now:
+        if time < self._clock._now:
             raise SimulationError(
                 f"cannot schedule into the past (now={self.now}, at={time})"
             )
-        event = _ScheduledEvent(time=time, seq=next(self._seq), callback=callback, label=label)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        event = EventHandle(time, callback, label)
+        heappush(self._queue, (time, next(self._seq), event))
+        return event
 
     def schedule_periodic(
         self,
@@ -189,11 +164,14 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, event = heappop(queue)
             if event.cancelled:
                 continue
-            self._clock._advance_to(event.time)
+            # The heap pops in time order and schedule_at refuses the past,
+            # so the clock only ever moves forwards here.
+            self._clock._now = time
             self._processed += 1
             event.callback()
             return True
@@ -223,23 +201,22 @@ class Simulator:
                 f"cannot run backwards (now={self.now}, requested={time})"
             )
         fired = 0
-        while self._queue:
-            head = self._next_live()
-            if head is None or head.time > time:
+        queue = self._queue
+        while queue:
+            head_time, _, head = queue[0]
+            if head.cancelled:
+                heappop(queue)
+                continue
+            if head_time > time:
                 break
             self.step()
             fired += 1
-        self._clock._advance_to(time)
+        self._clock._now = time  # not backwards: checked on entry
         return fired
 
     def run_for(self, duration: float) -> int:
         """Run for ``duration`` seconds of virtual time from now."""
         return self.run_until(self.now + duration)
-
-    def _next_live(self) -> Optional[_ScheduledEvent]:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
 
     def drain(self, rounds: int = 64, quantum: float = 1.0) -> int:
         """Run until the system goes quiet, bounded by ``rounds`` quanta of time.
@@ -284,11 +261,6 @@ class PeriodicTask:
         """Whether :meth:`stop` has been called."""
         return self._stopped
 
-    @property
-    def interval(self) -> float:
-        """The base interval between firings, in seconds."""
-        return self._interval
-
     def start(self) -> None:
         """(Re)arm the task.  Called automatically by ``schedule_periodic``."""
         if self._stopped:
@@ -318,17 +290,10 @@ class PeriodicTask:
                 self._arm()
 
 
-def run_all(simulators: Iterable[Simulator]) -> None:
-    """Run several independent simulators to completion (helper for tests)."""
-    for sim in simulators:
-        sim.run()
-
-
 __all__ = [
     "EventHandle",
     "PeriodicTask",
     "SimClock",
     "SimulationError",
     "Simulator",
-    "run_all",
 ]

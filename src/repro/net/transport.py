@@ -52,11 +52,6 @@ class Transport:
     reliable: bool
     point_to_point: bool
 
-    @property
-    def name(self) -> str:
-        """The transport's wire name (``"tcp"``, ``"http"``, ``"multicast"``)."""
-        return self.kind.value
-
 
 #: Plain TCP between two peers on the same LAN.
 TcpTransport = Transport(
@@ -91,10 +86,14 @@ _BY_KIND = {
 
 
 def transport_for(kind: TransportKind | str) -> Transport:
-    """Look up the :class:`Transport` description for a kind or its wire name."""
-    if isinstance(kind, str):
-        kind = TransportKind(kind)
-    return _BY_KIND[kind]
+    """Look up the :class:`Transport` description for a kind or its wire name.
+
+    A member hashes and compares as its wire name (the enum subclasses
+    ``str``), so both find the entry; only a miss converts, which raises
+    ``ValueError`` for an unknown name.
+    """
+    transport = _BY_KIND.get(kind)
+    return transport if transport is not None else _BY_KIND[TransportKind(kind)]
 
 
 __all__ = [

@@ -153,12 +153,19 @@ class TestFrameMemo:
     def test_every_edit_invalidates(self, edit):
         message = self._message()
         before = message.to_bytes()
+        assert message.has("a") and not message.has("c")  # builds the lookup index
         edit(message)
         after = message.to_bytes()
         assert after != before
         restored = Message.from_bytes(after)
         assert [(e.name, e.content) for e in restored] == [(e.name, e.content) for e in message]
         assert message.to_bytes() is after
+        # The size and the lookup index are kept beside the frame: every
+        # edit updates or drops them too.
+        assert message.size == sum(e.size for e in message)
+        assert restored.size == message.size
+        for name in ("a", "c"):
+            assert message.has(name) == any(e.name == name for e in message)
 
     def test_edits_that_change_nothing_keep_the_frame(self):
         message = self._message()
@@ -176,6 +183,8 @@ class TestFrameMemo:
         assert message.to_bytes() is frame
         assert len(Message.from_bytes(copy.to_bytes())) == 3
         assert len(Message.from_bytes(message.to_bytes())) == 2
+        assert copy.size == sum(e.size for e in copy) == message.size + 1
+        assert message.size == sum(e.size for e in message)
 
     def test_dup_shares_elements_not_the_list(self):
         message = self._message()
@@ -202,6 +211,7 @@ def test_property_message_round_trip(elements):
         message.add(name, content, namespace=namespace)
     restored = Message.from_bytes(message.to_bytes())
     assert restored.elements() == message.elements()
+    assert restored.size == sum(e.size for e in restored) == message.size
 
 
 # --------------------------------------------------------------------- fuzz

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.net.simclock import SimulationError, Simulator
@@ -190,3 +192,67 @@ def test_processed_counter_tracks_fired_events():
     sim.run()
     assert sim.processed == 4
     assert sim.pending == 0
+
+
+class _Fire:
+    """A callback object that defines no ordering: if the heap ever compared
+    two entries past their (time, seq) key, ``<`` on these would raise."""
+
+    def __init__(self, fired, key):
+        self.fired, self.key = fired, key
+
+    def __call__(self):
+        self.fired.append(self.key)
+
+
+#: Delays drawn by the model test: few values, so scheduled times collide.
+_DELAYS = (0.0, 0.25, 0.25, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_seeded_interleaving_fires_in_time_then_fifo_order(seed):
+    """A seeded mix of schedule / schedule_at / cancel / step / run_until
+    against a model: the live events, fired in (time, seq) order.  Half the
+    cancels hit the current head, which step, run_until and pending skip."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    fired, expected = [], []
+    handles, live = {}, {}  # key -> handle; key -> (time, key) not yet fired or cancelled
+
+    def fire_head():
+        head = min(live.values())
+        del live[head[1]]
+        expected.append(head[1])
+
+    for _ in range(400):
+        op = rng.random()
+        if op < 0.4:
+            key, delay = len(handles), rng.choice(_DELAYS)
+            if rng.random() < 0.5:
+                handles[key] = sim.schedule(delay, _Fire(fired, key))
+            else:
+                handles[key] = sim.schedule_at(sim.now + delay, _Fire(fired, key))
+            live[key] = (sim.now + delay, key)
+        elif op < 0.55 and live:
+            key = min(live.values())[1] if rng.random() < 0.5 else rng.choice(sorted(live))
+            handles[key].cancel()
+            del live[key]
+        elif op < 0.8:
+            had_live = bool(live)
+            if had_live:
+                fire_head()
+            assert sim.step() is had_live
+        else:
+            until = sim.now + rng.choice((0.0, 0.25, 1.0))
+            due = sum(1 for time, _ in live.values() if time <= until)
+            for _ in range(due):
+                fire_head()
+            assert sim.run_until(until) == due
+            assert sim.now == until
+        assert fired == expected
+        assert sim.pending == len(live)
+    while live:
+        fire_head()
+    sim.run()
+    assert fired == expected
+    assert sim.processed == len(expected)
